@@ -1,4 +1,4 @@
-"""Dense text embeddings via pluggable providers, plus vector math.
+"""Dense text embeddings via pluggable providers.
 
 Two providers exist: a deterministic offline one that signed-hashes
 token features into a fixed number of buckets, and a remote JSON/HTTPS
@@ -9,15 +9,12 @@ cosine similarity reduces to a dot product.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import re
 import time
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -167,30 +164,3 @@ def make_embedder(cfg: EmbedderConfig):
     if cfg.provider == "remote":
         return RemoteEmbedder(cfg)
     raise ValueError(f"unknown embedding provider {cfg.provider!r}")
-
-
-def embed_texts(texts: list[str], cfg: EmbedderConfig) -> np.ndarray:
-    return make_embedder(cfg).embed(texts)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def top_k_sim(query: np.ndarray, pool: list[tuple[str, np.ndarray]], k: int) -> list[tuple[str, float]]:
-    """Top-k pool entries by cosine similarity, ties broken by ascending id."""
-    if not pool:
-        raise ValueError("empty candidate pool")
-    if k < 1:
-        raise ValueError("k must be positive")
-    scored = [(node_id, cosine(query, vec)) for node_id, vec in pool]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]

@@ -1,21 +1,18 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-Set ``SEMTREE_NO_NUMBA=1`` to force the numpy path (also used
-automatically when numba is not importable).  Both paths compute the
-same float64 math; ``benchmarks/bench_kernels.py`` compares them.
-"""
+"""Hot numeric kernels in float64 numpy: GMM log-densities and BM25 scoring."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Only numpy kernels exist; perfsuite/run.py records this flag as the run's kernel_path.
+USING_NUMBA = False
 
-def _weighted_log_prob_numpy(X, means, variances, log_weights):
+
+def weighted_log_prob(X, means, variances, log_weights):
     """Per-sample, per-component diagonal Gaussian log density plus log weight."""
     n, d = X.shape
     k = means.shape[0]
@@ -29,8 +26,8 @@ def _weighted_log_prob_numpy(X, means, variances, log_weights):
     return out
 
 
-def _bm25_scores_numpy(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,
-                       idf, doc_len, avgdl, n_docs, k1, b):
+def bm25_scores(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,
+                idf, doc_len, avgdl, n_docs, k1, b):
     """Okapi BM25 scores for every document given sparse term postings."""
     scores = np.zeros(n_docs)
     norm = k1 * (1.0 - b + b * doc_len / avgdl)
@@ -39,64 +36,3 @@ def _bm25_scores_numpy(q_terms, q_counts, postings_ptr, postings_doc, postings_t
         tfs = postings_tf[postings_ptr[t]:postings_ptr[t + 1]]
         scores[docs] += qtf * idf[t] * tfs * (k1 + 1.0) / (tfs + norm[docs])
     return scores
-
-
-_use_numba = os.environ.get("SEMTREE_NO_NUMBA", "") not in ("1", "true", "yes")
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _use_numba = False
-
-if _use_numba:
-
-    @njit(cache=True)
-    def _weighted_log_prob_jit(X, means, variances, log_weights):  # pragma: no cover
-        n, d = X.shape
-        k = means.shape[0]
-        out = np.empty((n, k))
-        for j in range(k):
-            logdet = 0.0
-            for t in range(d):
-                logdet += math.log(variances[j, t])
-            base = log_weights[j] - 0.5 * (d * _LOG_2PI + logdet)
-            for i in range(n):
-                acc = 0.0
-                for t in range(d):
-                    diff = X[i, t] - means[j, t]
-                    acc += diff * diff / variances[j, t]
-                out[i, j] = base - 0.5 * acc
-        return out
-
-    @njit(cache=True)
-    def _bm25_scores_jit(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,
-                         idf, doc_len, avgdl, n_docs, k1, b):  # pragma: no cover
-        scores = np.zeros(n_docs)
-        for qi in range(q_terms.shape[0]):
-            t = q_terms[qi]
-            qtf = q_counts[qi]
-            w = qtf * idf[t] * (k1 + 1.0)
-            for p in range(postings_ptr[t], postings_ptr[t + 1]):
-                doc = postings_doc[p]
-                tf = postings_tf[p]
-                norm = k1 * (1.0 - b + b * doc_len[doc] / avgdl)
-                scores[doc] += w * tf / (tf + norm)
-        return scores
-
-    weighted_log_prob = _weighted_log_prob_jit
-    bm25_scores = _bm25_scores_jit
-else:
-    weighted_log_prob = _weighted_log_prob_numpy
-    bm25_scores = _bm25_scores_numpy
-
-USING_NUMBA = _use_numba
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so later calls run at steady-state speed."""
-    X = np.zeros((2, 2))
-    weighted_log_prob(X, np.zeros((1, 2)), np.ones((1, 2)), np.zeros(1))
-    bm25_scores(
-        np.zeros(1, dtype=np.int64), np.ones(1), np.array([0, 1], dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.ones(1), np.ones(1), np.ones(1), 1.0, 1, 1.2, 0.75,
-    )

@@ -1,4 +1,4 @@
-"""Chat-completions client with retries, plus a record/replay stub.
+"""Chat-completions client with retries, plus a replay stub.
 
 The wire format is the common JSON-over-HTTPS chat shape:
 ``{"model": ..., "temperature": 0, "messages": [{"role": "user", "content": ...}]}``.
@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
 
 
 class LlmError(RuntimeError):
@@ -32,7 +29,6 @@ class LlmConfig:
     model: str = ""
     credential_env: str = "LLM_API_KEY"
     temperature: float = 0.0
-    max_in_flight: int = 4
     max_attempts: int = 3
 
     def __post_init__(self):
@@ -86,30 +82,20 @@ class ChatClient:
 
 
 class ReplayClient:
-    """Replays recorded responses keyed by prompt hash; optionally records."""
+    """Replays recorded responses keyed by prompt hash."""
 
-    def __init__(self, path: str, record: bool = False):
-        self.path = path
-        self.record = record
+    def __init__(self, path: str):
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 self._responses: dict[str, str] = json.load(fh)
         else:
             self._responses = {}
-        self._fallback: str | None = None
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)
         if key in self._responses:
             return self._responses[key]
         raise LlmError(f"no recorded response for prompt hash {key[:12]}…")
-
-    def add(self, prompt: str, response: str) -> None:
-        self._responses[prompt_hash(prompt)] = response
-
-    def save(self) -> None:
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self._responses, fh, indent=2, sort_keys=True)
 
 
 class CallableClient:

@@ -48,14 +48,6 @@ def dcg_at_k(ranked: RankedList, target_id: str, k: int) -> float:
     return 1.0 / math.log2(rank + 1)
 
 
-def mean_precision_at_k(samples: list[tuple[RankedList, str]], k: int) -> float:
-    return sum(precision_at_k(r, t, k) for r, t in samples) / len(samples)
-
-
-def mean_dcg_at_k(samples: list[tuple[RankedList, str]], k: int) -> float:
-    return sum(dcg_at_k(r, t, k) for r, t in samples) / len(samples)
-
-
 def silhouette(tree: TreeIndex, level: int) -> float:
     """Mean silhouette over the features grouped under each parent at ``level``.
 

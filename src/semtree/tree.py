@@ -12,7 +12,6 @@ and load.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +20,6 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.cluster import ReducerConfig, fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
-
-logger = logging.getLogger(__name__)
 
 INDEX_FORMAT_VERSION = 1
 
@@ -81,7 +78,7 @@ class TreeIndex:
 
 
 def validate_tree(t: TreeIndex) -> None:
-    """Check acyclicity, level ordering, leaf coverage, and embedding dims."""
+    """Check level ordering (hence acyclicity), leaf coverage, and embedding dims."""
     if not t.nodes:
         raise TreeError("index has no nodes")
     dim = t.dim
@@ -110,22 +107,6 @@ def validate_tree(t: TreeIndex) -> None:
     for root_id in t.roots:
         if root_id not in t.nodes:
             raise TreeError(f"missing root node {root_id}")
-    # Cycle detection by DFS (level ordering above already forbids cycles,
-    # but corrupted files may violate both; report the offending edge).
-    state: dict[str, int] = {}
-
-    def visit(node_id: str, path: list[str]) -> None:
-        if state.get(node_id) == 1:
-            raise TreeError(f"cycle through nodes {path[path.index(node_id):] + [node_id]}")
-        if state.get(node_id) == 2:
-            return
-        state[node_id] = 1
-        for child_id in t.nodes[node_id].children:
-            visit(child_id, path + [node_id])
-        state[node_id] = 2
-
-    for root_id in t.roots:
-        visit(root_id, [])
     # Full leaf coverage: every leaf reachable from >= 1 root.
     reachable: set[str] = set()
     stack = list(t.roots)
@@ -190,9 +171,6 @@ def build_tree(
             model = fit_gmm(reduced, 1, seed)
         else:
             model, _ = select_k_bic(reduced, range(2, upper + 1), seed)
-        if model.k >= n:  # pragma: no cover - k_range already excludes this
-            logger.info("forcing merge at level %d: k %d -> %d", level, model.k, n // 2)
-            model = fit_gmm(reduced, max(1, math.ceil(n / 2)), seed)
         assignment = soft_assign(model, reduced, cluster_cfg.soft_threshold)
 
         clusters: list[list[str]] = [[] for _ in range(model.k)]

@@ -1,9 +1,7 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single PASS/FAIL line in the terminal summary and
-enforces its own runtime budget.  JIT-compiled kernels are warmed up
-before any clock starts so compilation time is not billed to a
-criterion.
+enforces its own runtime budget.
 """
 
 import contextlib
@@ -21,7 +19,6 @@ from conftest import (
     make_family_library,
     perturbed_intents,
 )
-from semtree import kernels
 from semtree.baselines import (
     build_term_index,
     jensen_shannon_divergence,
@@ -51,8 +48,6 @@ from test_metrics import manual_tree, silhouette_oracle
 from test_search import brute_force
 
 DATA = Path(__file__).parent / "data"
-
-kernels.warmup()
 
 
 @contextlib.contextmanager

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from semtree.embed import (
     EmbedderConfig,
     EmbeddingError,
     HashedEmbedder,
     RemoteEmbedder,
-    cosine,
-    top_k_sim,
 )
 
 
@@ -28,56 +25,6 @@ def test_hashed_seed_changes_vectors():
     a = HashedEmbedder(EmbedderConfig(dim=64, seed=1)).embed(["alpha beta"])
     b = HashedEmbedder(EmbedderConfig(dim=64, seed=2)).embed(["alpha beta"])
     assert not np.array_equal(a, b)
-
-
-def test_cosine_identity_and_orthogonality():
-    v = np.array([0.6, 0.8])
-    assert cosine(v, v) == pytest.approx(1.0)
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-
-def test_cosine_hand_value():
-    # frozen from a 3-line oracle: dot((.6,.8),(.8,.6)) over unit norms
-    assert cosine(np.array([0.6, 0.8]), np.array([0.8, 0.6])) == pytest.approx(0.96, abs=1e-12)
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        cosine(np.ones(3), np.ones(4))
-
-
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=8),
-       st.lists(st.floats(-5, 5), min_size=2, max_size=8))
-def test_cosine_symmetric_and_bounded(a, b):
-    n = min(len(a), len(b))
-    va, vb = np.array(a[:n]), np.array(b[:n])
-    assert cosine(va, vb) == pytest.approx(cosine(vb, va))
-    assert abs(cosine(va, vb)) <= 1 + 1e-9
-
-
-def test_top_k_full_pool():
-    pool = [("n1", np.array([1.0, 0.0])), ("n2", np.array([0.0, 1.0]))]
-    out = top_k_sim(np.array([1.0, 0.0]), pool, 10)
-    assert [nid for nid, _ in out] == ["n1", "n2"]
-
-
-def test_top_k_tie_breaks_by_id():
-    v = np.array([1.0, 0.0])
-    pool = [("b", v), ("a", v)]
-    out = top_k_sim(v, pool, 2)
-    assert [nid for nid, _ in out] == ["a", "b"]
-
-
-def test_top_k_matches_full_sort_oracle():
-    rng = np.random.default_rng(0)
-    pool = [(f"n{i:02d}", rng.normal(size=4)) for i in range(50)]
-    q = rng.normal(size=4)
-    got = top_k_sim(q, pool, 5)
-    oracle = sorted(((nid, cosine(q, v)) for nid, v in pool),
-                    key=lambda item: (-item[1], item[0]))
-    assert got == oracle[:5]
-    # top-k is a prefix of the full descending sort
-    assert top_k_sim(q, pool, 50) == oracle
 
 
 class FakeResponse:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semtree import kernels
-from semtree.kernels import _bm25_scores_numpy, _weighted_log_prob_numpy
 
 
 def random_gmm_inputs(seed=0, n=40, d=6, k=4):
@@ -35,7 +34,7 @@ def random_bm25_inputs(seed=1, n_docs=15, vocab=25):
 
 def test_weighted_log_prob_matches_scipy_style_oracle():
     X, means, variances, log_w = random_gmm_inputs()
-    got = _weighted_log_prob_numpy(X, means, variances, log_w)
+    got = kernels.weighted_log_prob(X, means, variances, log_w)
     # independent oracle: per-dimension normal log pdfs summed explicitly
     for i in range(5):
         for j in range(means.shape[0]):
@@ -45,21 +44,6 @@ def test_weighted_log_prob_matches_scipy_style_oracle():
                 lp += -0.5 * (np.log(2 * np.pi * var)
                               + (X[i, t] - means[j, t]) ** 2 / var)
             assert got[i, j] == pytest.approx(lp, abs=1e-10)
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path not active")
-def test_jit_paths_match_numpy_paths():
-    kernels.warmup()
-    for seed in range(3):
-        X, means, variances, log_w = random_gmm_inputs(seed)
-        assert np.allclose(
-            kernels.weighted_log_prob(X, means, variances, log_w),
-            _weighted_log_prob_numpy(X, means, variances, log_w),
-            atol=1e-12,
-        )
-        args = random_bm25_inputs(seed)
-        assert np.allclose(
-            kernels.bm25_scores(*args), _bm25_scores_numpy(*args), atol=1e-12)
 
 
 def test_bm25_kernel_empty_query():

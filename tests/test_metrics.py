@@ -12,8 +12,6 @@ from semtree.metrics import (
     EvalReport,
     QueryRecord,
     dcg_at_k,
-    mean_dcg_at_k,
-    mean_precision_at_k,
     metrics_from_records,
     precision_at_k,
     run_benchmark,
@@ -76,12 +74,6 @@ def test_dcg_equals_formula_oracle():
     for pos in range(1, 11):
         got = dcg_at_k(r, f"x{pos - 1}", 10)
         assert got == pytest.approx(1.0 / math.log2(pos + 1), abs=1e-12)
-
-
-def test_mean_aggregates():
-    samples = [(ranked(["a", "b"]), "a"), (ranked(["a", "b"]), "b")]
-    assert mean_precision_at_k(samples, 1) == 0.5
-    assert mean_dcg_at_k(samples, 2) == pytest.approx((1.0 + 1.0 / math.log2(3)) / 2)
 
 
 # --- silhouette -----------------------------------------------------------

@@ -117,7 +117,7 @@ def test_load_rejects_cycle(tmp_path):
     }
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match="does not decrease level"):
         load_tree(path)
 
 
