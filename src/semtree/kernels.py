@@ -13,17 +13,29 @@ USING_NUMBA = False
 
 
 def weighted_log_prob(X, means, variances, log_weights):
-    """Per-sample, per-component diagonal Gaussian log density plus log weight."""
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for j in range(k):
-        var = variances[j]
-        diff = X - means[j]
-        out[:, j] = log_weights[j] - 0.5 * (
-            d * _LOG_2PI + np.sum(np.log(var)) + np.sum(diff * diff / var, axis=1)
-        )
-    return out
+    """Per-sample, per-component diagonal Gaussian log density plus log weight.
+
+    The Mahalanobis term is expanded into two matmuls, as in scikit-learn's
+    diagonal ``GaussianMixture`` (``_estimate_log_gaussian_prob``):
+    Σ(x−μ)²/σ² = x²·(1/σ²) − 2x·(μ/σ²) + Σμ²/σ².  Its rounding error is
+    about eps times the positive part ``big``, so where the difference keeps
+    less than 1/64 of ``big`` (over 6 bits cancelled, as for points sitting
+    on a far-from-zero mean with a floored variance) the entry is computed
+    again from x−μ directly.
+    """
+    d = X.shape[1]
+    prec = 1.0 / variances
+    big = (X * X) @ prec.T + np.sum(means * means * prec, axis=1)
+    quad = big - 2.0 * (X @ (means * prec).T)
+    # flatnonzero + divmod: several times faster than a 2-D np.nonzero here
+    rows, cols = np.divmod(np.flatnonzero(big > 64.0 * quad), quad.shape[1])
+    if rows.size:
+        diff = X[rows] - means[cols]
+        quad[rows, cols] = np.sum(diff * diff / variances[cols], axis=1)
+    quad += d * _LOG_2PI + np.sum(np.log(variances), axis=1)
+    quad *= -0.5
+    quad += log_weights
+    return quad
 
 
 def bm25_scores(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,

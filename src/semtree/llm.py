@@ -85,11 +85,8 @@ class ReplayClient:
     """Replays recorded responses keyed by prompt hash."""
 
     def __init__(self, path: str):
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                self._responses: dict[str, str] = json.load(fh)
-        else:
-            self._responses = {}
+        with open(path, encoding="utf-8") as fh:
+            self._responses: dict[str, str] = json.load(fh)
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)

@@ -258,27 +258,37 @@ def save_tree(t: TreeIndex, path: str) -> None:
 
 
 def load_tree(path: str) -> TreeIndex:
+    """Load and validate an index; any malformed file raises ``TreeError``."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TreeError(f"index file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TreeError(f"index file {path} is not a JSON object")
     version = doc.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise TreeError(f"unsupported index version {version!r} "
                         f"(expected {INDEX_FORMAT_VERSION})")
     nodes: dict[str, TreeNode] = {}
-    for obj in doc["nodes"]:
-        nodes[obj["id"]] = TreeNode(
-            id=obj["id"],
-            level=int(obj["level"]),
-            kind=obj["kind"],
-            name=obj["name"],
-            summary=obj["summary"],
-            embedding=np.asarray(obj["embedding"], dtype=np.float64),
-            children=tuple(obj["children"]),
-            artifact_id=obj.get("artifact_id"),
-        )
+    try:
+        for obj in doc["nodes"]:
+            nodes[obj["id"]] = TreeNode(
+                id=obj["id"],
+                level=int(obj["level"]),
+                kind=obj["kind"],
+                name=obj["name"],
+                summary=obj["summary"],
+                embedding=np.asarray(obj["embedding"], dtype=np.float64),
+                children=tuple(obj["children"]),
+                artifact_id=obj.get("artifact_id"),
+            )
+        roots = tuple(doc["roots"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
     index = TreeIndex(
         nodes=nodes,
-        roots=tuple(doc["roots"]),
+        roots=roots,
         config=doc.get("config", {}),
         provenance=doc.get("provenance", {}),
     )

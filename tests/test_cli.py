@@ -134,6 +134,15 @@ def test_search_missing_index_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "search", "--index", str(built_index),
+                         "--intent", "http client", "--rerank", "--llm-stub", str(missing))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "missing.json" in err
+
+
 # --- bench ----------------------------------------------------------------
 
 def test_bench_unknown_solution_exits_2(catalog, pairs, tmp_path, capsys):

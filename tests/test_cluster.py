@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semtree import cluster
 from semtree.cluster import (
     ReducerConfig,
     VARIANCE_FLOOR,
@@ -10,6 +11,7 @@ from semtree.cluster import (
     select_k_bic,
     soft_assign,
 )
+from test_kernels import loop_weighted_log_prob
 
 
 def two_blob_data(seed=0, sigma=0.5):
@@ -150,6 +152,24 @@ def test_bic_single_blob_prefers_one():
     m1 = fit_gmm(X, 1, seed=0)
     p = 0 + 2 * 1 * 3
     assert dict(curve)[1] == pytest.approx(p * np.log(80) - 2 * m1.log_likelihood)
+
+
+@pytest.mark.parametrize("offset", [0.0, 123.456])
+def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
+    # Six groups of exact duplicates (every 7th row jittered by 1e-4) drive
+    # variances to VARIANCE_FLOOR, where the matmul expansion of the log
+    # density cancels; unguarded, EM then reports a decreasing likelihood.
+    rng = np.random.default_rng(0)
+    X = np.repeat(offset + rng.normal(size=(6, 10)), 10, axis=0)
+    X[::7] += rng.normal(scale=1e-4, size=X[::7].shape)
+
+    def outcome():
+        model, _ = select_k_bic(X, range(2, 9), seed=0)
+        return model.k, len(model.ll_history), soft_assign(model, X).memberships
+
+    got = outcome()
+    monkeypatch.setattr(cluster, "weighted_log_prob", loop_weighted_log_prob)
+    assert got == outcome()
 
 
 def test_bic_empty_range():

@@ -1,7 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from semtree import kernels
+from semtree.cluster import VARIANCE_FLOOR
+
+
+def loop_weighted_log_prob(X, means, variances, log_weights):
+    """The straightforward per-component loop: the oracle for the matmul kernel."""
+    n, d = X.shape
+    k = means.shape[0]
+    out = np.empty((n, k))
+    for j in range(k):
+        var = variances[j]
+        diff = X - means[j]
+        out[:, j] = log_weights[j] - 0.5 * (
+            d * math.log(2.0 * math.pi) + np.sum(np.log(var))
+            + np.sum(diff * diff / var, axis=1)
+        )
+    return out
 
 
 def random_gmm_inputs(seed=0, n=40, d=6, k=4):
@@ -44,6 +62,34 @@ def test_weighted_log_prob_matches_scipy_style_oracle():
                 lp += -0.5 * (np.log(2 * np.pi * var)
                               + (X[i, t] - means[j, t]) ** 2 / var)
             assert got[i, j] == pytest.approx(lp, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed,n,d,k", [(0, 40, 6, 4), (1, 300, 10, 16), (2, 50, 1, 3),
+                                         (3, 7, 17, 5)])
+def test_weighted_log_prob_matches_loop_oracle(seed, n, d, k):
+    X, means, variances, log_w = random_gmm_inputs(seed, n, d, k)
+    got = kernels.weighted_log_prob(X, means, variances, log_w)
+    want = loop_weighted_log_prob(X, means, variances, log_w)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_weighted_log_prob_cancellation_guard():
+    # Exact duplicates on far-from-zero means with floored variances: the
+    # expansion x²/σ² − 2xμ/σ² + μ²/σ² cancels ~1e10-sized terms to 0 here.
+    rng = np.random.default_rng(5)
+    centres = 123.456 + rng.normal(scale=1e-3, size=(6, 10))
+    exact = np.repeat(centres, 9, axis=0)
+    X = exact.copy()
+    X[::7] += rng.normal(scale=1e-4, size=X[::7].shape)
+    means = np.vstack([centres, centres.mean(axis=0)])
+    variances = np.full((7, 10), VARIANCE_FLOOR)
+    variances[6] = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
+    log_w = np.log(np.full(7, 1.0 / 7))
+    got = kernels.weighted_log_prob(X, means, variances, log_w)
+    want = loop_weighted_log_prob(X, means, variances, log_w)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+    on_mean = np.flatnonzero(np.all(X == exact, axis=1))
+    assert np.array_equal(got[on_mean, on_mean // 9], want[on_mean, on_mean // 9])
 
 
 def test_bm25_kernel_empty_query():

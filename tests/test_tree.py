@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semtree.catalog import Artifact, ArtifactLibrary
+from semtree.cli import main
 from semtree.tree import (
     StoppingCriteria,
     TreeError,
@@ -119,6 +120,37 @@ def test_load_rejects_cycle(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(TreeError, match="does not decrease level"):
         load_tree(path)
+
+
+def _dropped(*path):
+    """Damage that deletes the entry at ``path`` from the saved document."""
+    def damage(text):
+        doc = json.loads(text)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return json.dumps(doc)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],
+    lambda text: json.dumps([json.loads(text)]),
+    _dropped("nodes"),
+    _dropped("nodes", 0, "level"),
+    _dropped("nodes", 0, "id"),
+    _dropped("nodes", 0, "embedding"),
+], ids=["truncated", "not_an_object", "no_nodes", "node_without_level",
+        "node_without_id", "node_without_embedding"])
+def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
+    path = tmp_path / "idx.json"
+    save_tree(family_index, path)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(TreeError):
+        load_tree(path)
+    assert main(["search", "--index", str(path), "--intent", "x"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_validate_rejects_orphan_leaf(family_index):
