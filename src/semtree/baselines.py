@@ -339,7 +339,8 @@ def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
     if not order:
         order = list(subset)
     else:
-        order.extend(aid for aid in subset if aid not in set(order))
+        chosen = set(order)
+        order.extend(aid for aid in subset if aid not in chosen)
     return RankedList(
         intent=intent,
         entries=[(aid, scores[aid]) for aid in order[:final_k]],

@@ -6,7 +6,9 @@ kept (ties by ascending id), and kept internal nodes are expanded into
 their children while kept leaves carry themselves forward.  When every
 kept node is a leaf the candidates are returned.  Scores are recomputed
 per level; the deduplicated child union makes the polyhierarchy cost
-nothing.
+nothing.  Each level is one gather-and-matmul over the index's packed
+embedding matrix, and scores are rounded to ``SCORE_DECIMALS`` before
+ranking so that ties do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from semtree.llm import LlmError
 from semtree.tree import TreeIndex
 
 logger = logging.getLogger(__name__)
+
+SCORE_DECIMALS = 12
 
 RERANK_PROMPT_TEMPLATE = (
     "Given a user requirement and a list of candidate artifacts, rank the "
@@ -55,39 +59,47 @@ class RankedList:
         return [aid for aid, _ in self.entries]
 
 
+def round_scores(scores: np.ndarray) -> np.ndarray:
+    """Similarity scores as search ranks them: rounded to ``SCORE_DECIMALS``.
+
+    Scores equal in exact arithmetic can differ in the last bits of their
+    float dot products, depending on summation order; rounding makes them
+    equal, so the id tie-break decides.  A tie can still split if its
+    exact value lies within about 1e-16 of a rounding boundary.
+    """
+    return np.round(scores, SCORE_DECIMALS)
+
+
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:
     """Top-down beam traversal returning up to ``beam_width`` leaf candidates."""
     if not t.nodes:
         raise ValueError("empty index")
     start = time.perf_counter()
+    packed = t.packed
     query = embedder.embed([intent])[0]
     if query.shape[0] != t.dim:
         raise ValueError("intent embedding dimension does not match the index")
 
-    frontier = list(t.roots)
+    ptr, rows = packed.child_ptr, packed.child_rows
+    frontier = packed.root_rows
     evaluations = 0
-    max_rounds = t.max_level() + 2
-    kept: list[tuple[str, float]] = []
-    for _ in range(max_rounds):
-        scores = []
-        for nid in frontier:
-            scores.append((nid, float(np.dot(query, t.nodes[nid].embedding))))
+    for _ in range(packed.max_level + 2):
+        scores = round_scores(packed.embeddings[frontier] @ query)
         evaluations += len(frontier)
-        scores.sort(key=lambda item: (-item[1], item[0]))
-        kept = scores[: cfg.beam_width]
-        if all(t.nodes[nid].is_leaf() for nid, _ in kept):
+        order = np.lexsort((packed.id_rank[frontier], -scores))[: cfg.beam_width]
+        kept, kept_scores = frontier[order], scores[order]
+        leaf = packed.is_leaf[kept]
+        if leaf.all():
             break
-        next_frontier: list[str] = []
-        seen: set[str] = set()
-        for nid, _ in kept:
-            node = t.nodes[nid]
-            expand = (nid,) if node.is_leaf() else node.children
-            for child in expand:
-                if child not in seen:
-                    seen.add(child)
-                    next_frontier.append(child)
-        frontier = next_frontier
-    entries = [(t.nodes[nid].artifact_id, score) for nid, score in kept]
+        # Deduplicate the child union with a mask: np.unique sorts and
+        # costs ~10x as much on frontiers of this size.
+        reached = np.zeros(len(packed.ids), dtype=bool)
+        reached[kept[leaf]] = True
+        for r in kept[~leaf]:
+            reached[rows[ptr[r]:ptr[r + 1]]] = True
+        frontier = np.flatnonzero(reached)
+    entries = [(t.nodes[packed.ids[r]].artifact_id, float(s))
+               for r, s in zip(kept, kept_scores)]
     return RankedList(
         intent=intent,
         entries=entries,
@@ -140,7 +152,7 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     """
     if not candidates.entries:
         raise ValueError("no candidates to rerank")
-    leaf_by_artifact = {n.artifact_id: n for n in t.leaves()}
+    leaf_by_artifact = t.packed.leaf_by_artifact
     prompt = render_rerank_prompt(
         intent,
         [(aid, leaf_by_artifact[aid].summary) for aid, _ in candidates.entries],
@@ -155,7 +167,8 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     if not order:
         order = list(original)
     else:
-        order.extend(aid for aid in original if aid not in set(order))
+        chosen = set(order)
+        order.extend(aid for aid in original if aid not in chosen)
     score_by_id = dict(candidates.entries)
     entries = [(aid, score_by_id[aid]) for aid in order[:final_k]]
     return RankedList(

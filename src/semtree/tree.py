@@ -6,7 +6,8 @@ clusters, summarizes every cluster into a named parent feature, and
 embeds each summary as the next level.  Soft assignment can give a node
 several parents, so the result is a polyhierarchy (a DAG), not a strict
 tree; acyclicity and full leaf coverage are validated after every build
-and load.
+and load, and validation packs the index into the array form that
+search reads (``PackedTree``).
 """
 
 from __future__ import annotations
@@ -59,37 +60,91 @@ class TreeNode:
         return self.kind == "leaf"
 
 
+@dataclass(frozen=True)
+class PackedTree:
+    """Array form of a validated index, the one that search and re-rank read.
+
+    Row ``i`` is node ``ids[i]``, in the order of ``TreeIndex.nodes``, and
+    ``embeddings[i]`` is the storage behind that node's ``embedding``.
+    The children of row ``i`` are ``child_rows[child_ptr[i]:child_ptr[i + 1]]``
+    (CSR).  ``id_rank[i]`` is the position of ``ids[i]`` among the sorted
+    node ids, the tie-break of search.
+    """
+
+    ids: tuple[str, ...]
+    embeddings: np.ndarray  # (n_nodes, dim), C-contiguous
+    child_ptr: np.ndarray
+    child_rows: np.ndarray
+    is_leaf: np.ndarray
+    id_rank: np.ndarray
+    root_rows: np.ndarray
+    max_level: int
+    leaf_by_artifact: dict[str, TreeNode]
+
+
 @dataclass
 class TreeIndex:
     nodes: dict[str, TreeNode]
     roots: tuple[str, ...]
     config: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    _packed: PackedTree | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def packed(self) -> PackedTree:
+        """The array form, set by ``validate_tree`` (run here on first use)."""
+        if self._packed is None:
+            validate_tree(self)
+        return self._packed
 
     @property
     def dim(self) -> int:
-        return next(iter(self.nodes.values())).embedding.shape[0]
+        return self.packed.embeddings.shape[1]
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if n.is_leaf()]
 
     def max_level(self) -> int:
-        return max(n.level for n in self.nodes.values())
+        return self.packed.max_level
 
 
 def validate_tree(t: TreeIndex) -> None:
-    """Check level ordering (hence acyclicity), leaf coverage, and embedding dims."""
+    """Check the index and pack it into its array form, ``t.packed``.
+
+    Checks: embeddings are finite vectors of one dimension, levels
+    decrease along every edge (hence acyclicity), each artifact has one
+    leaf, and every leaf is reachable from a root.  On success every
+    node's ``embedding`` becomes a row view of ``t.packed.embeddings``,
+    so each vector is held once.  Run it again after changing ``t.nodes``.
+    """
+    t._packed = None  # a failed check must not leave an earlier packing in use
     if not t.nodes:
         raise TreeError("index has no nodes")
-    dim = t.dim
+    ids = tuple(t.nodes)
+    row = {nid: i for i, nid in enumerate(ids)}
+    first = t.nodes[ids[0]]
+    if first.embedding.ndim != 1:
+        raise TreeError(f"node {first.id}: embedding is not a vector")
+    shape = first.embedding.shape
+    child_ptr = [0]
+    child_rows: list[int] = []
+    is_leaf: list[bool] = []
+    leaf_by_artifact: dict[str, TreeNode] = {}
     for node in t.nodes.values():
-        if node.embedding.shape != (dim,):
-            raise TreeError(f"node {node.id}: embedding dimension mismatch")
-        if node.is_leaf():
+        if node.embedding.shape != shape:
+            raise TreeError(f"node {node.id}: embedding shape {node.embedding.shape} "
+                            f"is not {shape}")
+        leaf = node.is_leaf()
+        is_leaf.append(leaf)
+        if leaf:
             if node.children:
                 raise TreeError(f"leaf {node.id} has children")
             if node.artifact_id is None:
                 raise TreeError(f"leaf {node.id} has no artifact_id")
+            other = leaf_by_artifact.setdefault(node.artifact_id, node)
+            if other is not node:
+                raise TreeError(f"leaves {other.id} and {node.id} share "
+                                f"artifact_id {node.artifact_id}")
         else:
             if not node.children:
                 raise TreeError(f"internal node {node.id} has no children")
@@ -104,6 +159,8 @@ def validate_tree(t: TreeIndex) -> None:
                     f"edge {node.id} -> {child_id} does not decrease level "
                     f"({node.level} -> {child.level})"
                 )
+            child_rows.append(row[child_id])
+        child_ptr.append(len(child_rows))
     for root_id in t.roots:
         if root_id not in t.nodes:
             raise TreeError(f"missing root node {root_id}")
@@ -116,9 +173,28 @@ def validate_tree(t: TreeIndex) -> None:
             continue
         reachable.add(nid)
         stack.extend(t.nodes[nid].children)
-    orphans = [n.id for n in t.leaves() if n.id not in reachable]
+    orphans = [n.id for n in leaf_by_artifact.values() if n.id not in reachable]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
+    embeddings = np.array([n.embedding for n in t.nodes.values()], dtype=np.float64)
+    if not np.isfinite(embeddings).all():
+        bad = int(np.argmin(np.isfinite(embeddings).all(axis=1)))
+        raise TreeError(f"node {ids[bad]}: embedding has non-finite values")
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    for node, vec in zip(t.nodes.values(), embeddings):
+        node.embedding = vec
+    t._packed = PackedTree(
+        ids=ids,
+        embeddings=embeddings,
+        child_ptr=np.asarray(child_ptr, dtype=np.intp),
+        child_rows=np.asarray(child_rows, dtype=np.intp),
+        is_leaf=np.array(is_leaf),
+        id_rank=id_rank,
+        root_rows=np.array([row[r] for r in t.roots], dtype=np.intp),
+        max_level=max(n.level for n in t.nodes.values()),
+        leaf_by_artifact=leaf_by_artifact,
+    )
 
 
 def build_tree(

@@ -41,7 +41,7 @@ from semtree.summarize import (
     parse_feature_line,
     render_summary_prompt,
 )
-from semtree.tree import build_tree, load_tree, save_tree, validate_tree
+from semtree.tree import StoppingCriteria, build_tree, load_tree, save_tree, validate_tree
 
 from test_baselines import make_lib, oracle_bm25_scores, oracle_tfidf_scores
 from test_metrics import manual_tree, silhouette_oracle
@@ -99,15 +99,21 @@ def test_criterion_1_metric_exactness():
 
 def test_criterion_2_search_linear_equivalence(embedder):
     lib = make_family_library(n_families=10, per_family=20, seed=7)
-    index = make_depth1_index(lib, embedder)
+    # One root over every leaf, and a built index with all the layers the
+    # stopping criteria allow (200, 10, 2 and 1 nodes).
+    indexes = [make_depth1_index(lib, embedder),
+               build_tree(lib, embedder, stop=StoppingCriteria(max_top_level_nodes=1), seed=0)]
+    assert [index.max_level() for index in indexes] == [1, 3]
     vocabulary = sorted({w for a in lib.artifacts for w in a.description.split()})
     rng = np.random.default_rng(1)
     cfg = SearchConfig(beam_width=5, final_k=5)
-    with criterion("2 depth-1 search equals linear scan (200 artifacts, 50 intents)", 2):
+    with criterion("2 search equals per-level linear scan (depth-1 and 4-layer built "
+                   "index, 200 artifacts, 50 intents)", 2):
         for _ in range(50):
             intent = " ".join(rng.choice(vocabulary, size=6))
-            got = tree_search(index, intent, cfg, embedder)
-            assert got.entries == brute_force(index, embedder, intent, 5)
+            for index in indexes:
+                got = tree_search(index, intent, cfg, embedder)
+                assert got.entries == brute_force(index, embedder, intent, 5)
 
 
 def test_criterion_3_sublinear_search(embedder):

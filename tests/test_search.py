@@ -13,18 +13,28 @@ from semtree.search import (
     recommend,
     render_rerank_prompt,
     rerank,
+    round_scores,
     tree_search,
 )
+from semtree.tree import TreeIndex, TreeNode, validate_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
 
 def brute_force(index, embedder, intent, k):
+    """Per-level linear scan with beam width ``k``: every visited node is
+    scored by its own ``np.dot``, rounded by the shared helper, and ranked
+    by (-score, node id); kept leaves carry themselves to the next level."""
     query = embedder.embed([intent])[0]
-    scored = [(n, float(np.dot(query, n.embedding))) for n in index.leaves()]
-    # same tie rule as the traversal: ascending node id
-    scored.sort(key=lambda item: (-item[1], item[0].id))
-    return [(n.artifact_id, s) for n, s in scored[:k]]
+    frontier = set(index.roots)
+    while True:
+        scored = [(nid, float(round_scores(np.dot(query, index.nodes[nid].embedding))))
+                  for nid in frontier]
+        scored.sort(key=lambda item: (-item[1], item[0]))
+        kept = scored[:k]
+        if all(index.nodes[nid].is_leaf() for nid, _ in kept):
+            return [(index.nodes[nid].artifact_id, s) for nid, s in kept]
+        frontier = {c for nid, _ in kept for c in index.nodes[nid].children or (nid,)}
 
 
 def test_depth1_equals_linear_scan(family_library, hashed_embedder):
@@ -33,6 +43,57 @@ def test_depth1_equals_linear_scan(family_library, hashed_embedder):
     for intent in ["alpha packaging tools", family_library.artifacts[13].description]:
         got = tree_search(index, intent, cfg, hashed_embedder)
         assert got.entries == brute_force(index, hashed_embedder, intent, 5)
+
+
+class FixedEmbedder:
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=np.float64)
+
+    def embed(self, texts):
+        return np.stack([self.vector for _ in texts])
+
+
+@pytest.mark.parametrize("row_order", [("L0-0", "L0-1"), ("L0-1", "L0-0")])
+@pytest.mark.parametrize("reversed_on", ["L0-0", "L0-1"])
+def test_exact_ties_rank_by_node_id(row_order, reversed_on):
+    # Permuted embeddings against an all-ones query: equal in exact
+    # arithmetic, different in float summation order.
+    forward, query = np.array([0.1, 0.2, 0.3]), np.ones(3)
+    assert np.dot(forward, query) != np.dot(forward[::-1], query)
+    leaves = {
+        nid: TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid,
+                      embedding=forward[::-1].copy() if nid == reversed_on else forward,
+                      artifact_id=f"a{nid[-1]}")
+        for nid in row_order
+    }
+    root = TreeNode(id="L1-0", level=1, kind="internal", name="root", summary="root",
+                    embedding=np.ones(3), children=tuple(leaves))
+    index = TreeIndex(nodes={**leaves, root.id: root}, roots=(root.id,))
+    validate_tree(index)
+    assert index.packed.ids[:2] == row_order
+    got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
+    assert got.ids() == ["a0", "a1"]
+    assert got.entries[0][1] == got.entries[1][1]
+
+
+def test_shared_children_and_leaf_roots():
+    # L0-s has two parents and must be scored once; the root leaf L0-solo
+    # is kept in the first round and must carry itself into the second.
+    def node(nid, vector, children=()):
+        kind = "internal" if children else "leaf"
+        return TreeNode(id=nid, level=1 if children else 0, kind=kind, name=nid, summary=nid,
+                        embedding=np.array(vector, dtype=float), children=children,
+                        artifact_id=None if children else "a" + nid[3:])
+    nodes = [node("L0-0", [0, 1, 0]), node("L0-1", [0, 0, 1]), node("L0-2", [0.5, 0.5, 0]),
+             node("L0-s", [0.9, 0.1, 0]), node("L0-solo", [0.8, 0.2, 0]),
+             node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
+             node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s"))]
+    index = TreeIndex(nodes={n.id: n for n in nodes}, roots=("L1-0", "L1-1", "L0-solo"))
+    validate_tree(index)
+    got = tree_search(index, "x", SearchConfig(beam_width=3, final_k=3),
+                      FixedEmbedder([1, 0, 0]))
+    assert got.ids() == ["as", "asolo", "a2"]
+    assert got.node_evaluations == 3 + 5
 
 
 def test_single_leaf_index(hashed_embedder):

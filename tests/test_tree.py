@@ -122,14 +122,28 @@ def test_load_rejects_cycle(tmp_path):
         load_tree(path)
 
 
-def _dropped(*path):
-    """Damage that deletes the entry at ``path`` from the saved document."""
+def _edited(*path, value=None):
+    """Damage that sets the entry at ``path`` of the saved document to
+    ``value``, or deletes it when ``value`` is None."""
     def damage(text):
         doc = json.loads(text)
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        del parent[path[-1]]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return json.dumps(doc)
+    return damage
+
+
+def _every_embedding(value):
+    """Damage that sets every node's embedding to ``value``."""
+    def damage(text):
+        doc = json.loads(text)
+        for node in doc["nodes"]:
+            node["embedding"] = value
         return json.dumps(doc)
     return damage
 
@@ -137,12 +151,19 @@ def _dropped(*path):
 @pytest.mark.parametrize("damage", [
     lambda text: text[: len(text) // 2],
     lambda text: json.dumps([json.loads(text)]),
-    _dropped("nodes"),
-    _dropped("nodes", 0, "level"),
-    _dropped("nodes", 0, "id"),
-    _dropped("nodes", 0, "embedding"),
+    _edited("nodes"),
+    _edited("nodes", 0, "level"),
+    _edited("nodes", 0, "id"),
+    _edited("nodes", 0, "embedding"),
+    _every_embedding(5),
+    _edited("nodes", 0, "embedding", value=[[0.5, 0.5], [0.5]]),
+    _edited("nodes", 0, "embedding", 3, value=float("nan")),
+    _edited("nodes", 1, "embedding", 0, value=float("-inf")),
+    _edited("nodes", 1, "artifact_id", value="fam0-art00"),  # node 0's artifact
 ], ids=["truncated", "not_an_object", "no_nodes", "node_without_level",
-        "node_without_id", "node_without_embedding"])
+        "node_without_id", "node_without_embedding", "scalar_embedding",
+        "ragged_embedding", "nan_embedding", "infinite_embedding",
+        "duplicate_artifact_id"])
 def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
