@@ -26,7 +26,7 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.kernels import bm25_scores
 from semtree.llm import LlmError
-from semtree.search import RankedList, parse_id_list, render_rerank_prompt
+from semtree.search import RankedList, llm_order, render_rerank_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -331,16 +331,7 @@ def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
     prompt = render_rerank_prompt(
         intent, [(aid, by_id[aid].description) for aid in subset]
     )
-    try:
-        order = parse_id_list(client.complete(prompt), subset)
-    except LlmError as exc:
-        logger.warning("ranking stage failed (%s); using scoring order", exc)
-        order = []
-    if not order:
-        order = list(subset)
-    else:
-        chosen = set(order)
-        order.extend(aid for aid in subset if aid not in chosen)
+    order = llm_order(client, prompt, subset)
     return RankedList(
         intent=intent,
         entries=[(aid, scores[aid]) for aid in order[:final_k]],

@@ -90,7 +90,8 @@ def load_library(path: str, ecosystem: str | None = None) -> ArtifactLibrary:
 
     Raises:
         CatalogError: on malformed JSON (with line number), a duplicate
-            id (naming the id and line), or an empty description.
+            id (naming the id and line), an empty description, or an
+            ``extra`` that is not a JSON object.
     """
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
@@ -112,12 +113,15 @@ def load_library(path: str, ecosystem: str | None = None) -> ArtifactLibrary:
             desc = obj.get("description", "")
             if not str(desc).strip():
                 raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
+            extra = obj.get("extra")
+            if not isinstance(extra, (dict, type(None))):
+                raise CatalogError(f"line {lineno}: artifact {aid!r}: extra is not a JSON object")
             art = Artifact(
                 id=str(aid),
                 name=str(obj.get("name", "")),
                 description=str(desc),
                 ecosystem=str(obj.get("ecosystem", eco)),
-                extra={str(k): str(v) for k, v in (obj.get("extra") or {}).items()},
+                extra={str(k): str(v) for k, v in (extra or {}).items()},
             )
             if not eco:
                 eco = art.ecosystem

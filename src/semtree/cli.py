@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Settings
-resolve as flags > environment > config file > defaults; credentials
-are only ever read from the environment (LLM_API_KEY / LLM_API_BASE /
+resolve as flags > config file > defaults; credentials are only ever
+read from the environment (LLM_API_KEY / LLM_API_BASE /
 EMBED_API_KEY / EMBED_API_BASE).
 """
 

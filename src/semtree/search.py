@@ -6,7 +6,7 @@ kept (ties by ascending id), and kept internal nodes are expanded into
 their children while kept leaves carry themselves forward.  When every
 kept node is a leaf the candidates are returned.  Scores are recomputed
 per level; the deduplicated child union makes the polyhierarchy cost
-nothing.  Each level is one gather-and-matmul over the index's packed
+nothing.  Each level is one gather-and-matmul over the index's
 embedding matrix, and scores are rounded to ``SCORE_DECIMALS`` before
 ranking so that ties do not depend on summation order.
 """
@@ -44,6 +44,8 @@ class SearchConfig:
     rerank: bool = False
 
     def __post_init__(self):
+        if self.final_k < 1:
+            raise ValueError("final_k must be >= 1")
         if self.final_k > self.beam_width:
             raise ValueError("final_k must not exceed beam_width")
 
@@ -72,33 +74,30 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
 
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:
     """Top-down beam traversal returning up to ``beam_width`` leaf candidates."""
-    if not t.nodes:
-        raise ValueError("empty index")
     start = time.perf_counter()
-    packed = t.packed
     query = embedder.embed([intent])[0]
     if query.shape[0] != t.dim:
         raise ValueError("intent embedding dimension does not match the index")
 
-    ptr, rows = packed.child_ptr, packed.child_rows
-    frontier = packed.root_rows
+    ptr, rows = t.child_ptr, t.child_rows
+    frontier = t.root_rows
     evaluations = 0
-    for _ in range(packed.max_level + 2):
-        scores = round_scores(packed.embeddings[frontier] @ query)
+    for _ in range(t.top_level + 2):
+        scores = round_scores(t.embeddings[frontier] @ query)
         evaluations += len(frontier)
-        order = np.lexsort((packed.id_rank[frontier], -scores))[: cfg.beam_width]
+        order = np.lexsort((t.id_rank[frontier], -scores))[: cfg.beam_width]
         kept, kept_scores = frontier[order], scores[order]
-        leaf = packed.is_leaf[kept]
+        leaf = t.is_leaf[kept]
         if leaf.all():
             break
         # Deduplicate the child union with a mask: np.unique sorts and
         # costs ~10x as much on frontiers of this size.
-        reached = np.zeros(len(packed.ids), dtype=bool)
+        reached = np.zeros(len(t.ids), dtype=bool)
         reached[kept[leaf]] = True
         for r in kept[~leaf]:
             reached[rows[ptr[r]:ptr[r + 1]]] = True
         frontier = np.flatnonzero(reached)
-    entries = [(t.nodes[packed.ids[r]].artifact_id, float(s))
+    entries = [(t.nodes[t.ids[r]].artifact_id, float(s))
                for r, s in zip(kept, kept_scores)]
     return RankedList(
         intent=intent,
@@ -143,6 +142,21 @@ def parse_id_list(response: str, known_ids: list[str]) -> list[str]:
     return ordered
 
 
+def llm_order(client, prompt: str, ids: list[str]) -> list[str]:
+    """``ids`` in the order the LLM gives for ``prompt``.
+
+    Ids the response leaves out follow in their input order, so a failed
+    call (``LlmError``) or an unparseable response keeps the input order.
+    """
+    try:
+        order = parse_id_list(client.complete(prompt), ids)
+    except LlmError as exc:
+        logger.warning("LLM ranking failed (%s); keeping the input order", exc)
+        order = []
+    chosen = set(order)
+    return order + [i for i in ids if i not in chosen]
+
+
 def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
            final_k: int) -> RankedList:
     """LLM re-rank of the candidate set; degrades to the input order.
@@ -152,23 +166,11 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     """
     if not candidates.entries:
         raise ValueError("no candidates to rerank")
-    leaf_by_artifact = t.packed.leaf_by_artifact
     prompt = render_rerank_prompt(
         intent,
-        [(aid, leaf_by_artifact[aid].summary) for aid, _ in candidates.entries],
+        [(aid, t.leaf_by_artifact[aid].summary) for aid, _ in candidates.entries],
     )
-    original = candidates.ids()
-    try:
-        response = client.complete(prompt)
-        order = parse_id_list(response, original)
-    except LlmError as exc:
-        logger.warning("re-rank failed (%s); keeping similarity order", exc)
-        order = []
-    if not order:
-        order = list(original)
-    else:
-        chosen = set(order)
-        order.extend(aid for aid in original if aid not in chosen)
+    order = llm_order(client, prompt, candidates.ids())
     score_by_id = dict(candidates.entries)
     entries = [(aid, score_by_id[aid]) for aid in order[:final_k]]
     return RankedList(

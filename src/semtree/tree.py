@@ -5,9 +5,9 @@ embeddings, picks a component count by BIC, soft-assigns nodes to
 clusters, summarizes every cluster into a named parent feature, and
 embeds each summary as the next level.  Soft assignment can give a node
 several parents, so the result is a polyhierarchy (a DAG), not a strict
-tree; acyclicity and full leaf coverage are validated after every build
-and load, and validation packs the index into the array form that
-search reads (``PackedTree``).
+tree; acyclicity and full leaf coverage are validated whenever a
+``TreeIndex`` is made, and validation packs the index into the array
+fields that search reads.
 """
 
 from __future__ import annotations
@@ -60,64 +60,60 @@ class TreeNode:
         return self.kind == "leaf"
 
 
-@dataclass(frozen=True)
-class PackedTree:
-    """Array form of a validated index, the one that search and re-rank read.
-
-    Row ``i`` is node ``ids[i]``, in the order of ``TreeIndex.nodes``, and
-    ``embeddings[i]`` is the storage behind that node's ``embedding``.
-    The children of row ``i`` are ``child_rows[child_ptr[i]:child_ptr[i + 1]]``
-    (CSR).  ``id_rank[i]`` is the position of ``ids[i]`` among the sorted
-    node ids, the tie-break of search.
-    """
-
-    ids: tuple[str, ...]
-    embeddings: np.ndarray  # (n_nodes, dim), C-contiguous
-    child_ptr: np.ndarray
-    child_rows: np.ndarray
-    is_leaf: np.ndarray
-    id_rank: np.ndarray
-    root_rows: np.ndarray
-    max_level: int
-    leaf_by_artifact: dict[str, TreeNode]
+def _array_field():
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass
 class TreeIndex:
+    """The index: its nodes, and their array form that search reads.
+
+    Construction runs ``validate_tree``, which sets the array fields.
+    Row ``i`` is node ``ids[i]``, in the order of ``nodes``; its children
+    are ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR), and
+    ``id_rank[i]`` is the rank of ``ids[i]`` among the sorted node ids,
+    the tie-break of search.
+    """
+
     nodes: dict[str, TreeNode]
     roots: tuple[str, ...]
     config: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    _packed: PackedTree | None = field(default=None, init=False, repr=False, compare=False)
+    ids: tuple[str, ...] = _array_field()
+    embeddings: np.ndarray = _array_field()  # (n_nodes, dim), C-contiguous
+    child_ptr: np.ndarray = _array_field()
+    child_rows: np.ndarray = _array_field()
+    is_leaf: np.ndarray = _array_field()
+    id_rank: np.ndarray = _array_field()
+    root_rows: np.ndarray = _array_field()
+    top_level: int = _array_field()
+    leaf_by_artifact: dict[str, TreeNode] = _array_field()
 
-    @property
-    def packed(self) -> PackedTree:
-        """The array form, set by ``validate_tree`` (run here on first use)."""
-        if self._packed is None:
-            validate_tree(self)
-        return self._packed
+    def __post_init__(self):
+        validate_tree(self)
 
     @property
     def dim(self) -> int:
-        return self.packed.embeddings.shape[1]
+        return self.embeddings.shape[1]
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if n.is_leaf()]
 
     def max_level(self) -> int:
-        return self.packed.max_level
+        return self.top_level
 
 
 def validate_tree(t: TreeIndex) -> None:
-    """Check the index and pack it into its array form, ``t.packed``.
+    """Check the index and set its array fields.
 
-    Checks: embeddings are finite vectors of one dimension, levels
-    decrease along every edge (hence acyclicity), each artifact has one
-    leaf, and every leaf is reachable from a root.  On success every
-    node's ``embedding`` becomes a row view of ``t.packed.embeddings``,
-    so each vector is held once.  Run it again after changing ``t.nodes``.
+    Checks: ids, names, summaries and artifact ids are strings, each
+    kind is ``leaf`` or ``internal``, embeddings are finite vectors of
+    one dimension, levels decrease along every edge (hence acyclicity),
+    each artifact has one leaf, roots are distinct, and every leaf is
+    reachable from a root.  On success every node's ``embedding``
+    becomes a row view of ``t.embeddings``, so each vector is held once.
+    ``TreeIndex`` runs it when made; run it again after changing ``t.nodes``.
     """
-    t._packed = None  # a failed check must not leave an earlier packing in use
     if not t.nodes:
         raise TreeError("index has no nodes")
     ids = tuple(t.nodes)
@@ -131,6 +127,11 @@ def validate_tree(t: TreeIndex) -> None:
     is_leaf: list[bool] = []
     leaf_by_artifact: dict[str, TreeNode] = {}
     for node in t.nodes.values():
+        if not (isinstance(node.id, str) and isinstance(node.name, str)
+                and isinstance(node.summary, str)):
+            raise TreeError(f"node {node.id!r}: id, name and summary must be strings")
+        if node.kind not in ("leaf", "internal"):
+            raise TreeError(f"node {node.id}: kind {node.kind!r} is not leaf or internal")
         if node.embedding.shape != shape:
             raise TreeError(f"node {node.id}: embedding shape {node.embedding.shape} "
                             f"is not {shape}")
@@ -139,8 +140,8 @@ def validate_tree(t: TreeIndex) -> None:
         if leaf:
             if node.children:
                 raise TreeError(f"leaf {node.id} has children")
-            if node.artifact_id is None:
-                raise TreeError(f"leaf {node.id} has no artifact_id")
+            if not isinstance(node.artifact_id, str):
+                raise TreeError(f"leaf {node.id} has no string artifact_id")
             other = leaf_by_artifact.setdefault(node.artifact_id, node)
             if other is not node:
                 raise TreeError(f"leaves {other.id} and {node.id} share "
@@ -151,9 +152,9 @@ def validate_tree(t: TreeIndex) -> None:
             if node.artifact_id is not None:
                 raise TreeError(f"internal node {node.id} carries an artifact_id")
         for child_id in node.children:
-            child = t.nodes.get(child_id)
+            child = t.nodes.get(child_id) if isinstance(child_id, str) else None
             if child is None:
-                raise TreeError(f"node {node.id} references missing child {child_id}")
+                raise TreeError(f"node {node.id} references missing child {child_id!r}")
             if child.level >= node.level:
                 raise TreeError(
                     f"edge {node.id} -> {child_id} does not decrease level "
@@ -162,8 +163,10 @@ def validate_tree(t: TreeIndex) -> None:
             child_rows.append(row[child_id])
         child_ptr.append(len(child_rows))
     for root_id in t.roots:
-        if root_id not in t.nodes:
-            raise TreeError(f"missing root node {root_id}")
+        if not isinstance(root_id, str) or root_id not in t.nodes:
+            raise TreeError(f"missing root node {root_id!r}")
+    if len(set(t.roots)) != len(t.roots):
+        raise TreeError(f"duplicate root ids in {list(t.roots)}")
     # Full leaf coverage: every leaf reachable from >= 1 root.
     reachable: set[str] = set()
     stack = list(t.roots)
@@ -184,17 +187,15 @@ def validate_tree(t: TreeIndex) -> None:
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     for node, vec in zip(t.nodes.values(), embeddings):
         node.embedding = vec
-    t._packed = PackedTree(
-        ids=ids,
-        embeddings=embeddings,
-        child_ptr=np.asarray(child_ptr, dtype=np.intp),
-        child_rows=np.asarray(child_rows, dtype=np.intp),
-        is_leaf=np.array(is_leaf),
-        id_rank=id_rank,
-        root_rows=np.array([row[r] for r in t.roots], dtype=np.intp),
-        max_level=max(n.level for n in t.nodes.values()),
-        leaf_by_artifact=leaf_by_artifact,
-    )
+    t.ids = ids
+    t.embeddings = embeddings
+    t.child_ptr = np.asarray(child_ptr, dtype=np.intp)
+    t.child_rows = np.asarray(child_rows, dtype=np.intp)
+    t.is_leaf = np.array(is_leaf)
+    t.id_rank = id_rank
+    t.root_rows = np.array([row[r] for r in t.roots], dtype=np.intp)
+    t.top_level = max(n.level for n in t.nodes.values())
+    t.leaf_by_artifact = leaf_by_artifact
 
 
 def build_tree(
@@ -278,7 +279,7 @@ def build_tree(
             nodes[pid].embedding = emb
         current = parent_ids
 
-    index = TreeIndex(
+    return TreeIndex(
         nodes=nodes,
         roots=tuple(current),
         config={
@@ -299,8 +300,6 @@ def build_tree(
             "summarizer": "offline" if summarizer is None else type(summarizer).__name__,
         },
     )
-    validate_tree(index)
-    return index
 
 
 def _node_to_json(node: TreeNode) -> dict:
@@ -349,6 +348,8 @@ def load_tree(path: str) -> TreeIndex:
     nodes: dict[str, TreeNode] = {}
     try:
         for obj in doc["nodes"]:
+            if obj["id"] in nodes:
+                raise TreeError(f"duplicate node id {obj['id']!r}")
             nodes[obj["id"]] = TreeNode(
                 id=obj["id"],
                 level=int(obj["level"]),
@@ -362,14 +363,12 @@ def load_tree(path: str) -> TreeIndex:
         roots = tuple(doc["roots"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
-    index = TreeIndex(
+    return TreeIndex(
         nodes=nodes,
         roots=roots,
         config=doc.get("config", {}),
         provenance=doc.get("provenance", {}),
     )
-    validate_tree(index)
-    return index
 
 
 def tree_stats(t: TreeIndex) -> dict:

@@ -54,7 +54,7 @@ def perturbed_intents(lib: ArtifactLibrary, count: int, seed: int = 11):
 def make_depth1_index(lib: ArtifactLibrary, embedder):
     """One root over all artifacts: tree search must equal a linear scan."""
     from semtree.embed import l2_normalize
-    from semtree.tree import TreeIndex, TreeNode, validate_tree
+    from semtree.tree import TreeIndex, TreeNode
 
     embeddings = embedder.embed([a.description for a in lib.artifacts])
     nodes = {}
@@ -74,9 +74,7 @@ def make_depth1_index(lib: ArtifactLibrary, embedder):
         children=tuple(leaf_ids),
     )
     nodes[root.id] = root
-    index = TreeIndex(nodes=nodes, roots=(root.id,))
-    validate_tree(index)
-    return index
+    return TreeIndex(nodes=nodes, roots=(root.id,))
 
 
 def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
@@ -84,7 +82,7 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
     """Balanced synthetic polyhierarchy: ``branching`` roots, each subtree
     fanning out by ``branching`` for ``leaf_levels`` more levels."""
     from semtree.embed import l2_normalize
-    from semtree.tree import TreeIndex, TreeNode, validate_tree
+    from semtree.tree import TreeIndex, TreeNode
 
     rng = np.random.default_rng(seed)
     n_leaves = branching ** (leaf_levels + 1)
@@ -117,9 +115,7 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
             )
             parents.append(pid)
         level_ids = parents
-    index = TreeIndex(nodes=nodes, roots=tuple(level_ids))
-    validate_tree(index)
-    return index
+    return TreeIndex(nodes=nodes, roots=tuple(level_ids))
 
 
 ACCEPTANCE_RESULTS: list[str] = []

@@ -55,6 +55,16 @@ def test_empty_description_rejected(tmp_path):
         load_library(path)
 
 
+def test_extra_not_an_object_names_line(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [
+        {"id": "a1", "description": "x y", "extra": {"stars": 3}},
+        {"id": "a2", "description": "z w", "extra": [1, 2]},
+    ])
+    with pytest.raises(CatalogError, match="line 2.*extra"):
+        load_library(path)
+
+
 def test_full_scale_count(tmp_path):
     path = tmp_path / "lib.jsonl"
     write_lines(path, [

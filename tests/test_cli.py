@@ -56,6 +56,14 @@ def test_ingest_malformed_exits_1(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_ingest_extra_not_an_object_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "description": "x", "extra": [1, 2]}\n')
+    code, _, err = run(capsys, "ingest", str(bad))
+    assert code == 1
+    assert "line 1" in err and "extra" in err
+
+
 def test_ingest_missing_file_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", str(tmp_path / "nope.jsonl"))
     assert code == 1
@@ -132,6 +140,15 @@ def test_search_missing_index_exits_1(tmp_path, capsys):
                        "--intent", "x")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_search_nonpositive_k_exits_1(built_index, capsys, k):
+    code, out, err = run(capsys, "search", "--index", str(built_index),
+                         "--intent", "http client", "--k", k)
+    assert code == 1
+    assert out == ""
+    assert "final_k" in err
 
 
 def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):

@@ -16,7 +16,7 @@ from semtree.search import (
     round_scores,
     tree_search,
 )
-from semtree.tree import TreeIndex, TreeNode, validate_tree
+from semtree.tree import TreeIndex, TreeNode
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
@@ -35,6 +35,12 @@ def brute_force(index, embedder, intent, k):
         if all(index.nodes[nid].is_leaf() for nid, _ in kept):
             return [(index.nodes[nid].artifact_id, s) for nid, s in kept]
         frontier = {c for nid, _ in kept for c in index.nodes[nid].children or (nid,)}
+
+
+@pytest.mark.parametrize("final_k", [0, -1])
+def test_search_config_rejects_nonpositive_final_k(final_k):
+    with pytest.raises(ValueError, match="final_k"):
+        SearchConfig(final_k=final_k)
 
 
 def test_depth1_equals_linear_scan(family_library, hashed_embedder):
@@ -69,8 +75,7 @@ def test_exact_ties_rank_by_node_id(row_order, reversed_on):
     root = TreeNode(id="L1-0", level=1, kind="internal", name="root", summary="root",
                     embedding=np.ones(3), children=tuple(leaves))
     index = TreeIndex(nodes={**leaves, root.id: root}, roots=(root.id,))
-    validate_tree(index)
-    assert index.packed.ids[:2] == row_order
+    assert index.ids[:2] == row_order
     got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
     assert got.ids() == ["a0", "a1"]
     assert got.entries[0][1] == got.entries[1][1]
@@ -89,7 +94,6 @@ def test_shared_children_and_leaf_roots():
              node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
              node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s"))]
     index = TreeIndex(nodes={n.id: n for n in nodes}, roots=("L1-0", "L1-1", "L0-solo"))
-    validate_tree(index)
     got = tree_search(index, "x", SearchConfig(beam_width=3, final_k=3),
                       FixedEmbedder([1, 0, 0]))
     assert got.ids() == ["as", "asolo", "a2"]

@@ -8,6 +8,8 @@ from semtree.cli import main
 from semtree.tree import (
     StoppingCriteria,
     TreeError,
+    TreeIndex,
+    TreeNode,
     build_tree,
     load_tree,
     save_tree,
@@ -148,6 +150,15 @@ def _every_embedding(value):
     return damage
 
 
+def _with_doc(edit):
+    """Damage that applies ``edit`` to the parsed document in place."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[: len(text) // 2],
     lambda text: json.dumps([json.loads(text)]),
@@ -160,10 +171,21 @@ def _every_embedding(value):
     _edited("nodes", 0, "embedding", 3, value=float("nan")),
     _edited("nodes", 1, "embedding", 0, value=float("-inf")),
     _edited("nodes", 1, "artifact_id", value="fam0-art00"),  # node 0's artifact
+    _with_doc(lambda doc: doc["roots"].append(doc["roots"][0])),
+    _with_doc(lambda doc: doc["nodes"].append({**doc["nodes"][0], "artifact_id": "zzz"})),
+    lambda text: text.replace('"L0-0"', "5"),  # the node's id and every reference to it
+    _edited("nodes", 0, "name", value=5),
+    _edited("nodes", 0, "summary", value=5),
+    _edited("nodes", 0, "artifact_id", value=5),
+    _edited("nodes", -1, "kind", value="branch"),  # an internal node
+    _edited("nodes", -1, "children", 0, value=[1]),
+    _edited("roots", 0, value=[1]),
 ], ids=["truncated", "not_an_object", "no_nodes", "node_without_level",
         "node_without_id", "node_without_embedding", "scalar_embedding",
         "ragged_embedding", "nan_embedding", "infinite_embedding",
-        "duplicate_artifact_id"])
+        "duplicate_artifact_id", "duplicate_root", "duplicate_node_id",
+        "integer_id", "integer_name", "integer_summary", "integer_artifact_id",
+        "unknown_kind", "list_child_id", "list_root_id"])
 def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
@@ -172,12 +194,44 @@ def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
         load_tree(path)
     assert main(["search", "--index", str(path), "--intent", "x"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["stats", "--index", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _leaf(nid):
+    return TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid,
+                    embedding=np.ones(2), artifact_id=nid)
+
+
+@pytest.mark.parametrize("nodes, roots, message", [
+    ({}, (), "no nodes"),
+    ({"a": _leaf("a"), "b": _leaf("b")}, ("a",), "not reachable"),
+], ids=["empty", "orphan_leaf"])
+def test_construction_validates(nodes, roots, message):
+    with pytest.raises(TreeError, match=message):
+        TreeIndex(nodes=nodes, roots=roots)
+
+
+def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkeypatch):
+    import semtree.tree as tree_mod
+
+    validated = []
+    check = tree_mod.validate_tree
+    monkeypatch.setattr(tree_mod, "validate_tree", lambda t: validated.append(t) or check(t))
+    lib = ArtifactLibrary(ecosystem="", artifacts=(
+        Artifact(id="a", name="a", description="json parsing"),
+        Artifact(id="b", name="b", description="yaml parsing"),
+    ))
+    built = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
+                       seed=0)
+    assert len(built.nodes) == 3
+    save_tree(built, tmp_path / "idx.json")
+    loaded = load_tree(tmp_path / "idx.json")
+    assert [id(t) for t in validated] == [id(built), id(loaded)]
 
 
 def test_validate_rejects_orphan_leaf(family_index):
     import copy
-
-    from semtree.tree import TreeNode
 
     broken = copy.deepcopy(family_index)
     broken.nodes["L0-orphan"] = TreeNode(
