@@ -26,7 +26,7 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.kernels import bm25_scores
 from semtree.llm import LlmError
-from semtree.search import RankedList, llm_order, render_rerank_prompt
+from semtree.search import RankedList, llm_order, render_rerank_prompt, round_scores
 
 logger = logging.getLogger(__name__)
 
@@ -46,73 +46,62 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
+@dataclass(eq=False)
 class TermIndex:
     """Document statistics over an artifact library's descriptions."""
 
     doc_ids: list[str]
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
-    doc_tf: list[dict[int, int]]
     df: np.ndarray
     doc_len: np.ndarray
     n_docs: int
     avgdl: float
-    # CSC-style postings for kernel scoring: term t's (doc, tf) pairs
-    # live in postings_doc/postings_tf[postings_ptr[t]:postings_ptr[t+1]].
+    # Term-major (CSC) postings, the one term-document representation:
+    # term t's (doc, tf) pairs live in postings_doc/postings_tf[postings_ptr[t]:
+    # postings_ptr[t+1]], docs ascending; postings_term is each posting's term.
     postings_ptr: np.ndarray
+    postings_term: np.ndarray
     postings_doc: np.ndarray
     postings_tf: np.ndarray
 
 
 def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     vocab: dict[str, int] = {}
-    doc_tf: list[dict[int, int]] = []
+    terms: list[int] = []
+    docs: list[int] = []
+    tfs: list[int] = []
     doc_len: list[int] = []
-    for artifact in lib.artifacts:
+    for doc, artifact in enumerate(lib.artifacts):
         counts = Counter(tokenize(artifact.description))
-        tf: dict[int, int] = {}
         for term, c in counts.items():
-            idx = vocab.setdefault(term, len(vocab))
-            tf[idx] = c
-        doc_tf.append(tf)
+            terms.append(vocab.setdefault(term, len(vocab)))
+            docs.append(doc)
+            tfs.append(c)
         doc_len.append(sum(counts.values()))
-    n_docs = len(doc_tf)
-    v = len(vocab)
-    df = np.zeros(v, dtype=np.int64)
-    for tf in doc_tf:
-        for idx in tf:
-            df[idx] += 1
-    counts_per_term = df.copy()
-    ptr = np.zeros(v + 1, dtype=np.int64)
-    np.cumsum(counts_per_term, out=ptr[1:])
-    postings_doc = np.empty(int(ptr[-1]), dtype=np.int64)
-    postings_tf = np.empty(int(ptr[-1]))
-    cursor = ptr[:-1].copy()
-    for doc, tf in enumerate(doc_tf):
-        for idx, c in tf.items():
-            postings_doc[cursor[idx]] = doc
-            postings_tf[cursor[idx]] = c
-            cursor[idx] += 1
+    terms_arr = np.asarray(terms, dtype=np.int64)
+    order = np.argsort(terms_arr, kind="stable")
+    df = np.bincount(terms_arr, minlength=len(vocab))
+    ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(df, out=ptr[1:])
     return TermIndex(
         doc_ids=lib.ids(),
         vocabulary=vocab,
-        doc_tf=doc_tf,
         df=df,
         doc_len=np.asarray(doc_len, dtype=np.float64),
-        n_docs=n_docs,
+        n_docs=len(lib.artifacts),
         avgdl=float(np.mean(doc_len)) if doc_len else 0.0,
         postings_ptr=ptr,
-        postings_doc=postings_doc,
-        postings_tf=postings_tf,
+        postings_term=terms_arr[order],
+        postings_doc=np.asarray(docs, dtype=np.int64)[order],
+        postings_tf=np.asarray(tfs, dtype=np.float64)[order],
     )
 
 
-def _ranked(idx: TermIndex, intent: str, scores: np.ndarray) -> RankedList:
-    order = sorted(range(idx.n_docs), key=lambda i: (-scores[i], idx.doc_ids[i]))
-    return RankedList(
-        intent=intent,
-        entries=[(idx.doc_ids[i], float(scores[i])) for i in order],
-    )
+def _ranked(ids: list[str], intent: str, scores: np.ndarray) -> RankedList:
+    """Rank as search does: scores rounded by ``round_scores``, ties by id."""
+    scores = round_scores(scores)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    return RankedList(intent=intent, entries=[(ids[i], float(scores[i])) for i in order])
 
 
 def _original_order(idx: TermIndex, intent: str) -> RankedList:
@@ -123,44 +112,31 @@ def _tfidf_idf(idx: TermIndex) -> np.ndarray:
     return np.log((1.0 + idx.n_docs) / (1.0 + idx.df))
 
 
-def _tfidf_query(idx: TermIndex, intent: str) -> dict[int, float]:
-    idf = _tfidf_idf(idx)
-    counts = Counter(tokenize(intent))
-    return {
-        idx.vocabulary[t]: c * idf[idx.vocabulary[t]]
-        for t, c in counts.items()
-        if t in idx.vocabulary
-    }
+def _tfidf_weights(idx: TermIndex) -> np.ndarray:
+    """The tf-idf weight of every posting."""
+    return idx.postings_tf * _tfidf_idf(idx)[idx.postings_term]
 
 
-def _tfidf_matrix(idx: TermIndex) -> np.ndarray:
-    idf = _tfidf_idf(idx)
-    X = np.zeros((idx.n_docs, len(idx.vocabulary)))
-    for doc, tf in enumerate(idx.doc_tf):
-        for t, c in tf.items():
-            X[doc, t] = c * idf[t]
-    return X
+def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray | None:
+    """The intent's dense tf-idf vector; None when no intent term is known."""
+    known = [idx.vocabulary[t] for t in tokenize(intent) if t in idx.vocabulary]
+    if not known:
+        return None
+    return np.bincount(known, minlength=len(idx.vocabulary)) * _tfidf_idf(idx)
 
 
 def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     """Cosine between tf-idf vectors of the intent and every document."""
     q = _tfidf_query(idx, intent)
-    if not q:
+    if q is None:
         return _original_order(idx, intent)
-    idf = _tfidf_idf(idx)
-    qnorm = math.sqrt(sum(w * w for w in q.values()))
+    w = _tfidf_weights(idx)
+    dots = np.bincount(idx.postings_doc, weights=w * q[idx.postings_term], minlength=idx.n_docs)
+    norms = np.sqrt(np.bincount(idx.postings_doc, weights=w * w, minlength=idx.n_docs))
     scores = np.zeros(idx.n_docs)
-    for doc, tf in enumerate(idx.doc_tf):
-        dot = 0.0
-        norm2 = 0.0
-        for t, c in tf.items():
-            w = c * idf[t]
-            norm2 += w * w
-            if t in q:
-                dot += w * q[t]
-        if norm2 > 0 and dot != 0.0:
-            scores[doc] = dot / (math.sqrt(norm2) * qnorm)
-    return _ranked(idx, intent, scores)
+    hit = dots != 0.0  # a nonzero dot implies a nonzero norm on both sides
+    scores[hit] = dots[hit] / (norms[hit] * np.linalg.norm(q))
+    return _ranked(idx.doc_ids, intent, scores)
 
 
 def score_bm25(idx: TermIndex, intent: str, k1: float = 1.2, b: float = 0.75) -> RankedList:
@@ -176,7 +152,7 @@ def score_bm25(idx: TermIndex, intent: str, k1: float = 1.2, b: float = 0.75) ->
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
         idf, idx.doc_len, idx.avgdl, idx.n_docs, k1, b,
     )
-    return _ranked(idx, intent, scores)
+    return _ranked(idx.doc_ids, intent, scores)
 
 
 def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
@@ -186,16 +162,14 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
         logger.warning("LSI rank %d clamped to %d", rank, max_rank)
         rank = max_rank
     q = _tfidf_query(idx, intent)
-    if not q:
+    if q is None:
         return _original_order(idx, intent)
-    X = _tfidf_matrix(idx)
+    X = np.zeros((idx.n_docs, len(idx.vocabulary)))
+    X[idx.postings_doc, idx.postings_term] = _tfidf_weights(idx)
     _, _, vt = np.linalg.svd(X, full_matrices=False)
     basis = vt[:rank].T  # (V, rank)
     docs_latent = X @ basis
-    qvec = np.zeros(len(idx.vocabulary))
-    for t, w in q.items():
-        qvec[t] = w
-    q_latent = qvec @ basis
+    q_latent = q @ basis
     qn = np.linalg.norm(q_latent)
     dn = np.linalg.norm(docs_latent, axis=1)
     scores = np.zeros(idx.n_docs)
@@ -203,7 +177,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
     # snap numerical noise so unrelated documents tie at exactly zero
     scores[np.abs(scores) < 1e-10] = 0.0
-    return _ranked(idx, intent, scores)
+    return _ranked(idx.doc_ids, intent, scores)
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -224,20 +198,27 @@ def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def score_jsd(idx: TermIndex, intent: str) -> RankedList:
-    """Similarity = 1 - JSD between normalized tf-idf distributions."""
-    idf = _tfidf_idf(idx)
-    v = len(idx.vocabulary)
-    qvec = np.zeros(v)
-    for t, w in _tfidf_query(idx, intent).items():
-        qvec[t] = w
-    q = _distribution(qvec)
-    scores = np.zeros(idx.n_docs)
-    for doc, tf in enumerate(idx.doc_tf):
-        dvec = np.zeros(v)
-        for t, c in tf.items():
-            dvec[t] = c * idf[t]
-        scores[doc] = 1.0 - jensen_shannon_divergence(_distribution(dvec), q)
-    return _ranked(idx, intent, scores)
+    """Similarity = 1 - JSD between normalized tf-idf distributions.
+
+    Summed over each document's postings; every term a document lacks has
+    p = 0 and m = q/2, so together they add (1 - sum of q over its terms)/2.
+    """
+    q = _tfidf_query(idx, intent)
+    q = _distribution(np.zeros(len(idx.vocabulary)) if q is None else q)
+    doc, w = idx.postings_doc, _tfidf_weights(idx)
+    total = np.bincount(doc, weights=w, minlength=idx.n_docs)
+    qt = q[idx.postings_term]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where masked out
+        p = w / total[doc]
+        m = 0.5 * (p + qt)
+        terms = (np.where(p > 0, p * np.log2(p / m), 0.0)
+                 + np.where(qt > 0, qt * np.log2(qt / m), 0.0))
+    div = 0.5 * (np.bincount(doc, weights=terms, minlength=idx.n_docs)
+                 + 1.0 - np.bincount(doc, weights=qt, minlength=idx.n_docs))
+    scores = 1.0 - div
+    # a document with no weight keeps the uniform distribution
+    scores[total <= 0] = 1.0 - jensen_shannon_divergence(_distribution(np.zeros(len(q))), q)
+    return _ranked(idx.doc_ids, intent, scores)
 
 
 @dataclass
@@ -293,11 +274,7 @@ def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> 
         dn = np.linalg.norm(dvec)
         if qn > 0 and dn > 0:
             scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
-    order = sorted(range(len(lib)), key=lambda i: (-scores[i], lib.artifacts[i].id))
-    return RankedList(
-        intent=intent,
-        entries=[(lib.artifacts[i].id, float(scores[i])) for i in order],
-    )
+    return _ranked(lib.ids(), intent, scores)
 
 
 _SCORE_RE = re.compile(r"-?\d+(?:\.\d+)?")

@@ -153,13 +153,8 @@ def cmd_bench(args) -> int:
 
     if name in ("tfidf", "bm25", "lsi", "jsd"):
         idx = baselines.build_term_index(lib)
-        scorers = {
-            "tfidf": lambda intent: baselines.score_tfidf(idx, intent),
-            "bm25": lambda intent: baselines.score_bm25(idx, intent),
-            "lsi": lambda intent: baselines.score_lsi(idx, intent),
-            "jsd": lambda intent: baselines.score_jsd(idx, intent),
-        }
-        solution = scorers[name]
+        scorer = getattr(baselines, f"score_{name}")
+        solution = lambda intent: scorer(idx, intent)
     elif name == "wordavg":
         if not args.vectors:
             print("--vectors is required for the wordavg solution", file=sys.stderr)

@@ -34,6 +34,10 @@ class EmbedderConfig:
     batch_size: int = 64
     max_attempts: int = 3
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
@@ -111,7 +115,6 @@ class RemoteEmbedder:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         delay = 0.5
-        last_err: Exception | None = None
         for attempt in range(self.cfg.max_attempts):
             try:
                 resp = self._session.post(
@@ -126,13 +129,10 @@ class RemoteEmbedder:
                 payload = resp.json()
                 break
             except Exception as exc:  # noqa: BLE001 - retry any transport fault
-                last_err = exc
                 if attempt + 1 == self.cfg.max_attempts:
                     raise EmbeddingError(f"embedding request failed: {exc}") from exc
                 time.sleep(delay)
                 delay *= 2
-        else:  # pragma: no cover
-            raise EmbeddingError(str(last_err))
         if "data" in payload:
             vectors = [row["embedding"] for row in payload["data"]]
         else:

@@ -34,6 +34,8 @@ class LlmConfig:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
 
 
 def prompt_hash(prompt: str) -> str:
@@ -78,7 +80,6 @@ class ChatClient:
                     raise LlmError(f"chat request failed: {exc}") from exc
                 time.sleep(delay)
                 delay *= 2
-        raise LlmError("unreachable")  # pragma: no cover
 
 
 class ReplayClient:

@@ -45,7 +45,7 @@ class ClusterConfig:
     max_k: int = 32
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
     id: str
     level: int
@@ -61,10 +61,10 @@ class TreeNode:
 
 
 def _array_field():
-    return field(init=False, repr=False, compare=False)
+    return field(init=False, repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeIndex:
     """The index: its nodes, and their array form that search reads.
 

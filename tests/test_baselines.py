@@ -101,7 +101,8 @@ def test_term_index_basics():
 def test_tokenizer_rule():
     assert tokenize("A-b a") == ["a", "b", "a"]
     idx = build_term_index(make_lib(["A-b a"]))
-    assert idx.doc_tf[0][idx.vocabulary["a"]] == 2
+    a = idx.vocabulary["a"]
+    assert idx.postings_tf[idx.postings_ptr[a]:idx.postings_ptr[a + 1]].tolist() == [2.0]
 
 
 def test_df_matches_recount(corpus20):
@@ -112,6 +113,13 @@ def test_df_matches_recount(corpus20):
         df.update(set(tokenize(a.description)))
     for term, i in idx.vocabulary.items():
         assert idx.df[i] == df[term]
+
+
+def test_term_index_equality_is_identity():
+    lib = make_lib(["a b", "b c"])
+    idx = build_term_index(lib)
+    assert (idx == idx) is True
+    assert (idx == build_term_index(lib)) is False
 
 
 # --- tf-idf ---------------------------------------------------------------
@@ -235,12 +243,70 @@ def test_jsd_similarity_in_unit_interval(corpus20):
         assert 0.0 <= score <= 1.0 + 1e-12
 
 
+def oracle_jsd_scores(lib, intent):
+    """1 - JSD per document from dense tf-idf distributions, uniform when a
+    vector has no weight."""
+    docs = [tokenize(a.description) for a in lib.artifacts]
+    n = len(docs)
+    vocab = sorted({t for d in docs for t in d})
+    idf = {t: math.log((1 + n) / (1 + sum(t in d for d in docs))) for t in vocab}
+
+    def dist(tokens):
+        counts = Counter(tokens)
+        w = [counts[t] * idf[t] for t in vocab]
+        total = sum(w)
+        return [x / total for x in w] if total > 0 else [1 / len(vocab)] * len(vocab)
+
+    q = dist([t for t in tokenize(intent) if t in idf])
+    return [1.0 - oracle_jsd(dist(d), q) for d in docs]
+
+
+@pytest.mark.parametrize("docs, intent", [
+    (None, "w5 w6 w7 w5"),
+    (["common", "common alpha", "!!!"], "alpha common"),
+    (["common", "common alpha", "!!!"], "unknown words only"),
+])
+def test_jsd_matches_dense_oracle(corpus20, docs, intent):
+    lib = corpus20 if docs is None else make_lib(docs)
+    got = dict(score_jsd(build_term_index(lib), intent).entries)
+    for a, want in zip(lib.artifacts, oracle_jsd_scores(lib, intent)):
+        assert got[a.id] == pytest.approx(want, abs=1e-9)
+
+
 def test_jsd_identical_doc_ranks_first():
     lib = make_lib(["alpha beta gamma", "delta epsilon zeta"])
     idx = build_term_index(lib)
     ranked = score_jsd(idx, "alpha beta gamma")
     assert ranked.entries[0][0] == "d00"
     assert ranked.entries[0][1] == pytest.approx(1.0, abs=1e-9)
+
+
+# --- ranking --------------------------------------------------------------
+
+# d00 and d01 score equal in exact arithmetic: in the first corpus they
+# hold the same terms; in the second, swapping every a<i> with b<i> maps
+# the corpus and the intent to themselves.  Summed in different orders,
+# their float scores differ in the last bit unless rounded.
+SAME_TERMS = (["w5 w2 w6 w8", "w2 w8 w5 w6", "w11 w0 w8", "w6 w1 w10",
+               "w5 w9 w5 w8 w3", "w1 w5 w8"], "w10 w2 w8 w3")
+MIRRORED = (["b0 b0 b0 b2 b2 b1 b1", "a0 a0 a0 a1 a1 a2 a2", "a0 a1 b0 b1 pad", "pad"],
+            "a0 b0 a0 b0 a1 b1 a2 b2")
+
+
+@pytest.mark.parametrize("scorer, case", [
+    (score_tfidf, SAME_TERMS),
+    (score_tfidf, MIRRORED),
+    (score_bm25, MIRRORED),
+    (score_lsi, MIRRORED),
+    (score_jsd, MIRRORED),
+], ids=["tfidf-same-terms", "tfidf-mirrored", "bm25-mirrored", "lsi-mirrored",
+        "jsd-mirrored"])
+def test_exact_ties_rank_by_id(scorer, case):
+    docs, intent = case
+    ranked = scorer(build_term_index(make_lib(docs)), intent)
+    scores = dict(ranked.entries)
+    assert scores["d00"] == scores["d01"]
+    assert ranked.ids().index("d00") < ranked.ids().index("d01")
 
 
 # --- word average ---------------------------------------------------------

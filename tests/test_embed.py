@@ -79,3 +79,10 @@ def test_remote_exhausts_retry_budget(monkeypatch):
     with pytest.raises(EmbeddingError):
         embedder.embed(["text"])
     assert session.calls == 3
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_config_rejects_empty_retry_budget(max_attempts):
+    with pytest.raises(ValueError, match="max_attempts"):
+        EmbedderConfig(provider="remote", endpoint="https://stub/embed",
+                       max_attempts=max_attempts)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_balanced_index, make_depth1_index, make_family_library
 from semtree.catalog import Artifact, ArtifactLibrary
-from semtree.llm import LlmError
+from semtree.llm import LlmConfig, LlmError
 from semtree.search import (
     RankedList,
     SearchConfig,
@@ -234,3 +234,9 @@ def test_recommend_deterministic(tiny_index, hashed_embedder):
     a = recommend(tiny_index, "parse yaml", cfg, hashed_embedder)
     b = recommend(tiny_index, "parse yaml", cfg, hashed_embedder)
     assert a.entries == b.entries
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_llm_config_rejects_empty_retry_budget(max_attempts):
+    with pytest.raises(ValueError, match="max_attempts"):
+        LlmConfig(endpoint="https://stub/chat", max_attempts=max_attempts)

@@ -242,6 +242,16 @@ def test_validate_rejects_orphan_leaf(family_index):
         validate_tree(broken)
 
 
+def test_index_equality_is_identity(family_index, tmp_path):
+    path = tmp_path / "index.json"
+    save_tree(family_index, path)
+    a, b = load_tree(path), load_tree(path)
+    assert (a == a) is True
+    assert (a == b) is False
+    node_id = a.roots[0]
+    assert (a.nodes[node_id] == b.nodes[node_id]) is False
+
+
 def test_tree_stats_arithmetic(hashed_embedder):
     lib = ArtifactLibrary(ecosystem="", artifacts=(
         Artifact(id="a", name="a", description="x" * 10),
