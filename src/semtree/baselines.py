@@ -104,10 +104,6 @@ def _ranked(ids: list[str], intent: str, scores: np.ndarray) -> RankedList:
     return RankedList(intent=intent, entries=[(ids[i], float(scores[i])) for i in order])
 
 
-def _original_order(idx: TermIndex, intent: str) -> RankedList:
-    return RankedList(intent=intent, entries=[(did, 0.0) for did in idx.doc_ids])
-
-
 def _tfidf_idf(idx: TermIndex) -> np.ndarray:
     return np.log((1.0 + idx.n_docs) / (1.0 + idx.df))
 
@@ -117,19 +113,15 @@ def _tfidf_weights(idx: TermIndex) -> np.ndarray:
     return idx.postings_tf * _tfidf_idf(idx)[idx.postings_term]
 
 
-def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray | None:
-    """The intent's dense tf-idf vector; None when no intent term is known."""
+def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray:
+    """The intent's dense tf-idf vector; zero when no intent term is known."""
     known = [idx.vocabulary[t] for t in tokenize(intent) if t in idx.vocabulary]
-    if not known:
-        return None
     return np.bincount(known, minlength=len(idx.vocabulary)) * _tfidf_idf(idx)
 
 
 def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     """Cosine between tf-idf vectors of the intent and every document."""
     q = _tfidf_query(idx, intent)
-    if q is None:
-        return _original_order(idx, intent)
     w = _tfidf_weights(idx)
     dots = np.bincount(idx.postings_doc, weights=w * q[idx.postings_term], minlength=idx.n_docs)
     norms = np.sqrt(np.bincount(idx.postings_doc, weights=w * w, minlength=idx.n_docs))
@@ -144,7 +136,7 @@ def score_bm25(idx: TermIndex, intent: str, k1: float = 1.2, b: float = 0.75) ->
     counts = Counter(tokenize(intent))
     q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
     if not q_terms:
-        return _original_order(idx, intent)
+        return _ranked(idx.doc_ids, intent, np.zeros(idx.n_docs))
     q_counts = np.asarray([float(counts[t]) for t in counts if t in idx.vocabulary])
     idf = np.log(1.0 + (idx.n_docs - idx.df + 0.5) / (idx.df + 0.5))
     scores = bm25_scores(
@@ -162,8 +154,8 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
         logger.warning("LSI rank %d clamped to %d", rank, max_rank)
         rank = max_rank
     q = _tfidf_query(idx, intent)
-    if q is None:
-        return _original_order(idx, intent)
+    if not q.any():
+        return _ranked(idx.doc_ids, intent, np.zeros(idx.n_docs))
     X = np.zeros((idx.n_docs, len(idx.vocabulary)))
     X[idx.postings_doc, idx.postings_term] = _tfidf_weights(idx)
     _, _, vt = np.linalg.svd(X, full_matrices=False)
@@ -181,9 +173,10 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
+    """``weights`` normalized; uniform when they sum to 0 (empty if empty)."""
     total = weights.sum()
     if total <= 0:
-        return np.full(weights.shape[0], 1.0 / weights.shape[0])
+        return np.full(weights.shape[0], 1.0 / max(weights.shape[0], 1))
     return weights / total
 
 
@@ -203,8 +196,7 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     Summed over each document's postings; every term a document lacks has
     p = 0 and m = q/2, so together they add (1 - sum of q over its terms)/2.
     """
-    q = _tfidf_query(idx, intent)
-    q = _distribution(np.zeros(len(idx.vocabulary)) if q is None else q)
+    q = _distribution(_tfidf_query(idx, intent))
     doc, w = idx.postings_doc, _tfidf_weights(idx)
     total = np.bincount(doc, weights=w, minlength=idx.n_docs)
     qt = q[idx.postings_term]

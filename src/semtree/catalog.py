@@ -60,12 +60,6 @@ class ArtifactLibrary:
     def ids(self) -> list[str]:
         return [a.id for a in self.artifacts]
 
-    def by_id(self, artifact_id: str) -> Artifact:
-        for a in self.artifacts:
-            if a.id == artifact_id:
-                return a
-        raise KeyError(artifact_id)
-
 
 @dataclass(frozen=True)
 class IntentSample:
@@ -85,7 +79,7 @@ def _parse_line(line: str, lineno: int) -> dict:
     return obj
 
 
-def load_library(path: str, ecosystem: str | None = None) -> ArtifactLibrary:
+def load_library(path: str) -> ArtifactLibrary:
     """Load a JSON-lines artifact library, preserving input order.
 
     Raises:
@@ -95,7 +89,7 @@ def load_library(path: str, ecosystem: str | None = None) -> ArtifactLibrary:
     """
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
-    eco = ecosystem or ""
+    eco = ""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():

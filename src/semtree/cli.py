@@ -121,8 +121,8 @@ def _embedder_for_index(index, args, file_cfg):
     return make_embedder(cfg)
 
 
-def cmd_search(args) -> int:
-    file_cfg = _load_config_file(args.config)
+def _tree_solution(args, file_cfg):
+    """``intent -> RankedList`` over the index at ``args.index``."""
     index = load_tree(args.index)
     embedder = _embedder_for_index(index, args, file_cfg)
     cfg = SearchConfig(
@@ -131,7 +131,11 @@ def cmd_search(args) -> int:
         rerank=bool(args.rerank),
     )
     client = _llm_client(args, file_cfg) if cfg.rerank else None
-    result = recommend(index, args.intent, cfg, embedder, llm_client=client)
+    return lambda intent: recommend(index, intent, cfg, embedder, llm_client=client)
+
+
+def cmd_search(args) -> int:
+    result = _tree_solution(args, _load_config_file(args.config))(args.intent)
     print(json.dumps({
         "intent": result.intent,
         "entries": [{"artifact_id": aid, "score": score} for aid, score in result.entries],
@@ -169,15 +173,7 @@ def cmd_bench(args) -> int:
         if not args.index:
             print("--index is required for the tree solution", file=sys.stderr)
             return 2
-        index = load_tree(args.index)
-        embedder = _embedder_for_index(index, args, file_cfg)
-        cfg = SearchConfig(
-            beam_width=max(int(args.beam), int(args.k)),
-            final_k=int(args.k),
-            rerank=bool(args.rerank),
-        )
-        client = _llm_client(args, file_cfg) if cfg.rerank else None
-        solution = lambda intent: recommend(index, intent, cfg, embedder, llm_client=client)
+        solution = _tree_solution(args, file_cfg)
 
     report = metrics.run_benchmark(name, solution, lib, pairs)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -203,12 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file mirroring flag names")
     sub = parser.add_subparsers(dest="command", required=True)
+    llm = argparse.ArgumentParser(add_help=False)
+    llm.add_argument("--llm-stub", dest="llm_stub")
+    llm.add_argument("--llm-endpoint", dest="llm_endpoint")
+    llm.add_argument("--llm-model", dest="llm_model")
 
     p = sub.add_parser("ingest", help="validate a library file and print statistics")
     p.add_argument("catalog")
     p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("build", help="build and persist a semantic index")
+    p = sub.add_parser("build", parents=[llm], help="build and persist a semantic index")
     p.add_argument("catalog")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
@@ -218,23 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--soft-threshold", dest="soft_threshold", type=float)
     p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--max-top", dest="max_top", type=int)
-    p.add_argument("--llm-stub", dest="llm_stub")
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--llm-model", dest="llm_model")
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("search", help="answer one intent against an index")
+    p = sub.add_parser("search", parents=[llm], help="answer one intent against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--intent", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--rerank", action="store_true")
-    p.add_argument("--llm-stub", dest="llm_stub")
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--llm-model", dest="llm_model")
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("bench", help="run a benchmark sweep for one solution")
+    p = sub.add_parser("bench", parents=[llm], help="run a benchmark sweep for one solution")
     p.add_argument("--solution", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
@@ -245,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index")
     p.add_argument("--vectors")
     p.add_argument("--rerank", action="store_true")
-    p.add_argument("--llm-stub", dest="llm_stub")
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--llm-model", dest="llm_model")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("stats", help="print statistics of a persisted index")

@@ -1,10 +1,10 @@
 """Dimensionality reduction, diagonal-covariance GMM via EM, BIC model
 selection, and soft cluster assignment.
 
-The reducer interface is pluggable; the shipped implementation is PCA
-(deterministic, reusable on new vectors).  EM uses k-means++-style
-seeding, a variance floor against duplicate points, and is fully
-deterministic given a seed.
+The reducer is PCA with a deterministic sign per component; the build
+uses only the reduced matrix.  EM uses k-means++-style seeding, a
+variance floor against duplicate points, and is fully deterministic
+given a seed.
 """
 
 from __future__ import annotations
@@ -20,58 +20,36 @@ from semtree.kernels import weighted_log_prob
 logger = logging.getLogger(__name__)
 
 VARIANCE_FLOOR = 1e-6
+EM_TOL = 1e-4  # convergence: absolute log-likelihood change per iteration
+EM_MAX_ITER = 200
+BIC_RESTARTS = 3  # EM restarts per candidate k in select_k_bic
 
 
 @dataclass(frozen=True)
 class ReducerConfig:
-    method: str = "pca"  # or "none"
     target_dim: int = 10
 
 
-@dataclass(frozen=True)
-class PcaProjection:
-    """Fitted linear projection: center then project onto top components."""
-
-    mean: np.ndarray
-    components: np.ndarray  # (target_dim, input_dim), rows ordered by variance
-    explained_variance: np.ndarray
-    identity: bool = False
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.identity:
-            return np.asarray(X, dtype=np.float64)
-        return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
-
-
-def reduce(X: np.ndarray, cfg: ReducerConfig) -> tuple[np.ndarray, PcaProjection]:
-    """Fit the configured reducer on ``X`` and return (reduced, projection)."""
+def reduce(X: np.ndarray, cfg: ReducerConfig) -> np.ndarray:
+    """Centered ``X`` on its top ``cfg.target_dim`` principal components."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if cfg.method == "none":
-        proj = PcaProjection(np.zeros(d), np.eye(d), np.ones(d), identity=True)
-        return X, proj
-    if cfg.method != "pca":
-        raise ValueError(f"unknown reducer method {cfg.method!r}")
     if n < 2:
         raise ValueError("pca needs at least 2 vectors")
     target = min(cfg.target_dim, d, n - 1)
-    mean = X.mean(axis=0)
-    centered = X - mean
+    centered = X - X.mean(axis=0)
     if not np.any(np.abs(centered) > 1e-12):
         logger.warning("all input vectors identical; falling back to identity reduction")
-        proj = PcaProjection(np.zeros(d), np.eye(d), np.ones(d), identity=True)
-        return X, proj
+        return X
     # SVD of the centered matrix; sign fixed so each component's
     # largest-magnitude entry is positive (determinism).
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:target]
     for i in range(comps.shape[0]):
         j = int(np.argmax(np.abs(comps[i])))
         if comps[i, j] < 0:
             comps[i] = -comps[i]
-    explained = (s[:target] ** 2) / max(n - 1, 1)
-    proj = PcaProjection(mean, comps, explained)
-    return centered @ comps.T, proj
+    return centered @ comps.T
 
 
 @dataclass(frozen=True)
@@ -81,7 +59,6 @@ class GmmModel:
     means: np.ndarray  # (k, d)
     variances: np.ndarray  # (k, d), diagonal covariances
     log_likelihood: float
-    seed: int
     ll_history: tuple[float, ...] = field(default=(), repr=False)
 
     @property
@@ -110,20 +87,18 @@ def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.stack(centers)
 
 
-def fit_gmm(data: np.ndarray, k: int, seed: int, *, tol: float = 1e-4,
-            max_iter: int = 200, n_init: int = 1) -> GmmModel:
+def fit_gmm(data: np.ndarray, k: int, seed: int, *, n_init: int = 1) -> GmmModel:
     """Fit a diagonal-covariance Gaussian mixture by EM.
 
     Converges when the absolute log-likelihood change drops below
-    ``tol`` (or after ``max_iter`` iterations); the likelihood is
+    ``EM_TOL`` (or after ``EM_MAX_ITER`` iterations); the likelihood is
     checked non-decreasing every step.  With ``n_init > 1`` the fit is
     restarted from seeds derived deterministically from ``seed`` and
     the best-likelihood run wins, which guards against bad local
     optima of the k-means++ seeding.
     """
     if n_init > 1:
-        fits = [fit_gmm(data, k, seed + 7919 * i, tol=tol, max_iter=max_iter)
-                for i in range(n_init)]
+        fits = [fit_gmm(data, k, seed + 7919 * i) for i in range(n_init)]
         return max(fits, key=lambda m: m.log_likelihood)
     X = np.asarray(data, dtype=np.float64)
     n, d = X.shape
@@ -139,7 +114,7 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, tol: float = 1e-4,
 
     prev_ll = -np.inf
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         wlp = weighted_log_prob(X, means, variances, np.log(weights))
         log_norm = _logsumexp(wlp)
         ll = float(log_norm.sum())
@@ -147,7 +122,7 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, tol: float = 1e-4,
             raise AssertionError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
         history.append(ll)
         resp = np.exp(wlp - log_norm[:, None])
-        converged = math.isfinite(prev_ll) and abs(ll - prev_ll) < tol
+        converged = math.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL
         prev_ll = ll
         if converged:
             break
@@ -163,7 +138,6 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, tol: float = 1e-4,
         means=means,
         variances=variances,
         log_likelihood=prev_ll,
-        seed=seed,
         ll_history=tuple(history),
     )
 
@@ -174,8 +148,8 @@ def bic(model: GmmModel, n: int) -> float:
     return p * math.log(n) - 2.0 * model.log_likelihood
 
 
-def select_k_bic(data: np.ndarray, k_range: range, seed: int,
-                 n_init: int = 3) -> tuple[GmmModel, list[tuple[int, float]]]:
+def select_k_bic(data: np.ndarray, k_range: range,
+                 seed: int) -> tuple[GmmModel, list[tuple[int, float]]]:
     """Fit one GMM per candidate k and return the BIC minimizer plus the curve."""
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
@@ -186,7 +160,7 @@ def select_k_bic(data: np.ndarray, k_range: range, seed: int,
     best: GmmModel | None = None
     best_bic = math.inf
     for k in candidates:
-        model = fit_gmm(X, k, seed, n_init=n_init)
+        model = fit_gmm(X, k, seed, n_init=BIC_RESTARTS)
         value = bic(model, n)
         curve.append((k, value))
         if value < best_bic:

@@ -18,6 +18,8 @@ import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+BATCH_SIZE = 64  # texts per remote embeddings request
+
 
 class EmbeddingError(RuntimeError):
     """Provider transport failure or malformed provider response."""
@@ -30,8 +32,6 @@ class EmbedderConfig:
     seed: int = 0
     endpoint: str = ""
     model: str = ""
-    credential_env: str = "EMBED_API_KEY"
-    batch_size: int = 64
     max_attempts: int = 3
 
     def __post_init__(self):
@@ -76,10 +76,6 @@ class HashedEmbedder:
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
 
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("no texts to embed")
@@ -91,7 +87,8 @@ class RemoteEmbedder:
 
     Request: ``{"model": ..., "input": [texts]}``; the response must
     contain one vector per input, in order, under ``data[i].embedding``
-    or a top-level ``embeddings`` list.
+    or a top-level ``embeddings`` list.  The credential is read from the
+    ``EMBED_API_KEY`` environment variable, a fixed name.
     """
 
     def __init__(self, cfg: EmbedderConfig, session=None):
@@ -105,13 +102,9 @@ class RemoteEmbedder:
         if not self._endpoint:
             raise EmbeddingError("no embeddings endpoint configured")
 
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
     def _post(self, batch: list[str]) -> list[list[float]]:
         headers = {}
-        key = os.environ.get(self.cfg.credential_env, "")
+        key = os.environ.get("EMBED_API_KEY", "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         delay = 0.5
@@ -145,8 +138,8 @@ class RemoteEmbedder:
         if not texts:
             raise ValueError("no texts to embed")
         rows: list[np.ndarray] = []
-        for start in range(0, len(texts), self.cfg.batch_size):
-            for vec in self._post(texts[start:start + self.cfg.batch_size]):
+        for start in range(0, len(texts), BATCH_SIZE):
+            for vec in self._post(texts[start:start + BATCH_SIZE]):
                 arr = np.asarray(vec, dtype=np.float64)
                 if arr.shape != (self.cfg.dim,):
                     raise EmbeddingError(

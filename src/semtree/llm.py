@@ -2,8 +2,9 @@
 
 The wire format is the common JSON-over-HTTPS chat shape:
 ``{"model": ..., "temperature": 0, "messages": [{"role": "user", "content": ...}]}``.
-Credentials come from the environment (default ``LLM_API_KEY``); the
-base URL from config or ``LLM_API_BASE``.
+Requests are greedy (temperature 0).  The credential comes from the
+``LLM_API_KEY`` environment variable, a fixed name; the base URL from
+config or ``LLM_API_BASE``.
 
 The stub file is a JSON map from the SHA-256 hash of the prompt to the
 response text, letting integration tests replay recorded sessions
@@ -27,13 +28,9 @@ class LlmError(RuntimeError):
 class LlmConfig:
     endpoint: str = ""
     model: str = ""
-    credential_env: str = "LLM_API_KEY"
-    temperature: float = 0.0
     max_attempts: int = 3
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -58,12 +55,12 @@ class ChatClient:
 
     def complete(self, prompt: str) -> str:
         headers = {}
-        key = os.environ.get(self.cfg.credential_env, "")
+        key = os.environ.get("LLM_API_KEY", "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
             "model": self.cfg.model,
-            "temperature": self.cfg.temperature,
+            "temperature": 0.0,
             "messages": [{"role": "user", "content": prompt}],
         }
         delay = 0.5

@@ -130,16 +130,14 @@ class EvalReport:
         return row
 
 
-DEFAULT_KS = {"p@1": ("p", 1), "p@4": ("p", 4), "dcg@2": ("dcg", 2), "dcg@5": ("dcg", 5)}
+CUTOFFS = {"p@1": ("p", 1), "p@4": ("p", 4), "dcg@2": ("dcg", 2), "dcg@5": ("dcg", 5)}
 
 
-def metrics_from_records(records: list[QueryRecord],
-                         ks: dict | None = None) -> dict[str, float]:
+def metrics_from_records(records: list[QueryRecord]) -> dict[str, float]:
     """Recompute the aggregate metrics from per-query target ranks."""
-    ks = ks or DEFAULT_KS
     out: dict[str, float] = {}
     n = len(records)
-    for label, (kind, k) in ks.items():
+    for label, (kind, k) in CUTOFFS.items():
         total = 0.0
         for rec in records:
             if rec.rank is None or rec.rank > k:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:
-    """Top-down beam traversal returning up to ``beam_width`` leaf candidates."""
-    start = time.perf_counter()
+    """Top-down beam traversal returning up to ``beam_width`` leaf candidates, untimed."""
     query = embedder.embed([intent])[0]
     if query.shape[0] != t.dim:
         raise ValueError("intent embedding dimension does not match the index")
@@ -99,12 +98,7 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
         frontier = np.flatnonzero(reached)
     entries = [(t.nodes[t.ids[r]].artifact_id, float(s))
                for r, s in zip(kept, kept_scores)]
-    return RankedList(
-        intent=intent,
-        entries=entries,
-        node_evaluations=evaluations,
-        elapsed=time.perf_counter() - start,
-    )
+    return RankedList(intent=intent, entries=entries, node_evaluations=evaluations)
 
 
 def render_rerank_prompt(intent: str, candidates: list[tuple[str, str]]) -> str:
@@ -162,10 +156,9 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     """LLM re-rank of the candidate set; degrades to the input order.
 
     Hallucinated ids are dropped, omitted candidates are appended in
-    their original order, and the list is truncated to ``final_k``.
+    their original order, and the list is truncated to ``final_k``.  No
+    candidates raise ``ValueError`` from the prompt renderer.
     """
-    if not candidates.entries:
-        raise ValueError("no candidates to rerank")
     prompt = render_rerank_prompt(
         intent,
         [(aid, t.leaf_by_artifact[aid].summary) for aid, _ in candidates.entries],
@@ -173,17 +166,13 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     order = llm_order(client, prompt, candidates.ids())
     score_by_id = dict(candidates.entries)
     entries = [(aid, score_by_id[aid]) for aid in order[:final_k]]
-    return RankedList(
-        intent=intent,
-        entries=entries,
-        node_evaluations=candidates.node_evaluations,
-        elapsed=candidates.elapsed,
-    )
+    return RankedList(intent=intent, entries=entries,
+                      node_evaluations=candidates.node_evaluations)
 
 
 def recommend(t: TreeIndex, intent: str, cfg: SearchConfig, embedder,
               llm_client=None) -> RankedList:
-    """Full pipeline: beam search, optional re-rank, truncate to final_k."""
+    """Full pipeline: beam search, optional re-rank, truncate to final_k; timed."""
     start = time.perf_counter()
     result = tree_search(t, intent, cfg, embedder)
     if cfg.rerank:

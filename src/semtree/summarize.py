@@ -115,9 +115,8 @@ def summarize_cluster(children: list[str], client=None, embedder=None) -> Featur
     ``client=None`` selects the offline path directly.  An LLM response
     is parsed from its first non-empty line; unparseable output or a
     transport failure degrades to the offline summary with a warning.
+    No children raise ``ValueError`` on either path.
     """
-    if not children:
-        raise ValueError("no children to summarize")
     if client is None:
         return offline_summarize(children, embedder=embedder)
     prompt = render_summary_prompt(children)

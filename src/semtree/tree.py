@@ -7,14 +7,17 @@ embeds each summary as the next level.  Soft assignment can give a node
 several parents, so the result is a polyhierarchy (a DAG), not a strict
 tree; acyclicity and full leaf coverage are validated whenever a
 ``TreeIndex`` is made, and validation packs the index into the array
-fields that search reads.
+fields that search reads.  Its ``nodes`` are read-only from then on:
+the array fields would not follow an edit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,14 +71,16 @@ def _array_field():
 class TreeIndex:
     """The index: its nodes, and their array form that search reads.
 
-    Construction runs ``validate_tree``, which sets the array fields.
+    Construction copies ``nodes`` into a read-only mapping, so the index
+    cannot change once it is made, and runs ``validate_tree``, which sets
+    the array fields.
     Row ``i`` is node ``ids[i]``, in the order of ``nodes``; its children
     are ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR), and
     ``id_rank[i]`` is the rank of ``ids[i]`` among the sorted node ids,
     the tie-break of search.
     """
 
-    nodes: dict[str, TreeNode]
+    nodes: Mapping[str, TreeNode]
     roots: tuple[str, ...]
     config: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
@@ -90,6 +95,7 @@ class TreeIndex:
     leaf_by_artifact: dict[str, TreeNode] = _array_field()
 
     def __post_init__(self):
+        self.nodes = MappingProxyType(dict(self.nodes))
         validate_tree(self)
 
     @property
@@ -112,7 +118,7 @@ def validate_tree(t: TreeIndex) -> None:
     each artifact has one leaf, roots are distinct, and every leaf is
     reachable from a root.  On success every node's ``embedding``
     becomes a row view of ``t.embeddings``, so each vector is held once.
-    ``TreeIndex`` runs it when made; run it again after changing ``t.nodes``.
+    ``TreeIndex`` runs it when made.
     """
     if not t.nodes:
         raise TreeError("index has no nodes")
@@ -241,7 +247,7 @@ def build_tree(
         if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
             break
         X = np.stack([nodes[nid].embedding for nid in current])
-        reduced, _ = reduce(X, reducer_cfg)
+        reduced = reduce(X, reducer_cfg)
         upper = min(math.ceil(math.sqrt(n)), cluster_cfg.max_k, n - 1)
         if upper < 2:
             # Too few nodes for BIC selection: merge everything into one parent.
@@ -273,7 +279,7 @@ def build_tree(
                 children=tuple(members),
             )
             parent_ids.append(pid)
-            summaries.append(f"{feature.name}: {feature.description}")
+            summaries.append(feature.format())
         parent_embeddings = embedder.embed(summaries)
         for pid, emb in zip(parent_ids, parent_embeddings):
             nodes[pid].embedding = emb
@@ -283,7 +289,7 @@ def build_tree(
         nodes=nodes,
         roots=tuple(current),
         config={
-            "reducer": {"method": reducer_cfg.method, "target_dim": reducer_cfg.target_dim},
+            "reducer": {"method": "pca", "target_dim": reducer_cfg.target_dim},
             "cluster": {
                 "soft_threshold": cluster_cfg.soft_threshold,
                 "max_k": cluster_cfg.max_k,

@@ -135,7 +135,7 @@ def test_tfidf_out_of_vocab_all_zero():
     idx = build_term_index(make_lib(["alpha beta", "gamma delta"]))
     ranked = score_tfidf(idx, "unknown words only")
     assert all(score == 0.0 for _, score in ranked.entries)
-    assert ranked.ids() == ["d00", "d01"]  # original order
+    assert ranked.ids() == ["d00", "d01"]  # tied, so by id
 
 
 def test_tfidf_matches_oracle(corpus20):
@@ -307,6 +307,34 @@ def test_exact_ties_rank_by_id(scorer, case):
     scores = dict(ranked.entries)
     assert scores["d00"] == scores["d01"]
     assert ranked.ids().index("d00") < ranked.ids().index("d01")
+
+
+def _unsorted_lib(descriptions):
+    """Catalog order z1, a1, m1: not the id order."""
+    return ArtifactLibrary(ecosystem="", artifacts=tuple(
+        Artifact(id=aid, name=aid, description=desc)
+        for aid, desc in zip(("z1", "a1", "m1"), descriptions)
+    ))
+
+
+@pytest.mark.parametrize("scorer", [score_tfidf, score_bm25, score_lsi, score_jsd],
+                         ids=["tfidf", "bm25", "lsi", "jsd"])
+def test_unknown_intent_ties_rank_by_id(scorer):
+    idx = build_term_index(_unsorted_lib(["alpha beta", "gamma delta", "epsilon zeta"]))
+    ranked = scorer(idx, "unknownword")
+    assert ranked.ids() == ["a1", "m1", "z1"]
+    assert len(set(score for _, score in ranked.entries)) == 1
+
+
+@pytest.mark.parametrize("scorer", [score_tfidf, score_bm25, score_lsi, score_jsd],
+                         ids=["tfidf", "bm25", "lsi", "jsd"])
+def test_empty_vocabulary_ties_rank_by_id(scorer):
+    idx = build_term_index(_unsorted_lib(["!!!", "...", "--"]))
+    assert idx.vocabulary == {}
+    ranked = scorer(idx, "parse json")
+    assert ranked.ids() == ["a1", "m1", "z1"]
+    scores = [score for _, score in ranked.entries]
+    assert len(set(scores)) == 1 and all(math.isfinite(s) for s in scores)
 
 
 # --- word average ---------------------------------------------------------

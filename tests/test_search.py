@@ -191,6 +191,12 @@ def test_rerank_prose_fallback(tiny_index, hashed_embedder):
     assert out.ids() == cands.ids()
 
 
+def test_rerank_without_candidates_raises(tiny_index):
+    with pytest.raises(ValueError, match="no candidates"):
+        rerank("x", RankedList(intent="x", entries=[]), StubClient("[c1]"), tiny_index,
+               final_k=3)
+
+
 def test_rerank_transport_failure_degrades(tiny_index, hashed_embedder, caplog):
     cands = candidates_for(tiny_index, hashed_embedder)
     with caplog.at_level("WARNING"):

@@ -119,3 +119,9 @@ def test_llm_transport_failure_falls_back(caplog):
     with caplog.at_level("WARNING"):
         summary = summarize_cluster(["parse json files"], client=client)
     assert "parse" in summary.name
+
+
+@pytest.mark.parametrize("client", [None, StubClient("Name: text")], ids=["offline", "llm"])
+def test_no_children_raise(client):
+    with pytest.raises(ValueError, match="no children"):
+        summarize_cluster([], client=client)

@@ -14,7 +14,6 @@ from semtree.tree import (
     load_tree,
     save_tree,
     tree_stats,
-    validate_tree,
 )
 
 
@@ -231,15 +230,31 @@ def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkey
 
 
 def test_validate_rejects_orphan_leaf(family_index):
-    import copy
-
-    broken = copy.deepcopy(family_index)
-    broken.nodes["L0-orphan"] = TreeNode(
+    nodes = dict(family_index.nodes)
+    nodes["L0-orphan"] = TreeNode(
         id="L0-orphan", level=0, kind="leaf", name="orphan", summary="orphan",
-        embedding=np.zeros(broken.dim), artifact_id="orphan",
+        embedding=np.zeros(family_index.dim), artifact_id="orphan",
     )
     with pytest.raises(TreeError, match="not reachable"):
-        validate_tree(broken)
+        TreeIndex(nodes=nodes, roots=family_index.roots)
+
+
+def test_index_nodes_are_read_only(family_index):
+    # the packed arrays would not follow an edit, so none is allowed
+    with pytest.raises(TypeError):
+        del family_index.nodes["L0-0"]
+    with pytest.raises(TypeError):
+        family_index.nodes["L0-x"] = family_index.nodes["L0-0"]
+    assert "L0-0" in family_index.nodes and "L0-x" not in family_index.nodes
+
+
+def test_index_copies_the_nodes_it_is_given():
+    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
+                    embedding=np.ones(2), artifact_id="a")
+    given = {"a": leaf}
+    index = TreeIndex(nodes=given, roots=("a",))
+    del given["a"]
+    assert list(index.nodes) == ["a"]
 
 
 def test_index_equality_is_identity(family_index, tmp_path):
