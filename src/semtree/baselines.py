@@ -31,6 +31,8 @@ from semtree.search import RankedList, llm_order, render_rerank_prompt, round_sc
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+BM25_K1 = 1.2  # term-frequency saturation
+BM25_B = 0.75  # document-length normalization
 
 SCORING_PROMPT_TEMPLATE = (
     "Rate how well the following artifact satisfies the development intent "
@@ -131,7 +133,7 @@ def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     return _ranked(idx.doc_ids, intent, scores)
 
 
-def score_bm25(idx: TermIndex, intent: str, k1: float = 1.2, b: float = 0.75) -> RankedList:
+def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     """Okapi BM25 with idf = ln(1 + (n - df + 0.5) / (df + 0.5))."""
     counts = Counter(tokenize(intent))
     q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
@@ -142,7 +144,7 @@ def score_bm25(idx: TermIndex, intent: str, k1: float = 1.2, b: float = 0.75) ->
     scores = bm25_scores(
         np.asarray(q_terms, dtype=np.int64), q_counts,
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
-        idf, idx.doc_len, idx.avgdl, idx.n_docs, k1, b,
+        idf, idx.doc_len, idx.avgdl, idx.n_docs, BM25_K1, BM25_B,
     )
     return _ranked(idx.doc_ids, intent, scores)
 

@@ -79,47 +79,59 @@ def _parse_line(line: str, lineno: int) -> dict:
     return obj
 
 
+def _lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return list(fh)
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_library(path: str) -> ArtifactLibrary:
     """Load a JSON-lines artifact library, preserving input order.
 
     Raises:
-        CatalogError: on malformed JSON (with line number), a duplicate
-            id (naming the id and line), an empty description, or an
-            ``extra`` that is not a JSON object.
+        CatalogError: on text that is not UTF-8, malformed JSON (with
+            line number), an id that is missing or not a string or number,
+            a duplicate id (naming the id and line; ids compare as
+            strings), an empty description, or an ``extra`` that is not a
+            JSON object.
     """
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
     eco = ""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _parse_line(line, lineno)
-            aid = obj.get("id")
-            if not aid:
-                raise CatalogError(f"line {lineno}: missing artifact id")
-            if aid in seen:
-                raise CatalogError(
-                    f"line {lineno}: duplicate artifact id {aid!r} "
-                    f"(first seen on line {seen[aid]})"
-                )
-            seen[aid] = lineno
-            desc = obj.get("description", "")
-            if not str(desc).strip():
-                raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
-            extra = obj.get("extra")
-            if not isinstance(extra, (dict, type(None))):
-                raise CatalogError(f"line {lineno}: artifact {aid!r}: extra is not a JSON object")
-            art = Artifact(
-                id=str(aid),
-                name=str(obj.get("name", "")),
-                description=str(desc),
-                ecosystem=str(obj.get("ecosystem", eco)),
-                extra={str(k): str(v) for k, v in (extra or {}).items()},
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        obj = _parse_line(line, lineno)
+        aid = obj.get("id")
+        if not aid:
+            raise CatalogError(f"line {lineno}: missing artifact id")
+        if isinstance(aid, (list, dict)):
+            raise CatalogError(f"line {lineno}: artifact id {aid!r} is not a string or number")
+        aid = str(aid)
+        if aid in seen:
+            raise CatalogError(
+                f"line {lineno}: duplicate artifact id {aid!r} "
+                f"(first seen on line {seen[aid]})"
             )
-            if not eco:
-                eco = art.ecosystem
-            artifacts.append(art)
+        seen[aid] = lineno
+        desc = obj.get("description", "")
+        if not str(desc).strip():
+            raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
+        extra = obj.get("extra")
+        if not isinstance(extra, (dict, type(None))):
+            raise CatalogError(f"line {lineno}: artifact {aid!r}: extra is not a JSON object")
+        art = Artifact(
+            id=aid,
+            name=str(obj.get("name", "")),
+            description=str(desc),
+            ecosystem=str(obj.get("ecosystem", eco)),
+            extra={str(k): str(v) for k, v in (extra or {}).items()},
+        )
+        if not eco:
+            eco = art.ecosystem
+        artifacts.append(art)
     return ArtifactLibrary(ecosystem=eco, artifacts=tuple(artifacts))
 
 
@@ -142,18 +154,17 @@ def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
     """Load intent-artifact pairs, resolving every target against ``lib``."""
     known = set(lib.ids())
     pairs: list[IntentSample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _parse_line(line, lineno)
-            intent = str(obj.get("intent", "")).strip()
-            target = str(obj.get("target_id", ""))
-            if not intent:
-                raise CatalogError(f"line {lineno}: missing intent text")
-            if target not in known:
-                raise CatalogError(f"line {lineno}: unresolved target_id {target!r}")
-            pairs.append(IntentSample(intent=intent, target_id=target))
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        obj = _parse_line(line, lineno)
+        intent = str(obj.get("intent", "")).strip()
+        target = str(obj.get("target_id", ""))
+        if not intent:
+            raise CatalogError(f"line {lineno}: missing intent text")
+        if target not in known:
+            raise CatalogError(f"line {lineno}: unresolved target_id {target!r}")
+        pairs.append(IntentSample(intent=intent, target_id=target))
     if not pairs:
         logger.warning("pairs file %s contained no samples", path)
     return pairs

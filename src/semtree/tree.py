@@ -8,13 +8,23 @@ several parents, so the result is a polyhierarchy (a DAG), not a strict
 tree; acyclicity and full leaf coverage are validated whenever a
 ``TreeIndex`` is made, and validation packs the index into the array
 fields that search reads.  Its ``nodes`` are read-only from then on:
-the array fields would not follow an edit.
+the array fields would not follow an edit, so nodes are frozen and the
+embedding matrix is not writeable.
+
+On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: every
+node field but ``embedding``, in (level, id) order, and one
+``"embeddings"`` block holding the whole matrix, whose row ``i`` is node
+``i`` of the file.  The block has the width ``dim``, a ``mask`` (base64
+of ``np.packbits`` over the entries whose bits are nonzero, row-major)
+and the ``values`` of those entries (base64 of little-endian float64),
+so floats round-trip bit for bit, ``-0.0`` included.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from base64 import b64decode, b64encode
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -25,7 +35,8 @@ from semtree.catalog import ArtifactLibrary
 from semtree.cluster import ReducerConfig, fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+MAX_K = 32  # the most components a level is clustered into
 
 
 class TreeError(ValueError):
@@ -45,10 +56,9 @@ class StoppingCriteria:
 @dataclass(frozen=True)
 class ClusterConfig:
     soft_threshold: float = 0.2
-    max_k: int = 32
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class TreeNode:
     id: str
     level: int
@@ -117,7 +127,8 @@ def validate_tree(t: TreeIndex) -> None:
     one dimension, levels decrease along every edge (hence acyclicity),
     each artifact has one leaf, roots are distinct, and every leaf is
     reachable from a root.  On success every node's ``embedding``
-    becomes a row view of ``t.embeddings``, so each vector is held once.
+    becomes a row view of ``t.embeddings``, so each vector is held once;
+    the matrix, and so each row, is read-only.
     ``TreeIndex`` runs it when made.
     """
     if not t.nodes:
@@ -191,8 +202,9 @@ def validate_tree(t: TreeIndex) -> None:
         raise TreeError(f"node {ids[bad]}: embedding has non-finite values")
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    embeddings.flags.writeable = False
     for node, vec in zip(t.nodes.values(), embeddings):
-        node.embedding = vec
+        object.__setattr__(node, "embedding", vec)
     t.ids = ids
     t.embeddings = embeddings
     t.child_ptr = np.asarray(child_ptr, dtype=np.intp)
@@ -248,7 +260,7 @@ def build_tree(
             break
         X = np.stack([nodes[nid].embedding for nid in current])
         reduced = reduce(X, reducer_cfg)
-        upper = min(math.ceil(math.sqrt(n)), cluster_cfg.max_k, n - 1)
+        upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
         if upper < 2:
             # Too few nodes for BIC selection: merge everything into one parent.
             model = fit_gmm(reduced, 1, seed)
@@ -263,26 +275,24 @@ def build_tree(
         clusters = [c for c in clusters if c]
 
         level += 1
-        parent_ids: list[str] = []
-        summaries: list[str] = []
-        for ordinal, members in enumerate(clusters):
-            child_lines = [f"{nodes[m].name}: {nodes[m].summary}" for m in members]
-            feature = summarize_cluster(child_lines, client=summarizer, embedder=embedder)
-            pid = f"L{level}-{ordinal}"
+        features = [
+            summarize_cluster([f"{nodes[m].name}: {nodes[m].summary}" for m in members],
+                              client=summarizer, embedder=embedder)
+            for members in clusters
+        ]
+        parent_embeddings = embedder.embed([f.format() for f in features])
+        parent_ids = [f"L{level}-{ordinal}" for ordinal in range(len(clusters))]
+        for pid, members, feature, emb in zip(parent_ids, clusters, features,
+                                              parent_embeddings):
             nodes[pid] = TreeNode(
                 id=pid,
                 level=level,
                 kind="internal",
                 name=feature.name,
                 summary=feature.description,
-                embedding=np.zeros(0),  # filled below after batch embedding
+                embedding=emb,
                 children=tuple(members),
             )
-            parent_ids.append(pid)
-            summaries.append(feature.format())
-        parent_embeddings = embedder.embed(summaries)
-        for pid, emb in zip(parent_ids, parent_embeddings):
-            nodes[pid].embedding = emb
         current = parent_ids
 
     return TreeIndex(
@@ -292,7 +302,7 @@ def build_tree(
             "reducer": {"method": "pca", "target_dim": reducer_cfg.target_dim},
             "cluster": {
                 "soft_threshold": cluster_cfg.soft_threshold,
-                "max_k": cluster_cfg.max_k,
+                "max_k": MAX_K,
             },
             "stopping": {
                 "max_depth": stop.max_depth,
@@ -315,7 +325,6 @@ def _node_to_json(node: TreeNode) -> dict:
         "kind": node.kind,
         "name": node.name,
         "summary": node.summary,
-        "embedding": [float(x) for x in node.embedding],
         "children": list(node.children),
     }
     if node.artifact_id is not None:
@@ -326,16 +335,46 @@ def _node_to_json(node: TreeNode) -> dict:
 def save_tree(t: TreeIndex, path: str) -> None:
     """Persist the index as versioned JSON; a lossless, deterministic dump."""
     ordered = sorted(t.nodes.values(), key=lambda n: (n.level, n.id))
+    matrix = np.array([n.embedding for n in ordered], dtype="<f8")
+    nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "config": t.config,
         "provenance": t.provenance,
         "roots": list(t.roots),
         "nodes": [_node_to_json(n) for n in ordered],
+        "embeddings": {
+            "dim": t.dim,
+            "mask": b64encode(np.packbits(nonzero).tobytes()).decode(),
+            "values": b64encode(matrix[nonzero].tobytes()).decode(),
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def _embedding_matrix(block: dict, n: int) -> np.ndarray:
+    """The ``(n, dim)`` matrix that an ``"embeddings"`` block encodes."""
+    dim = block["dim"]
+    if type(dim) is not int or dim < 1:
+        raise TreeError(f"embedding dim {dim!r} is not a positive integer")
+    size = n * dim
+    mask = b64decode(block["mask"], validate=True)
+    if len(mask) != -(-size // 8):
+        raise TreeError(f"embedding mask has {len(mask)} bytes, not the "
+                        f"{-(-size // 8)} of {n} nodes of dim {dim}")
+    nonzero = np.unpackbits(np.frombuffer(mask, dtype=np.uint8)).view(bool)
+    if nonzero[size:].any():
+        raise TreeError("embedding mask marks entries past the last node")
+    values = b64decode(block["values"], validate=True)
+    count = int(np.count_nonzero(nonzero))
+    if len(values) != 8 * count:
+        raise TreeError(f"embedding values have {len(values)} bytes, not 8 for each "
+                        f"of the {count} entries the mask marks")
+    matrix = np.zeros(size)
+    matrix[nonzero[:size]] = np.frombuffer(values, dtype="<f8")
+    return matrix.reshape(n, dim)
 
 
 def load_tree(path: str) -> TreeIndex:
@@ -343,17 +382,19 @@ def load_tree(path: str) -> TreeIndex:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise TreeError(f"index file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TreeError(f"index file {path} is not a JSON object")
     version = doc.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise TreeError(f"unsupported index version {version!r} "
-                        f"(expected {INDEX_FORMAT_VERSION})")
+                        f"(expected {INDEX_FORMAT_VERSION}); rebuild the index "
+                        f"with `semtree build`")
     nodes: dict[str, TreeNode] = {}
     try:
-        for obj in doc["nodes"]:
+        matrix = _embedding_matrix(doc["embeddings"], len(doc["nodes"]))
+        for obj, embedding in zip(doc["nodes"], matrix):
             if obj["id"] in nodes:
                 raise TreeError(f"duplicate node id {obj['id']!r}")
             nodes[obj["id"]] = TreeNode(
@@ -362,12 +403,14 @@ def load_tree(path: str) -> TreeIndex:
                 kind=obj["kind"],
                 name=obj["name"],
                 summary=obj["summary"],
-                embedding=np.asarray(obj["embedding"], dtype=np.float64),
+                embedding=embedding,
                 children=tuple(obj["children"]),
                 artifact_id=obj.get("artifact_id"),
             )
         roots = tuple(doc["roots"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except TreeError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
     return TreeIndex(
         nodes=nodes,

@@ -41,6 +41,33 @@ def test_duplicate_id_names_line(tmp_path):
         load_library(path)
 
 
+@pytest.mark.parametrize("bad_id, message", [
+    ([1], "line 1: artifact id \\[1\\] is not a string or number"),
+    ({"a": 1}, "line 1: artifact id .* is not a string or number"),
+], ids=["list", "object"])
+def test_id_must_be_a_string_or_number(tmp_path, bad_id, message):
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [{"id": bad_id, "description": "x y"}])
+    with pytest.raises(CatalogError, match=message):
+        load_library(path)
+
+
+def test_ids_compare_as_strings(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [{"id": 1, "description": "x y"}, {"id": "1", "description": "z"}])
+    with pytest.raises(CatalogError, match="line 2: duplicate artifact id '1'"):
+        load_library(path)
+    write_lines(path, [{"id": True, "description": "x y"}, {"id": 1, "description": "z"}])
+    assert load_library(path).ids() == ["True", "1"]
+
+
+def test_text_that_is_not_utf8_raises(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    path.write_bytes(b'{"id": "a", "description": "caf\xe9"}\n')
+    with pytest.raises(CatalogError, match="not UTF-8"):
+        load_library(path)
+
+
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "lib.jsonl"
     path.write_text('{"id": "a1", "description": "ok"}\nnot json\n')

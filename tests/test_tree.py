@@ -1,11 +1,16 @@
+import base64
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
+from semtree.embed import EmbedderConfig, HashedEmbedder
 from semtree.tree import (
+    INDEX_FORMAT_VERSION,
     StoppingCriteria,
     TreeError,
     TreeIndex,
@@ -92,8 +97,20 @@ def test_load_round_trip_preserves_embeddings(family_index, tmp_path):
     save_tree(family_index, path)
     loaded = load_tree(path)
     for nid, node in family_index.nodes.items():
-        assert np.array_equal(loaded.nodes[nid].embedding, node.embedding)
+        assert loaded.nodes[nid].embedding.tobytes() == node.embedding.tobytes()
     assert loaded.config == family_index.config
+
+
+def test_negative_zero_keeps_its_sign_bit(tmp_path):
+    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
+                    embedding=np.array([-0.0, 0.0, 1.0]), artifact_id="a")
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",)), p1)
+    loaded = load_tree(p1).nodes["a"].embedding
+    assert list(np.signbit(loaded)) == [True, False, False]
+    assert list(loaded) == [0.0, 0.0, 1.0]
+    save_tree(load_tree(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_load_rejects_wrong_version(family_index, tmp_path):
@@ -106,21 +123,50 @@ def test_load_rejects_wrong_version(family_index, tmp_path):
         load_tree(path)
 
 
+def _embeddings_block(matrix):
+    """The v2 ``"embeddings"`` block of ``matrix``, encoded here by hand."""
+    matrix = np.asarray(matrix, dtype="<f8")
+    nonzero = matrix.view("<u8") != 0
+    return {
+        "dim": matrix.shape[1],
+        "mask": base64.b64encode(np.packbits(nonzero).tobytes()).decode(),
+        "values": base64.b64encode(matrix[nonzero].tobytes()).decode(),
+    }
+
+
 def test_load_rejects_cycle(tmp_path):
     doc = {
-        "version": 1,
+        "version": 2,
         "roots": ["a"],
         "nodes": [
             {"id": "a", "level": 2, "kind": "internal", "name": "a", "summary": "a",
-             "embedding": [1.0, 0.0], "children": ["b"]},
+             "children": ["b"]},
             {"id": "b", "level": 1, "kind": "internal", "name": "b", "summary": "b",
-             "embedding": [1.0, 0.0], "children": ["a"]},
+             "children": ["a"]},
         ],
+        "embeddings": _embeddings_block([[1.0, 0.0], [1.0, 0.0]]),
     }
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TreeError, match="does not decrease level"):
         load_tree(path)
+
+
+def test_load_asks_to_rebuild_a_version_1_file(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "roots": ["a"],
+        "nodes": [{"id": "a", "level": 0, "kind": "leaf", "name": "a", "summary": "a",
+                   "embedding": [1.0, 0.0], "children": [], "artifact_id": "a"}],
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TreeError, match="rebuild"):
+        load_tree(path)
+    for command in (["search", "--index", str(path), "--intent", "x"],
+                    ["stats", "--index", str(path)]):
+        assert main(command) == 1
+        assert "semtree build" in capsys.readouterr().err
 
 
 def _edited(*path, value=None):
@@ -139,14 +185,24 @@ def _edited(*path, value=None):
     return damage
 
 
-def _every_embedding(value):
-    """Damage that sets every node's embedding to ``value``."""
+def _b64_edit(key, edit):
+    """Damage that decodes ``embeddings[key]``, applies ``edit`` to the
+    bytes and encodes the result again."""
     def damage(text):
         doc = json.loads(text)
-        for node in doc["nodes"]:
-            node["embedding"] = value
+        block = doc["embeddings"]
+        block[key] = base64.b64encode(edit(base64.b64decode(block[key]))).decode()
         return json.dumps(doc)
     return damage
+
+
+def _set_value(i, value):
+    """Damage that writes ``value`` over the ``i``-th stored value."""
+    def edit(raw):
+        values = np.frombuffer(raw, dtype="<f8").copy()
+        values[i] = value
+        return values.tobytes()
+    return _b64_edit("values", edit)
 
 
 def _with_doc(edit):
@@ -164,14 +220,14 @@ def _with_doc(edit):
     _edited("nodes"),
     _edited("nodes", 0, "level"),
     _edited("nodes", 0, "id"),
-    _edited("nodes", 0, "embedding"),
-    _every_embedding(5),
-    _edited("nodes", 0, "embedding", value=[[0.5, 0.5], [0.5]]),
-    _edited("nodes", 0, "embedding", 3, value=float("nan")),
-    _edited("nodes", 1, "embedding", 0, value=float("-inf")),
+    _edited("embeddings"),  # no node has an embedding
+    _edited("embeddings", value=5),  # a scalar where the matrix belongs
+    _b64_edit("mask", lambda raw: raw[:-1]),  # the matrix is not n x dim
+    _set_value(3, float("nan")),
+    _set_value(0, float("-inf")),
     _edited("nodes", 1, "artifact_id", value="fam0-art00"),  # node 0's artifact
     _with_doc(lambda doc: doc["roots"].append(doc["roots"][0])),
-    _with_doc(lambda doc: doc["nodes"].append({**doc["nodes"][0], "artifact_id": "zzz"})),
+    _edited("nodes", 1, "id", value="L0-0"),
     lambda text: text.replace('"L0-0"', "5"),  # the node's id and every reference to it
     _edited("nodes", 0, "name", value=5),
     _edited("nodes", 0, "summary", value=5),
@@ -179,12 +235,25 @@ def _with_doc(edit):
     _edited("nodes", -1, "kind", value="branch"),  # an internal node
     _edited("nodes", -1, "children", 0, value=[1]),
     _edited("roots", 0, value=[1]),
+    _edited("embeddings", "mask", value="not base64!"),
+    _edited("embeddings", "values", value="é"),
+    _b64_edit("values", lambda raw: raw[:-8]),
+    _b64_edit("values", lambda raw: raw + raw[:8]),
+    _b64_edit("mask", lambda raw: raw + b"\x00"),
+    _edited("embeddings", "dim", value=0),
+    _edited("embeddings", "dim", value=2.5),
+    _edited("embeddings", "dim", value="256"),
+    _edited("embeddings", "mask"),
+    _edited("nodes", 0, "level", value=float("inf")),
 ], ids=["truncated", "not_an_object", "no_nodes", "node_without_level",
         "node_without_id", "node_without_embedding", "scalar_embedding",
         "ragged_embedding", "nan_embedding", "infinite_embedding",
         "duplicate_artifact_id", "duplicate_root", "duplicate_node_id",
         "integer_id", "integer_name", "integer_summary", "integer_artifact_id",
-        "unknown_kind", "list_child_id", "list_root_id"])
+        "unknown_kind", "list_child_id", "list_root_id", "non_base64_mask",
+        "non_ascii_values", "values_one_float_short", "values_one_float_long",
+        "mask_one_byte_long", "zero_dim", "fractional_dim",
+        "string_dim", "no_mask", "infinite_level"])
 def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
@@ -195,6 +264,33 @@ def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     assert "error:" in capsys.readouterr().err
     assert main(["stats", "--index", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_load_rejects_text_that_is_not_utf8(family_index, tmp_path):
+    path = tmp_path / "idx.json"
+    save_tree(family_index, path)
+    path.write_bytes(path.read_bytes().replace(b'"L0-0"', b'"L0-\xff"'))
+    with pytest.raises(TreeError, match="not valid JSON"):
+        load_tree(path)
+
+
+def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
+    # one node of dim 3: the mask byte's last 5 bits are padding
+    doc = {
+        "version": 2,
+        "roots": ["a"],
+        "nodes": [{"id": "a", "level": 0, "kind": "leaf", "name": "a", "summary": "a",
+                   "children": [], "artifact_id": "a"}],
+        "embeddings": _embeddings_block([[1.0, 0.0, 0.0]]),
+    }
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(doc))
+    assert load_tree(path).nodes["a"].embedding.tolist() == [1.0, 0.0, 0.0]
+    doc["embeddings"]["mask"] = base64.b64encode(bytes([0b10000001])).decode()
+    doc["embeddings"]["values"] = base64.b64encode(np.ones(2).tobytes()).decode()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TreeError, match="past the last node"):
+        load_tree(path)
 
 
 def _leaf(nid):
@@ -248,6 +344,22 @@ def test_index_nodes_are_read_only(family_index):
     assert "L0-0" in family_index.nodes and "L0-x" not in family_index.nodes
 
 
+def test_index_nodes_are_frozen(family_index):
+    root = family_index.nodes[family_index.roots[0]]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.children = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.embedding = np.zeros(family_index.dim)
+    assert root.children
+
+
+def test_index_embeddings_are_read_only(family_index):
+    with pytest.raises(ValueError, match="read-only"):
+        family_index.embeddings[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        family_index.nodes["L0-0"].embedding[0] = 1.0
+
+
 def test_index_copies_the_nodes_it_is_given():
     leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
                     embedding=np.ones(2), artifact_id="a")
@@ -298,3 +410,45 @@ def test_tree_stats_node_count_matches_walk(family_index):
         visited.add(nid)
         stack.extend(family_index.nodes[nid].children)
     assert tree_stats(family_index)["nodes"] == len(visited)
+
+
+GOLDEN = Path(__file__).parent / "data" / "index_v2.json"
+
+
+def golden_index():
+    """3 artifacts, dim 16, and a parent level forced by one top node."""
+    lib = ArtifactLibrary(ecosystem="pypi", artifacts=(
+        Artifact(id="json", name="fastjson", description="parse and dump json documents"),
+        Artifact(id="yaml", name="tinyyaml", description="parse yaml configuration files"),
+        Artifact(id="http", name="webget", description="send http requests with retries"),
+    ))
+    embedder = HashedEmbedder(EmbedderConfig(dim=16, seed=0))
+    return build_tree(lib, embedder, stop=StoppingCriteria(max_top_level_nodes=1), seed=0)
+
+
+def test_golden_index_file_is_reproduced(tmp_path):
+    index = golden_index()
+    assert index.max_level() >= 1 and index.dim == 16
+    path = tmp_path / "index.json"
+    save_tree(index, path)
+    assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_golden_index_file_loads_and_decodes_by_hand():
+    index = load_tree(GOLDEN)
+    doc = json.loads(GOLDEN.read_text())
+    assert doc["version"] == INDEX_FORMAT_VERSION == 2
+    assert list(doc) == sorted(doc)
+    # the layout, decoded without semtree: the mask's first bit is its
+    # first byte's most significant one, values are little-endian float64
+    # in row-major order, and row i is node i of the file
+    block = doc["embeddings"]
+    n, dim = len(doc["nodes"]), block["dim"]
+    mask = base64.b64decode(block["mask"])
+    bits = [(mask[j // 8] >> (7 - j % 8)) & 1 for j in range(n * dim)]
+    values = iter(np.frombuffer(base64.b64decode(block["values"]), dtype="<f8"))
+    for i, obj in enumerate(doc["nodes"]):
+        row = [next(values) if bits[i * dim + j] else 0.0 for j in range(dim)]
+        assert index.nodes[obj["id"]].embedding.tobytes() == np.array(row).tobytes()
+    assert next(values, None) is None
+    assert index.ids == tuple(obj["id"] for obj in doc["nodes"])
