@@ -112,10 +112,17 @@ def cmd_build(args) -> int:
 
 def _embedder_for_index(index, args, file_cfg):
     stored = index.config.get("embedder", {})
+    if not isinstance(stored, dict):
+        raise TreeError(f"index config: embedder {stored!r} is not a JSON object")
+    dim = stored.get("dim", index.config.get("embedding_dim", 256))
+    seed = stored.get("seed", int(_resolve(args, file_cfg, "seed", 0)))
+    if type(dim) is not int or type(seed) is not int:
+        raise TreeError(f"index config: embedder dim {dim!r} and seed {seed!r} "
+                        f"must be integers")
     cfg = EmbedderConfig(
         provider=stored.get("provider", _resolve(args, file_cfg, "provider", "hashed-local")),
-        dim=int(stored.get("dim", index.config.get("embedding_dim", 256))),
-        seed=int(stored.get("seed", _resolve(args, file_cfg, "seed", 0))),
+        dim=dim,
+        seed=seed,
         model=stored.get("model", ""),
     )
     return make_embedder(cfg)

@@ -86,7 +86,7 @@ class RemoteEmbedder:
     """Batched JSON-over-HTTPS embeddings client with retry/backoff.
 
     Request: ``{"model": ..., "input": [texts]}``; the response must
-    contain one vector per input, in order, under ``data[i].embedding``
+    contain one vector per input, in order, under ``data[i]["embedding"]``
     or a top-level ``embeddings`` list.  The credential is read from the
     ``EMBED_API_KEY`` environment variable, a fixed name.
     """

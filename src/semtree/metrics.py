@@ -58,10 +58,8 @@ def silhouette(tree: TreeIndex, level: int) -> float:
     if len(parents) < 2:
         raise ValueError(f"level {level} has fewer than 2 parents; silhouette undefined")
     parents.sort(key=lambda n: n.id)
-    clusters = [
-        np.stack([tree.nodes[c].embedding for c in parent.children])
-        for parent in parents
-    ]
+    row = {nid: i for i, nid in enumerate(tree.ids)}
+    clusters = [tree.embeddings[[row[c] for c in p.children]] for p in parents]
 
     def mean_dist(vec: np.ndarray, members: np.ndarray, skip: int | None = None) -> float:
         sims = members @ vec / (

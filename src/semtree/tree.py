@@ -7,17 +7,17 @@ embeds each summary as the next level.  Soft assignment can give a node
 several parents, so the result is a polyhierarchy (a DAG), not a strict
 tree; acyclicity and full leaf coverage are validated whenever a
 ``TreeIndex`` is made, and validation packs the index into the array
-fields that search reads.  Its ``nodes`` are read-only from then on:
-the array fields would not follow an edit, so nodes are frozen and the
-embedding matrix is not writeable.
+fields that search reads.  The array fields would not follow an edit,
+so the nodes are frozen and the embedding matrix, the only copy of the
+node vectors, is not writeable.
 
-On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: every
-node field but ``embedding``, in (level, id) order, and one
-``"embeddings"`` block holding the whole matrix, whose row ``i`` is node
-``i`` of the file.  The block has the width ``dim``, a ``mask`` (base64
-of ``np.packbits`` over the entries whose bits are nonzero, row-major)
-and the ``values`` of those entries (base64 of little-endian float64),
-so floats round-trip bit for bit, ``-0.0`` included.
+On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: the
+nodes in (level, id) order, and one ``"embeddings"`` block holding the
+whole matrix, whose row ``i`` is node ``i`` of the file.  The block has
+the width ``dim``, a ``mask`` (base64 of ``np.packbits`` over the entries
+whose bits are nonzero, row-major) and the ``values`` of those entries
+(base64 of little-endian float64), so floats round-trip bit for bit,
+``-0.0`` included.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class TreeNode:
     kind: str  # "leaf" or "internal"
     name: str
     summary: str
-    embedding: np.ndarray
     children: tuple[str, ...] = ()
     artifact_id: str | None = None
 
@@ -79,23 +78,24 @@ def _array_field():
 
 @dataclass(eq=False)
 class TreeIndex:
-    """The index: its nodes, and their array form that search reads.
+    """The index: its nodes, their vectors, and the array form that search reads.
 
-    Construction copies ``nodes`` into a read-only mapping, so the index
-    cannot change once it is made, and runs ``validate_tree``, which sets
-    the array fields.
-    Row ``i`` is node ``ids[i]``, in the order of ``nodes``; its children
-    are ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR), and
+    Construction copies ``nodes`` into a read-only mapping and
+    ``embeddings`` into a read-only float64 matrix, so the index cannot
+    change once it is made, and runs ``validate_tree``, which sets the
+    array fields.  Row ``i`` is node ``ids[i]``, the ``i``-th of
+    ``nodes``: its vector is ``embeddings[i]``, its children are
+    ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR), and
     ``id_rank[i]`` is the rank of ``ids[i]`` among the sorted node ids,
     the tie-break of search.
     """
 
     nodes: Mapping[str, TreeNode]
     roots: tuple[str, ...]
+    embeddings: np.ndarray  # (n_nodes, dim)
     config: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     ids: tuple[str, ...] = _array_field()
-    embeddings: np.ndarray = _array_field()  # (n_nodes, dim), C-contiguous
     child_ptr: np.ndarray = _array_field()
     child_rows: np.ndarray = _array_field()
     is_leaf: np.ndarray = _array_field()
@@ -106,6 +106,8 @@ class TreeIndex:
 
     def __post_init__(self):
         self.nodes = MappingProxyType(dict(self.nodes))
+        self.embeddings = np.array(self.embeddings, dtype=np.float64, order="C")
+        self.embeddings.flags.writeable = False
         validate_tree(self)
 
     @property
@@ -123,22 +125,18 @@ def validate_tree(t: TreeIndex) -> None:
     """Check the index and set its array fields.
 
     Checks: ids, names, summaries and artifact ids are strings, each
-    kind is ``leaf`` or ``internal``, embeddings are finite vectors of
-    one dimension, levels decrease along every edge (hence acyclicity),
-    each artifact has one leaf, roots are distinct, and every leaf is
-    reachable from a root.  On success every node's ``embedding``
-    becomes a row view of ``t.embeddings``, so each vector is held once;
-    the matrix, and so each row, is read-only.
-    ``TreeIndex`` runs it when made.
+    kind is ``leaf`` or ``internal``, the embedding matrix is finite with
+    one row per node, levels decrease along every edge (hence
+    acyclicity), each artifact has one leaf, roots are distinct, and
+    every leaf is reachable from a root.  ``TreeIndex`` runs it when made.
     """
     if not t.nodes:
         raise TreeError("index has no nodes")
     ids = tuple(t.nodes)
     row = {nid: i for i, nid in enumerate(ids)}
-    first = t.nodes[ids[0]]
-    if first.embedding.ndim != 1:
-        raise TreeError(f"node {first.id}: embedding is not a vector")
-    shape = first.embedding.shape
+    if t.embeddings.ndim != 2 or len(t.embeddings) != len(ids):
+        raise TreeError(f"embedding matrix of shape {t.embeddings.shape} does not "
+                        f"have one row for each of the {len(ids)} nodes")
     child_ptr = [0]
     child_rows: list[int] = []
     is_leaf: list[bool] = []
@@ -149,9 +147,6 @@ def validate_tree(t: TreeIndex) -> None:
             raise TreeError(f"node {node.id!r}: id, name and summary must be strings")
         if node.kind not in ("leaf", "internal"):
             raise TreeError(f"node {node.id}: kind {node.kind!r} is not leaf or internal")
-        if node.embedding.shape != shape:
-            raise TreeError(f"node {node.id}: embedding shape {node.embedding.shape} "
-                            f"is not {shape}")
         leaf = node.is_leaf()
         is_leaf.append(leaf)
         if leaf:
@@ -196,17 +191,13 @@ def validate_tree(t: TreeIndex) -> None:
     orphans = [n.id for n in leaf_by_artifact.values() if n.id not in reachable]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
-    embeddings = np.array([n.embedding for n in t.nodes.values()], dtype=np.float64)
-    if not np.isfinite(embeddings).all():
-        bad = int(np.argmin(np.isfinite(embeddings).all(axis=1)))
-        raise TreeError(f"node {ids[bad]}: embedding has non-finite values")
+    finite = np.isfinite(t.embeddings).all(axis=1)
+    if not finite.all():
+        bad = ids[int(np.argmin(finite))]
+        raise TreeError(f"node {bad}: embedding has non-finite values")
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    embeddings.flags.writeable = False
-    for node, vec in zip(t.nodes.values(), embeddings):
-        object.__setattr__(node, "embedding", vec)
     t.ids = ids
-    t.embeddings = embeddings
     t.child_ptr = np.asarray(child_ptr, dtype=np.intp)
     t.child_rows = np.asarray(child_rows, dtype=np.intp)
     t.is_leaf = np.array(is_leaf)
@@ -237,7 +228,7 @@ def build_tree(
 
     nodes: dict[str, TreeNode] = {}
     texts = [a.description for a in lib.artifacts]
-    embeddings = embedder.embed(texts)
+    blocks = [embedder.embed(texts)]  # one per level, rows in node order
     current: list[str] = []
     for i, artifact in enumerate(lib.artifacts):
         node = TreeNode(
@@ -246,7 +237,6 @@ def build_tree(
             kind="leaf",
             name=artifact.name,
             summary=artifact.description,
-            embedding=embeddings[i],
             artifact_id=artifact.id,
         )
         nodes[node.id] = node
@@ -258,8 +248,7 @@ def build_tree(
         layers = level + 1
         if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
             break
-        X = np.stack([nodes[nid].embedding for nid in current])
-        reduced = reduce(X, reducer_cfg)
+        reduced = reduce(blocks[-1], reducer_cfg)
         upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
         if upper < 2:
             # Too few nodes for BIC selection: merge everything into one parent.
@@ -280,17 +269,15 @@ def build_tree(
                               client=summarizer, embedder=embedder)
             for members in clusters
         ]
-        parent_embeddings = embedder.embed([f.format() for f in features])
+        blocks.append(embedder.embed([f.format() for f in features]))
         parent_ids = [f"L{level}-{ordinal}" for ordinal in range(len(clusters))]
-        for pid, members, feature, emb in zip(parent_ids, clusters, features,
-                                              parent_embeddings):
+        for pid, members, feature in zip(parent_ids, clusters, features):
             nodes[pid] = TreeNode(
                 id=pid,
                 level=level,
                 kind="internal",
                 name=feature.name,
                 summary=feature.description,
-                embedding=emb,
                 children=tuple(members),
             )
         current = parent_ids
@@ -298,6 +285,7 @@ def build_tree(
     return TreeIndex(
         nodes=nodes,
         roots=tuple(current),
+        embeddings=np.vstack(blocks),
         config={
             "reducer": {"method": "pca", "target_dim": reducer_cfg.target_dim},
             "cluster": {
@@ -309,7 +297,7 @@ def build_tree(
                 "max_top_level_nodes": stop.max_top_level_nodes,
             },
             "seed": seed,
-            "embedding_dim": int(embeddings.shape[1]),
+            "embedding_dim": int(blocks[0].shape[1]),
         },
         provenance={
             "embedder": type(embedder).__name__,
@@ -334,15 +322,16 @@ def _node_to_json(node: TreeNode) -> dict:
 
 def save_tree(t: TreeIndex, path: str) -> None:
     """Persist the index as versioned JSON; a lossless, deterministic dump."""
-    ordered = sorted(t.nodes.values(), key=lambda n: (n.level, n.id))
-    matrix = np.array([n.embedding for n in ordered], dtype="<f8")
+    nodes = list(t.nodes.values())
+    rows = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].id))
+    matrix = np.asarray(t.embeddings[rows], dtype="<f8")
     nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "config": t.config,
         "provenance": t.provenance,
         "roots": list(t.roots),
-        "nodes": [_node_to_json(n) for n in ordered],
+        "nodes": [_node_to_json(nodes[i]) for i in rows],
         "embeddings": {
             "dim": t.dim,
             "mask": b64encode(np.packbits(nonzero).tobytes()).decode(),
@@ -381,9 +370,16 @@ def load_tree(path: str) -> TreeIndex:
     """Load and validate an index; any malformed file raises ``TreeError``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+            text = fh.read()
+            doc = json.loads(text)
+            # Only a \u escape can make a lone surrogate, which save_tree
+            # could not write back as UTF-8.  A backslash is looked for
+            # first: it is found ~60x faster than "\\u", and is rare in an index.
+            if "\\" in text and "\\u" in text:
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a lone surrogate
             raise TreeError(f"index file {path} is not valid JSON: {exc}") from exc
+    del text  # ~1.6 MB for 2,000 artifacts; the rest of the load need not hold it
     if not isinstance(doc, dict):
         raise TreeError(f"index file {path} is not a JSON object")
     version = doc.get("version")
@@ -391,10 +387,13 @@ def load_tree(path: str) -> TreeIndex:
         raise TreeError(f"unsupported index version {version!r} "
                         f"(expected {INDEX_FORMAT_VERSION}); rebuild the index "
                         f"with `semtree build`")
+    config, provenance = doc.get("config", {}), doc.get("provenance", {})
+    if not (isinstance(config, dict) and isinstance(provenance, dict)):
+        raise TreeError(f"index file {path}: config and provenance must be JSON objects")
     nodes: dict[str, TreeNode] = {}
     try:
         matrix = _embedding_matrix(doc["embeddings"], len(doc["nodes"]))
-        for obj, embedding in zip(doc["nodes"], matrix):
+        for obj in doc["nodes"]:
             if obj["id"] in nodes:
                 raise TreeError(f"duplicate node id {obj['id']!r}")
             nodes[obj["id"]] = TreeNode(
@@ -403,7 +402,6 @@ def load_tree(path: str) -> TreeIndex:
                 kind=obj["kind"],
                 name=obj["name"],
                 summary=obj["summary"],
-                embedding=embedding,
                 children=tuple(obj["children"]),
                 artifact_id=obj.get("artifact_id"),
             )
@@ -415,8 +413,9 @@ def load_tree(path: str) -> TreeIndex:
     return TreeIndex(
         nodes=nodes,
         roots=roots,
-        config=doc.get("config", {}),
-        provenance=doc.get("provenance", {}),
+        embeddings=matrix,
+        config=config,
+        provenance=provenance,
     )
 
 

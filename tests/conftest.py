@@ -63,18 +63,16 @@ def make_depth1_index(lib: ArtifactLibrary, embedder):
         nid = f"L0-{i}"
         nodes[nid] = TreeNode(
             id=nid, level=0, kind="leaf", name=artifact.name,
-            summary=artifact.description, embedding=embeddings[i],
-            artifact_id=artifact.id,
+            summary=artifact.description, artifact_id=artifact.id,
         )
         leaf_ids.append(nid)
     root = TreeNode(
         id="L1-0", level=1, kind="internal", name="root",
-        summary="everything",
-        embedding=l2_normalize(embeddings.mean(axis=0)),
-        children=tuple(leaf_ids),
+        summary="everything", children=tuple(leaf_ids),
     )
     nodes[root.id] = root
-    return TreeIndex(nodes=nodes, roots=(root.id,))
+    matrix = np.vstack([embeddings, l2_normalize(embeddings.mean(axis=0))])
+    return TreeIndex(nodes=nodes, roots=(root.id,), embeddings=matrix)
 
 
 def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
@@ -90,14 +88,15 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
         [l2_normalize(rng.normal(size=dim)) for _ in range(n_leaves)]
     )
     nodes = {}
+    vectors = {}
     level_ids = []
     for i in range(n_leaves):
         nid = f"L0-{i}"
         nodes[nid] = TreeNode(
             id=nid, level=0, kind="leaf", name=f"leaf{i}",
-            summary=f"synthetic leaf {i}", embedding=leaf_embeddings[i],
-            artifact_id=f"a{i}",
+            summary=f"synthetic leaf {i}", artifact_id=f"a{i}",
         )
+        vectors[nid] = leaf_embeddings[i]
         level_ids.append(nid)
     level = 0
     while len(level_ids) > branching:
@@ -105,17 +104,18 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
         parents = []
         for j in range(0, len(level_ids), branching):
             children = tuple(level_ids[j:j + branching])
-            emb = l2_normalize(
-                np.mean([nodes[c].embedding for c in children], axis=0)
-            )
             pid = f"L{level}-{j // branching}"
+            vectors[pid] = l2_normalize(
+                np.mean([vectors[c] for c in children], axis=0)
+            )
             nodes[pid] = TreeNode(
                 id=pid, level=level, kind="internal", name=pid,
-                summary=f"group {pid}", embedding=emb, children=children,
+                summary=f"group {pid}", children=children,
             )
             parents.append(pid)
         level_ids = parents
-    return TreeIndex(nodes=nodes, roots=tuple(level_ids))
+    return TreeIndex(nodes=nodes, roots=tuple(level_ids),
+                     embeddings=[vectors[nid] for nid in nodes])
 
 
 ACCEPTANCE_RESULTS: list[str] = []

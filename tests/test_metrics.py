@@ -81,23 +81,22 @@ def test_dcg_equals_formula_oracle():
 def manual_tree(cluster_embeddings):
     """Two-level index: one parent per list of leaf embeddings."""
     nodes = {}
+    vectors = []
     roots = []
     for ci, members in enumerate(cluster_embeddings):
         child_ids = []
         for mi, emb in enumerate(members):
             nid = f"L0-{ci}-{mi}"
             nodes[nid] = TreeNode(id=nid, level=0, kind="leaf", name=nid,
-                                  summary=nid, embedding=np.asarray(emb, dtype=float),
-                                  artifact_id=nid)
+                                  summary=nid, artifact_id=nid)
+            vectors.append(np.asarray(emb, dtype=float))
             child_ids.append(nid)
         pid = f"L1-{ci}"
         nodes[pid] = TreeNode(id=pid, level=1, kind="internal", name=pid,
-                              summary=pid,
-                              embedding=np.mean([np.asarray(e, float) for e in members],
-                                                axis=0),
-                              children=tuple(child_ids))
+                              summary=pid, children=tuple(child_ids))
+        vectors.append(np.mean([np.asarray(e, float) for e in members], axis=0))
         roots.append(pid)
-    return TreeIndex(nodes=nodes, roots=tuple(roots))
+    return TreeIndex(nodes=nodes, roots=tuple(roots), embeddings=vectors)
 
 
 def test_silhouette_duplicated_points_is_one():
@@ -125,7 +124,8 @@ def silhouette_oracle(t, level):
         (n for n in t.nodes.values() if n.level == level and n.children),
         key=lambda n: n.id,
     )
-    clusters = [[t.nodes[c].embedding for c in p.children] for p in parents]
+    vectors = dict(zip(t.ids, t.embeddings))
+    clusters = [[vectors[c] for c in p.children] for p in parents]
 
     def dist(u, v):
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)

@@ -26,9 +26,10 @@ def brute_force(index, embedder, intent, k):
     scored by its own ``np.dot``, rounded by the shared helper, and ranked
     by (-score, node id); kept leaves carry themselves to the next level."""
     query = embedder.embed([intent])[0]
+    vectors = dict(zip(index.ids, index.embeddings))
     frontier = set(index.roots)
     while True:
-        scored = [(nid, float(round_scores(np.dot(query, index.nodes[nid].embedding))))
+        scored = [(nid, float(round_scores(np.dot(query, vectors[nid]))))
                   for nid in frontier]
         scored.sort(key=lambda item: (-item[1], item[0]))
         kept = scored[:k]
@@ -68,13 +69,14 @@ def test_exact_ties_rank_by_node_id(row_order, reversed_on):
     assert np.dot(forward, query) != np.dot(forward[::-1], query)
     leaves = {
         nid: TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid,
-                      embedding=forward[::-1].copy() if nid == reversed_on else forward,
                       artifact_id=f"a{nid[-1]}")
         for nid in row_order
     }
     root = TreeNode(id="L1-0", level=1, kind="internal", name="root", summary="root",
-                    embedding=np.ones(3), children=tuple(leaves))
-    index = TreeIndex(nodes={**leaves, root.id: root}, roots=(root.id,))
+                    children=tuple(leaves))
+    vectors = [forward[::-1] if nid == reversed_on else forward for nid in row_order]
+    index = TreeIndex(nodes={**leaves, root.id: root}, roots=(root.id,),
+                      embeddings=[*vectors, np.ones(3)])
     assert index.ids[:2] == row_order
     got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
     assert got.ids() == ["a0", "a1"]
@@ -87,13 +89,15 @@ def test_shared_children_and_leaf_roots():
     def node(nid, vector, children=()):
         kind = "internal" if children else "leaf"
         return TreeNode(id=nid, level=1 if children else 0, kind=kind, name=nid, summary=nid,
-                        embedding=np.array(vector, dtype=float), children=children,
-                        artifact_id=None if children else "a" + nid[3:])
-    nodes = [node("L0-0", [0, 1, 0]), node("L0-1", [0, 0, 1]), node("L0-2", [0.5, 0.5, 0]),
-             node("L0-s", [0.9, 0.1, 0]), node("L0-solo", [0.8, 0.2, 0]),
-             node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
-             node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s"))]
-    index = TreeIndex(nodes={n.id: n for n in nodes}, roots=("L1-0", "L1-1", "L0-solo"))
+                        children=children,
+                        artifact_id=None if children else "a" + nid[3:]), vector
+    nodes, vectors = zip(
+        node("L0-0", [0, 1, 0]), node("L0-1", [0, 0, 1]), node("L0-2", [0.5, 0.5, 0]),
+        node("L0-s", [0.9, 0.1, 0]), node("L0-solo", [0.8, 0.2, 0]),
+        node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
+        node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s")))
+    index = TreeIndex(nodes={n.id: n for n in nodes}, roots=("L1-0", "L1-1", "L0-solo"),
+                      embeddings=vectors)
     got = tree_search(index, "x", SearchConfig(beam_width=3, final_k=3),
                       FixedEmbedder([1, 0, 0]))
     assert got.ids() == ["as", "asolo", "a2"]

@@ -8,7 +8,9 @@ import pytest
 
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
+from conftest import make_depth1_index, make_family_library
 from semtree.embed import EmbedderConfig, HashedEmbedder
+from semtree.search import SearchConfig, tree_search
 from semtree.tree import (
     INDEX_FORMAT_VERSION,
     StoppingCriteria,
@@ -96,17 +98,17 @@ def test_load_round_trip_preserves_embeddings(family_index, tmp_path):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
     loaded = load_tree(path)
-    for nid, node in family_index.nodes.items():
-        assert loaded.nodes[nid].embedding.tobytes() == node.embedding.tobytes()
+    vectors = dict(zip(loaded.ids, loaded.embeddings))
+    for nid, vec in zip(family_index.ids, family_index.embeddings):
+        assert vectors[nid].tobytes() == vec.tobytes()
     assert loaded.config == family_index.config
 
 
 def test_negative_zero_keeps_its_sign_bit(tmp_path):
-    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
-                    embedding=np.array([-0.0, 0.0, 1.0]), artifact_id="a")
+    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a", artifact_id="a")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",)), p1)
-    loaded = load_tree(p1).nodes["a"].embedding
+    save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",), embeddings=[[-0.0, 0.0, 1.0]]), p1)
+    loaded = load_tree(p1).embeddings[0]
     assert list(np.signbit(loaded)) == [True, False, False]
     assert list(loaded) == [0.0, 0.0, 1.0]
     save_tree(load_tree(p1), p2)
@@ -285,7 +287,7 @@ def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
     }
     path = tmp_path / "idx.json"
     path.write_text(json.dumps(doc))
-    assert load_tree(path).nodes["a"].embedding.tolist() == [1.0, 0.0, 0.0]
+    assert load_tree(path).embeddings.tolist() == [[1.0, 0.0, 0.0]]
     doc["embeddings"]["mask"] = base64.b64encode(bytes([0b10000001])).decode()
     doc["embeddings"]["values"] = base64.b64encode(np.ones(2).tobytes()).decode()
     path.write_text(json.dumps(doc))
@@ -294,8 +296,7 @@ def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
 
 
 def _leaf(nid):
-    return TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid,
-                    embedding=np.ones(2), artifact_id=nid)
+    return TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid, artifact_id=nid)
 
 
 @pytest.mark.parametrize("nodes, roots, message", [
@@ -304,7 +305,7 @@ def _leaf(nid):
 ], ids=["empty", "orphan_leaf"])
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
-        TreeIndex(nodes=nodes, roots=roots)
+        TreeIndex(nodes=nodes, roots=roots, embeddings=np.ones((len(nodes), 2)))
 
 
 def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkeypatch):
@@ -329,10 +330,11 @@ def test_validate_rejects_orphan_leaf(family_index):
     nodes = dict(family_index.nodes)
     nodes["L0-orphan"] = TreeNode(
         id="L0-orphan", level=0, kind="leaf", name="orphan", summary="orphan",
-        embedding=np.zeros(family_index.dim), artifact_id="orphan",
+        artifact_id="orphan",
     )
+    embeddings = np.vstack([family_index.embeddings, np.zeros(family_index.dim)])
     with pytest.raises(TreeError, match="not reachable"):
-        TreeIndex(nodes=nodes, roots=family_index.roots)
+        TreeIndex(nodes=nodes, roots=family_index.roots, embeddings=embeddings)
 
 
 def test_index_nodes_are_read_only(family_index):
@@ -349,22 +351,51 @@ def test_index_nodes_are_frozen(family_index):
     with pytest.raises(dataclasses.FrozenInstanceError):
         root.children = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        root.embedding = np.zeros(family_index.dim)
-    assert root.children
+        root.summary = ""
+    assert root.children and root.summary
 
 
 def test_index_embeddings_are_read_only(family_index):
     with pytest.raises(ValueError, match="read-only"):
         family_index.embeddings[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        family_index.nodes["L0-0"].embedding[0] = 1.0
+
+
+def test_index_copies_the_embeddings_it_is_given(hashed_embedder):
+    # a later write into the caller's array reaches neither the index
+    # nor a search on it
+    lib = make_family_library(n_families=3, per_family=4)
+    index = make_depth1_index(lib, hashed_embedder)
+    given = np.array(index.embeddings)
+    copied = TreeIndex(nodes=index.nodes, roots=index.roots, embeddings=given)
+    intent = lib.artifacts[5].description
+    cfg = SearchConfig(beam_width=3, final_k=3)
+    before = tree_search(copied, intent, cfg, hashed_embedder).entries
+    given[:] = given[::-1]
+    assert copied.embeddings.tobytes() == index.embeddings.tobytes()
+    assert tree_search(copied, intent, cfg, hashed_embedder).entries == before
+
+
+@pytest.mark.parametrize("embeddings, message", [
+    (np.ones((2, 4)), "one row for each of the 3 nodes"),
+    (np.ones((4, 4)), "one row for each of the 3 nodes"),
+    (np.ones(4), "one row for each"),
+    (np.ones(3), "one row for each"),
+    (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), "node b: .*non-finite"),
+], ids=["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
+        "nan"])
+def test_construction_checks_the_embedding_matrix(embeddings, message):
+    nodes = {"a": _leaf("a"), "b": _leaf("b"),
+             "r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
+                           children=("a", "b"))}
+    assert TreeIndex(nodes=nodes, roots=("r",), embeddings=np.ones((3, 2))).dim == 2
+    with pytest.raises(TreeError, match=message):
+        TreeIndex(nodes=nodes, roots=("r",), embeddings=embeddings)
 
 
 def test_index_copies_the_nodes_it_is_given():
-    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
-                    embedding=np.ones(2), artifact_id="a")
+    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a", artifact_id="a")
     given = {"a": leaf}
-    index = TreeIndex(nodes=given, roots=("a",))
+    index = TreeIndex(nodes=given, roots=("a",), embeddings=np.ones((1, 2)))
     del given["a"]
     assert list(index.nodes) == ["a"]
 
@@ -447,8 +478,66 @@ def test_golden_index_file_loads_and_decodes_by_hand():
     mask = base64.b64decode(block["mask"])
     bits = [(mask[j // 8] >> (7 - j % 8)) & 1 for j in range(n * dim)]
     values = iter(np.frombuffer(base64.b64decode(block["values"]), dtype="<f8"))
+    vectors = dict(zip(index.ids, index.embeddings))
     for i, obj in enumerate(doc["nodes"]):
         row = [next(values) if bits[i * dim + j] else 0.0 for j in range(dim)]
-        assert index.nodes[obj["id"]].embedding.tobytes() == np.array(row).tobytes()
+        assert vectors[obj["id"]].tobytes() == np.array(row).tobytes()
     assert next(values, None) is None
     assert index.ids == tuple(obj["id"] for obj in doc["nodes"])
+
+
+def _golden_edited(tmp_path, edit):
+    """A copy of the golden file with ``edit`` applied to its document,
+    written with ``json.dumps``' ASCII escapes."""
+    doc = json.loads(GOLDEN.read_text())
+    edit(doc)
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(config=[]),
+    lambda doc: doc.update(provenance=5),
+    lambda doc: doc["config"].update(embedder=[1]),
+    lambda doc: doc["config"].update(embedder={"dim": [3]}),
+    lambda doc: doc["config"].update(embedding_dim=[3]),  # read when no embedder is stored
+], ids=["list_config", "integer_provenance", "list_embedder", "list_embedder_dim",
+        "list_embedding_dim"])
+def test_search_rejects_config_of_the_wrong_type(tmp_path, capsys, edit):
+    path = _golden_edited(tmp_path, edit)
+    assert main(["search", "--index", str(path), "--intent", "parse json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("config", []), ("provenance", 5)],
+                         ids=["list_config", "integer_provenance"])
+def test_load_rejects_config_that_is_not_an_object(tmp_path, capsys, key, value):
+    path = _golden_edited(tmp_path, lambda doc: doc.update({key: value}))
+    with pytest.raises(TreeError, match="JSON objects"):
+        load_tree(path)
+    assert main(["stats", "--index", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_load_rejects_a_lone_surrogate(tmp_path, capsys):
+    path = _golden_edited(tmp_path, lambda doc: doc["nodes"][0].update(summary="a\ud800b"))
+    assert "\\ud800" in path.read_text()
+    with pytest.raises(TreeError, match="surrogates not allowed"):
+        load_tree(path)
+    assert main(["search", "--index", str(path), "--intent", "parse json"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
+    path = _golden_edited(tmp_path, lambda doc: doc["nodes"][0].update(summary="a\U0001F600b"))
+    assert "\\ud83d\\ude00" in path.read_text()
+    loaded = load_tree(path)
+    node_id = json.loads(GOLDEN.read_text())["nodes"][0]["id"]
+    assert loaded.nodes[node_id].summary == "a\U0001F600b"
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_tree(loaded, p1)
+    save_tree(load_tree(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert "a\U0001F600b" in p1.read_text(encoding="utf-8")
