@@ -4,10 +4,16 @@ Two providers exist: a deterministic offline one that signed-hashes
 token features into a fixed number of buckets, and a remote JSON/HTTPS
 embeddings endpoint.  All vectors are L2-normalized at creation so
 cosine similarity reduces to a dot product.
+
+The offline provider keeps each token's hashed buckets and signs in a
+process-wide LRU memo of ``TOKEN_MEMO_SIZE`` tokens, keyed by token,
+dimension and seed, since intents repeat their words.  The memo only
+saves hashing: vectors are the same with or without it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -19,6 +25,7 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 BATCH_SIZE = 64  # texts per remote embeddings request
+TOKEN_MEMO_SIZE = 1 << 11  # tokens whose hashed features are kept, per process
 
 
 class EmbeddingError(RuntimeError):
@@ -55,19 +62,28 @@ def _hash_feature(feature: str, seed: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+@functools.lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _token_terms(token: str, dim: int, seed: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Buckets and signs of one token's features: itself and its ``#tok#`` trigrams."""
+    padded = f"#{token}#"
+    hashes = [_hash_feature(f, seed)
+              for f in (token, *(padded[i:i + 3] for i in range(len(padded) - 2)))]
+    return tuple((h >> 1) % dim for h in hashes), tuple(1.0 if h & 1 else -1.0 for h in hashes)
+
+
 def _hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
-    """Signed hashing of tokens and their character trigrams into buckets."""
-    vec = np.zeros(dim)
-    tokens = _TOKEN_RE.findall(text.lower())
-    features = list(tokens)
-    for tok in tokens:
-        padded = f"#{tok}#"
-        features.extend(padded[i:i + 3] for i in range(len(padded) - 2))
-    for feat in features:
-        h = _hash_feature(feat, seed)
-        sign = 1.0 if h & 1 else -1.0
-        vec[(h >> 1) % dim] += sign
-    return l2_normalize(vec)
+    """Signed hashing of tokens and their character trigrams into buckets.
+
+    Each bucket's sum is a small integer, so it is exact in any order, and
+    the per-token memo gives the same vector as hashing every feature anew.
+    """
+    buckets: list[int] = []
+    signs: list[float] = []
+    for tok in _TOKEN_RE.findall(text.lower()):
+        b, s = _token_terms(tok, dim, seed)
+        buckets += b
+        signs += s
+    return l2_normalize(np.bincount(buckets, weights=signs, minlength=dim))
 
 
 class HashedEmbedder:

@@ -4,11 +4,12 @@ Search walks top-down from the roots: the current frontier is scored by
 cosine similarity against the intent embedding, the top-w nodes are
 kept (ties by ascending id), and kept internal nodes are expanded into
 their children while kept leaves carry themselves forward.  When every
-kept node is a leaf the candidates are returned.  Scores are recomputed
-per level; the deduplicated child union makes the polyhierarchy cost
-nothing.  Each level is one gather-and-matmul over the index's
-embedding matrix, and scores are rounded to ``SCORE_DECIMALS`` before
-ranking so that ties do not depend on summation order.
+kept node is a leaf the candidates are returned.  Every node is scored
+once per query, by one contiguous matvec over all rows of the index's
+embedding matrix; each level then reads its frontier's scores from that
+vector, and the deduplicated child union makes the polyhierarchy cost
+nothing.  Scores are rounded to ``SCORE_DECIMALS`` before ranking so
+that ties do not depend on summation order.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
         raise ValueError("intent embedding dimension does not match the index")
 
     ptr, rows = t.child_ptr, t.child_rows
+    all_scores = round_scores(t.embeddings @ query)
     frontier = t.root_rows
     evaluations = 0
     for _ in range(t.top_level + 2):
-        scores = round_scores(t.embeddings[frontier] @ query)
+        scores = all_scores[frontier]
         evaluations += len(frontier)
         order = np.lexsort((t.id_rank[frontier], -scores))[: cfg.beam_width]
         kept, kept_scores = frontier[order], scores[order]
@@ -96,8 +98,8 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
         for r in kept[~leaf]:
             reached[rows[ptr[r]:ptr[r + 1]]] = True
         frontier = np.flatnonzero(reached)
-    entries = [(t.nodes[t.ids[r]].artifact_id, float(s))
-               for r, s in zip(kept, kept_scores)]
+    entries = [(t.nodes[t.ids[r]].artifact_id, s)
+               for r, s in zip(kept.tolist(), kept_scores.tolist())]
     return RankedList(intent=intent, entries=entries, node_evaluations=evaluations)
 
 

@@ -106,7 +106,10 @@ class TreeIndex:
 
     def __post_init__(self):
         self.nodes = MappingProxyType(dict(self.nodes))
-        self.embeddings = np.array(self.embeddings, dtype=np.float64, order="C")
+        try:
+            self.embeddings = np.array(self.embeddings, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
+            raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
         self.embeddings.flags.writeable = False
         validate_tree(self)
 
@@ -124,11 +127,11 @@ class TreeIndex:
 def validate_tree(t: TreeIndex) -> None:
     """Check the index and set its array fields.
 
-    Checks: ids, names, summaries and artifact ids are strings, each
-    kind is ``leaf`` or ``internal``, the embedding matrix is finite with
-    one row per node, levels decrease along every edge (hence
-    acyclicity), each artifact has one leaf, roots are distinct, and
-    every leaf is reachable from a root.  ``TreeIndex`` runs it when made.
+    Checks: levels are integers, ids, names, summaries and artifact ids
+    are strings, each kind is ``leaf`` or ``internal``, the embedding
+    matrix is finite with one row per node, levels decrease along every
+    edge (hence acyclicity), each artifact has one leaf, roots are
+    distinct, and every leaf is reachable from a root.  ``TreeIndex`` runs it when made.
     """
     if not t.nodes:
         raise TreeError("index has no nodes")
@@ -137,6 +140,9 @@ def validate_tree(t: TreeIndex) -> None:
     if t.embeddings.ndim != 2 or len(t.embeddings) != len(ids):
         raise TreeError(f"embedding matrix of shape {t.embeddings.shape} does not "
                         f"have one row for each of the {len(ids)} nodes")
+    for node in t.nodes.values():  # before any edge compares two levels
+        if not isinstance(node.level, int) or isinstance(node.level, bool):
+            raise TreeError(f"node {node.id!r}: level {node.level!r} is not an integer")
     child_ptr = [0]
     child_rows: list[int] = []
     is_leaf: list[bool] = []
@@ -398,7 +404,7 @@ def load_tree(path: str) -> TreeIndex:
                 raise TreeError(f"duplicate node id {obj['id']!r}")
             nodes[obj["id"]] = TreeNode(
                 id=obj["id"],
-                level=int(obj["level"]),
+                level=obj["level"],
                 kind=obj["kind"],
                 name=obj["name"],
                 summary=obj["summary"],

@@ -136,3 +136,10 @@ def family_library():
 @pytest.fixture(scope="session")
 def hashed_embedder():
     return HashedEmbedder(EmbedderConfig(provider="hashed-local", dim=128, seed=3))
+
+
+@pytest.fixture(scope="session")
+def family_index(family_library, hashed_embedder):
+    from semtree.tree import build_tree
+
+    return build_tree(family_library, hashed_embedder, seed=0)

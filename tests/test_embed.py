@@ -1,12 +1,72 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semtree.embed import (
+    _TOKEN_RE,
+    TOKEN_MEMO_SIZE,
     EmbedderConfig,
     EmbeddingError,
     HashedEmbedder,
     RemoteEmbedder,
+    _hash_feature,
+    _hashed_embed,
+    _token_terms,
+    l2_normalize,
 )
+
+
+def reference_hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """The embedder without its memo: every token and trigram hashed anew,
+    each added into its bucket in turn."""
+    vec = np.zeros(dim)
+    tokens = _TOKEN_RE.findall(text.lower())
+    features = list(tokens)
+    for tok in tokens:
+        padded = f"#{tok}#"
+        features.extend(padded[i:i + 3] for i in range(len(padded) - 2))
+    for feat in features:
+        h = _hash_feature(feat, seed)
+        sign = 1.0 if h & 1 else -1.0
+        vec[(h >> 1) % dim] += sign
+    return l2_normalize(vec)
+
+
+TEXTS = st.text(alphabet=st.sampled_from("abcxyzAZ019 ,.!-ÄéßЖ漢"), max_size=60)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(TEXTS)
+@example("")
+@example("!!!")
+@example("Grüße, naïve café — 漢字 ЖЖ")
+@example("a" * 40 + " " + "0123456789" * 4 + " b")
+def test_memoized_embed_matches_reference(text):
+    want = reference_hashed_embed(text, 64, 5).tobytes()
+    for _ in range(2):  # the second call reads the memo
+        assert _hashed_embed(text, 64, 5).tobytes() == want
+
+
+def test_embedders_of_other_settings_do_not_share_memo_entries():
+    texts = ["parse json files", "json schema", "parse yaml", "files json parse"]
+    configs = [(64, 1), (32, 1), (64, 2), (32, 2)]
+    embedders = [HashedEmbedder(EmbedderConfig(dim=d, seed=s)) for d, s in configs]
+    for text in texts:  # interleaved, so each token is memoized under every setting
+        for (dim, seed), embedder in zip(configs, embedders):
+            got = embedder.embed([text])[0]
+            assert got.tobytes() == reference_hashed_embed(text, dim, seed).tobytes()
+
+
+def test_token_memo_stays_within_its_bound():
+    assert _token_terms.cache_info().maxsize == TOKEN_MEMO_SIZE
+    tokens = [f"tok{i}" for i in range(TOKEN_MEMO_SIZE + 500)]
+    embedder = HashedEmbedder(EmbedderConfig(dim=16, seed=0))
+    for start in range(0, len(tokens), 100):
+        embedder.embed([" ".join(tokens[start:start + 100])])
+    assert _token_terms.cache_info().currsize <= TOKEN_MEMO_SIZE
+    assert (embedder.embed([tokens[0]])[0].tobytes()
+            == reference_hashed_embed(tokens[0], 16, 0).tobytes())
 
 
 def test_hashed_deterministic():

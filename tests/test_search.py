@@ -3,7 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_balanced_index, make_depth1_index, make_family_library
+from conftest import (
+    make_balanced_index,
+    make_depth1_index,
+    make_family_library,
+    perturbed_intents,
+)
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.llm import LlmConfig, LlmError
 from semtree.search import (
@@ -21,21 +26,29 @@ from semtree.tree import TreeIndex, TreeNode
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
 
-def brute_force(index, embedder, intent, k):
+def beam_oracle(index, embedder, intent, k):
     """Per-level linear scan with beam width ``k``: every visited node is
     scored by its own ``np.dot``, rounded by the shared helper, and ranked
-    by (-score, node id); kept leaves carry themselves to the next level."""
+    by (-score, node id); kept leaves carry themselves to the next level.
+    Returns the entries and the number of node scores taken."""
     query = embedder.embed([intent])[0]
     vectors = dict(zip(index.ids, index.embeddings))
     frontier = set(index.roots)
+    evaluations = 0
     while True:
         scored = [(nid, float(round_scores(np.dot(query, vectors[nid]))))
                   for nid in frontier]
+        evaluations += len(scored)
         scored.sort(key=lambda item: (-item[1], item[0]))
         kept = scored[:k]
         if all(index.nodes[nid].is_leaf() for nid, _ in kept):
-            return [(index.nodes[nid].artifact_id, s) for nid, s in kept]
+            return [(index.nodes[nid].artifact_id, s) for nid, s in kept], evaluations
         frontier = {c for nid, _ in kept for c in index.nodes[nid].children or (nid,)}
+
+
+def brute_force(index, embedder, intent, k):
+    """The entries of :func:`beam_oracle`."""
+    return beam_oracle(index, embedder, intent, k)[0]
 
 
 @pytest.mark.parametrize("final_k", [0, -1])
@@ -50,6 +63,34 @@ def test_depth1_equals_linear_scan(family_library, hashed_embedder):
     for intent in ["alpha packaging tools", family_library.artifacts[13].description]:
         got = tree_search(index, intent, cfg, hashed_embedder)
         assert got.entries == brute_force(index, hashed_embedder, intent, 5)
+
+
+@pytest.mark.parametrize("beam_width", [3, 10])
+def test_family_index_equals_per_node_oracle(family_index, family_library,
+                                             hashed_embedder, beam_width):
+    # Every node is scored by one matvec; the oracle scores each visited
+    # node by its own np.dot, level by level, and must agree exactly.  A
+    # beam of 3 prunes the 5 roots, one of 10 keeps them all.
+    assert family_index.max_level() == 1 and len(family_index.roots) == 5
+    cfg = SearchConfig(beam_width=beam_width, final_k=3)
+    intents = [s.intent for s in perturbed_intents(family_library, 60)]
+    for intent in intents + ["alpha packaging tools", ""]:
+        got = tree_search(family_index, intent, cfg, hashed_embedder)
+        entries, evaluations = beam_oracle(family_index, hashed_embedder, intent, beam_width)
+        assert (got.entries, got.node_evaluations) == (entries, evaluations)
+
+
+def test_deep_index_equals_per_node_oracle(hashed_embedder):
+    index = make_balanced_index(branching=4, leaf_levels=3, dim=128)
+    assert index.max_level() == 3
+    cfg = SearchConfig(beam_width=3, final_k=3)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        intent = " ".join(rng.choice(["json", "yaml", "parse", "http", "retry", "cache",
+                                      "files", "async"], size=4))
+        got = tree_search(index, intent, cfg, hashed_embedder)
+        entries, evaluations = beam_oracle(index, hashed_embedder, intent, 3)
+        assert (got.entries, got.node_evaluations) == (entries, evaluations)
 
 
 class FixedEmbedder:

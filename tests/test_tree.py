@@ -24,11 +24,6 @@ from semtree.tree import (
 )
 
 
-@pytest.fixture(scope="module")
-def family_index(family_library, hashed_embedder):
-    return build_tree(family_library, hashed_embedder, seed=0)
-
-
 def test_single_artifact_tree(hashed_embedder):
     lib = ArtifactLibrary(ecosystem="", artifacts=(
         Artifact(id="a1", name="only", description="the only artifact"),
@@ -302,7 +297,11 @@ def _leaf(nid):
 @pytest.mark.parametrize("nodes, roots, message", [
     ({}, (), "no nodes"),
     ({"a": _leaf("a"), "b": _leaf("b")}, ("a",), "not reachable"),
-], ids=["empty", "orphan_leaf"])
+    # the parent comes first, so its edge is met before the child's level
+    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
+                    children=("a",)),
+      "a": dataclasses.replace(_leaf("a"), level="0")}, ("r",), "level '0' is not an integer"),
+], ids=["empty", "orphan_leaf", "string_level_after_parent"])
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
         TreeIndex(nodes=nodes, roots=roots, embeddings=np.ones((len(nodes), 2)))
@@ -381,8 +380,10 @@ def test_index_copies_the_embeddings_it_is_given(hashed_embedder):
     (np.ones(4), "one row for each"),
     (np.ones(3), "one row for each"),
     (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), "node b: .*non-finite"),
+    ([[1.0], [1.0, 2.0]], "not a numeric matrix"),
+    ([["x"]], "not a numeric matrix"),
 ], ids=["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
-        "nan"])
+        "nan", "ragged", "non_numeric"])
 def test_construction_checks_the_embedding_matrix(embeddings, message):
     nodes = {"a": _leaf("a"), "b": _leaf("b"),
              "r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
@@ -541,3 +542,16 @@ def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
     save_tree(load_tree(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert "a\U0001F600b" in p1.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("level", [1.9, "1", True], ids=["float", "string", "bool"])
+def test_load_rejects_a_level_that_is_not_an_integer(tmp_path, capsys, level):
+    def edit(doc):
+        node = next(obj for obj in doc["nodes"] if obj["id"] == "L1-0")
+        node["level"] = level
+    path = _golden_edited(tmp_path, edit)
+    with pytest.raises(TreeError, match="level .* is not an integer"):
+        load_tree(path)
+    assert main(["search", "--index", str(path), "--intent", "parse json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
