@@ -5,6 +5,11 @@ The reducer is PCA with a deterministic sign per component; the build
 uses only the reduced matrix.  EM uses k-means++-style seeding, a
 variance floor against duplicate points, and is fully deterministic
 given a seed.
+
+EM works component-major: log densities and responsibilities are (k, n)
+C-contiguous arrays (``weighted_log_prob(...).T``), so every per-sample
+reduction runs over k contiguous rows of n values, and the M-step is one
+matmul of the responsibilities with ``[X, X²]``.
 """
 
 from __future__ import annotations
@@ -66,9 +71,13 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    m = rows.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True)))[:, 0]
+def _normalize(wlp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (k, n) and per-sample log-likelihoods (n,) of the
+    (k, n) weighted log densities ``wlp``, by one max-shifted exp."""
+    m = wlp.max(axis=0)
+    e = np.exp(wlp - m)
+    s = e.sum(axis=0)
+    return e * (1.0 / s), m + np.log(s)
 
 
 def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -111,26 +120,34 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, n_init: int = 1) -> GmmModel
     global_var = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
     variances = np.tile(global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
+    moments_of = np.hstack([X, X * X])  # the M-step's one matmul operand
 
     prev_ll = -np.inf
     history: list[float] = []
     for _ in range(EM_MAX_ITER):
-        wlp = weighted_log_prob(X, means, variances, np.log(weights))
-        log_norm = _logsumexp(wlp)
+        resp, log_norm = _normalize(weighted_log_prob(X, means, variances,
+                                                      np.log(weights)).T)
         ll = float(log_norm.sum())
         if ll + 1e-8 < prev_ll:
             raise AssertionError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
         history.append(ll)
-        resp = np.exp(wlp - log_norm[:, None])
         converged = math.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL
         prev_ll = ll
         if converged:
             break
-        nk = resp.sum(axis=0) + 1e-300
+        nk = resp.sum(axis=1) + 1e-300
         weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        ex2 = (resp.T @ (X * X)) / nk[:, None]
-        variances = np.maximum(ex2 - means**2, VARIANCE_FLOOR)
+        moments = (resp @ moments_of) / nk[:, None]
+        means, ex2 = moments[:, :d], moments[:, d:]
+        variances = ex2 - means**2
+        # E[x²] − μ² cancels where a mean is far from the origin relative to
+        # its spread (duplicates at an offset of 1e5 lose the whole floor and
+        # break EM's monotonicity); where over 20 bits cancel, recompute from
+        # x − μ.  Build data is centered, so that is rare there.
+        for j in np.flatnonzero(np.any(ex2 > 2.0**20 * variances, axis=1)):
+            diff = X - means[j]
+            variances[j] = (resp[j] @ (diff * diff)) / nk[j]
+        variances = np.maximum(variances, VARIANCE_FLOOR)
 
     return GmmModel(
         k=k,
@@ -181,11 +198,11 @@ def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> So
     X = np.asarray(data, dtype=np.float64)
     if X.shape[1] != model.dim:
         raise ValueError("data dimensionality does not match the fitted model")
-    wlp = weighted_log_prob(X, model.means, model.variances, np.log(model.weights))
-    resp = np.exp(wlp - _logsumexp(wlp)[:, None])
-    memberships = []
-    for i in range(resp.shape[0]):
-        picked = set(np.flatnonzero(resp[i] >= threshold).tolist())
-        picked.add(int(np.argmax(resp[i])))
-        memberships.append(tuple(sorted(picked)))
-    return SoftAssignment(responsibilities=resp, memberships=tuple(memberships))
+    resp = _normalize(weighted_log_prob(X, model.means, model.variances,
+                                        np.log(model.weights)).T)[0].T
+    picked = resp >= threshold
+    picked[np.arange(len(resp)), resp.argmax(axis=1)] = True
+    clusters = np.nonzero(picked)[1].tolist()  # row-major: by item, then cluster
+    ends = np.cumsum(picked.sum(axis=1)).tolist()
+    memberships = tuple(tuple(clusters[a:b]) for a, b in zip([0] + ends, ends))
+    return SoftAssignment(responsibilities=resp, memberships=memberships)

@@ -22,20 +22,27 @@ def weighted_log_prob(X, means, variances, log_weights):
     less than 1/64 of ``big`` (over 6 bits cancelled, as for points sitting
     on a far-from-zero mean with a floored variance) the entry is computed
     again from x−μ directly.
+
+    The work is done component-major, in a C-contiguous (k, n) array, and
+    the (n, k) result is its transpose.  EM has k ≤ 32 and n in the
+    thousands, and numpy reduces across the components of a (k, n) array
+    in k contiguous passes over n values, but across the short k-rows of
+    a C-contiguous (n, k) one 5-15x slower (k = 16, n = 1,000), so
+    ``cluster`` reduces over ``result.T``.
     """
     d = X.shape[1]
     prec = 1.0 / variances
-    big = (X * X) @ prec.T + np.sum(means * means * prec, axis=1)
-    quad = big - 2.0 * (X @ (means * prec).T)
+    big = prec @ (X * X).T + np.sum(means * means * prec, axis=1)[:, None]
+    quad = big - 2.0 * ((means * prec) @ X.T)
     # flatnonzero + divmod: several times faster than a 2-D np.nonzero here
-    rows, cols = np.divmod(np.flatnonzero(big > 64.0 * quad), quad.shape[1])
-    if rows.size:
-        diff = X[rows] - means[cols]
-        quad[rows, cols] = np.sum(diff * diff / variances[cols], axis=1)
-    quad += d * _LOG_2PI + np.sum(np.log(variances), axis=1)
+    comps, samples = np.divmod(np.flatnonzero(big > 64.0 * quad), quad.shape[1])
+    if samples.size:
+        diff = X[samples] - means[comps]
+        quad[comps, samples] = np.sum(diff * diff / variances[comps], axis=1)
+    quad += (d * _LOG_2PI + np.sum(np.log(variances), axis=1))[:, None]
     quad *= -0.5
-    quad += log_weights
-    return quad
+    quad += log_weights[:, None]
+    return quad.T
 
 
 def bm25_scores(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,

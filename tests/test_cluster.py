@@ -3,6 +3,7 @@ import pytest
 
 from semtree import cluster
 from semtree.cluster import (
+    GmmModel,
     ReducerConfig,
     VARIANCE_FLOOR,
     bic,
@@ -137,14 +138,19 @@ def test_bic_single_blob_prefers_one():
     assert dict(curve)[1] == pytest.approx(p * np.log(80) - 2 * m1.log_likelihood)
 
 
+def duplicate_groups(offset):
+    rng = np.random.default_rng(0)
+    X = np.repeat(offset + rng.normal(size=(6, 10)), 10, axis=0)
+    X[::7] += rng.normal(scale=1e-4, size=X[::7].shape)
+    return X
+
+
 @pytest.mark.parametrize("offset", [0.0, 123.456])
 def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
     # Six groups of exact duplicates (every 7th row jittered by 1e-4) drive
     # variances to VARIANCE_FLOOR, where the matmul expansion of the log
     # density cancels; unguarded, EM then reports a decreasing likelihood.
-    rng = np.random.default_rng(0)
-    X = np.repeat(offset + rng.normal(size=(6, 10)), 10, axis=0)
-    X[::7] += rng.normal(scale=1e-4, size=X[::7].shape)
+    X = duplicate_groups(offset)
 
     def outcome():
         model, _ = select_k_bic(X, range(2, 9), seed=0)
@@ -153,6 +159,91 @@ def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
     got = outcome()
     monkeypatch.setattr(cluster, "weighted_log_prob", loop_weighted_log_prob)
     assert got == outcome()
+
+
+def reference_fit_gmm(data, k, seed, *, n_init=1):
+    """EM in the straightforward sample-major layout: (n, k) log densities
+    from the per-component loop kernel, reductions along the k-axis, and
+    each variance from x − μ.  The oracle for ``fit_gmm``'s component-major
+    EM, which takes variances as E[x²] − μ² where that does not cancel."""
+    if n_init > 1:
+        fits = [reference_fit_gmm(data, k, seed + 7919 * i) for i in range(n_init)]
+        return max(fits, key=lambda m: m.log_likelihood)
+    X = np.asarray(data, dtype=np.float64)
+    n = X.shape[0]
+    means = cluster._kmeanspp_means(X, k, np.random.default_rng(seed))
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    history = []
+    for _ in range(cluster.EM_MAX_ITER):
+        wlp = loop_weighted_log_prob(X, means, variances, np.log(weights))
+        m = wlp.max(axis=1, keepdims=True)
+        log_norm = (m + np.log(np.exp(wlp - m).sum(axis=1, keepdims=True)))[:, 0]
+        ll = float(log_norm.sum())
+        converged = bool(history) and abs(ll - history[-1]) < cluster.EM_TOL
+        history.append(ll)
+        if converged:
+            break
+        resp = np.exp(wlp - log_norm[:, None])
+        nk = resp.sum(axis=0) + 1e-300
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        variances = np.stack([resp[:, j] @ (X - means[j]) ** 2 for j in range(k)])
+        variances = np.maximum(variances / nk[:, None], VARIANCE_FLOOR)
+    return GmmModel(k=k, weights=weights, means=means, variances=variances,
+                    log_likelihood=history[-1], ll_history=tuple(history))
+
+
+def reference_memberships(model, X, threshold=0.2):
+    """Per row: the clusters at or above ``threshold``, plus the argmax."""
+    wlp = loop_weighted_log_prob(X, model.means, model.variances, np.log(model.weights))
+    resp = np.exp(wlp - wlp.max(axis=1, keepdims=True))
+    resp /= resp.sum(axis=1, keepdims=True)
+    return tuple(
+        tuple(sorted(set(np.flatnonzero(row >= threshold).tolist()) | {int(np.argmax(row))}))
+        for row in resp
+    )
+
+
+def ill_conditioned(case):
+    rng = np.random.default_rng(1)
+    if case.startswith("duplicates"):
+        return duplicate_groups(float(case.split("@")[1])), range(2, 9)
+    if case == "underflow":  # blobs 1e3 apart: cross responsibilities are exactly 0
+        centers = np.array([[0.0, 0.0, 0.0], [1e3, 0.0, 0.0], [0.0, 1e3, 1e3]])
+        return np.vstack([rng.normal(c, 1.0, (30, 3)) for c in centers]), range(2, 6)
+    if case == "k=n-1":
+        return rng.normal(size=(12, 3)), range(2, 12)
+    if case == "d=1":
+        return np.concatenate([rng.normal(c, 0.3, 40) for c in (-4.0, 0.0, 5.0)])[:, None], \
+            range(1, 7)
+    raise ValueError(case)
+
+
+ILL_CONDITIONED = ["duplicates@0", "duplicates@123.456", "duplicates@1e6", "underflow",
+                   "k=n-1", "d=1"]
+
+
+@pytest.mark.parametrize("case", ILL_CONDITIONED)
+def test_em_matches_the_sample_major_reference(case, monkeypatch):
+    X, k_range = ill_conditioned(case)
+    for k in k_range:
+        got = fit_gmm(X, k, seed=0, n_init=cluster.BIC_RESTARTS)
+        want = reference_fit_gmm(X, k, seed=0, n_init=cluster.BIC_RESTARTS)
+        assert len(got.ll_history) == len(want.ll_history), k
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-9, abs=0.0), k
+    got, _ = select_k_bic(X, k_range, seed=0)
+    monkeypatch.setattr(cluster, "fit_gmm", reference_fit_gmm)
+    want, _ = select_k_bic(X, k_range, seed=0)
+    assert got.k == want.k
+    assert soft_assign(got, X).memberships == reference_memberships(want, X)
+
+
+def test_underflow_case_has_exactly_zero_responsibilities():
+    X, _ = ill_conditioned("underflow")
+    assignment = soft_assign(fit_gmm(X, 3, seed=0), X)
+    assert np.any(assignment.responsibilities == 0.0)
+    assert all(len(m) == 1 for m in assignment.memberships)
 
 
 def test_bic_empty_range():
@@ -203,3 +294,24 @@ def test_equidistant_point_double_membership():
     assignment = soft_assign(model, np.array([[5.0, 5.0]]), threshold=0.2)
     assert len(assignment.memberships[0]) == 2
     assert np.allclose(assignment.responsibilities[0], 0.5)
+
+
+AXES = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]  # ±e1, ±e2, ±e3
+
+
+@pytest.mark.parametrize("means,point,threshold,want", [
+    # six equal responsibilities of 1/6, all below the threshold: the first argmax
+    (AXES, [0.0, 0.0, 0.0], 0.2, (0,)),
+    # the largest responsibility, +e3's 0.184, is below the threshold
+    (AXES, [0.0, 0.0, 0.1], 0.2, (4,)),
+    # two responsibilities of exactly 1/2 at a threshold of 1/2
+    (np.array([[0.0, 0.0], [10.0, 10.0]]), [5.0, 5.0], 0.5, (0, 1)),
+])
+def test_memberships_at_ties_and_below_the_threshold(means, point, threshold, want):
+    k, d = means.shape
+    model = GmmModel(k=k, weights=np.full(k, 1.0 / k), means=means,
+                     variances=np.ones((k, d)), log_likelihood=0.0)
+    X = np.array([point, means[1]])
+    got = soft_assign(model, X, threshold=threshold).memberships
+    assert got[0] == want
+    assert got == reference_memberships(model, X, threshold)

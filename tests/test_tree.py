@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -464,6 +465,20 @@ def test_golden_index_file_is_reproduced(tmp_path):
     path = tmp_path / "index.json"
     save_tree(index, path)
     assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+# build_tree + save_tree of a seeded 300-artifact catalog, whose first level
+# is a BIC sweep over k = 2..18 and picks 16 and whose second picks 4 of 2..4.
+# A numeric change to EM, BIC or soft assignment that flips a chosen k or a
+# membership changes these bytes.
+BUILD_GATE_SHA256 = "130d40f76dfa47f4d279d716b5b904a36d3b41df8ba2759dacb6820abd98db71"
+
+
+def test_build_bytes_of_a_bic_sweep_are_pinned(hashed_embedder, tmp_path):
+    lib = make_family_library(n_families=15, per_family=20, seed=12)
+    path = tmp_path / "index.json"
+    save_tree(build_tree(lib, hashed_embedder, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
