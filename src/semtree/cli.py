@@ -1,10 +1,12 @@
 """Command line interface: ingest, build, search, bench, stats.
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  Settings
-resolve as flags > config file > defaults; credentials are only ever
-read from the environment (LLM_API_KEY / LLM_API_BASE /
-EMBED_API_KEY / EMBED_API_BASE).
+Exit codes: 0 success, 1 runtime failure (a provider error included),
+2 usage error.  Settings resolve as flags > config file > defaults; a
+config file must be one JSON object of scalar settings (string, number
+or boolean) keyed by flag name.  Credentials are only ever read from
+the environment (LLM_API_KEY / LLM_API_BASE / EMBED_API_KEY /
+EMBED_API_BASE).
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import sys
 
 from semtree import baselines, metrics
 from semtree.catalog import CatalogError, library_stats, load_library, load_pairs
-from semtree.cluster import ReducerConfig
-from semtree.embed import EmbedderConfig, make_embedder
-from semtree.llm import ChatClient, LlmConfig, ReplayClient
+from semtree.embed import EmbedderConfig, EmbeddingError, make_embedder
+from semtree.llm import ChatClient, LlmError, ReplayClient
 from semtree.search import SearchConfig, recommend
 from semtree.tree import (
-    ClusterConfig,
     StoppingCriteria,
     TreeError,
     build_tree,
@@ -39,7 +39,15 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path}: expected a JSON object of settings")
+    for key, value in cfg.items():
+        if value is None or isinstance(value, (list, dict)):
+            raise ValueError(f"config file {path}: setting {key!r} must be a string, "
+                             f"number or boolean, got {value!r}")
+    return cfg
+
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
     value = getattr(args, key, None)
@@ -67,7 +75,7 @@ def _llm_client(args, file_cfg):
         return ReplayClient(stub)
     endpoint = _resolve(args, file_cfg, "llm_endpoint", "")
     model = _resolve(args, file_cfg, "llm_model", "")
-    return ChatClient(LlmConfig(endpoint=endpoint, model=model))
+    return ChatClient(endpoint, model)
 
 
 def cmd_ingest(args) -> int:
@@ -87,10 +95,8 @@ def cmd_build(args) -> int:
     index = build_tree(
         lib,
         embedder,
-        reducer_cfg=ReducerConfig(target_dim=int(_resolve(args, file_cfg, "target_dim", 10))),
-        cluster_cfg=ClusterConfig(
-            soft_threshold=float(_resolve(args, file_cfg, "soft_threshold", 0.2)),
-        ),
+        target_dim=int(_resolve(args, file_cfg, "target_dim", 10)),
+        soft_threshold=float(_resolve(args, file_cfg, "soft_threshold", 0.2)),
         summarizer=summarizer,
         stop=StoppingCriteria(
             max_depth=int(_resolve(args, file_cfg, "max_depth", 4)),
@@ -262,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CatalogError, TreeError, FileNotFoundError, ValueError) as exc:
+    except (CatalogError, TreeError, FileNotFoundError, ValueError, LlmError,
+            EmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,18 +30,13 @@ EM_MAX_ITER = 200
 BIC_RESTARTS = 3  # EM restarts per candidate k in select_k_bic
 
 
-@dataclass(frozen=True)
-class ReducerConfig:
-    target_dim: int = 10
-
-
-def reduce(X: np.ndarray, cfg: ReducerConfig) -> np.ndarray:
-    """Centered ``X`` on its top ``cfg.target_dim`` principal components."""
+def reduce(X: np.ndarray, target_dim: int) -> np.ndarray:
+    """Centered ``X`` on its top ``target_dim`` principal components."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:
         raise ValueError("pca needs at least 2 vectors")
-    target = min(cfg.target_dim, d, n - 1)
+    target = min(target_dim, d, n - 1)
     centered = X - X.mean(axis=0)
     if not np.any(np.abs(centered) > 1e-12):
         logger.warning("all input vectors identical; falling back to identity reduction")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from semtree.llm import JsonEndpoint
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -39,11 +39,10 @@ class EmbedderConfig:
     seed: int = 0
     endpoint: str = ""
     model: str = ""
-    max_attempts: int = 3
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        if self.dim < 1:
+            raise ValueError(f"embedding dim must be >= 1, got {self.dim}")
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -99,7 +98,7 @@ class HashedEmbedder:
 
 
 class RemoteEmbedder:
-    """Batched JSON-over-HTTPS embeddings client with retry/backoff.
+    """Batched JSON-over-HTTPS embeddings client over a retrying ``JsonEndpoint``.
 
     Request: ``{"model": ..., "input": [texts]}``; the response must
     contain one vector per input, in order, under ``data[i]["embedding"]``
@@ -109,45 +108,19 @@ class RemoteEmbedder:
 
     def __init__(self, cfg: EmbedderConfig, session=None):
         self.cfg = cfg
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
-        self._endpoint = cfg.endpoint or os.environ.get("EMBED_API_BASE", "")
-        if not self._endpoint:
-            raise EmbeddingError("no embeddings endpoint configured")
+        self._endpoint = JsonEndpoint(cfg.endpoint, "EMBED_API_BASE", "EMBED_API_KEY",
+                                      EmbeddingError, session)
 
     def _post(self, batch: list[str]) -> list[list[float]]:
-        headers = {}
-        key = os.environ.get("EMBED_API_KEY", "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        delay = 0.5
-        for attempt in range(self.cfg.max_attempts):
-            try:
-                resp = self._session.post(
-                    self._endpoint,
-                    json={"model": self.cfg.model, "input": batch},
-                    headers=headers,
-                    timeout=60,
-                )
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    raise EmbeddingError(f"server returned {resp.status_code}")
-                resp.raise_for_status()
-                payload = resp.json()
-                break
-            except Exception as exc:  # noqa: BLE001 - retry any transport fault
-                if attempt + 1 == self.cfg.max_attempts:
-                    raise EmbeddingError(f"embedding request failed: {exc}") from exc
-                time.sleep(delay)
-                delay *= 2
-        if "data" in payload:
-            vectors = [row["embedding"] for row in payload["data"]]
-        else:
-            vectors = payload["embeddings"]
-        if len(vectors) != len(batch):
-            raise EmbeddingError(f"expected {len(batch)} vectors, got {len(vectors)}")
+        payload = self._endpoint.post({"model": self.cfg.model, "input": batch}, timeout=60)
+        try:
+            vectors = ([row["embedding"] for row in payload["data"]] if "data" in payload
+                       else payload["embeddings"])
+            got = len(vectors)
+        except (KeyError, TypeError) as exc:
+            raise EmbeddingError(f"malformed embeddings reply: {exc!r}") from exc
+        if got != len(batch):
+            raise EmbeddingError(f"expected {len(batch)} vectors, got {got}")
         return vectors
 
     def embed(self, texts: list[str]) -> np.ndarray:
@@ -159,7 +132,7 @@ class RemoteEmbedder:
                 arr = np.asarray(vec, dtype=np.float64)
                 if arr.shape != (self.cfg.dim,):
                     raise EmbeddingError(
-                        f"dimension mismatch: expected {self.cfg.dim}, got {arr.shape[0]}"
+                        f"dimension mismatch: expected ({self.cfg.dim},), got {arr.shape}"
                     )
                 if not np.all(np.isfinite(arr)):
                     raise EmbeddingError("non-finite values in remote embedding")

@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
-from semtree.cluster import ReducerConfig, fit_gmm, reduce, select_k_bic, soft_assign
+from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 2
@@ -51,11 +51,6 @@ class StoppingCriteria:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    soft_threshold: float = 0.2
 
 
 @dataclass(eq=False, frozen=True)
@@ -216,20 +211,20 @@ def validate_tree(t: TreeIndex) -> None:
 def build_tree(
     lib: ArtifactLibrary,
     embedder,
-    reducer_cfg: ReducerConfig | None = None,
-    cluster_cfg: ClusterConfig | None = None,
+    target_dim: int = 10,
+    soft_threshold: float = 0.2,
     summarizer=None,
     stop: StoppingCriteria | None = None,
     seed: int = 0,
 ) -> TreeIndex:
     """Build the index bottom-up from an artifact library.
 
-    ``summarizer`` is a chat client (or None for the offline extractive
-    summarizer).  With offline providers and a fixed seed the result is
-    a pure function of (library, config).
+    Each level is clustered on its top ``target_dim`` principal components,
+    and a node joins every cluster with at least ``soft_threshold``
+    responsibility.  ``summarizer`` is a chat client (or None for the
+    offline extractive summarizer).  With offline providers and a fixed
+    seed the result is a pure function of (library, config).
     """
-    reducer_cfg = reducer_cfg or ReducerConfig()
-    cluster_cfg = cluster_cfg or ClusterConfig()
     stop = stop or StoppingCriteria()
 
     nodes: dict[str, TreeNode] = {}
@@ -254,14 +249,14 @@ def build_tree(
         layers = level + 1
         if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
             break
-        reduced = reduce(blocks[-1], reducer_cfg)
+        reduced = reduce(blocks[-1], target_dim)
         upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
         if upper < 2:
             # Too few nodes for BIC selection: merge everything into one parent.
             model = fit_gmm(reduced, 1, seed)
         else:
             model, _ = select_k_bic(reduced, range(2, upper + 1), seed)
-        assignment = soft_assign(model, reduced, cluster_cfg.soft_threshold)
+        assignment = soft_assign(model, reduced, soft_threshold)
 
         clusters: list[list[str]] = [[] for _ in range(model.k)]
         for i, nid in enumerate(current):
@@ -293,9 +288,9 @@ def build_tree(
         roots=tuple(current),
         embeddings=np.vstack(blocks),
         config={
-            "reducer": {"method": "pca", "target_dim": reducer_cfg.target_dim},
+            "reducer": {"method": "pca", "target_dim": target_dim},
             "cluster": {
-                "soft_threshold": cluster_cfg.soft_threshold,
+                "soft_threshold": soft_threshold,
                 "max_k": MAX_K,
             },
             "stopping": {

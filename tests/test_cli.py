@@ -115,6 +115,31 @@ def test_config_file_and_flag_precedence(catalog, tmp_path, capsys):
     assert json.loads(idx2.read_text())["config"]["embedder"]["dim"] == 32
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"dim": null}', "'dim'"),
+    ('{"dim": [1]}', "'dim'"),
+    ('{"seed": {"v": 1}}', "'seed'"),
+    ('"seed"', "JSON object"),
+])
+def test_config_file_of_non_scalar_settings_exits_1(catalog, tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), "build", str(catalog),
+                         "--out", str(tmp_path / "i.json"))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_build_dim_below_one_exits_1(catalog, tmp_path, capsys, dim):
+    code, out, err = run(capsys, "build", str(catalog), "--out", str(tmp_path / "i.json"),
+                         "--dim", dim)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "dim must be >= 1" in err
+
+
 # --- search ---------------------------------------------------------------
 
 @pytest.fixture()
@@ -158,6 +183,16 @@ def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err and "missing.json" in err
+
+
+def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):
+    doc = json.loads(built_index.read_text())
+    doc["config"]["embedder"]["dim"] = 0
+    built_index.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", "x")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "dim must be >= 1" in err
 
 
 # --- bench ----------------------------------------------------------------
@@ -236,6 +271,30 @@ def test_bench_llm_stub_degrades_gracefully(catalog, pairs, tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert len(report["records"]) == 3  # no sample aborted the run
+
+
+# --- remote providers -------------------------------------------------------
+
+PROVIDER_COMMANDS = {
+    "search-rerank": ("LLM_API_BASE", "search --index {index} --intent x --rerank"),
+    "bench-llm": ("LLM_API_BASE",
+                  "bench --solution llm --catalog {catalog} --pairs {pairs} --out {out}"),
+    "build-remote": ("EMBED_API_BASE", "build {catalog} --out {out} --provider remote"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDER_COMMANDS))
+def test_unset_provider_endpoint_exits_1(name, catalog, pairs, built_index, tmp_path,
+                                         capsys, monkeypatch):
+    base_env, command = PROVIDER_COMMANDS[name]
+    monkeypatch.delenv(base_env, raising=False)
+    argv = command.format(index=built_index, catalog=catalog, pairs=pairs,
+                          out=tmp_path / "out.json").split()
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: no endpoint configured: set {base_env}" in err
+    assert "Traceback" not in err
 
 
 # --- secrets never reach logs or reports ----------------------------------

@@ -4,7 +4,6 @@ import pytest
 from semtree import cluster
 from semtree.cluster import (
     GmmModel,
-    ReducerConfig,
     VARIANCE_FLOOR,
     bic,
     fit_gmm,
@@ -36,7 +35,7 @@ def three_blob_data(seed=0, n=100, sigma=0.5):
 def test_reduce_line_captures_variance():
     t = np.linspace(0, 1, 30)
     X = np.stack([t, t], axis=1)
-    reduced = reduce(X, ReducerConfig(target_dim=1))
+    reduced = reduce(X, 1)
     assert reduced.shape == (30, 1)
     assert reduced.var(axis=0).sum() / X.var(axis=0).sum() >= 0.999
 
@@ -44,7 +43,7 @@ def test_reduce_line_captures_variance():
 def test_reduce_matches_svd_oracle():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 16))
-    reduced = reduce(X, ReducerConfig(target_dim=4))
+    reduced = reduce(X, 4)
     # oracle: direct truncated SVD of the centered matrix, U_k S_k up to sign
     u, s, _ = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
     assert np.allclose(np.abs(reduced), np.abs(u[:, :4] * s[:4]), rtol=0.0, atol=1e-9)
@@ -55,7 +54,7 @@ def test_reduce_matches_svd_oracle():
 def test_reduce_degenerate_identity_fallback(caplog):
     X = np.ones((6, 3))
     with caplog.at_level("WARNING"):
-        reduced = reduce(X, ReducerConfig(target_dim=2))
+        reduced = reduce(X, 2)
     assert np.array_equal(reduced, X)
     assert "identity reduction" in caplog.text
 

@@ -96,16 +96,19 @@ class FakeResponse:
         return self._payload
 
     def raise_for_status(self):
-        pass
+        if self.status_code >= 400:
+            raise RuntimeError(f"HTTP {self.status_code}")
 
 
 class FakeSession:
     def __init__(self, payloads):
         self.payloads = list(payloads)
         self.calls = 0
+        self.headers = []  # the headers of each request, in order
 
     def post(self, *args, **kwargs):
         self.calls += 1
+        self.headers.append(kwargs["headers"])
         return self.payloads.pop(0)
 
 
@@ -115,6 +118,13 @@ def test_remote_dimension_mismatch():
     embedder = RemoteEmbedder(cfg, session=session)
     with pytest.raises(EmbeddingError, match="dimension mismatch"):
         embedder.embed(["text"])
+
+
+def test_remote_scalar_row_is_a_dimension_mismatch():
+    cfg = EmbedderConfig(provider="remote", dim=2, endpoint="https://stub/embed")
+    session = FakeSession([FakeResponse({"embeddings": [5.0]})])
+    with pytest.raises(EmbeddingError, match="dimension mismatch"):
+        RemoteEmbedder(cfg, session=session).embed(["text"])
 
 
 def test_remote_retries_then_succeeds(monkeypatch):
@@ -132,8 +142,7 @@ def test_remote_retries_then_succeeds(monkeypatch):
 
 def test_remote_exhausts_retry_budget(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    cfg = EmbedderConfig(provider="remote", dim=2, endpoint="https://stub/embed",
-                         max_attempts=3)
+    cfg = EmbedderConfig(provider="remote", dim=2, endpoint="https://stub/embed")
     session = FakeSession([FakeResponse({}, status=500)] * 3)
     embedder = RemoteEmbedder(cfg, session=session)
     with pytest.raises(EmbeddingError):
@@ -141,8 +150,7 @@ def test_remote_exhausts_retry_budget(monkeypatch):
     assert session.calls == 3
 
 
-@pytest.mark.parametrize("max_attempts", [0, -1])
-def test_config_rejects_empty_retry_budget(max_attempts):
-    with pytest.raises(ValueError, match="max_attempts"):
-        EmbedderConfig(provider="remote", endpoint="https://stub/embed",
-                       max_attempts=max_attempts)
+@pytest.mark.parametrize("dim", [0, -3])
+def test_config_rejects_dim_below_one(dim):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        EmbedderConfig(dim=dim)

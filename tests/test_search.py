@@ -10,7 +10,7 @@ from conftest import (
     perturbed_intents,
 )
 from semtree.catalog import Artifact, ArtifactLibrary
-from semtree.llm import LlmConfig, LlmError
+from semtree.llm import LlmError
 from semtree.search import (
     RankedList,
     SearchConfig,
@@ -286,8 +286,3 @@ def test_recommend_deterministic(tiny_index, hashed_embedder):
     b = recommend(tiny_index, "parse yaml", cfg, hashed_embedder)
     assert a.entries == b.entries
 
-
-@pytest.mark.parametrize("max_attempts", [0, -1])
-def test_llm_config_rejects_empty_retry_budget(max_attempts):
-    with pytest.raises(ValueError, match="max_attempts"):
-        LlmConfig(endpoint="https://stub/chat", max_attempts=max_attempts)
