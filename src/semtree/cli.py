@@ -39,7 +39,10 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"config file {path}: not a JSON document: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path}: expected a JSON object of settings")
     for key, value in cfg.items():
@@ -130,6 +133,7 @@ def _embedder_for_index(index, args, file_cfg):
         dim=dim,
         seed=seed,
         model=stored.get("model", ""),
+        endpoint=_resolve(args, file_cfg, "embed_endpoint", ""),
     )
     return make_embedder(cfg)
 

@@ -10,12 +10,23 @@ EM works component-major: log densities and responsibilities are (k, n)
 C-contiguous arrays (``weighted_log_prob(...).T``), so every per-sample
 reduction runs over k contiguous rows of n values, and the M-step is one
 matmul of the responsibilities with ``[X, X²]``.
+
+The BIC sweep fits its candidate k's in forked worker processes, one
+per CPU in the process's affinity mask, so ``taskset`` limits it.  Each
+k is fitted the same way whatever process runs it and the curve is read
+in k order, so the chosen model and the index bytes do not depend on the
+number of workers.  Fork, not spawn, keeps the parent's module state: a
+worker calls whatever ``fit_gmm`` and kernel the parent has in place,
+and only the data, the k's and the fitted models are pickled.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,19 +171,37 @@ def bic(model: GmmModel, n: int) -> float:
     return p * math.log(n) - 2.0 * model.log_likelihood
 
 
+def _fit_candidate(X: np.ndarray, seed: int, k: int) -> GmmModel:
+    return fit_gmm(X, k, seed, n_init=BIC_RESTARTS)
+
+
 def select_k_bic(data: np.ndarray, k_range: range,
                  seed: int) -> tuple[GmmModel, list[tuple[int, float]]]:
-    """Fit one GMM per candidate k and return the BIC minimizer plus the curve."""
+    """Fit one GMM per candidate k and return the BIC minimizer plus the curve.
+
+    With more than one CPU the fits run in a forked pool that lives only
+    for this call, largest k first so that the longest fits start early.
+    A daemonic process may not have children, so there, as on one CPU,
+    they run in this process.
+    """
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
     candidates = [k for k in k_range if 1 <= k < n]
     if not candidates:
         raise ValueError(f"no valid k in {k_range!r} for n={n}")
+    fit = functools.partial(_fit_candidate, X, seed)
+    workers = min(len(os.sched_getaffinity(0)), len(candidates))
+    if workers < 2 or multiprocessing.current_process().daemon:
+        fits = dict(zip(candidates, map(fit, candidates)))
+    else:
+        largest_first = sorted(candidates, reverse=True)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            fits = dict(zip(largest_first, pool.imap(fit, largest_first)))
     curve: list[tuple[int, float]] = []
     best: GmmModel | None = None
     best_bic = math.inf
     for k in candidates:
-        model = fit_gmm(X, k, seed, n_init=BIC_RESTARTS)
+        model = fits[k]
         value = bic(model, n)
         curve.append((k, value))
         if value < best_bic:

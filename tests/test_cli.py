@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from semtree.cli import main
+from semtree.cli import _embedder_for_index, _load_config_file, build_parser, main
+from semtree.embed import RemoteEmbedder
+from semtree.tree import load_tree
 
 
 @pytest.fixture()
@@ -129,6 +131,17 @@ def test_config_file_of_non_scalar_settings_exits_1(catalog, tmp_path, capsys, t
     assert code == 1
     assert out == ""
     assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("data", [b"", b"\xff{}"])
+def test_config_file_that_is_not_json_exits_1(catalog, tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    code, out, err = run(capsys, "--config", str(cfg), "build", str(catalog),
+                         "--out", str(tmp_path / "i.json"))
+    assert code == 1
+    assert out == ""
+    assert f"error: config file {cfg}: not a JSON document" in err
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])
@@ -295,6 +308,22 @@ def test_unset_provider_endpoint_exits_1(name, catalog, pairs, built_index, tmp_
     assert out == ""
     assert f"error: no endpoint configured: set {base_env}" in err
     assert "Traceback" not in err
+
+
+def test_remote_index_embedder_takes_the_config_endpoint(built_index, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.delenv("EMBED_API_BASE", raising=False)
+    doc = json.loads(built_index.read_text())
+    doc["config"]["embedder"]["provider"] = "remote"
+    built_index.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"embed_endpoint": "http://localhost:9/embed"}))
+    args = build_parser().parse_args(["--config", str(cfg), "search",
+                                      "--index", str(built_index), "--intent", "x"])
+    embedder = _embedder_for_index(load_tree(args.index), args,
+                                   _load_config_file(args.config))
+    assert isinstance(embedder, RemoteEmbedder)
+    assert embedder.cfg.endpoint == "http://localhost:9/embed"
 
 
 # --- secrets never reach logs or reports ----------------------------------

@@ -1,3 +1,7 @@
+import hashlib
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,10 @@ from semtree.cluster import (
     select_k_bic,
     soft_assign,
 )
+from semtree.tree import build_tree, save_tree
+from conftest import make_family_library
 from test_kernels import loop_weighted_log_prob
+from test_tree import BUILD_GATE_SHA256
 
 
 def two_blob_data(seed=0, sigma=0.5):
@@ -248,6 +255,74 @@ def test_underflow_case_has_exactly_zero_responsibilities():
 def test_bic_empty_range():
     with pytest.raises(ValueError, match="no valid k"):
         select_k_bic(np.zeros((4, 2)), range(8, 9), seed=0)
+
+
+# --- the BIC sweep's worker pool -------------------------------------------
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def sweep_case(case, hashed_embedder):
+    if case == "level-0":  # the pinned build's first level: k = 2..18 over 300 rows
+        lib = make_family_library(n_families=15, per_family=20, seed=12)
+        X = reduce(hashed_embedder.embed([a.description for a in lib.artifacts]), 10)
+        return X, range(2, 19)
+    return ill_conditioned(case)
+
+
+@pytest.mark.parametrize("case", ["level-0", "duplicates@1e6"])
+def test_pooled_sweep_is_bit_equal_to_one_cpu(case, hashed_embedder, monkeypatch):
+    X, k_range = sweep_case(case, hashed_embedder)
+    set_cpus(monkeypatch, 2)
+    pooled, pooled_curve = select_k_bic(X, k_range, seed=0)
+    assert multiprocessing.active_children() == []
+    set_cpus(monkeypatch, 1)
+    serial, serial_curve = select_k_bic(X, k_range, seed=0)
+    assert pooled.k == serial.k
+    assert pooled_curve == serial_curve
+    for name in ("weights", "means", "variances"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert pooled.ll_history == serial.ll_history
+
+
+class SweepFault(Exception):
+    pass
+
+
+def failing_fit(data, k, seed, *, n_init=1):
+    if k == 4:
+        raise SweepFault(f"k={k} in process {os.getpid()}")
+    return fit_gmm(data, k, seed, n_init=n_init)
+
+
+def test_a_fault_in_a_worker_reaches_the_caller(monkeypatch):
+    X, _ = three_blob_data(seed=0)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cluster, "fit_gmm", failing_fit)
+    with pytest.raises(SweepFault, match="k=4 in process") as raised:
+        select_k_bic(X, range(2, 7), seed=0)
+    assert raised.value.args[0] != f"k=4 in process {os.getpid()}"  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def build_into(embedder, path):
+    lib = make_family_library(n_families=15, per_family=20, seed=12)
+    save_tree(build_tree(lib, embedder, seed=0), path)
+
+
+def test_a_daemonic_process_builds_the_same_bytes(hashed_embedder, tmp_path, monkeypatch):
+    # A daemonic process may not start a pool; with two CPUs reported it
+    # must fit in process rather than fail.
+    set_cpus(monkeypatch, 2)
+    path = tmp_path / "index.json"
+    child = multiprocessing.get_context("fork").Process(
+        target=build_into, args=(hashed_embedder, path), daemon=True)
+    child.start()
+    child.join(timeout=120)
+    assert not child.is_alive()
+    assert child.exitcode == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
 
 
 # --- soft_assign ----------------------------------------------------------
