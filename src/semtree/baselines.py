@@ -19,7 +19,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class TermIndex:
     postings_term: np.ndarray
     postings_doc: np.ndarray
     postings_tf: np.ndarray
+    # LSI space by rank: the top right singular vectors (rank, V) of the
+    # tf-idf matrix and the documents' coordinates on them (n, rank).
+    lsi_spaces: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
 
 
 def build_term_index(lib: ArtifactLibrary) -> TermIndex:
@@ -149,6 +153,16 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     return _ranked(idx.doc_ids, intent, scores)
 
 
+def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index's rank-``rank`` LSI space, from one SVD per index and rank."""
+    if rank not in idx.lsi_spaces:
+        X = np.zeros((idx.n_docs, len(idx.vocabulary)))
+        X[idx.postings_doc, idx.postings_term] = _tfidf_weights(idx)
+        vt = np.linalg.svd(X, full_matrices=False)[2][:rank].copy()
+        idx.lsi_spaces[rank] = vt, X @ vt.T
+    return idx.lsi_spaces[rank]
+
+
 def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     """Truncated SVD of the tf-idf matrix; cosine in the latent space."""
     max_rank = min(idx.n_docs, len(idx.vocabulary))
@@ -158,12 +172,8 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     q = _tfidf_query(idx, intent)
     if not q.any():
         return _ranked(idx.doc_ids, intent, np.zeros(idx.n_docs))
-    X = np.zeros((idx.n_docs, len(idx.vocabulary)))
-    X[idx.postings_doc, idx.postings_term] = _tfidf_weights(idx)
-    _, _, vt = np.linalg.svd(X, full_matrices=False)
-    basis = vt[:rank].T  # (V, rank)
-    docs_latent = X @ basis
-    q_latent = q @ basis
+    vt, docs_latent = _lsi_space(idx, rank)
+    q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
     dn = np.linalg.norm(docs_latent, axis=1)
     scores = np.zeros(idx.n_docs)

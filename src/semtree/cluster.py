@@ -7,9 +7,10 @@ variance floor against duplicate points, and is fully deterministic
 given a seed.
 
 EM works component-major: log densities and responsibilities are (k, n)
-C-contiguous arrays (``weighted_log_prob(...).T``), so every per-sample
-reduction runs over k contiguous rows of n values, and the M-step is one
-matmul of the responsibilities with ``[X, X²]``.
+C-contiguous arrays, so every per-sample reduction runs over k contiguous
+rows of n values, and the M-step is one matmul of the responsibilities
+with ``[X, X²]``.  A fit's restarts run together as one (r, k, n) stack,
+each restart's slice computed as it would be alone.
 
 The BIC sweep fits its candidate k's in forked worker processes, one
 per CPU in the process's affinity mask, so ``taskset`` limits it.  Each
@@ -78,12 +79,15 @@ class GmmModel:
 
 
 def _normalize(wlp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities (k, n) and per-sample log-likelihoods (n,) of the
-    (k, n) weighted log densities ``wlp``, by one max-shifted exp."""
-    m = wlp.max(axis=0)
-    e = np.exp(wlp - m)
-    s = e.sum(axis=0)
-    return e * (1.0 / s), m + np.log(s)
+    """Responsibilities (..., k, n) and per-sample log-likelihoods (..., n)
+    of the weighted log densities ``wlp``, by one max-shifted exp over the
+    k axis.  ``wlp`` is overwritten: it becomes the responsibilities."""
+    m = wlp.max(axis=-2, keepdims=True)
+    wlp -= m
+    np.exp(wlp, out=wlp)
+    s = wlp.sum(axis=-2, keepdims=True)
+    wlp *= 1.0 / s
+    return wlp, (m + np.log(s))[..., 0, :]
 
 
 def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,64 +109,74 @@ def _kmeanspp_means(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def fit_gmm(data: np.ndarray, k: int, seed: int, *, n_init: int = 1) -> GmmModel:
     """Fit a diagonal-covariance Gaussian mixture by EM.
 
-    Converges when the absolute log-likelihood change drops below
-    ``EM_TOL`` (or after ``EM_MAX_ITER`` iterations); the likelihood is
-    checked non-decreasing every step.  With ``n_init > 1`` the fit is
-    restarted from seeds derived deterministically from ``seed`` and
-    the best-likelihood run wins, which guards against bad local
-    optima of the k-means++ seeding.
+    The fit is restarted ``n_init`` times from seeds ``seed + 7919·i``
+    against bad k-means++ seedings; the first restart with the best
+    likelihood wins.  Each restart stops when its log-likelihood changes
+    by less than ``EM_TOL`` (or after ``EM_MAX_ITER`` iterations) and is
+    checked non-decreasing every step.  The restarts advance together as
+    one (r, k, n) stack, which a converged restart leaves; every operation
+    acts on each restart's slice as on that restart alone, so each fit is
+    bit for bit the lone ``n_init=1`` fit from its seed.
     """
-    if n_init > 1:
-        fits = [fit_gmm(data, k, seed + 7919 * i) for i in range(n_init)]
-        return max(fits, key=lambda m: m.log_likelihood)
     X = np.asarray(data, dtype=np.float64)
     n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 1 or n_init < 1:
+        raise ValueError("k and n_init must be >= 1")
     if n <= k:
         raise ValueError(f"need more points than components (n={n}, k={k})")
-    rng = np.random.default_rng(seed)
-    means = _kmeanspp_means(X, k, rng)
-    global_var = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
-    variances = np.tile(global_var, (k, 1))
-    weights = np.full(k, 1.0 / k)
+    means = np.stack([_kmeanspp_means(X, k, np.random.default_rng(seed + 7919 * i))
+                      for i in range(n_init)])
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (n_init, k, 1))
+    weights = np.full((n_init, k), 1.0 / k)
     moments_of = np.hstack([X, X * X])  # the M-step's one matmul operand
 
-    prev_ll = -np.inf
-    history: list[float] = []
+    live = np.arange(n_init)  # the restart each stack row holds
+    prev_ll = np.full(n_init, -np.inf)
+    histories: list[list[float]] = [[] for _ in range(n_init)]
+    fits: list[GmmModel | None] = [None] * n_init
+
+    def finish(rows) -> None:
+        for i in rows:
+            r = live[i]
+            fits[r] = GmmModel(k=k, weights=weights[i], means=means[i], variances=variances[i],
+                               log_likelihood=float(prev_ll[i]), ll_history=tuple(histories[r]))
+
+    # One buffer for every E-step: a fresh array of this size each step is
+    # often handed back to the system by malloc and page-faulted in anew.
+    work = np.empty((n_init, k, n))
     for _ in range(EM_MAX_ITER):
-        resp, log_norm = _normalize(weighted_log_prob(X, means, variances,
-                                                      np.log(weights)).T)
-        ll = float(log_norm.sum())
-        if ll + 1e-8 < prev_ll:
-            raise AssertionError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
-        history.append(ll)
-        converged = math.isfinite(prev_ll) and abs(ll - prev_ll) < EM_TOL
+        resp, log_norm = _normalize(weighted_log_prob(X, means, variances, np.log(weights),
+                                                      out=work[:len(live)]))
+        ll = log_norm.sum(axis=-1)
+        for i, r in enumerate(live):
+            if ll[i] + 1e-8 < prev_ll[i]:
+                raise AssertionError(f"EM log-likelihood decreased: {prev_ll[i]} -> {ll[i]}")
+            histories[r].append(float(ll[i]))
+        converged = np.isfinite(prev_ll) & (np.abs(ll - prev_ll) < EM_TOL)
         prev_ll = ll
-        if converged:
-            break
-        nk = resp.sum(axis=1) + 1e-300
+        if converged.any():
+            finish(np.flatnonzero(converged))
+            keep = ~converged
+            if not keep.any():
+                break
+            live, prev_ll, resp = live[keep], prev_ll[keep], resp[keep]
+            weights, means, variances = weights[keep], means[keep], variances[keep]
+        nk = resp.sum(axis=-1) + 1e-300
         weights = nk / n
-        moments = (resp @ moments_of) / nk[:, None]
-        means, ex2 = moments[:, :d], moments[:, d:]
+        moments = (resp @ moments_of) / nk[..., None]
+        means, ex2 = moments[..., :d], moments[..., d:]
         variances = ex2 - means**2
         # E[x²] − μ² cancels where a mean is far from the origin relative to
         # its spread (duplicates at an offset of 1e5 lose the whole floor and
         # break EM's monotonicity); where over 20 bits cancel, recompute from
         # x − μ.  Build data is centered, so that is rare there.
-        for j in np.flatnonzero(np.any(ex2 > 2.0**20 * variances, axis=1)):
-            diff = X - means[j]
-            variances[j] = (resp[j] @ (diff * diff)) / nk[j]
+        for i, j in zip(*np.nonzero(np.any(ex2 > 2.0**20 * variances, axis=-1))):
+            diff = X - means[i, j]
+            variances[i, j] = (resp[i, j] @ (diff * diff)) / nk[i, j]
         variances = np.maximum(variances, VARIANCE_FLOOR)
-
-    return GmmModel(
-        k=k,
-        weights=weights,
-        means=means,
-        variances=variances,
-        log_likelihood=prev_ll,
-        ll_history=tuple(history),
-    )
+    else:
+        finish(range(len(live)))
+    return max(fits, key=lambda m: m.log_likelihood)
 
 
 def bic(model: GmmModel, n: int) -> float:
@@ -223,7 +237,7 @@ def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> So
     if X.shape[1] != model.dim:
         raise ValueError("data dimensionality does not match the fitted model")
     resp = _normalize(weighted_log_prob(X, model.means, model.variances,
-                                        np.log(model.weights)).T)[0].T
+                                        np.log(model.weights)))[0].T
     picked = resp >= threshold
     picked[np.arange(len(resp)), resp.argmax(axis=1)] = True
     clusters = np.nonzero(picked)[1].tolist()  # row-major: by item, then cluster

@@ -55,9 +55,16 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+@functools.lru_cache(maxsize=8)
+def _keyed_hasher(seed: int):
+    """A blake2b state keyed by ``seed``, shared: hash with a ``.copy()``
+    of it, which skips the keying, and never update it."""
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
+
+
 def _hash_feature(feature: str, seed: int) -> int:
-    h = hashlib.blake2b(feature.encode("utf-8"), digest_size=8,
-                        key=seed.to_bytes(8, "little", signed=True))
+    h = _keyed_hasher(seed).copy()
+    h.update(feature.encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
 
 

@@ -340,7 +340,8 @@ def save_tree(t: TreeIndex, path: str) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        # dumps runs the C encoder; dump streams through the pure-Python one
+        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from semtree.baselines import (
+    _ranked,
     build_term_index,
     jensen_shannon_divergence,
     llm_two_stage,
@@ -206,6 +207,37 @@ def test_lsi_two_topic_separation():
     idx = build_term_index(lib)
     ranked = score_lsi(idx, "felines purring cats", rank=2)
     assert set(ranked.ids()[:2]) == {"d00", "d01"}
+
+
+def reference_lsi_scores(idx, intent, rank):
+    """LSI as a fresh SVD on every query: the oracle for the kept space."""
+    q = np.bincount([idx.vocabulary[t] for t in tokenize(intent) if t in idx.vocabulary],
+                    minlength=len(idx.vocabulary)) * np.log((1.0 + idx.n_docs) / (1.0 + idx.df))
+    X = np.zeros((idx.n_docs, len(idx.vocabulary)))
+    X[idx.postings_doc, idx.postings_term] = (
+        idx.postings_tf * np.log((1.0 + idx.n_docs) / (1.0 + idx.df))[idx.postings_term])
+    basis = np.linalg.svd(X, full_matrices=False)[2][:rank].T
+    docs_latent, q_latent = X @ basis, q @ basis
+    qn, dn = np.linalg.norm(q_latent), np.linalg.norm(docs_latent, axis=1)
+    scores = np.zeros(idx.n_docs)
+    mask = (dn > 0) & (qn > 0)
+    scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
+    scores[np.abs(scores) < 1e-10] = 0.0
+    return scores
+
+
+def test_lsi_runs_one_svd_per_index_and_rank(corpus20, monkeypatch):
+    idx = build_term_index(corpus20)
+    queries = [(rank, intent) for rank in (3, 8) for intent in ("w2 w6 w11", "w1 w1 w29")]
+    want = {(rank, intent): _ranked(idx.doc_ids, intent,
+                                    reference_lsi_scores(idx, intent, rank)).entries
+            for rank, intent in queries}
+    real_svd = np.linalg.svd
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a) or real_svd(*a, **kw))
+    for rank, intent in queries * 2:
+        assert score_lsi(idx, intent, rank=rank).entries == want[rank, intent]
+    assert len(svds) == 2  # one per rank; repeated and later queries reuse it
 
 
 def test_lsi_clamps_rank(corpus20, caplog):

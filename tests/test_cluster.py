@@ -17,7 +17,7 @@ from semtree.cluster import (
 )
 from semtree.tree import build_tree, save_tree
 from conftest import make_family_library
-from test_kernels import loop_weighted_log_prob
+from test_kernels import loop_kernel, loop_weighted_log_prob
 from test_tree import BUILD_GATE_SHA256
 
 
@@ -163,7 +163,7 @@ def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
         return model.k, len(model.ll_history), soft_assign(model, X).memberships
 
     got = outcome()
-    monkeypatch.setattr(cluster, "weighted_log_prob", loop_weighted_log_prob)
+    monkeypatch.setattr(cluster, "weighted_log_prob", loop_kernel)
     assert got == outcome()
 
 
@@ -284,6 +284,44 @@ def test_pooled_sweep_is_bit_equal_to_one_cpu(case, hashed_embedder, monkeypatch
     for name in ("weights", "means", "variances"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
     assert pooled.ll_history == serial.ll_history
+
+
+# --- stacked restarts ------------------------------------------------------
+
+def assert_same_fit(got, want):
+    assert got.k == want.k
+    for name in ("weights", "means", "variances"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.log_likelihood == want.log_likelihood
+    assert got.ll_history == want.ll_history
+
+
+def restarts_alone(X, k_range, seed=0):
+    """Check, for each k, that the restarts fitted together give, bit for
+    bit, the first best of the lone fits from seeds ``seed + 7919·i``;
+    return each k's lone iteration counts."""
+    iterations = {}
+    for k in k_range:
+        alone = [fit_gmm(X, k, seed + 7919 * i) for i in range(cluster.BIC_RESTARTS)]
+        assert_same_fit(fit_gmm(X, k, seed, n_init=cluster.BIC_RESTARTS),
+                        max(alone, key=lambda m: m.log_likelihood))
+        iterations[k] = [len(m.ll_history) for m in alone]
+    return iterations
+
+
+@pytest.mark.parametrize("case", ["level-0"] + ILL_CONDITIONED)
+def test_stacked_restarts_equal_the_best_lone_fit(case, hashed_embedder):
+    X, k_range = sweep_case(case, hashed_embedder)
+    iterations = restarts_alone(X, k_range)
+    # some k's restarts leave the stack at different iterations
+    assert any(len(set(counts)) > 1 for counts in iterations.values())
+
+
+def test_stacked_restarts_stopped_at_the_iteration_cap(hashed_embedder, monkeypatch):
+    monkeypatch.setattr(cluster, "EM_MAX_ITER", 20)
+    X, k_range = sweep_case("level-0", hashed_embedder)
+    counts = [n for per_k in restarts_alone(X, k_range).values() for n in per_k]
+    assert max(counts) == 20 and min(counts) < 20
 
 
 class SweepFault(Exception):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +48,15 @@ def test_memoized_embed_matches_reference(text):
     want = reference_hashed_embed(text, 64, 5).tobytes()
     for _ in range(2):  # the second call reads the memo
         assert _hashed_embed(text, 64, 5).tobytes() == want
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_copied_keyed_hasher_matches_a_freshly_keyed_one(seed):
+    for feature in ("json", "#js", "on#", "", "漢字", "#é#", "grüße"):
+        fresh = hashlib.blake2b(feature.encode("utf-8"), digest_size=8,
+                                key=seed.to_bytes(8, "little", signed=True))
+        for _ in range(2):  # the keyed state is copied, never consumed
+            assert _hash_feature(feature, seed) == int.from_bytes(fresh.digest(), "little")
 
 
 def test_embedders_of_other_settings_do_not_share_memo_entries():

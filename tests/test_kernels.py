@@ -22,6 +22,17 @@ def loop_weighted_log_prob(X, means, variances, log_weights):
     return out
 
 
+def loop_kernel(X, means, variances, log_weights, out=None):
+    """The loop oracle behind the kernel's interface: each model of a
+    ``(..., k, d)`` stack in turn, transposed to component-major ``(..., k, n)``."""
+    if out is None:
+        out = np.empty(means.shape[:-1] + (X.shape[0],))
+    for model in np.ndindex(means.shape[:-2]):
+        out[model] = loop_weighted_log_prob(X, means[model], variances[model],
+                                            log_weights[model]).T
+    return out
+
+
 def random_gmm_inputs(seed=0, n=40, d=6, k=4):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
@@ -52,7 +63,7 @@ def random_bm25_inputs(seed=1, n_docs=15, vocab=25):
 
 def test_weighted_log_prob_matches_scipy_style_oracle():
     X, means, variances, log_w = random_gmm_inputs()
-    got = kernels.weighted_log_prob(X, means, variances, log_w)
+    got = kernels.weighted_log_prob(X, means, variances, log_w).T
     # independent oracle: per-dimension normal log pdfs summed explicitly
     for i in range(5):
         for j in range(means.shape[0]):
@@ -69,8 +80,30 @@ def test_weighted_log_prob_matches_scipy_style_oracle():
 def test_weighted_log_prob_matches_loop_oracle(seed, n, d, k):
     X, means, variances, log_w = random_gmm_inputs(seed, n, d, k)
     got = kernels.weighted_log_prob(X, means, variances, log_w)
-    want = loop_weighted_log_prob(X, means, variances, log_w)
+    want = loop_kernel(X, means, variances, log_w)
+    assert got.shape == (k, n) and got.flags.c_contiguous
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def random_stack(seed, n, d, k, r=3):
+    X = random_gmm_inputs(seed, n, d, k)[0]
+    models = [random_gmm_inputs(seed + 100 * i, n, d, k)[1:] for i in range(r)]
+    return (X,) + tuple(np.stack(part) for part in zip(*models))
+
+
+@pytest.mark.parametrize("seed,n,d,k", [(0, 40, 6, 4), (1, 300, 10, 16), (2, 50, 1, 3),
+                                         (3, 7, 17, 5)])
+def test_stacked_models_equal_each_model_alone(seed, n, d, k):
+    X, means, variances, log_w = random_stack(seed, n, d, k)
+    got = kernels.weighted_log_prob(X, means, variances, log_w)
+    assert got.shape == (3, k, n) and got.flags.c_contiguous
+    for i in range(3):
+        alone = kernels.weighted_log_prob(X, means[i], variances[i], log_w[i])
+        assert got[i].tobytes() == alone.tobytes(), i
+    buffer = np.full((4, k, n), np.nan)
+    assert kernels.weighted_log_prob(X, means, variances, log_w, out=buffer[:3]).base is buffer
+    assert buffer[:3].tobytes() == got.tobytes()
+    assert np.allclose(got, loop_kernel(X, means, variances, log_w), rtol=1e-12, atol=0.0)
 
 
 def test_weighted_log_prob_cancellation_guard():
@@ -85,11 +118,15 @@ def test_weighted_log_prob_cancellation_guard():
     variances = np.full((7, 10), VARIANCE_FLOOR)
     variances[6] = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
     log_w = np.log(np.full(7, 1.0 / 7))
-    got = kernels.weighted_log_prob(X, means, variances, log_w)
-    want = loop_weighted_log_prob(X, means, variances, log_w)
+    # the guarded model sits second in a stack, behind one the guard leaves alone
+    stack = [np.stack([np.zeros_like(part), part]) for part in (means, variances, log_w)]
+    stack[1][0] = 1.0
+    got = kernels.weighted_log_prob(X, *stack, out=np.empty((2, 7, len(X))))
+    want = loop_kernel(X, *stack)
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)
     on_mean = np.flatnonzero(np.all(X == exact, axis=1))
-    assert np.array_equal(got[on_mean, on_mean // 9], want[on_mean, on_mean // 9])
+    assert np.array_equal(got[1, on_mean // 9, on_mean], want[1, on_mean // 9, on_mean])
+    assert got[1].tobytes() == kernels.weighted_log_prob(X, means, variances, log_w).tobytes()
 
 
 def test_bm25_kernel_empty_query():
