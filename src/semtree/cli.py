@@ -2,10 +2,10 @@
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 success, 1 runtime failure (a provider error included),
-2 usage error.  Settings resolve as flags > config file > defaults; a
-config file must be one JSON object of scalar settings (string, number
-or boolean) keyed by flag name.  Credentials are only ever read from
-the environment (LLM_API_KEY / LLM_API_BASE / EMBED_API_KEY /
+2 usage error.  Each setting in ``SETTINGS`` resolves as flag > config
+file > the library's default; a config file must be one JSON object
+keyed by setting name.  Credentials are only ever read from the
+environment (LLM_API_KEY / LLM_API_BASE / EMBED_API_KEY /
 EMBED_API_BASE).
 """
 
@@ -34,8 +34,33 @@ logger = logging.getLogger("semtree")
 
 BASELINE_SOLUTIONS = ("tfidf", "bm25", "lsi", "jsd", "wordavg", "llm", "tree")
 
+# Every setting a flag or the config file can give: its type, then the
+# library parameters it sets, as "owner.parameter".  A setting that
+# neither gives is not passed, so the library's default applies.
+SETTINGS = {
+    "provider": (str, "EmbedderConfig.provider"),
+    "dim": (int, "EmbedderConfig.dim"),
+    "seed": (int, "EmbedderConfig.seed", "build_tree.seed"),
+    "embed_model": (str, "EmbedderConfig.model"),
+    "embed_endpoint": (str, "EmbedderConfig.endpoint"),
+    "target_dim": (int, "build_tree.target_dim"),
+    "soft_threshold": (float, "build_tree.soft_threshold"),
+    "max_depth": (int, "StoppingCriteria.max_depth"),
+    "max_top": (int, "StoppingCriteria.max_top_level_nodes"),
+    "k": (int, "SearchConfig.final_k", "llm_two_stage.final_k"),
+    "beam": (int, "SearchConfig.beam_width"),
+    "rerank": (bool, "SearchConfig.rerank"),
+    "llm_stub": (str, "ReplayClient.path"),
+    "llm_endpoint": (str, "ChatClient.endpoint"),
+    "llm_model": (str, "ChatClient.model"),
+}
+
+# The EmbedderConfig fields an index records; they override the settings.
+RECORDED_EMBEDDER = ("provider", "dim", "seed", "model")
+
 
 def _load_config_file(path: str | None) -> dict:
+    """The settings in the JSON object at ``path``, each of its flag's type."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -46,39 +71,44 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path}: expected a JSON object of settings")
     for key, value in cfg.items():
-        if value is None or isinstance(value, (list, dict)):
-            raise ValueError(f"config file {path}: setting {key!r} must be a string, "
-                             f"number or boolean, got {value!r}")
+        if key not in SETTINGS:
+            raise ValueError(f"config file {path}: unknown setting {key!r}; "
+                             f"known: {', '.join(SETTINGS)}")
+        # exact types: bool("false") is True, and True is an int to isinstance
+        kind = SETTINGS[key][0]
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ValueError(f"config file {path}: setting {key!r} must be of type "
+                             f"{kind.__name__}, got {value!r}")
+        try:
+            cfg[key] = kind(value)
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValueError(f"config file {path}: setting {key!r}: {exc}") from exc
     return cfg
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _given(args, file_cfg: dict, owner: str) -> dict:
+    """Keyword arguments for the library name ``owner``: the settings that a
+    flag, or else the config file, gave.  Unset ones are left out."""
+    kwargs = {}
+    for name, (_, *params) in SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_cfg.get(name)
+        for param in params:
+            param_owner, _, param_name = param.partition(".")
+            if value is not None and param_owner == owner:
+                kwargs[param_name] = value
+    return kwargs
 
 
-def _embedder_from(args, file_cfg) -> tuple[EmbedderConfig, object]:
-    cfg = EmbedderConfig(
-        provider=_resolve(args, file_cfg, "provider", "hashed-local"),
-        dim=int(_resolve(args, file_cfg, "dim", 256)),
-        seed=int(_resolve(args, file_cfg, "seed", 0)),
-        model=_resolve(args, file_cfg, "embed_model", ""),
-        endpoint=_resolve(args, file_cfg, "embed_endpoint", ""),
-    )
-    return cfg, make_embedder(cfg)
-
-
-def _llm_client(args, file_cfg):
-    stub = _resolve(args, file_cfg, "llm_stub", None)
-    if stub:
-        return ReplayClient(stub)
-    endpoint = _resolve(args, file_cfg, "llm_endpoint", "")
-    model = _resolve(args, file_cfg, "llm_model", "")
-    return ChatClient(endpoint, model)
+def _llm_client(args, file_cfg, required: bool = True):
+    """The chat client that the settings name: recorded replies, or an
+    endpoint, or if ``required`` the one in LLM_API_BASE; else None."""
+    replay = _given(args, file_cfg, "ReplayClient")
+    if replay.get("path"):
+        return ReplayClient(**replay)
+    chat = _given(args, file_cfg, "ChatClient")
+    return ChatClient(**chat) if required or chat.get("endpoint") else None
 
 
 def cmd_ingest(args) -> int:
@@ -90,29 +120,15 @@ def cmd_ingest(args) -> int:
 def cmd_build(args) -> int:
     file_cfg = _load_config_file(args.config)
     lib = load_library(args.catalog)
-    embed_cfg, embedder = _embedder_from(args, file_cfg)
-    summarizer = None
-    if _resolve(args, file_cfg, "llm_stub", None) or _resolve(args, file_cfg, "llm_endpoint", ""):
-        summarizer = _llm_client(args, file_cfg)
-    seed = int(_resolve(args, file_cfg, "seed", 0))
+    embed_cfg = EmbedderConfig(**_given(args, file_cfg, "EmbedderConfig"))
     index = build_tree(
         lib,
-        embedder,
-        target_dim=int(_resolve(args, file_cfg, "target_dim", 10)),
-        soft_threshold=float(_resolve(args, file_cfg, "soft_threshold", 0.2)),
-        summarizer=summarizer,
-        stop=StoppingCriteria(
-            max_depth=int(_resolve(args, file_cfg, "max_depth", 4)),
-            max_top_level_nodes=int(_resolve(args, file_cfg, "max_top", 10)),
-        ),
-        seed=seed,
+        make_embedder(embed_cfg),
+        summarizer=_llm_client(args, file_cfg, required=False),
+        stop=StoppingCriteria(**_given(args, file_cfg, "StoppingCriteria")),
+        **_given(args, file_cfg, "build_tree"),
     )
-    index.config["embedder"] = {
-        "provider": embed_cfg.provider,
-        "dim": embed_cfg.dim,
-        "seed": embed_cfg.seed,
-        "model": embed_cfg.model,
-    }
+    index.config["embedder"] = {f: getattr(embed_cfg, f) for f in RECORDED_EMBEDDER}
     save_tree(index, args.out)
     logger.info("index written to %s", args.out)
     print(json.dumps(tree_stats(index), indent=2))
@@ -120,33 +136,31 @@ def cmd_build(args) -> int:
 
 
 def _embedder_for_index(index, args, file_cfg):
+    """The embedder an index was built with: what the index records (its
+    ``config.embedder`` block, or else ``embedding_dim``) over the settings."""
     stored = index.config.get("embedder", {})
     if not isinstance(stored, dict):
         raise TreeError(f"index config: embedder {stored!r} is not a JSON object")
-    dim = stored.get("dim", index.config.get("embedding_dim", 256))
-    seed = stored.get("seed", int(_resolve(args, file_cfg, "seed", 0)))
-    if type(dim) is not int or type(seed) is not int:
-        raise TreeError(f"index config: embedder dim {dim!r} and seed {seed!r} "
-                        f"must be integers")
-    cfg = EmbedderConfig(
-        provider=stored.get("provider", _resolve(args, file_cfg, "provider", "hashed-local")),
-        dim=dim,
-        seed=seed,
-        model=stored.get("model", ""),
-        endpoint=_resolve(args, file_cfg, "embed_endpoint", ""),
-    )
-    return make_embedder(cfg)
+    recorded = {f: stored[f] for f in RECORDED_EMBEDDER if f in stored}
+    if "dim" not in recorded and "embedding_dim" in index.config:
+        recorded["dim"] = index.config["embedding_dim"]
+    for f in ("dim", "seed"):
+        if f in recorded and type(recorded[f]) is not int:
+            raise TreeError(f"index config: embedder {f} {recorded[f]!r} must be an integer")
+    given = _given(args, file_cfg, "EmbedderConfig")
+    return make_embedder(EmbedderConfig(**{**given, **recorded}))
 
 
 def _tree_solution(args, file_cfg):
     """``intent -> RankedList`` over the index at ``args.index``."""
     index = load_tree(args.index)
     embedder = _embedder_for_index(index, args, file_cfg)
-    cfg = SearchConfig(
-        beam_width=max(int(args.beam), int(args.k)),
-        final_k=int(args.k),
-        rerank=bool(args.rerank),
-    )
+    given = _given(args, file_cfg, "SearchConfig")
+    default = SearchConfig()
+    # a k wider than the beam widens the beam to k
+    given["beam_width"] = max(given.get("beam_width", default.beam_width),
+                              given.get("final_k", default.final_k))
+    cfg = SearchConfig(**given)
     client = _llm_client(args, file_cfg) if cfg.rerank else None
     return lambda intent: recommend(index, intent, cfg, embedder, llm_client=client)
 
@@ -184,8 +198,8 @@ def cmd_bench(args) -> int:
         solution = lambda intent: baselines.score_wordavg(table, lib, intent)
     elif name == "llm":
         client = _llm_client(args, file_cfg)
-        solution = lambda intent: baselines.llm_two_stage(
-            lib, intent, client, final_k=int(args.k))
+        two_stage = _given(args, file_cfg, "llm_two_stage")
+        solution = lambda intent: baselines.llm_two_stage(lib, intent, client, **two_stage)
     else:  # tree
         if not args.index:
             print("--index is required for the tree solution", file=sys.stderr)
@@ -209,6 +223,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """One ``--name`` flag per setting, unset (None) unless given."""
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        if SETTINGS[name][0] is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, type=SETTINGS[name][0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semtree",
@@ -217,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file mirroring flag names")
     sub = parser.add_subparsers(dest="command", required=True)
     llm = argparse.ArgumentParser(add_help=False)
-    llm.add_argument("--llm-stub", dest="llm_stub")
-    llm.add_argument("--llm-endpoint", dest="llm_endpoint")
-    llm.add_argument("--llm-model", dest="llm_model")
+    _add_settings(llm, "llm_stub", "llm_endpoint", "llm_model")
 
     p = sub.add_parser("ingest", help="validate a library file and print statistics")
     p.add_argument("catalog")
@@ -228,21 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[llm], help="build and persist a semantic index")
     p.add_argument("catalog")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--provider")
-    p.add_argument("--target-dim", dest="target_dim", type=int)
-    p.add_argument("--soft-threshold", dest="soft_threshold", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--max-top", dest="max_top", type=int)
+    _add_settings(p, "seed", "dim", "provider", "target_dim", "soft_threshold",
+                  "max_depth", "max_top")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("search", parents=[llm], help="answer one intent against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--intent", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--rerank", action="store_true")
+    _add_settings(p, "k", "beam", "rerank")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("bench", parents=[llm], help="run a benchmark sweep for one solution")
@@ -251,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--beam", type=int, default=10)
+    _add_settings(p, "k", "beam")
     p.add_argument("--index")
     p.add_argument("--vectors")
-    p.add_argument("--rerank", action="store_true")
+    _add_settings(p, "rerank")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("stats", help="print statistics of a persisted index")
@@ -272,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CatalogError, TreeError, FileNotFoundError, ValueError, LlmError,
+    except (CatalogError, TreeError, OSError, ValueError, LlmError,
             EmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

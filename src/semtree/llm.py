@@ -81,7 +81,7 @@ class JsonEndpoint:
 class ChatClient:
     """Minimal chat client: one prompt in, first response text out."""
 
-    def __init__(self, endpoint: str, model: str, session=None):
+    def __init__(self, endpoint: str = "", model: str = "", session=None):
         self.model = model
         self._endpoint = JsonEndpoint(endpoint, "LLM_API_BASE", "LLM_API_KEY", LlmError,
                                       session)

@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,20 +32,22 @@ def target_rank(ranked: RankedList, target_id: str) -> int | None:
     return None
 
 
-def precision_at_k(ranked: RankedList, target_id: str, k: int) -> int:
+def _gain(kind: str, rank: int | None, k: int) -> float:
+    """The gain of a target at ``rank`` under cutoff ``k``: 1 for precision
+    ("p") or 1/log2(rank + 1) for DCG ("dcg") inside the top ``k``, else 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rank = target_rank(ranked, target_id)
-    return 1 if rank is not None and rank <= k else 0
+    if rank is None or rank > k:
+        return 0.0
+    return 1.0 if kind == "p" else 1.0 / math.log2(rank + 1)
+
+
+def precision_at_k(ranked: RankedList, target_id: str, k: int) -> int:
+    return int(_gain("p", target_rank(ranked, target_id), k))
 
 
 def dcg_at_k(ranked: RankedList, target_id: str, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rank = target_rank(ranked, target_id)
-    if rank is None or rank > k:
-        return 0.0
-    return 1.0 / math.log2(rank + 1)
+    return _gain("dcg", target_rank(ranked, target_id), k)
 
 
 def silhouette(tree: TreeIndex, level: int) -> float:
@@ -104,22 +106,7 @@ class EvalReport:
     records: list[QueryRecord] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "solution": self.solution,
-            "metrics": self.metrics,
-            "timing": self.timing,
-            "records": [
-                {
-                    "intent": r.intent,
-                    "target_id": r.target_id,
-                    "rank": r.rank,
-                    "elapsed": r.elapsed,
-                    "node_evaluations": r.node_evaluations,
-                }
-                for r in self.records
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def csv_row(self) -> dict:
         row = {"solution": self.solution}
@@ -133,16 +120,9 @@ CUTOFFS = {"p@1": ("p", 1), "p@4": ("p", 4), "dcg@2": ("dcg", 2), "dcg@5": ("dcg
 
 def metrics_from_records(records: list[QueryRecord]) -> dict[str, float]:
     """Recompute the aggregate metrics from per-query target ranks."""
-    out: dict[str, float] = {}
     n = len(records)
-    for label, (kind, k) in CUTOFFS.items():
-        total = 0.0
-        for rec in records:
-            if rec.rank is None or rec.rank > k:
-                continue
-            total += 1.0 if kind == "p" else 1.0 / math.log2(rec.rank + 1)
-        out[label] = total / n if n else 0.0
-    return out
+    return {label: sum(_gain(kind, rec.rank, k) for rec in records) / n if n else 0.0
+            for label, (kind, k) in CUTOFFS.items()}
 
 
 def run_benchmark(solution_name: str, solution, lib: ArtifactLibrary,

@@ -225,6 +225,10 @@ def build_tree(
     offline extractive summarizer).  With offline providers and a fixed
     seed the result is a pure function of (library, config).
     """
+    if target_dim < 1:
+        raise ValueError(f"target_dim must be >= 1, got {target_dim}")
+    if not 0 < soft_threshold <= 1:  # NaN fails too
+        raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
     nodes: dict[str, TreeNode] = {}

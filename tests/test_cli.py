@@ -4,6 +4,7 @@ import pytest
 
 from semtree.cli import _embedder_for_index, _load_config_file, build_parser, main
 from semtree.embed import RemoteEmbedder
+from semtree.search import SearchConfig, recommend
 from semtree.tree import load_tree
 
 
@@ -72,6 +73,20 @@ def test_ingest_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    "search --index {dir} --intent x",
+    "ingest {dir}",
+    "build {catalog} --out {dir}",
+    "--config {dir} build {catalog} --out {out}",
+], ids=["search_index", "ingest", "build_out", "config"])
+def test_directory_in_place_of_a_file_exits_1(command, catalog, tmp_path, capsys):
+    argv = command.format(dir=tmp_path, catalog=catalog, out=tmp_path / "i.json").split()
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Is a directory" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -122,6 +137,12 @@ def test_config_file_and_flag_precedence(catalog, tmp_path, capsys):
     ('{"dim": [1]}', "'dim'"),
     ('{"seed": {"v": 1}}', "'seed'"),
     ('"seed"', "JSON object"),
+    ('{"dimm": 64}', "unknown setting 'dimm'"),
+    ('{"rerank": "false"}', "'rerank'"),
+    ('{"dim": true}', "'dim'"),
+    ('{"dim": "64"}', "'dim'"),
+    pytest.param('{"soft_threshold": 1' + "0" * 400 + '}', "'soft_threshold'",
+                 id="overflowing_float"),
 ])
 def test_config_file_of_non_scalar_settings_exits_1(catalog, tmp_path, capsys, text, named):
     cfg = tmp_path / "cfg.json"
@@ -153,6 +174,33 @@ def test_build_dim_below_one_exits_1(catalog, tmp_path, capsys, dim):
     assert "error:" in err and "dim must be >= 1" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--target-dim", "0"), ("--target-dim", "-3"),
+    ("--soft-threshold", "0"), ("--soft-threshold", "1.5"), ("--soft-threshold", "nan"),
+])
+def test_build_setting_out_of_range_exits_1(catalog, tmp_path, capsys, flag, value):
+    code, out, err = run(capsys, "build", str(catalog), "--out", str(tmp_path / "i.json"),
+                         "--dim", "64", flag, value)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and flag[2:].replace("-", "_") in err
+
+
+def test_build_from_config_file_matches_flags(catalog, tmp_path, capsys):
+    settings = {"seed": 3, "dim": 48, "target_dim": 4, "soft_threshold": 0.3,
+                "max_depth": 3, "max_top": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    by_file, by_flags = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["--config", str(cfg), "build", str(catalog), "--out", str(by_file)]) == 0
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    assert main(["build", str(catalog), "--out", str(by_flags), *flags]) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+    doc = json.loads(by_file.read_text())
+    assert doc["config"]["stopping"] == {"max_depth": 3, "max_top_level_nodes": 2}
+    assert doc["config"]["cluster"]["soft_threshold"] == 0.3
+
+
 # --- search ---------------------------------------------------------------
 
 @pytest.fixture()
@@ -171,6 +219,47 @@ def test_search_exact_description_ranks_first(built_index, capsys):
     assert doc["entries"][0]["artifact_id"] == "db-a"
     assert len(doc["entries"]) <= 3
     assert doc["node_evaluations"] > 0
+
+
+def test_search_defaults_come_from_the_library(built_index, capsys):
+    doc = json.loads(run(capsys, "search", "--index", str(built_index),
+                         "--intent", "http client")[1])
+    assert len(doc["entries"]) == SearchConfig().final_k
+
+
+def test_search_k_alone_widens_the_beam(built_index, capsys):
+    doc = json.loads(run(capsys, "search", "--index", str(built_index),
+                         "--intent", "http client", "--k", "20")[1])
+    assert len(doc["entries"]) == 6  # the whole catalog
+
+
+def test_config_file_search_settings_take_effect(built_index, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2, "beam": 3}))
+    index = load_tree(str(built_index))
+    direct = recommend(index, "http client", SearchConfig(beam_width=3, final_k=2),
+                       _embedder_for_index(index, object(), {}))
+    search = ["search", "--index", str(built_index), "--intent", "http client"]
+    for argv in (["--config", str(cfg), *search], [*search, "--k", "2", "--beam", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [e["artifact_id"] for e in doc["entries"]] == direct.ids()
+        assert doc["node_evaluations"] == direct.node_evaluations
+
+    # a flag beats the file
+    code, out, _ = run(capsys, "--config", str(cfg), *search, "--k", "4")
+    assert code == 0 and len(json.loads(out)["entries"]) == 4
+
+
+def test_config_file_rerank_takes_effect(built_index, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rerank": True, "llm_stub": str(tmp_path / "missing.json")}))
+    code, out, err = run(capsys, "--config", str(cfg), "search", "--index", str(built_index),
+                         "--intent", "http client")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "missing.json" in err
 
 
 def test_search_missing_index_exits_1(tmp_path, capsys):
@@ -206,6 +295,15 @@ def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err and "dim must be >= 1" in err
+
+
+def test_search_ignores_an_unknown_stored_embedder_key(built_index, capsys):
+    doc = json.loads(built_index.read_text())
+    doc["config"]["embedder"]["colour"] = "blue"
+    built_index.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", "x")
+    assert code == 0, err
+    assert json.loads(out)["entries"]
 
 
 # --- bench ----------------------------------------------------------------
