@@ -26,7 +26,9 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.kernels import bm25_scores
 from semtree.llm import LlmError
-from semtree.search import RankedList, llm_order, render_rerank_prompt, round_scores
+from semtree.search import (RankedList, check_final_k, llm_order, render_rerank_prompt,
+                            round_scores)
+from semtree.tree import rank_by_id
 
 logger = logging.getLogger(__name__)
 
@@ -50,9 +52,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(eq=False)
 class TermIndex:
-    """Document statistics over an artifact library's descriptions."""
+    """Document statistics over an artifact library's descriptions, and the
+    query-independent arrays every scorer reads, computed once."""
 
-    doc_ids: list[str]
+    doc_ids: np.ndarray  # object array, catalog order
+    id_rank: np.ndarray  # rank_by_id(doc_ids), the tie-break
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
     df: np.ndarray
     doc_len: np.ndarray
@@ -65,6 +69,12 @@ class TermIndex:
     postings_term: np.ndarray
     postings_doc: np.ndarray
     postings_tf: np.ndarray
+    bm25_idf: np.ndarray  # per term
+    tfidf_idf: np.ndarray  # per term
+    tfidf_weights: np.ndarray  # per posting
+    tfidf_norms: np.ndarray  # per document
+    jsd_total: np.ndarray  # per document: the sum of its tf-idf weights
+    jsd_p: np.ndarray  # per posting: its weight over its document's total
     # LSI space by rank: the top right singular vectors (rank, V) of the
     # tf-idf matrix and the documents' coordinates on them (n, rank).
     lsi_spaces: dict[int, tuple[np.ndarray, np.ndarray]] = field(
@@ -84,57 +94,83 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
             docs.append(doc)
             tfs.append(c)
         doc_len.append(sum(counts.values()))
+    ids = lib.ids()
+    n = len(ids)
     terms_arr = np.asarray(terms, dtype=np.int64)
     order = np.argsort(terms_arr, kind="stable")
     df = np.bincount(terms_arr, minlength=len(vocab))
     ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(df, out=ptr[1:])
+    postings_term = terms_arr[order]
+    postings_doc = np.asarray(docs, dtype=np.int64)[order]
+    postings_tf = np.asarray(tfs, dtype=np.float64)[order]
+    tfidf_idf = np.log((1.0 + n) / (1.0 + df))
+    w = postings_tf * tfidf_idf[postings_term]
+    total = np.bincount(postings_doc, weights=w, minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in weightless documents
+        p = w / total[postings_doc]
     return TermIndex(
-        doc_ids=lib.ids(),
+        doc_ids=np.array(ids, dtype=object),
+        id_rank=rank_by_id(ids),
         vocabulary=vocab,
         df=df,
         doc_len=np.asarray(doc_len, dtype=np.float64),
-        n_docs=len(lib.artifacts),
+        n_docs=n,
         avgdl=float(np.mean(doc_len)) if doc_len else 0.0,
         postings_ptr=ptr,
-        postings_term=terms_arr[order],
-        postings_doc=np.asarray(docs, dtype=np.int64)[order],
-        postings_tf=np.asarray(tfs, dtype=np.float64)[order],
+        postings_term=postings_term,
+        postings_doc=postings_doc,
+        postings_tf=postings_tf,
+        bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
+        tfidf_idf=tfidf_idf,
+        tfidf_weights=w,
+        tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
+        jsd_total=total,
+        jsd_p=p,
     )
 
 
-def _ranked(ids: list[str], intent: str, scores: np.ndarray) -> RankedList:
-    """Rank as search does: scores rounded by ``round_scores``, ties by id."""
+def _ranked(ids: np.ndarray, id_rank: np.ndarray, intent: str,
+            scores: np.ndarray) -> RankedList:
+    """Rank as search does: scores rounded by ``round_scores``, ties by
+    ``id_rank``; ``ids`` is an object array."""
     scores = round_scores(scores)
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return RankedList(intent=intent, entries=[(ids[i], float(scores[i])) for i in order])
-
-
-def _tfidf_idf(idx: TermIndex) -> np.ndarray:
-    return np.log((1.0 + idx.n_docs) / (1.0 + idx.df))
-
-
-def _tfidf_weights(idx: TermIndex) -> np.ndarray:
-    """The tf-idf weight of every posting."""
-    return idx.postings_tf * _tfidf_idf(idx)[idx.postings_term]
+    order = np.lexsort((id_rank, -scores))
+    return RankedList(intent=intent,
+                      entries=list(zip(ids[order].tolist(), scores[order].tolist())))
 
 
 def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray:
     """The intent's dense tf-idf vector; zero when no intent term is known."""
     known = [idx.vocabulary[t] for t in tokenize(intent) if t in idx.vocabulary]
-    return np.bincount(known, minlength=len(idx.vocabulary)) * _tfidf_idf(idx)
+    return np.bincount(known, minlength=len(idx.vocabulary)) * idx.tfidf_idf
+
+
+def _tfidf_dots(idx: TermIndex, q: np.ndarray) -> np.ndarray:
+    """Each document's dot product with the dense intent vector ``q``.
+
+    Sums only the postings of ``q``'s nonzero terms, term by term in
+    ascending order as the term-major postings are: each document's
+    additions are those over all postings less exact zeros, so the sums
+    are the same bits.
+    """
+    terms = np.flatnonzero(q)
+    starts = idx.postings_ptr[terms]
+    lens = idx.postings_ptr[terms + 1] - starts
+    sel = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    return np.bincount(idx.postings_doc[sel],
+                       weights=idx.tfidf_weights[sel] * q[idx.postings_term[sel]],
+                       minlength=idx.n_docs)
 
 
 def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     """Cosine between tf-idf vectors of the intent and every document."""
     q = _tfidf_query(idx, intent)
-    w = _tfidf_weights(idx)
-    dots = np.bincount(idx.postings_doc, weights=w * q[idx.postings_term], minlength=idx.n_docs)
-    norms = np.sqrt(np.bincount(idx.postings_doc, weights=w * w, minlength=idx.n_docs))
+    dots = _tfidf_dots(idx, q)
     scores = np.zeros(idx.n_docs)
     hit = dots != 0.0  # a nonzero dot implies a nonzero norm on both sides
-    scores[hit] = dots[hit] / (norms[hit] * np.linalg.norm(q))
-    return _ranked(idx.doc_ids, intent, scores)
+    scores[hit] = dots[hit] / (idx.tfidf_norms[hit] * np.linalg.norm(q))
+    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 
 def score_bm25(idx: TermIndex, intent: str) -> RankedList:
@@ -142,22 +178,21 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     counts = Counter(tokenize(intent))
     q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
     if not q_terms:
-        return _ranked(idx.doc_ids, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, intent, np.zeros(idx.n_docs))
     q_counts = np.asarray([float(counts[t]) for t in counts if t in idx.vocabulary])
-    idf = np.log(1.0 + (idx.n_docs - idx.df + 0.5) / (idx.df + 0.5))
     scores = bm25_scores(
         np.asarray(q_terms, dtype=np.int64), q_counts,
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
-        idf, idx.doc_len, idx.avgdl, idx.n_docs, BM25_K1, BM25_B,
+        idx.bm25_idf, idx.doc_len, idx.avgdl, idx.n_docs, BM25_K1, BM25_B,
     )
-    return _ranked(idx.doc_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 
 def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The index's rank-``rank`` LSI space, from one SVD per index and rank."""
     if rank not in idx.lsi_spaces:
         X = np.zeros((idx.n_docs, len(idx.vocabulary)))
-        X[idx.postings_doc, idx.postings_term] = _tfidf_weights(idx)
+        X[idx.postings_doc, idx.postings_term] = idx.tfidf_weights
         vt = np.linalg.svd(X, full_matrices=False)[2][:rank].copy()
         idx.lsi_spaces[rank] = vt, X @ vt.T
     return idx.lsi_spaces[rank]
@@ -171,7 +206,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
         rank = max_rank
     q = _tfidf_query(idx, intent)
     if not q.any():
-        return _ranked(idx.doc_ids, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, intent, np.zeros(idx.n_docs))
     vt, docs_latent = _lsi_space(idx, rank)
     q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
@@ -181,7 +216,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
     # snap numerical noise so unrelated documents tie at exactly zero
     scores[np.abs(scores) < 1e-10] = 0.0
-    return _ranked(idx.doc_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -209,11 +244,9 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     p = 0 and m = q/2, so together they add (1 - sum of q over its terms)/2.
     """
     q = _distribution(_tfidf_query(idx, intent))
-    doc, w = idx.postings_doc, _tfidf_weights(idx)
-    total = np.bincount(doc, weights=w, minlength=idx.n_docs)
+    doc, p, total = idx.postings_doc, idx.jsd_p, idx.jsd_total
     qt = q[idx.postings_term]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where masked out
-        p = w / total[doc]
         m = 0.5 * (p + qt)
         terms = (np.where(p > 0, p * np.log2(p / m), 0.0)
                  + np.where(qt > 0, qt * np.log2(qt / m), 0.0))
@@ -222,7 +255,7 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     scores = 1.0 - div
     # a document with no weight keeps the uniform distribution
     scores[total <= 0] = 1.0 - jensen_shannon_divergence(_distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 
 @dataclass
@@ -278,7 +311,8 @@ def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> 
         dn = np.linalg.norm(dvec)
         if qn > 0 and dn > 0:
             scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
-    return _ranked(lib.ids(), intent, scores)
+    ids = lib.ids()
+    return _ranked(np.array(ids, dtype=object), rank_by_id(ids), intent, scores)
 
 
 _SCORE_RE = re.compile(r"-?\d+(?:\.\d+)?")
@@ -294,6 +328,7 @@ def _parse_score(response: str) -> float:
 def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
                   subset_fraction: float = 0.10, final_k: int = 5) -> RankedList:
     """Score each artifact 0-100, then comparatively rank the top fraction."""
+    check_final_k(final_k)
     scores: dict[str, float] = {}
     for artifact in lib.artifacts:
         prompt = SCORING_PROMPT_TEMPLATE.format(

@@ -20,7 +20,7 @@ from semtree import baselines, metrics
 from semtree.catalog import CatalogError, library_stats, load_library, load_pairs
 from semtree.embed import EmbedderConfig, EmbeddingError, make_embedder
 from semtree.llm import ChatClient, LlmError, ReplayClient
-from semtree.search import SearchConfig, recommend
+from semtree.search import SearchConfig, check_final_k, recommend
 from semtree.tree import (
     StoppingCriteria,
     TreeError,
@@ -199,6 +199,8 @@ def cmd_bench(args) -> int:
     elif name == "llm":
         client = _llm_client(args, file_cfg)
         two_stage = _given(args, file_cfg, "llm_two_stage")
+        if "final_k" in two_stage:  # run_benchmark logs a sample's error and goes on
+            check_final_k(two_stage["final_k"])
         solution = lambda intent: baselines.llm_two_stage(lib, intent, client, **two_stage)
     else:  # tree
         if not args.index:

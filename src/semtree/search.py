@@ -38,6 +38,12 @@ RERANK_PROMPT_TEMPLATE = (
 )
 
 
+def check_final_k(final_k: int) -> None:
+    """A ranking returns at least one entry."""
+    if final_k < 1:
+        raise ValueError("final_k must be >= 1")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     beam_width: int = 10
@@ -45,8 +51,7 @@ class SearchConfig:
     rerank: bool = False
 
     def __post_init__(self):
-        if self.final_k < 1:
-            raise ValueError("final_k must be >= 1")
+        check_final_k(self.final_k)
         if self.final_k > self.beam_width:
             raise ValueError("final_k must not exceed beam_width")
 

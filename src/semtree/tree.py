@@ -119,6 +119,14 @@ class TreeIndex:
         return self.top_level
 
 
+def rank_by_id(ids) -> np.ndarray:
+    """Each id's position among the ids sorted ascending: the tie-break of
+    every ranking, search's and the baselines'."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
 def validate_tree(t: TreeIndex) -> None:
     """Check the index and set its array fields.
 
@@ -196,13 +204,11 @@ def validate_tree(t: TreeIndex) -> None:
     if not finite.all():
         bad = ids[int(np.argmin(finite))]
         raise TreeError(f"node {bad}: embedding has non-finite values")
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     t.ids = ids
     t.child_ptr = np.asarray(child_ptr, dtype=np.intp)
     t.child_rows = np.asarray(child_rows, dtype=np.intp)
     t.is_leaf = np.array(is_leaf)
-    t.id_rank = id_rank
+    t.id_rank = rank_by_id(ids)
     t.root_rows = np.array([row[r] for r in t.roots], dtype=np.intp)
     t.top_level = max(n.level for n in t.nodes.values())
     t.leaf_by_artifact = leaf_by_artifact

@@ -1,11 +1,16 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import make_family_library, perturbed_intents
 from semtree.baselines import (
     _ranked,
+    _tfidf_dots,
+    _tfidf_query,
     build_term_index,
     jensen_shannon_divergence,
     llm_two_stage,
@@ -19,6 +24,8 @@ from semtree.baselines import (
 )
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.llm import LlmError
+from semtree.search import round_scores
+from semtree.tree import rank_by_id
 
 
 def make_lib(descriptions, prefix="d"):
@@ -148,6 +155,25 @@ def test_tfidf_matches_oracle(corpus20):
         assert got[a.id] == pytest.approx(oracle[i], abs=1e-9)
 
 
+@pytest.mark.parametrize("intent", [
+    "w1 w2 w5 w9",
+    " ".join(f"w{i}" for i in range(30)),  # many terms per document
+    "w3 w3 w3 w7 w3",  # repeated terms
+    "w4 nosuchword w4 alsonot",  # unknown terms among known ones
+    "nosuchword alsonot",  # no known term
+    "",
+], ids=["some", "all", "repeated", "unknown", "none", "empty"])
+def test_tfidf_sparse_dots_equal_dense_bits(corpus20, intent):
+    # "common" is in every document, so its idf and its query weight are 0
+    for lib in (corpus20, make_lib(["common alpha beta", "common beta beta", "common"])):
+        idx = build_term_index(lib)
+        for text in (intent, intent + " common alpha common"):
+            q = _tfidf_query(idx, text)
+            dense = np.bincount(idx.postings_doc, minlength=idx.n_docs,
+                                weights=idx.tfidf_weights * q[idx.postings_term])
+            assert _tfidf_dots(idx, q).tobytes() == dense.tobytes()
+
+
 # --- bm25 -----------------------------------------------------------------
 
 def test_bm25_absent_term_contributes_zero():
@@ -229,7 +255,7 @@ def reference_lsi_scores(idx, intent, rank):
 def test_lsi_runs_one_svd_per_index_and_rank(corpus20, monkeypatch):
     idx = build_term_index(corpus20)
     queries = [(rank, intent) for rank in (3, 8) for intent in ("w2 w6 w11", "w1 w1 w29")]
-    want = {(rank, intent): _ranked(idx.doc_ids, intent,
+    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, intent,
                                     reference_lsi_scores(idx, intent, rank)).entries
             for rank, intent in queries}
     real_svd = np.linalg.svd
@@ -341,11 +367,11 @@ def test_exact_ties_rank_by_id(scorer, case):
     assert ranked.ids().index("d00") < ranked.ids().index("d01")
 
 
-def _unsorted_lib(descriptions):
-    """Catalog order z1, a1, m1: not the id order."""
+def _unsorted_lib(descriptions, ids=("z1", "a1", "m1")):
+    """Catalog order z1, a1, m1 by default: not the id order."""
     return ArtifactLibrary(ecosystem="", artifacts=tuple(
         Artifact(id=aid, name=aid, description=desc)
-        for aid, desc in zip(("z1", "a1", "m1"), descriptions)
+        for aid, desc in zip(ids, descriptions)
     ))
 
 
@@ -367,6 +393,137 @@ def test_empty_vocabulary_ties_rank_by_id(scorer):
     assert ranked.ids() == ["a1", "m1", "z1"]
     scores = [score for _, score in ranked.entries]
     assert len(set(scores)) == 1 and all(math.isfinite(s) for s in scores)
+
+
+# Catalog order, string order and numeric order all differ: "a10" < "a9"
+# as strings, and the non-ASCII ids sort after every ASCII one.
+ODD_IDS = ("a9", "a10", "ä2", "b", "a1", "Ω", "B", "a100")
+
+
+def reference_order(ids, scores):
+    """The rule the baselines ranked by before ``np.lexsort``, kept as the oracle."""
+    return sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+
+
+def entry_bits(entries):
+    return [(aid, float(score).hex()) for aid, score in entries]
+
+
+def assert_reference_order(ranked, ids):
+    """``ranked`` holds every id once, ordered by ``reference_order`` of its scores."""
+    scores = dict(ranked.entries)
+    assert len(ranked.entries) == len(scores) == len(ids)
+    order = reference_order(ids, [scores[aid] for aid in ids])
+    assert entry_bits(ranked.entries) == entry_bits([(ids[i], scores[ids[i]]) for i in order])
+
+
+@pytest.mark.parametrize("ids, scores", [
+    (ODD_IDS, [0.25] * 8),  # all tied
+    (ODD_IDS, [0.0, -0.0, 0.5, -0.0, 0.0, 1.0, -0.0, 0.0]),
+    (ODD_IDS, [0.5, 0.5 + 1e-14, 0.5 - 1e-14, 0.3 + 4e-13, 0.3, 0.3 - 2e-13,
+               0.5 + 3e-13, 0.3 + 6e-13]),  # differ past 12 decimals
+    (("a10", "a9", "a1", "a100", "a2"), [0.1, 0.1, 0.1, 0.2, 0.1]),
+    (("日本", "é", "e", "ß", "z", "É"), [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]),
+    (("only",), [0.3]),
+    (("only",), [-0.0]),
+])
+def test_ranked_matches_the_reference_rule(ids, scores):
+    rounded = round_scores(np.asarray(scores))
+    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids), "x", np.asarray(scores))
+    want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
+    assert entry_bits(got.entries) == entry_bits(want)
+
+
+def test_ranked_matches_the_reference_rule_on_random_ties():
+    rng = np.random.default_rng(3)
+    ids = [f"{rng.choice(['a', 'b', 'é'])}{rng.integers(0, 1000)}" for _ in range(300)]
+    ids = list(dict.fromkeys(ids))
+    scores = rng.integers(-3, 4, size=len(ids)) / 4 + rng.normal(scale=1e-14, size=len(ids))
+    rounded = round_scores(scores)
+    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids), "x", scores)
+    want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
+    assert entry_bits(got.entries) == entry_bits(want)
+
+
+# duplicated descriptions tie; "!!!" has no terms; "pad" matches nothing
+ODD_DOCS = ["parse json fast", "parse json fast", "yaml loader", "yaml loader",
+            "!!!", "parse json fast", "pad", "json pad parse"]
+
+
+@pytest.mark.parametrize("scorer", [score_tfidf, score_bm25, score_lsi, score_jsd],
+                         ids=["tfidf", "bm25", "lsi", "jsd"])
+@pytest.mark.parametrize("docs, intent", [
+    (ODD_DOCS, "json parse"),
+    (ODD_DOCS, "unknownword"),
+    (ODD_DOCS[:1], "json"),
+], ids=["ties", "all-tied", "n1"])
+def test_scorers_order_by_the_reference_rule(scorer, docs, intent):
+    lib = _unsorted_lib(docs, ODD_IDS)
+    assert_reference_order(scorer(build_term_index(lib), intent), lib.ids())
+
+
+def test_wordavg_orders_by_the_reference_rule(tmp_path):
+    # "near" is "red" turned by 1e-7 rad: its cosine with "red" is 1 - 5e-15,
+    # equal to 1 once rounded, and "anti" gives a cosine of -1
+    path = tmp_path / "vectors.txt"
+    path.write_text("red 1.0 0.0\nnear 1.0 1e-7\ngreen 0.0 1.0\nanti -1.0 0.0\n")
+    table = load_word_vectors(path)
+    for descriptions in (["near", "red", "green", "near", "anti", "red near", "x", "red"],
+                         ["green"] * 8, ["near"]):
+        lib = _unsorted_lib(descriptions, ODD_IDS)
+        assert_reference_order(score_wordavg(table, lib, "red"), lib.ids())
+
+
+# --- ranked-list gate -----------------------------------------------------
+
+def gate_intents(lib, count=50, seed=31):
+    """Perturbed descriptions; some repeat a term, some add a catalog word or
+    an unknown one, and the last knows no term."""
+    rng = np.random.default_rng(seed)
+    words = sorted({w for a in lib.artifacts for w in a.description.split()})
+    intents = []
+    for i, sample in enumerate(perturbed_intents(lib, count, seed=seed)):
+        tokens = sample.intent.split()
+        if i % 3 == 0:
+            tokens.append(tokens[0])
+        if i % 4 == 0:
+            tokens.append(str(rng.choice(words)))
+        if i % 5 == 0:
+            tokens.append("zzunknown")
+        intents.append(" ".join(tokens))
+    intents[-1] = "no known term"
+    return intents
+
+
+# The sha256 of each scorer's (id, score.hex()) lists for 50 intents on a
+# seeded 300-artifact catalog whose id order ("fam10-" < "fam2-") is not
+# its catalog order.  A change to a formula, a summation order, the
+# rounding or the tie-break changes them.
+RANKED_GATE_SHA256 = {
+    "bm25": "0230d284a1a23f4a8722af988cdbefa6e081bed47db6d0c7ec737be012af8899",
+    "tfidf": "3d1473897227c6d1f834f73b44961951b89aaec2f8301fa8eaba785229b8ff37",
+    "jsd": "a51364eab232ff26c65ef807aff1be05bf6b5dca5261b8c5a858d1def64ebb48",
+    "lsi": "e96825791c2c8109c781a8359b62a1575661ff441c17327c89de6dcedff4e28d",
+}
+
+
+@pytest.fixture(scope="module")
+def gate_index():
+    lib = make_family_library(n_families=12, per_family=25, seed=21)
+    return lib, build_term_index(lib)
+
+
+@pytest.mark.parametrize("name, scorer", [
+    ("bm25", score_bm25), ("tfidf", score_tfidf), ("jsd", score_jsd), ("lsi", score_lsi),
+])
+def test_ranked_lists_are_pinned(gate_index, name, scorer):
+    lib, idx = gate_index
+    digest = hashlib.sha256()
+    for intent in gate_intents(lib):
+        entries = scorer(idx, intent).entries
+        assert len(entries) == len(lib)
+        digest.update(json.dumps([[aid, score.hex()] for aid, score in entries]).encode())
+    assert digest.hexdigest() == RANKED_GATE_SHA256[name]
 
 
 # --- word average ---------------------------------------------------------
@@ -432,6 +589,21 @@ class ScriptedClient:
         if self.fail_ranking:
             raise LlmError("down")
         return self.ranking_response
+
+
+@pytest.mark.parametrize("final_k", [0, -2])
+def test_two_stage_rejects_final_k_below_one(final_k):
+    lib = make_lib(["one", "two", "three"], prefix="a")
+    prompts = []
+
+    class RecordingClient:
+        def complete(self, prompt):
+            prompts.append(prompt)
+            return "[a00, a01, a02]"
+
+    with pytest.raises(ValueError, match="final_k must be >= 1"):
+        llm_two_stage(lib, "x", RecordingClient(), subset_fraction=1.0, final_k=final_k)
+    assert prompts == []  # checked before any call
 
 
 def test_two_stage_threshold():

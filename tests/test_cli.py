@@ -384,6 +384,20 @@ def test_bench_llm_stub_degrades_gracefully(catalog, pairs, tmp_path, capsys):
     assert len(report["records"]) == 3  # no sample aborted the run
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_bench_llm_nonpositive_k_exits_1(catalog, pairs, tmp_path, capsys, k):
+    stub = tmp_path / "stub.json"
+    stub.write_text("{}")
+    report_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "bench", "--solution", "llm", "--k", k,
+                         "--catalog", str(catalog), "--pairs", str(pairs),
+                         "--out", str(report_path), "--llm-stub", str(stub))
+    assert code == 1
+    assert out == ""
+    assert "final_k" in err
+    assert not report_path.exists()
+
+
 # --- remote providers -------------------------------------------------------
 
 PROVIDER_COMMANDS = {
