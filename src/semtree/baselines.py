@@ -11,6 +11,11 @@ Formulas are fixed so the oracles are unambiguous:
   tf-idf weight  w(t, d) = tf(t, d) * ln((1 + n) / (1 + df(t)))
   BM25 idf       ln(1 + (n - df + 0.5) / (df + 0.5))
   JSD            base-2 logs over the union support, 0*log0 = 0
+
+JSD rescores only the documents that share a term with the intent, over
+their doc-major postings; every other document keeps the score the index
+computed once with q = 0.  Each document's sums run in the same order as
+a pass over all postings, so the scores are that pass's bits.
 """
 
 from __future__ import annotations
@@ -75,9 +80,15 @@ class TermIndex:
     tfidf_norms: np.ndarray  # per document
     jsd_total: np.ndarray  # per document: the sum of its tf-idf weights
     jsd_p: np.ndarray  # per posting: its weight over its document's total
-    # LSI space by rank: the top right singular vectors (rank, V) of the
-    # tf-idf matrix and the documents' coordinates on them (n, rank).
-    lsi_spaces: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+    # Doc-major view of the postings: document d's postings, terms ascending,
+    # are postings_*[doc_order[doc_ptr[d]:doc_ptr[d+1]]].
+    doc_order: np.ndarray
+    doc_ptr: np.ndarray
+    jsd_base: np.ndarray  # per document: its JSD score for an intent it shares no term with
+    # LSI space by requested rank: the top right singular vectors (rank, V) of
+    # the tf-idf matrix, the documents' coordinates on them (n, rank) and
+    # their norms (n,).
+    lsi_spaces: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False)
 
 
@@ -127,6 +138,9 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
         tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
         jsd_total=total,
         jsd_p=p,
+        doc_order=np.argsort(postings_doc, kind="stable"),  # keeps terms ascending
+        doc_ptr=np.append(0, np.cumsum(np.bincount(postings_doc, minlength=n))),
+        jsd_base=_jsd_scores(postings_doc, p, np.zeros_like(p), n),
     )
 
 
@@ -146,6 +160,14 @@ def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray:
     return np.bincount(known, minlength=len(idx.vocabulary)) * idx.tfidf_idf
 
 
+def _posting_ranges(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[k]:ptr[k+1]`` of each key in ``keys``, concatenated
+    in the order of ``keys``."""
+    starts = ptr[keys]
+    lens = ptr[keys + 1] - starts
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 def _tfidf_dots(idx: TermIndex, q: np.ndarray) -> np.ndarray:
     """Each document's dot product with the dense intent vector ``q``.
 
@@ -154,10 +176,7 @@ def _tfidf_dots(idx: TermIndex, q: np.ndarray) -> np.ndarray:
     additions are those over all postings less exact zeros, so the sums
     are the same bits.
     """
-    terms = np.flatnonzero(q)
-    starts = idx.postings_ptr[terms]
-    lens = idx.postings_ptr[terms + 1] - starts
-    sel = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    sel = _posting_ranges(idx.postings_ptr, np.flatnonzero(q))
     return np.bincount(idx.postings_doc[sel],
                        weights=idx.tfidf_weights[sel] * q[idx.postings_term[sel]],
                        minlength=idx.n_docs)
@@ -188,29 +207,29 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 
-def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index's rank-``rank`` LSI space, from one SVD per index and rank."""
+def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index's LSI space for a requested ``rank``, clamped to the matrix's
+    rank, from one SVD per index and rank."""
     if rank not in idx.lsi_spaces:
+        max_rank = min(idx.n_docs, len(idx.vocabulary))
+        if rank > max_rank:
+            logger.warning("LSI rank %d clamped to %d", rank, max_rank)
         X = np.zeros((idx.n_docs, len(idx.vocabulary)))
         X[idx.postings_doc, idx.postings_term] = idx.tfidf_weights
         vt = np.linalg.svd(X, full_matrices=False)[2][:rank].copy()
-        idx.lsi_spaces[rank] = vt, X @ vt.T
+        docs_latent = X @ vt.T
+        idx.lsi_spaces[rank] = vt, docs_latent, np.linalg.norm(docs_latent, axis=1)
     return idx.lsi_spaces[rank]
 
 
 def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     """Truncated SVD of the tf-idf matrix; cosine in the latent space."""
-    max_rank = min(idx.n_docs, len(idx.vocabulary))
-    if rank > max_rank:
-        logger.warning("LSI rank %d clamped to %d", rank, max_rank)
-        rank = max_rank
     q = _tfidf_query(idx, intent)
     if not q.any():
         return _ranked(idx.doc_ids, idx.id_rank, intent, np.zeros(idx.n_docs))
-    vt, docs_latent = _lsi_space(idx, rank)
+    vt, docs_latent, dn = _lsi_space(idx, rank)
     q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
-    dn = np.linalg.norm(docs_latent, axis=1)
     scores = np.zeros(idx.n_docs)
     mask = (dn > 0) & (qn > 0)
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
@@ -237,24 +256,43 @@ def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return div
 
 
-def score_jsd(idx: TermIndex, intent: str) -> RankedList:
-    """Similarity = 1 - JSD between normalized tf-idf distributions.
+def _jsd_scores(doc: np.ndarray, p: np.ndarray, qt: np.ndarray, n: int) -> np.ndarray:
+    """1 - JSD per document from its postings' documents ``doc``, document
+    probabilities ``p`` and intent probabilities ``qt``.
 
-    Summed over each document's postings; every term a document lacks has
-    p = 0 and m = q/2, so together they add (1 - sum of q over its terms)/2.
+    Every term a document lacks has p = 0 and m = q/2, so together they add
+    (1 - sum of q over its terms)/2.  Each document's sums run over its
+    postings in the order given.
     """
-    q = _distribution(_tfidf_query(idx, intent))
-    doc, p, total = idx.postings_doc, idx.jsd_p, idx.jsd_total
-    qt = q[idx.postings_term]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where masked out
         m = 0.5 * (p + qt)
         terms = (np.where(p > 0, p * np.log2(p / m), 0.0)
                  + np.where(qt > 0, qt * np.log2(qt / m), 0.0))
-    div = 0.5 * (np.bincount(doc, weights=terms, minlength=idx.n_docs)
-                 + 1.0 - np.bincount(doc, weights=qt, minlength=idx.n_docs))
-    scores = 1.0 - div
+    return 1.0 - 0.5 * (np.bincount(doc, weights=terms, minlength=n)
+                        + 1.0 - np.bincount(doc, weights=qt, minlength=n))
+
+
+def score_jsd(idx: TermIndex, intent: str) -> RankedList:
+    """Similarity = 1 - JSD between normalized tf-idf distributions.
+
+    Only the documents that share a term with the intent are rescored, over
+    all of their postings in ascending term order (the doc-major view); every
+    other document has q = 0 on each of its postings, so its score is the
+    one ``build_term_index`` computed with q = 0.  Each document's sums are
+    those of a pass over all postings, so the scores are the same bits.
+    """
+    q = _distribution(_tfidf_query(idx, intent))
+    touched = np.zeros(idx.n_docs, dtype=bool)
+    touched[idx.postings_doc[_posting_ranges(idx.postings_ptr, np.flatnonzero(q))]] = True
+    sel = idx.doc_order[_posting_ranges(idx.doc_ptr, np.flatnonzero(touched))]
+    rescored = _jsd_scores(idx.postings_doc[sel], idx.jsd_p[sel],
+                           q[idx.postings_term[sel]], idx.n_docs)
+    scores = np.where(touched, rescored, idx.jsd_base)
     # a document with no weight keeps the uniform distribution
-    scores[total <= 0] = 1.0 - jensen_shannon_divergence(_distribution(np.zeros(len(q))), q)
+    weightless = idx.jsd_total <= 0
+    if weightless.any():
+        scores[weightless] = 1.0 - jensen_shannon_divergence(
+            _distribution(np.zeros(len(q))), q)
     return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
 
 

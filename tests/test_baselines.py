@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_family_library, perturbed_intents
 from semtree.baselines import (
+    _distribution,
     _ranked,
     _tfidf_dots,
     _tfidf_query,
@@ -274,6 +275,19 @@ def test_lsi_clamps_rank(corpus20, caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
+def test_lsi_clamp_is_logged_once_per_index_and_rank(corpus20, caplog):
+    idx = build_term_index(corpus20)
+    with caplog.at_level("WARNING"):
+        for intent in ("w1", "w2 w3", "w1 w4") * 3:
+            assert (score_lsi(idx, intent, rank=500).entries
+                    == score_lsi(idx, intent, rank=20).entries)
+        score_lsi(idx, "w5", rank=600)
+        score_lsi(build_term_index(corpus20), "w5", rank=500)
+    clamped = [r.getMessage() for r in caplog.records if "clamped" in r.message]
+    assert clamped == ["LSI rank 500 clamped to 20", "LSI rank 600 clamped to 20",
+                       "LSI rank 500 clamped to 20"]
+
+
 # --- jsd ------------------------------------------------------------------
 
 def test_jsd_identical_is_zero():
@@ -329,6 +343,66 @@ def test_jsd_matches_dense_oracle(corpus20, docs, intent):
     got = dict(score_jsd(build_term_index(lib), intent).entries)
     for a, want in zip(lib.artifacts, oracle_jsd_scores(lib, intent)):
         assert got[a.id] == pytest.approx(want, abs=1e-9)
+
+
+def dense_jsd_scores(idx, q):
+    """1 - JSD for every document over all postings: the pass ``score_jsd``
+    made before it rescored only the documents sharing a term with the
+    intent, kept as the bit-exact oracle (without the weightless fix-up)."""
+    doc, p = idx.postings_doc, idx.jsd_p
+    qt = q[idx.postings_term]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = 0.5 * (p + qt)
+        terms = (np.where(p > 0, p * np.log2(p / m), 0.0)
+                 + np.where(qt > 0, qt * np.log2(qt / m), 0.0))
+    div = 0.5 * (np.bincount(doc, weights=terms, minlength=idx.n_docs)
+                 + 1.0 - np.bincount(doc, weights=qt, minlength=idx.n_docs))
+    return 1.0 - div
+
+
+def dense_score_jsd(idx, intent):
+    q = _distribution(_tfidf_query(idx, intent))
+    scores = dense_jsd_scores(idx, q)
+    scores[idx.jsd_total <= 0] = 1.0 - jensen_shannon_divergence(
+        _distribution(np.zeros(len(q))), q)
+    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+
+
+def family_catalog_case(count=200):
+    from perfsuite import gen  # the benchmark's generator, importable from the repo root
+
+    artifacts = gen.family_catalog(20, 25, "jsd-oracle")
+    lib = ArtifactLibrary(ecosystem="", artifacts=tuple(
+        Artifact(id=a["id"], name=a["name"], description=a["description"])
+        for a in artifacts))
+    stream = gen.IntentMaker(artifacts).stream("jsd-oracle/intents")
+    return lib, [next(stream)["intent"] for _ in range(count)]
+
+
+# "common" is in every document (idf 0), so "common" alone has no weight
+# and the document "common" is weightless; "!!!" has no tokens; "nosuch"
+# is unknown, so an intent of unknown or idf-0 terms has a uniform q.
+ILL_CONDITIONED_DOCS = {
+    "weightless": ["common alpha", "common beta beta", "common", "common gamma"],
+    "no-tokens": ["alpha beta", "!!!", "beta gamma", "delta"],
+    "one-doc": ["alpha beta"],
+}
+ILL_CONDITIONED_INTENTS = ["nosuch", "", "common", "common common", "alpha alpha beta alpha",
+                           "beta common nosuch beta", "gamma"]
+
+
+@pytest.mark.parametrize("case", [*ILL_CONDITIONED_DOCS, "family-catalog"])
+def test_sparse_jsd_equals_dense_bits(case):
+    if case == "family-catalog":
+        lib, intents = family_catalog_case()
+    else:
+        lib, intents = make_lib(ILL_CONDITIONED_DOCS[case]), ILL_CONDITIONED_INTENTS
+    idx = build_term_index(lib)
+    zero_q = np.zeros(len(idx.vocabulary))
+    assert idx.jsd_base.tobytes() == dense_jsd_scores(idx, zero_q).tobytes()
+    for intent in intents:
+        assert (entry_bits(score_jsd(idx, intent).entries)
+                == entry_bits(dense_score_jsd(idx, intent).entries)), intent
 
 
 def test_jsd_identical_doc_ranks_first():
