@@ -3,8 +3,8 @@ child descriptions, via an LLM or a deterministic offline fallback.
 
 The offline path is extractive: the name is built from the top
 document-frequency content tokens, the description is the child text
-closest to the children's embedding centroid.  That keeps tree builds
-total and reproducible without network access.
+nearest the normalized mean of the children's rows, which the caller
+holds.  That keeps tree builds total and reproducible offline.
 """
 
 from __future__ import annotations
@@ -82,43 +82,35 @@ def _content_tokens(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in _STOPWORDS]
 
 
-def offline_summarize(children: list[str], embedder=None) -> FeatureSummary:
-    """Deterministic extractive fallback summary for a cluster."""
+def offline_summarize(children: list[str], vectors: np.ndarray) -> FeatureSummary:
+    """Deterministic extractive fallback summary for a cluster: the
+    description quotes the first child whose row (``vectors`` holds one
+    per child, in order) is nearest the rows' ``l2_normalize``d mean."""
     if not children:
         raise ValueError("no children to summarize")
-    df: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    pos = 0
+    if len(vectors) != len(children):
+        raise ValueError(f"{len(vectors)} embedding rows for {len(children)} children")
+    df: Counter[str] = Counter()  # document frequency
     for child in children:
-        for tok in dict.fromkeys(_content_tokens(child)):
-            df[tok] += 1
-            if tok not in first_seen:
-                first_seen[tok] = pos
-                pos += 1
-    if df:
-        top = sorted(df, key=lambda t: (-df[t], first_seen[t]))[:2]
-        name = " ".join(top)
-    else:
-        name = "misc"
-    if len(children) == 1 or embedder is None:
-        nearest = children[0]
-    else:
-        vecs = embedder.embed(children)
-        centroid = l2_normalize(vecs.mean(axis=0))
-        nearest = children[int(np.argmax(vecs @ centroid))]
+        df.update(dict.fromkeys(_content_tokens(child), 1))
+    # the two most frequent tokens, ties in the order first seen
+    name = " ".join(tok for tok, _ in df.most_common(2)) or "misc"
+    centroid = l2_normalize(vectors.mean(axis=0))
+    nearest = children[int(np.argmax(vectors @ centroid))]
     return FeatureSummary(name=name, description=f"Common feature covering: {nearest}")
 
 
-def summarize_cluster(children: list[str], client=None, embedder=None) -> FeatureSummary:
+def summarize_cluster(children: list[str], vectors: np.ndarray, client=None) -> FeatureSummary:
     """Summarize a cluster via the chat client, falling back offline.
 
-    ``client=None`` selects the offline path directly.  An LLM response
-    is parsed from its first non-empty line; unparseable output or a
-    transport failure degrades to the offline summary with a warning.
-    No children raise ``ValueError`` on either path.
+    ``vectors`` are the children's embedding rows, which only the offline
+    summary reads.  ``client=None`` selects the offline path directly.  An
+    LLM response is parsed from its first non-empty line; unparseable
+    output or a transport failure degrades to the offline summary with a
+    warning.  No children raise ``ValueError`` on either path.
     """
     if client is None:
-        return offline_summarize(children, embedder=embedder)
+        return offline_summarize(children, vectors)
     prompt = render_summary_prompt(children)
     try:
         response = client.complete(prompt)
@@ -128,4 +120,4 @@ def summarize_cluster(children: list[str], client=None, embedder=None) -> Featur
         raise SummaryParseError("empty response")
     except (LlmError, SummaryParseError) as exc:
         logger.warning("LLM summarization failed (%s); using offline fallback", exc)
-        return offline_summarize(children, embedder=embedder)
+        return offline_summarize(children, vectors)

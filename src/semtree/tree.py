@@ -2,14 +2,14 @@
 
 Each round takes the current top level's node texts, reduces their
 embeddings, picks a component count by BIC, soft-assigns nodes to
-clusters, summarizes every cluster into a named parent feature, and
-embeds each summary as the next level.  Soft assignment can give a node
-several parents, so the result is a polyhierarchy (a DAG), not a strict
-tree; acyclicity and full leaf coverage are validated whenever a
-``TreeIndex`` is made, and validation packs the index into the array
-fields that search reads.  The array fields would not follow an edit,
-so the nodes are frozen and the embedding matrix, the only copy of the
-node vectors, is not writeable.
+clusters, summarizes every cluster from its children's texts and rows
+into a named parent feature, and embeds each summary as the next level.
+Soft assignment can give a node several parents, so the result is a
+polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
+coverage are validated whenever a ``TreeIndex`` is made, and validation
+packs the index into the array fields that search reads.  The array
+fields would not follow an edit, so the nodes are frozen and the
+embedding matrix, the only copy of the node vectors, is not writeable.
 
 On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: the
 nodes in (level, id) order, and one ``"embeddings"`` block holding the
@@ -32,6 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
+# fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
@@ -261,25 +262,23 @@ def build_tree(
             break
         reduced = reduce(blocks[-1], target_dim)
         upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
-        if upper < 2:
-            # Too few nodes for BIC selection: merge everything into one parent.
-            model = fit_gmm(reduced, 1, seed)
-        else:
-            model, _ = select_k_bic(reduced, range(2, upper + 1), seed)
+        # a level of two nodes can only take k = 1: both merge into one parent
+        model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed)
         assignment = soft_assign(model, reduced, soft_threshold)
 
-        clusters: list[list[str]] = [[] for _ in range(model.k)]
-        for i, nid in enumerate(current):
-            for c in assignment.memberships[i]:
-                clusters[c].append(nid)
+        clusters: list[list[int]] = [[] for _ in range(model.k)]  # positions in the level
+        for i, picked in enumerate(assignment.memberships):
+            for c in picked:
+                clusters[c].append(i)
         clusters = [c for c in clusters if c]
 
+        # Each node's "name: summary" text and its row; above the leaves the
+        # block is those rows, since FeatureSummary.format() made the same texts.
+        texts = [f"{nodes[nid].name}: {nodes[nid].summary}" for nid in current]
+        rows = blocks[-1] if level else embedder.embed(texts)
         level += 1
-        features = [
-            summarize_cluster([f"{nodes[m].name}: {nodes[m].summary}" for m in members],
-                              client=summarizer, embedder=embedder)
-            for members in clusters
-        ]
+        features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
+                    for c in clusters]
         blocks.append(embedder.embed([f.format() for f in features]))
         parent_ids = [f"L{level}-{ordinal}" for ordinal in range(len(clusters))]
         for pid, members, feature in zip(parent_ids, clusters, features):
@@ -289,7 +288,7 @@ def build_tree(
                 kind="internal",
                 name=feature.name,
                 summary=feature.description,
-                children=tuple(members),
+                children=tuple(current[i] for i in members),
             )
         current = parent_ids
 

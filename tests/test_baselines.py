@@ -571,8 +571,12 @@ def gate_intents(lib, count=50, seed=31):
 
 # The sha256 of each scorer's (id, score.hex()) lists for 50 intents on a
 # seeded 300-artifact catalog whose id order ("fam10-" < "fam2-") is not
-# its catalog order.  A change to a formula, a summation order, the
-# rounding or the tie-break changes them.
+# its catalog order.  The scorers return scores rounded by round_scores,
+# so the gate pins each formula to 12 decimals, the rounding and the
+# tie-break.  A change of summation order moves only last bits, which the
+# rounding hides: reversing each document's posting order in JSD's
+# doc_order leaves all four sha256s equal.  test_sparse_jsd_equals_dense_bits
+# is the bit-level check of JSD's sums.
 RANKED_GATE_SHA256 = {
     "bm25": "0230d284a1a23f4a8722af988cdbefa6e081bed47db6d0c7ec737be012af8899",
     "tfidf": "3d1473897227c6d1f834f73b44961951b89aaec2f8301fa8eaba785229b8ff37",

@@ -4,7 +4,9 @@ import pytest
 
 from semtree.cli import _embedder_for_index, _load_config_file, build_parser, main
 from semtree.embed import RemoteEmbedder
-from semtree.search import SearchConfig, recommend
+from semtree.llm import prompt_hash
+from semtree.search import SearchConfig, recommend, render_rerank_prompt, tree_search
+from semtree.summarize import render_summary_prompt
 from semtree.tree import load_tree
 
 
@@ -285,6 +287,41 @@ def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err and "missing.json" in err
+
+
+def test_recorded_replies_reach_the_index_and_the_ranking(catalog, tmp_path, capsys):
+    build = ["build", str(catalog), "--dim", "64", "--max-top", "1"]
+    offline = tmp_path / "offline.json"
+    assert run(capsys, *build, "--out", str(offline))[0] == 0
+    # Level 1's clusters come from the leaf rows, so the offline build
+    # shows which children one cluster's prompt lists.
+    index = load_tree(str(offline))
+    node = index.nodes["L1-0"]
+    prompt = render_summary_prompt(
+        [f"{index.nodes[c].name}: {index.nodes[c].summary}" for c in node.children])
+    stub = tmp_path / "build-stub.json"
+    stub.write_text(json.dumps({prompt_hash(prompt): "Recorded Feature: a recorded reply"}))
+    recorded = tmp_path / "recorded.json"
+    assert run(capsys, *build, "--out", str(recorded), "--llm-stub", str(stub))[0] == 0
+    index = load_tree(str(recorded))
+    assert index.provenance["summarizer"] == "ReplayClient"
+    named = [n for n in index.nodes.values() if n.name == "Recorded Feature"]
+    assert [(n.id, n.summary, n.children) for n in named] == [
+        ("L1-0", "a recorded reply", node.children)]
+
+    intent = "http client"
+    embedder = _embedder_for_index(index, object(), {})
+    candidates = tree_search(index, intent, SearchConfig(beam_width=10, final_k=3), embedder)
+    reversed_ids = candidates.ids()[::-1]
+    prompt = render_rerank_prompt(
+        intent, [(aid, index.leaf_by_artifact[aid].summary) for aid in candidates.ids()])
+    stub = tmp_path / "search-stub.json"
+    stub.write_text(json.dumps({prompt_hash(prompt): json.dumps(reversed_ids)}))
+    code, out, err = run(capsys, "search", "--index", str(recorded), "--intent", intent,
+                         "--k", "3", "--rerank", "--llm-stub", str(stub))
+    assert code == 0, err
+    assert [e["artifact_id"] for e in json.loads(out)["entries"]] == reversed_ids[:3]
+    assert reversed_ids[:3] != candidates.ids()[:3]
 
 
 def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):

@@ -10,6 +10,7 @@ from conftest import (
     perturbed_intents,
 )
 from semtree.catalog import Artifact, ArtifactLibrary
+from semtree.embed import EmbedderConfig, HashedEmbedder
 from semtree.llm import LlmError
 from semtree.search import (
     RankedList,
@@ -55,6 +56,23 @@ def brute_force(index, embedder, intent, k):
 def test_search_config_rejects_nonpositive_final_k(final_k):
     with pytest.raises(ValueError, match="final_k"):
         SearchConfig(final_k=final_k)
+
+
+def test_search_config_rejects_final_k_above_the_beam():
+    with pytest.raises(ValueError, match="final_k must not exceed beam_width"):
+        SearchConfig(beam_width=3, final_k=4)
+
+
+def test_intent_of_another_dimension_is_rejected(tiny_index):
+    other = HashedEmbedder(EmbedderConfig(dim=tiny_index.dim + 1))
+    with pytest.raises(ValueError, match="dimension does not match"):
+        tree_search(tiny_index, "parsing library", SearchConfig(), other)
+
+
+def test_rerank_without_a_client_is_rejected(tiny_index, hashed_embedder):
+    cfg = SearchConfig(beam_width=3, final_k=3, rerank=True)
+    with pytest.raises(ValueError, match="no LLM client"):
+        recommend(tiny_index, "parsing library", cfg, hashed_embedder)
 
 
 def test_depth1_equals_linear_scan(family_library, hashed_embedder):

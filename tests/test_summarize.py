@@ -1,9 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
 from semtree.llm import LlmError
 from semtree.summarize import (
     FeatureSummary,
     SummaryParseError,
+    _content_tokens,
     offline_summarize,
     parse_feature_line,
     render_summary_prompt,
@@ -72,20 +76,58 @@ def test_parse_round_trip():
 
 def test_offline_name_from_document_frequency():
     children = ["parse JSON config files", "parse YAML config files"]
-    summary = offline_summarize(children)
+    summary = offline_summarize(children, np.eye(2))
     assert "parse" in summary.name and "config" in summary.name
 
 
+def reference_name(children):
+    """The naming rule as an explicit loop: document frequency, then the
+    position at which a token was first seen."""
+    df, first_seen = {}, {}
+    for child in children:
+        for tok in dict.fromkeys(_content_tokens(child)):
+            df[tok] = df.get(tok, 0) + 1
+            first_seen.setdefault(tok, len(first_seen))
+    top = sorted(df, key=lambda t: (-df[t], first_seen[t]))[:2]
+    return " ".join(top) if top else "misc"
+
+
+def test_offline_name_matches_the_reference_loop():
+    rng = random.Random(5)
+    words = "a the of alpha beta gamma delta Beta GAMMA x1 y2".split()
+    for _ in range(2000):
+        children = [" ".join(rng.choices(words, k=rng.randint(0, 6)))
+                    for _ in range(rng.randint(1, 6))]
+        name = offline_summarize(children, np.eye(len(children))).name
+        assert name == reference_name(children), children
+
+
 def test_offline_single_child_is_its_own_centroid():
-    summary = offline_summarize(["only child text"])
-    assert summary.description == "Common feature covering: only child text"
+    for row in ([0.0, 3.0], [0.0, 0.0]):
+        summary = offline_summarize(["only child text"], np.array([row]))
+        assert summary.description == "Common feature covering: only child text"
+
+
+@pytest.mark.parametrize("rows, nearest", [
+    # the mean of the three rows lies closest to the third
+    ([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], "c"),
+    # "b" and "c" tie nearest: the first of them wins
+    ([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], "b"),
+], ids=["third", "tie"])
+def test_offline_quotes_the_child_nearest_the_normalized_mean(rows, nearest):
+    summary = offline_summarize(["a", "b", "c"], np.array(rows))
+    assert summary.description == f"Common feature covering: {nearest}"
+
+
+def test_offline_needs_one_row_per_child():
+    with pytest.raises(ValueError, match="2 embedding rows for 3 children"):
+        offline_summarize(["a", "b", "c"], np.eye(2))
 
 
 def test_offline_deterministic(hashed_embedder):
     children = ["alpha beta gamma", "alpha delta epsilon", "zeta eta theta"]
-    a = offline_summarize(children, embedder=hashed_embedder)
-    b = offline_summarize(children, embedder=hashed_embedder)
-    assert a == b
+    rows = hashed_embedder.embed(children)
+    assert offline_summarize(children, rows) == offline_summarize(children, rows.copy())
 
 
 class StubClient:
@@ -101,7 +143,7 @@ class StubClient:
 
 def test_llm_path_parses_first_line():
     client = StubClient("Data Serialization: tools for encoding structured data")
-    summary = summarize_cluster(["a", "b"], client=client)
+    summary = summarize_cluster(["a", "b"], np.eye(2), client=client)
     assert summary == FeatureSummary("Data Serialization",
                                      "tools for encoding structured data")
 
@@ -109,7 +151,8 @@ def test_llm_path_parses_first_line():
 def test_llm_unparseable_falls_back_offline(caplog):
     client = StubClient("no separator whatsoever")
     with caplog.at_level("WARNING"):
-        summary = summarize_cluster(["parse json files", "parse xml files"], client=client)
+        summary = summarize_cluster(["parse json files", "parse xml files"], np.eye(2),
+                                    client=client)
     assert summary.description.startswith("Common feature covering:")
     assert any("fallback" in r.message for r in caplog.records)
 
@@ -117,11 +160,11 @@ def test_llm_unparseable_falls_back_offline(caplog):
 def test_llm_transport_failure_falls_back(caplog):
     client = StubClient(error=LlmError("boom"))
     with caplog.at_level("WARNING"):
-        summary = summarize_cluster(["parse json files"], client=client)
+        summary = summarize_cluster(["parse json files"], np.eye(1), client=client)
     assert "parse" in summary.name
 
 
 @pytest.mark.parametrize("client", [None, StubClient("Name: text")], ids=["offline", "llm"])
 def test_no_children_raise(client):
     with pytest.raises(ValueError, match="no children"):
-        summarize_cluster([], client=client)
+        summarize_cluster([], np.empty((0, 2)), client=client)

@@ -11,6 +11,7 @@ from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
 from conftest import make_depth1_index, make_family_library
 from semtree.embed import EmbedderConfig, HashedEmbedder
+from semtree.llm import CallableClient, LlmError, prompt_hash
 from semtree.search import SearchConfig, tree_search
 from semtree.tree import (
     INDEX_FORMAT_VERSION,
@@ -302,7 +303,15 @@ def _leaf(nid):
     ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
                     children=("a",)),
       "a": dataclasses.replace(_leaf("a"), level="0")}, ("r",), "level '0' is not an integer"),
-], ids=["empty", "orphan_leaf", "string_level_after_parent"])
+    ({"a": dataclasses.replace(_leaf("a"), children=("b",)), "b": _leaf("b")}, ("a",),
+     "leaf a has children"),
+    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r"),
+      "a": _leaf("a")}, ("r", "a"), "internal node r has no children"),
+    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
+                    children=("a",), artifact_id="x"),
+      "a": _leaf("a")}, ("r",), "internal node r carries an artifact_id"),
+], ids=["empty", "orphan_leaf", "string_level_after_parent", "leaf_with_children",
+        "childless_internal", "internal_with_artifact"])
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
         TreeIndex(nodes=nodes, roots=roots, embeddings=np.ones((len(nodes), 2)))
@@ -324,6 +333,53 @@ def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkey
     save_tree(built, tmp_path / "idx.json")
     loaded = load_tree(tmp_path / "idx.json")
     assert [id(t) for t in validated] == [id(built), id(loaded)]
+
+
+def test_a_two_node_level_merges_through_select_k_bic(hashed_embedder, monkeypatch):
+    import semtree.tree as tree_mod
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("build_tree fitted a GMM outside select_k_bic")
+
+    sweeps = []
+    sweep = tree_mod.select_k_bic
+    monkeypatch.setattr(tree_mod, "fit_gmm", no_fit)
+    monkeypatch.setattr(tree_mod, "select_k_bic",
+                        lambda X, ks, seed: sweeps.append(list(ks)) or sweep(X, ks, seed))
+    lib = ArtifactLibrary(ecosystem="", artifacts=(
+        Artifact(id="a", name="a", description="json parsing"),
+        Artifact(id="b", name="b", description="yaml parsing"),
+    ))
+    built = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
+                       seed=0)
+    assert sweeps == [[1]]
+    assert built.roots == ("L1-0",)
+    assert built.nodes["L1-0"].children == ("L0-0", "L0-1")
+
+
+class CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed(texts)
+
+
+def test_a_build_embeds_each_level_once_and_the_leaf_summaries_once(family_library,
+                                                                    hashed_embedder):
+    embedder = CountingEmbedder(hashed_embedder)
+    index = build_tree(family_library, embedder, stop=StoppingCriteria(max_top_level_nodes=1),
+                       seed=0)
+    artifacts = family_library.artifacts
+    assert index.max_level() >= 2
+    assert len(embedder.calls) == index.max_level() + 2
+    assert embedder.calls[0] == [a.description for a in artifacts]
+    assert embedder.calls[1] == [f"{a.name}: {a.description}" for a in artifacts]
+    for level, texts in enumerate(embedder.calls[2:], start=1):
+        assert texts == [f"{n.name}: {n.summary}" for n in index.nodes.values()
+                         if n.level == level]
 
 
 def test_validate_rejects_orphan_leaf(family_index):
@@ -479,6 +535,36 @@ def test_build_bytes_of_a_bic_sweep_are_pinned(hashed_embedder, tmp_path):
     path = tmp_path / "index.json"
     save_tree(build_tree(lib, hashed_embedder, seed=0), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
+
+
+def _mixed_reply(prompt):
+    """Answers, garbles or fails, by the prompt's sha256."""
+    digest = prompt_hash(prompt)
+    kind = int(digest, 16) % 3
+    if kind == 0:
+        return f"feature {digest[:8]}: what prompt {digest[8:16]} covers:"
+    if kind == 1:
+        return "a reply with no separator"
+    raise LlmError("no reply")
+
+
+# The BUILD_GATE_SHA256 catalog summarized by _mixed_reply: the offline
+# fallback runs on the leaves' rows and on a built level's block.
+MIXED_LLM_BUILD_SHA256 = "db198f7d50db42fac5df426712b050838aae60a0afd7c1254d56a354f7ea56fb"
+
+
+def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_path):
+    lib = make_family_library(n_families=15, per_family=20, seed=12)
+    replies = []
+    client = CallableClient(lambda prompt: replies.append(prompt) or _mixed_reply(prompt))
+    path = tmp_path / "index.json"
+    index = build_tree(lib, hashed_embedder, summarizer=client, seed=0)
+    save_tree(index, path)
+    assert {int(prompt_hash(p), 16) % 3 for p in replies} == {0, 1, 2}
+    fallbacks = {n.level for n in index.nodes.values()
+                 if n.summary.startswith("Common feature covering:")}
+    assert fallbacks == {1, 2}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MIXED_LLM_BUILD_SHA256
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
