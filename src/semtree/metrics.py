@@ -56,12 +56,12 @@ def silhouette(tree: TreeIndex, level: int) -> float:
     A feature with several parents contributes once per membership;
     singleton clusters score 0 by convention.
     """
-    parents = [n for n in tree.nodes.values() if n.level == level and n.children]
+    ptr = tree.child_ptr
+    parents = [r for r, lvl in enumerate(tree.levels) if lvl == level and ptr[r + 1] > ptr[r]]
     if len(parents) < 2:
         raise ValueError(f"level {level} has fewer than 2 parents; silhouette undefined")
-    parents.sort(key=lambda n: n.id)
-    row = {nid: i for i, nid in enumerate(tree.ids)}
-    clusters = [tree.embeddings[[row[c] for c in p.children]] for p in parents]
+    parents.sort(key=tree.ids.__getitem__)
+    clusters = [tree.embeddings[tree.child_rows[ptr[r]:ptr[r + 1]]] for r in parents]
 
     def mean_dist(vec: np.ndarray, members: np.ndarray, skip: int | None = None) -> float:
         sims = members @ vec / (

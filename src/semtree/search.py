@@ -103,8 +103,7 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
         for r in kept[~leaf]:
             reached[rows[ptr[r]:ptr[r + 1]]] = True
         frontier = np.flatnonzero(reached)
-    entries = [(t.nodes[t.ids[r]].artifact_id, s)
-               for r, s in zip(kept.tolist(), kept_scores.tolist())]
+    entries = [(t.artifact_ids[r], s) for r, s in zip(kept.tolist(), kept_scores.tolist())]
     return RankedList(intent=intent, entries=entries, node_evaluations=evaluations)
 
 
@@ -168,7 +167,7 @@ def rerank(intent: str, candidates: RankedList, client, t: TreeIndex,
     """
     prompt = render_rerank_prompt(
         intent,
-        [(aid, t.leaf_by_artifact[aid].summary) for aid, _ in candidates.entries],
+        [(aid, t.summaries[t.leaf_rows[aid]]) for aid, _ in candidates.entries],
     )
     order = llm_order(client, prompt, candidates.ids())
     score_by_id = dict(candidates.entries)

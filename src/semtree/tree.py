@@ -6,10 +6,10 @@ clusters, summarizes every cluster from its children's texts and rows
 into a named parent feature, and embeds each summary as the next level.
 Soft assignment can give a node several parents, so the result is a
 polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
-coverage are validated whenever a ``TreeIndex`` is made, and validation
-packs the index into the array fields that search reads.  The array
-fields would not follow an edit, so the nodes are frozen and the
-embedding matrix, the only copy of the node vectors, is not writeable.
+coverage are validated whenever a ``TreeIndex`` is made.  The index is
+columns (ids, levels, kinds, names, summaries, artifact ids, CSR
+children and the embedding matrix, the only copy of the node vectors),
+and none of them can be edited once it is made.
 
 On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: the
 nodes in (level, id) order, and one ``"embeddings"`` block holding the
@@ -26,7 +26,8 @@ import json
 import math
 from base64 import b64decode, b64encode
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -68,56 +69,116 @@ class TreeNode:
         return self.kind == "leaf"
 
 
-def _array_field():
-    return field(init=False, repr=False)
-
-
-@dataclass(eq=False)
 class TreeIndex:
-    """The index: its nodes, their vectors, and the array form that search reads.
+    """The index as columns: row ``i`` of each is node ``ids[i]``.
 
-    Construction copies ``nodes`` into a read-only mapping and
-    ``embeddings`` into a read-only float64 matrix, so the index cannot
-    change once it is made, and runs ``validate_tree``, which sets the
-    array fields.  Row ``i`` is node ``ids[i]``, the ``i``-th of
-    ``nodes``: its vector is ``embeddings[i]``, its children are
-    ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR), and
-    ``id_rank[i]`` is the rank of ``ids[i]`` among the sorted node ids,
-    the tie-break of search.
+    ``levels``, ``kinds``, ``names``, ``summaries`` and ``artifact_ids``
+    are tuples; node ``i``'s vector is ``embeddings[i]``, a read-only
+    float64 matrix, and its children are
+    ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR).  ``roots`` are
+    node ids.  ``validate_tree`` runs once, when the index is made, and
+    sets what search reads: ``is_leaf``, ``id_rank`` (each id's rank among
+    the sorted ids, the tie-break), ``root_rows``, ``top_level`` and
+    ``leaf_rows`` (artifact id to leaf row).  Nothing here changes after
+    that, so the columns cannot fall out of step.
+
+    ``TreeIndex(nodes, roots, embeddings)`` makes an index from a mapping
+    of ``TreeNode``s, copying the matrix; ``load_tree`` makes one from a
+    file's columns with ``TreeIndex.from_columns``.  ``nodes`` and
+    ``leaves()`` are views of the columns as ``TreeNode``s, made on first
+    use; search, re-rank, persistence and statistics never read them.
     """
 
-    nodes: Mapping[str, TreeNode]
-    roots: tuple[str, ...]
-    embeddings: np.ndarray  # (n_nodes, dim)
-    config: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    ids: tuple[str, ...] = _array_field()
-    child_ptr: np.ndarray = _array_field()
-    child_rows: np.ndarray = _array_field()
-    is_leaf: np.ndarray = _array_field()
-    id_rank: np.ndarray = _array_field()
-    root_rows: np.ndarray = _array_field()
-    top_level: int = _array_field()
-    leaf_by_artifact: dict[str, TreeNode] = _array_field()
-
-    def __post_init__(self):
-        self.nodes = MappingProxyType(dict(self.nodes))
+    def __init__(self, nodes: Mapping[str, TreeNode], roots, embeddings,
+                 config: dict | None = None, provenance: dict | None = None):
+        nodes = dict(nodes)
+        for key, node in nodes.items():
+            if key != node.id:
+                raise TreeError(f"node {node.id!r} is stored under another id, {key!r}")
         try:
-            self.embeddings = np.array(self.embeddings, dtype=np.float64, order="C")
+            embeddings = np.array(embeddings, dtype=np.float64, order="C")
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
             raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
-        self.embeddings.flags.writeable = False
+        values = nodes.values()
+        self._fill(ids=list(nodes), levels=[n.level for n in values],
+                   kinds=[n.kind for n in values], names=[n.name for n in values],
+                   summaries=[n.summary for n in values],
+                   artifact_ids=[n.artifact_id for n in values],
+                   children=[n.children for n in values], roots=roots,
+                   embeddings=embeddings, config=config, provenance=provenance,
+                   nodes=MappingProxyType(nodes))
+
+    @classmethod
+    def from_columns(cls, *, ids, levels, kinds, names, summaries, artifact_ids, children,
+                     roots, embeddings: np.ndarray, config: dict | None = None,
+                     provenance: dict | None = None) -> TreeIndex:
+        """An index of columns as a file holds them: ``children`` lists
+        child ids per node, and ``embeddings``, a C-contiguous float64
+        matrix, is kept rather than copied, and made read-only."""
+        t = cls.__new__(cls)
+        t._fill(ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
+                artifact_ids=artifact_ids, children=children, roots=roots,
+                embeddings=embeddings, config=config, provenance=provenance, nodes=None)
+        return t
+
+    def _fill(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
+              embeddings, config, provenance, nodes) -> None:
+        self.ids, self.levels, self.kinds = tuple(ids), tuple(levels), tuple(kinds)
+        self.names, self.summaries = tuple(names), tuple(summaries)
+        self.artifact_ids, self.roots = tuple(artifact_ids), tuple(roots)
+        self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
+        embeddings.flags.writeable = False
+        self.embeddings = embeddings
+        self.config = {} if config is None else config
+        self.provenance = {} if provenance is None else provenance
+        self._nodes = nodes
         validate_tree(self)
 
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
+    @property
+    def nodes(self) -> Mapping[str, TreeNode]:
+        """The nodes by id, a read-only view made from the columns on first use."""
+        if self._nodes is None:
+            ptr, rows = self.child_ptr.tolist(), self.child_rows.tolist()
+            self._nodes = MappingProxyType({
+                nid: TreeNode(id=nid, level=level, kind=kind, name=name, summary=summary,
+                              children=tuple(self.ids[r] for r in rows[ptr[i]:ptr[i + 1]]),
+                              artifact_id=artifact_id)
+                for i, (nid, level, kind, name, summary, artifact_id) in enumerate(zip(
+                    self.ids, self.levels, self.kinds, self.names, self.summaries,
+                    self.artifact_ids))
+            })
+        return self._nodes
+
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if n.is_leaf()]
 
     def max_level(self) -> int:
         return self.top_level
+
+
+def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Each id's row, and the rows of each node's ``children`` ids as CSR
+    arrays (``child_ptr``, ``child_rows``)."""
+    try:
+        row = {nid: i for i, nid in enumerate(ids)}
+    except TypeError as exc:  # a JSON list or object as an id
+        raise TreeError(f"node ids must be strings: {exc}") from exc
+    if len(row) != len(ids):
+        seen: set[str] = set()
+        raise TreeError(f"duplicate node id {next(n for n in ids if n in seen or seen.add(n))!r}")
+    ptr = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum([len(c) for c in children], out=ptr[1:])
+    try:
+        rows = np.array([row[c] for cs in children for c in cs], dtype=np.intp)
+    except (KeyError, TypeError):
+        node, child = next((ids[i], c) for i, cs in enumerate(children) for c in cs
+                           if not isinstance(c, str) or c not in row)
+        raise TreeError(f"node {node} references missing child {child!r}") from None
+    return row, ptr, rows
 
 
 def rank_by_id(ids) -> np.ndarray:
@@ -128,91 +189,96 @@ def rank_by_id(ids) -> np.ndarray:
     return ranks
 
 
-def validate_tree(t: TreeIndex) -> None:
-    """Check the index and set its array fields.
+def _raise_at(bad: np.ndarray, message) -> None:
+    """Raise ``TreeError(message(i))`` for the first row ``i`` that ``bad`` marks."""
+    if bad.any():
+        raise TreeError(message(int(np.argmax(bad))))
 
-    Checks: levels are integers, ids, names, summaries and artifact ids
-    are strings, each kind is ``leaf`` or ``internal``, the embedding
-    matrix is finite with one row per node, levels decrease along every
-    edge (hence acyclicity), each artifact has one leaf, roots are
-    distinct, and every leaf is reachable from a root.  ``TreeIndex`` runs it when made.
+
+def validate_tree(t: TreeIndex) -> None:
+    """Check the index's columns and set the arrays that search reads.
+
+    Checks: levels are integers; ids, names, summaries and leaves'
+    artifact ids are strings; each kind is ``leaf`` or ``internal``;
+    leaves have no children and internal nodes have some; each artifact
+    has one leaf; levels decrease along every CSR edge (hence
+    acyclicity); roots are present and distinct; every leaf is reached
+    by a level-by-level sweep from the roots; and the embedding matrix is
+    finite with one row per node.  ``TreeIndex`` runs it when made.
     """
-    if not t.nodes:
+    n, ids = len(t.ids), t.ids
+    if not n:
         raise TreeError("index has no nodes")
-    ids = tuple(t.nodes)
-    row = {nid: i for i, nid in enumerate(ids)}
-    if t.embeddings.ndim != 2 or len(t.embeddings) != len(ids):
+    if t.embeddings.ndim != 2 or len(t.embeddings) != n:
         raise TreeError(f"embedding matrix of shape {t.embeddings.shape} does not "
-                        f"have one row for each of the {len(ids)} nodes")
-    for node in t.nodes.values():  # before any edge compares two levels
-        if not isinstance(node.level, int) or isinstance(node.level, bool):
-            raise TreeError(f"node {node.id!r}: level {node.level!r} is not an integer")
-    child_ptr = [0]
-    child_rows: list[int] = []
-    is_leaf: list[bool] = []
-    leaf_by_artifact: dict[str, TreeNode] = {}
-    for node in t.nodes.values():
-        if not (isinstance(node.id, str) and isinstance(node.name, str)
-                and isinstance(node.summary, str)):
-            raise TreeError(f"node {node.id!r}: id, name and summary must be strings")
-        if node.kind not in ("leaf", "internal"):
-            raise TreeError(f"node {node.id}: kind {node.kind!r} is not leaf or internal")
-        leaf = node.is_leaf()
-        is_leaf.append(leaf)
-        if leaf:
-            if node.children:
-                raise TreeError(f"leaf {node.id} has children")
-            if not isinstance(node.artifact_id, str):
-                raise TreeError(f"leaf {node.id} has no string artifact_id")
-            other = leaf_by_artifact.setdefault(node.artifact_id, node)
-            if other is not node:
-                raise TreeError(f"leaves {other.id} and {node.id} share "
-                                f"artifact_id {node.artifact_id}")
-        else:
-            if not node.children:
-                raise TreeError(f"internal node {node.id} has no children")
-            if node.artifact_id is not None:
-                raise TreeError(f"internal node {node.id} carries an artifact_id")
-        for child_id in node.children:
-            child = t.nodes.get(child_id) if isinstance(child_id, str) else None
-            if child is None:
-                raise TreeError(f"node {node.id} references missing child {child_id!r}")
-            if child.level >= node.level:
-                raise TreeError(
-                    f"edge {node.id} -> {child_id} does not decrease level "
-                    f"({node.level} -> {child.level})"
-                )
-            child_rows.append(row[child_id])
-        child_ptr.append(len(child_rows))
+                        f"have one row for each of the {n} nodes")
+    # Each type check is one set of types, made at C speed; only a column
+    # that holds some other type is walked to find the node.
+    if set(map(type, t.levels)) != {int}:  # before any edge compares two levels
+        for nid, level in zip(ids, t.levels):
+            if not isinstance(level, int) or isinstance(level, bool):
+                raise TreeError(f"node {nid!r}: level {level!r} is not an integer")
+    try:
+        levels = np.array(t.levels, dtype=np.int64)
+    except OverflowError as exc:
+        raise TreeError(f"a node level does not fit in 64 bits: {exc}") from exc
+    if set(map(type, chain(ids, t.names, t.summaries))) != {str}:
+        for nid, name, summary in zip(ids, t.names, t.summaries):
+            if not (isinstance(nid, str) and isinstance(name, str)
+                    and isinstance(summary, str)):
+                raise TreeError(f"node {nid!r}: id, name and summary must be strings")
+    is_leaf = np.array([kind == "leaf" for kind in t.kinds], dtype=bool)
+    internal = np.array([kind == "internal" for kind in t.kinds], dtype=bool)
+    _raise_at(~(is_leaf | internal),
+              lambda i: f"node {ids[i]}: kind {t.kinds[i]!r} is not leaf or internal")
+    fanout = np.diff(t.child_ptr)
+    _raise_at(is_leaf & (fanout > 0), lambda i: f"leaf {ids[i]} has children")
+    _raise_at(internal & (fanout == 0), lambda i: f"internal node {ids[i]} has no children")
+    has_artifact = np.array([a is not None for a in t.artifact_ids], dtype=bool)
+    _raise_at(internal & has_artifact,
+              lambda i: f"internal node {ids[i]} carries an artifact_id")
+    leaf_rows: dict[str, int] = {}
+    for r in np.flatnonzero(is_leaf).tolist():
+        artifact_id = t.artifact_ids[r]
+        if not isinstance(artifact_id, str):
+            raise TreeError(f"leaf {ids[r]} has no string artifact_id")
+        other = leaf_rows.setdefault(artifact_id, r)
+        if other != r:
+            raise TreeError(f"leaves {ids[other]} and {ids[r]} share artifact_id {artifact_id}")
+    parents = np.repeat(np.arange(n), fanout)  # the parent row of each CSR edge
+    climbs = levels[t.child_rows] >= levels[parents]
+    if climbs.any():
+        e = int(np.argmax(climbs))
+        p, c = int(parents[e]), int(t.child_rows[e])
+        raise TreeError(f"edge {ids[p]} -> {ids[c]} does not decrease level "
+                        f"({t.levels[p]} -> {t.levels[c]})")
+    root_rows = []
     for root_id in t.roots:
-        if not isinstance(root_id, str) or root_id not in t.nodes:
+        if not isinstance(root_id, str) or root_id not in t.row_of:
             raise TreeError(f"missing root node {root_id!r}")
-    if len(set(t.roots)) != len(t.roots):
+        root_rows.append(t.row_of[root_id])
+    if len(set(root_rows)) != len(root_rows):
         raise TreeError(f"duplicate root ids in {list(t.roots)}")
-    # Full leaf coverage: every leaf reachable from >= 1 root.
-    reachable: set[str] = set()
-    stack = list(t.roots)
-    while stack:
-        nid = stack.pop()
-        if nid in reachable:
-            continue
-        reachable.add(nid)
-        stack.extend(t.nodes[nid].children)
-    orphans = [n.id for n in leaf_by_artifact.values() if n.id not in reachable]
+    # Full leaf coverage: each pass reaches the children of the last one,
+    # so a pass goes one edge deeper and the sweep ends below the leaves.
+    reached = np.zeros(n, dtype=bool)
+    wave = np.zeros(n, dtype=bool)
+    wave[root_rows] = True
+    while wave.any():
+        reached |= wave
+        below = np.zeros(n, dtype=bool)
+        below[t.child_rows[wave[parents]]] = True
+        wave = below & ~reached
+    orphans = [ids[r] for r in np.flatnonzero(is_leaf & ~reached).tolist()]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
     finite = np.isfinite(t.embeddings).all(axis=1)
-    if not finite.all():
-        bad = ids[int(np.argmin(finite))]
-        raise TreeError(f"node {bad}: embedding has non-finite values")
-    t.ids = ids
-    t.child_ptr = np.asarray(child_ptr, dtype=np.intp)
-    t.child_rows = np.asarray(child_rows, dtype=np.intp)
-    t.is_leaf = np.array(is_leaf)
+    _raise_at(~finite, lambda i: f"node {ids[i]}: embedding has non-finite values")
+    t.is_leaf = is_leaf
     t.id_rank = rank_by_id(ids)
-    t.root_rows = np.array([row[r] for r in t.roots], dtype=np.intp)
-    t.top_level = max(n.level for n in t.nodes.values())
-    t.leaf_by_artifact = leaf_by_artifact
+    t.root_rows = np.array(root_rows, dtype=np.intp)
+    t.top_level = int(levels.max())
+    t.leaf_rows = leaf_rows
 
 
 def build_tree(
@@ -316,24 +382,17 @@ def build_tree(
     )
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    obj = {
-        "id": node.id,
-        "level": node.level,
-        "kind": node.kind,
-        "name": node.name,
-        "summary": node.summary,
-        "children": list(node.children),
-    }
-    if node.artifact_id is not None:
-        obj["artifact_id"] = node.artifact_id
-    return obj
-
-
 def save_tree(t: TreeIndex, path: str) -> None:
     """Persist the index as versioned JSON; a lossless, deterministic dump."""
-    nodes = list(t.nodes.values())
-    rows = sorted(range(len(nodes)), key=lambda i: (nodes[i].level, nodes[i].id))
+    rows = np.lexsort((t.id_rank, t.levels)).tolist()  # (level, id) order
+    ptr, kids = t.child_ptr.tolist(), t.child_rows.tolist()
+    nodes = []
+    for i in rows:
+        obj = {"id": t.ids[i], "level": t.levels[i], "kind": t.kinds[i], "name": t.names[i],
+               "summary": t.summaries[i], "children": [t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]]}
+        if t.artifact_ids[i] is not None:
+            obj["artifact_id"] = t.artifact_ids[i]
+        nodes.append(obj)
     matrix = np.asarray(t.embeddings[rows], dtype="<f8")
     nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
     doc = {
@@ -341,7 +400,7 @@ def save_tree(t: TreeIndex, path: str) -> None:
         "config": t.config,
         "provenance": t.provenance,
         "roots": list(t.roots),
-        "nodes": [_node_to_json(nodes[i]) for i in rows],
+        "nodes": nodes,
         "embeddings": {
             "dim": t.dim,
             "mask": b64encode(np.packbits(nonzero).tobytes()).decode(),
@@ -402,43 +461,40 @@ def load_tree(path: str) -> TreeIndex:
     config, provenance = doc.get("config", {}), doc.get("provenance", {})
     if not (isinstance(config, dict) and isinstance(provenance, dict)):
         raise TreeError(f"index file {path}: config and provenance must be JSON objects")
-    nodes: dict[str, TreeNode] = {}
     try:
-        matrix = _embedding_matrix(doc["embeddings"], len(doc["nodes"]))
-        for obj in doc["nodes"]:
-            if obj["id"] in nodes:
-                raise TreeError(f"duplicate node id {obj['id']!r}")
-            nodes[obj["id"]] = TreeNode(
-                id=obj["id"],
-                level=obj["level"],
-                kind=obj["kind"],
-                name=obj["name"],
-                summary=obj["summary"],
-                children=tuple(obj["children"]),
-                artifact_id=obj.get("artifact_id"),
-            )
-        roots = tuple(doc["roots"])
+        objs, roots = doc["nodes"], doc["roots"]
+        for name, value in (("nodes", objs), ("roots", roots)):
+            if type(value) is not list:
+                raise TreeError(f"index file {path}: {name} is not a JSON list")
+        matrix = _embedding_matrix(doc["embeddings"], len(objs))
+        ids, levels, kinds, names, summaries, children = (
+            [obj[key] for obj in objs]
+            for key in ("id", "level", "kind", "name", "summary", "children"))
+        for nid, kids in zip(ids, children):
+            if type(kids) is not list:
+                raise TreeError(f"index file {path}: the children of node {nid!r} "
+                                f"are not a JSON list")
+        artifact_ids = [obj.get("artifact_id") for obj in objs]
     except TreeError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
-    del doc  # the parsed nodes are copied; free them before validation allocates
-    return TreeIndex(
-        nodes=nodes,
-        roots=roots,
-        embeddings=matrix,
-        config=config,
-        provenance=provenance,
+    del doc, objs  # the columns hold what validation needs
+    return TreeIndex.from_columns(
+        ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
+        artifact_ids=artifact_ids, children=children, roots=roots, embeddings=matrix,
+        config=config, provenance=provenance,
     )
 
 
 def tree_stats(t: TreeIndex) -> dict:
     """Layer/node counts and mean summary lengths in characters."""
-    leaf_lengths = [len(n.summary) for n in t.nodes.values() if n.is_leaf()]
-    internal_lengths = [len(n.summary) for n in t.nodes.values() if not n.is_leaf()]
+    leaf = t.is_leaf.tolist()
+    leaf_lengths = [len(s) for s, is_leaf in zip(t.summaries, leaf) if is_leaf]
+    internal_lengths = [len(s) for s, is_leaf in zip(t.summaries, leaf) if not is_leaf]
     return {
-        "layers": t.max_level() + 1,
-        "nodes": len(t.nodes),
+        "layers": t.top_level + 1,
+        "nodes": len(t.ids),
         "mean_leaf_summary_length": (
             sum(leaf_lengths) / len(leaf_lengths) if leaf_lengths else 0.0
         ),

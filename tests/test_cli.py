@@ -314,7 +314,7 @@ def test_recorded_replies_reach_the_index_and_the_ranking(catalog, tmp_path, cap
     candidates = tree_search(index, intent, SearchConfig(beam_width=10, final_k=3), embedder)
     reversed_ids = candidates.ids()[::-1]
     prompt = render_rerank_prompt(
-        intent, [(aid, index.leaf_by_artifact[aid].summary) for aid in candidates.ids()])
+        intent, [(aid, index.summaries[index.leaf_rows[aid]]) for aid in candidates.ids()])
     stub = tmp_path / "search-stub.json"
     stub.write_text(json.dumps({prompt_hash(prompt): json.dumps(reversed_ids)}))
     code, out, err = run(capsys, "search", "--index", str(recorded), "--intent", intent,

@@ -213,7 +213,8 @@ def _with_doc(edit):
     return damage
 
 
-@pytest.mark.parametrize("damage", [
+# Damage to a saved multi-level index, each of which load_tree must reject.
+MALFORMED_FILES = [
     lambda text: text[: len(text) // 2],
     lambda text: json.dumps([json.loads(text)]),
     _edited("nodes"),
@@ -244,15 +245,30 @@ def _with_doc(edit):
     _edited("embeddings", "dim", value="256"),
     _edited("embeddings", "mask"),
     _edited("nodes", 0, "level", value=float("inf")),
-], ids=["truncated", "not_an_object", "no_nodes", "node_without_level",
-        "node_without_id", "node_without_embedding", "scalar_embedding",
-        "ragged_embedding", "nan_embedding", "infinite_embedding",
-        "duplicate_artifact_id", "duplicate_root", "duplicate_node_id",
-        "integer_id", "integer_name", "integer_summary", "integer_artifact_id",
-        "unknown_kind", "list_child_id", "list_root_id", "non_base64_mask",
-        "non_ascii_values", "values_one_float_short", "values_one_float_long",
-        "mask_one_byte_long", "zero_dim", "fractional_dim",
-        "string_dim", "no_mask", "infinite_level"])
+]
+MALFORMED_FILE_IDS = [
+    "truncated", "not_an_object", "no_nodes", "node_without_level",
+    "node_without_id", "node_without_embedding", "scalar_embedding",
+    "ragged_embedding", "nan_embedding", "infinite_embedding",
+    "duplicate_artifact_id", "duplicate_root", "duplicate_node_id",
+    "integer_id", "integer_name", "integer_summary", "integer_artifact_id",
+    "unknown_kind", "list_child_id", "list_root_id", "non_base64_mask",
+    "non_ascii_values", "values_one_float_short", "values_one_float_long",
+    "mask_one_byte_long", "zero_dim", "fractional_dim",
+    "string_dim", "no_mask", "infinite_level"]
+# A JSON object or string where a list belongs.
+NOT_A_LIST = [
+    _with_doc(lambda doc: doc["nodes"][-1].update(
+        children=dict.fromkeys(doc["nodes"][-1]["children"], 0))),
+    _edited("nodes", 0, "children", value=""),  # a leaf's
+    _with_doc(lambda doc: doc.update(roots=dict.fromkeys(doc["roots"], True))),
+    _with_doc(lambda doc: doc.update(roots=doc["roots"][0])),
+]
+NOT_A_LIST_IDS = ["object_children", "string_leaf_children", "object_roots", "string_roots"]
+
+
+@pytest.mark.parametrize("damage", MALFORMED_FILES + NOT_A_LIST,
+                         ids=MALFORMED_FILE_IDS + NOT_A_LIST_IDS)
 def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
@@ -263,6 +279,26 @@ def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     assert "error:" in capsys.readouterr().err
     assert main(["stats", "--index", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _golden_node(doc, node_id):
+    return next(obj for obj in doc["nodes"] if obj["id"] == node_id)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _golden_node(doc, "L1-0").update(children={"L0-1": 0}),
+     "the children of node 'L1-0' are not a JSON list"),
+    (lambda doc: _golden_node(doc, "L0-0").update(children=""),
+     "the children of node 'L0-0' are not a JSON list"),
+    (lambda doc: doc.update(roots={"L2-0": True}), "roots is not a JSON list"),
+    (lambda doc: doc.update(roots="L2-0"), "roots is not a JSON list"),
+    (lambda doc: doc.update(nodes={obj["id"]: obj for obj in doc["nodes"]}),
+     "nodes is not a JSON list"),
+], ids=["object_children", "string_leaf_children", "object_roots", "string_roots",
+        "object_nodes"])
+def test_load_names_the_field_that_is_not_a_list(tmp_path, edit, message):
+    with pytest.raises(TreeError, match=message):
+        load_tree(_golden_edited(tmp_path, edit))
 
 
 def test_load_rejects_text_that_is_not_utf8(family_index, tmp_path):
@@ -296,7 +332,7 @@ def _leaf(nid):
     return TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid, artifact_id=nid)
 
 
-@pytest.mark.parametrize("nodes, roots, message", [
+CONSTRUCTION_CASES = [
     ({}, (), "no nodes"),
     ({"a": _leaf("a"), "b": _leaf("b")}, ("a",), "not reachable"),
     # the parent comes first, so its edge is met before the child's level
@@ -310,8 +346,12 @@ def _leaf(nid):
     ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
                     children=("a",), artifact_id="x"),
       "a": _leaf("a")}, ("r",), "internal node r carries an artifact_id"),
-], ids=["empty", "orphan_leaf", "string_level_after_parent", "leaf_with_children",
-        "childless_internal", "internal_with_artifact"])
+]
+CONSTRUCTION_IDS = ["empty", "orphan_leaf", "string_level_after_parent", "leaf_with_children",
+                    "childless_internal", "internal_with_artifact"]
+
+
+@pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
         TreeIndex(nodes=nodes, roots=roots, embeddings=np.ones((len(nodes), 2)))
@@ -431,7 +471,7 @@ def test_index_copies_the_embeddings_it_is_given(hashed_embedder):
     assert tree_search(copied, intent, cfg, hashed_embedder).entries == before
 
 
-@pytest.mark.parametrize("embeddings, message", [
+MATRIX_CASES = [
     (np.ones((2, 4)), "one row for each of the 3 nodes"),
     (np.ones((4, 4)), "one row for each of the 3 nodes"),
     (np.ones(4), "one row for each"),
@@ -439,12 +479,20 @@ def test_index_copies_the_embeddings_it_is_given(hashed_embedder):
     (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), "node b: .*non-finite"),
     ([[1.0], [1.0, 2.0]], "not a numeric matrix"),
     ([["x"]], "not a numeric matrix"),
-], ids=["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
-        "nan", "ragged", "non_numeric"])
+]
+MATRIX_IDS = ["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
+              "nan", "ragged", "non_numeric"]
+
+
+def _two_leaves():
+    return {"a": _leaf("a"), "b": _leaf("b"),
+            "r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
+                          children=("a", "b"))}
+
+
+@pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
 def test_construction_checks_the_embedding_matrix(embeddings, message):
-    nodes = {"a": _leaf("a"), "b": _leaf("b"),
-             "r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
-                           children=("a", "b"))}
+    nodes = _two_leaves()
     assert TreeIndex(nodes=nodes, roots=("r",), embeddings=np.ones((3, 2))).dim == 2
     with pytest.raises(TreeError, match=message):
         TreeIndex(nodes=nodes, roots=("r",), embeddings=embeddings)

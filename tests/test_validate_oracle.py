@@ -1,0 +1,303 @@
+"""The array checks of ``validate_tree`` against the per-node validator
+they replaced.
+
+``oracle_validate`` and ``oracle_load`` are the node-by-node
+``validate_tree`` and the ``TreeNode``-building ``load_tree`` as they were
+before the index became columns.  On the construction and malformed-file
+cases of ``test_tree.py`` and on generated corruptions of small DAGs, an
+index must fail to load exactly when the oracle raises ``TreeError``.
+Levels are drawn within 64 bits: the columns keep levels as int64 and
+reject a wider one, which the oracle accepted.
+"""
+
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semtree.search import SearchConfig, recommend
+from semtree.llm import CallableClient
+from semtree.tree import (
+    TreeError,
+    TreeIndex,
+    TreeNode,
+    _embedding_matrix,
+    load_tree,
+    save_tree,
+    tree_stats,
+)
+from test_tree import (
+    CONSTRUCTION_CASES,
+    CONSTRUCTION_IDS,
+    MALFORMED_FILE_IDS,
+    MALFORMED_FILES,
+    MATRIX_CASES,
+    MATRIX_IDS,
+    _embeddings_block,
+    _two_leaves,
+)
+
+
+def oracle_validate(nodes, roots, embeddings) -> None:
+    if not nodes:
+        raise TreeError("index has no nodes")
+    ids = tuple(nodes)
+    if embeddings.ndim != 2 or len(embeddings) != len(ids):
+        raise TreeError("embedding matrix does not have one row per node")
+    for node in nodes.values():
+        if not isinstance(node.level, int) or isinstance(node.level, bool):
+            raise TreeError(f"node {node.id!r}: level {node.level!r} is not an integer")
+    leaf_by_artifact = {}
+    for node in nodes.values():
+        if not (isinstance(node.id, str) and isinstance(node.name, str)
+                and isinstance(node.summary, str)):
+            raise TreeError(f"node {node.id!r}: id, name and summary must be strings")
+        if node.kind not in ("leaf", "internal"):
+            raise TreeError(f"node {node.id}: kind {node.kind!r} is not leaf or internal")
+        if node.is_leaf():
+            if node.children:
+                raise TreeError(f"leaf {node.id} has children")
+            if not isinstance(node.artifact_id, str):
+                raise TreeError(f"leaf {node.id} has no string artifact_id")
+            if leaf_by_artifact.setdefault(node.artifact_id, node) is not node:
+                raise TreeError(f"leaves share artifact_id {node.artifact_id}")
+        else:
+            if not node.children:
+                raise TreeError(f"internal node {node.id} has no children")
+            if node.artifact_id is not None:
+                raise TreeError(f"internal node {node.id} carries an artifact_id")
+        for child_id in node.children:
+            child = nodes.get(child_id) if isinstance(child_id, str) else None
+            if child is None:
+                raise TreeError(f"node {node.id} references missing child {child_id!r}")
+            if child.level >= node.level:
+                raise TreeError(f"edge {node.id} -> {child_id} does not decrease level")
+    for root_id in roots:
+        if not isinstance(root_id, str) or root_id not in nodes:
+            raise TreeError(f"missing root node {root_id!r}")
+    if len(set(roots)) != len(roots):
+        raise TreeError(f"duplicate root ids in {list(roots)}")
+    reachable = set()
+    stack = list(roots)
+    while stack:
+        nid = stack.pop()
+        if nid in reachable:
+            continue
+        reachable.add(nid)
+        stack.extend(nodes[nid].children)
+    if any(n.id not in reachable for n in leaf_by_artifact.values()):
+        raise TreeError("leaves not reachable from any root")
+    if not np.isfinite(embeddings).all():
+        raise TreeError("embedding has non-finite values")
+
+
+def oracle_index(nodes, roots, embeddings) -> None:
+    nodes = MappingProxyType(dict(nodes))
+    try:
+        embeddings = np.array(embeddings, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
+    oracle_validate(nodes, tuple(roots), embeddings)
+
+
+def oracle_load(path) -> None:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except ValueError as exc:
+        raise TreeError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("version") != 2:
+        raise TreeError("not a version 2 index")
+    if not (isinstance(doc.get("config", {}), dict)
+            and isinstance(doc.get("provenance", {}), dict)):
+        raise TreeError("config and provenance must be JSON objects")
+    nodes = {}
+    try:
+        matrix = _embedding_matrix(doc["embeddings"], len(doc["nodes"]))
+        for obj in doc["nodes"]:
+            if obj["id"] in nodes:
+                raise TreeError(f"duplicate node id {obj['id']!r}")
+            nodes[obj["id"]] = TreeNode(
+                id=obj["id"], level=obj["level"], kind=obj["kind"], name=obj["name"],
+                summary=obj["summary"], children=tuple(obj["children"]),
+                artifact_id=obj.get("artifact_id"),
+            )
+        roots = tuple(doc["roots"])
+    except TreeError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TreeError(f"malformed index file: {exc}") from exc
+    oracle_index(nodes, roots, matrix)
+
+
+def rejects(fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises ``TreeError``; any other error propagates."""
+    try:
+        fn(*args)
+    except TreeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
+def test_construction_cases_agree_with_the_oracle(nodes, roots, message):
+    embeddings = np.ones((len(nodes), 2))
+    assert rejects(oracle_index, nodes, roots, embeddings)
+    assert rejects(TreeIndex, nodes, roots, embeddings)
+
+
+@pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
+def test_matrix_cases_agree_with_the_oracle(embeddings, message):
+    assert rejects(oracle_index, _two_leaves(), ("r",), embeddings)
+    assert rejects(TreeIndex, _two_leaves(), ("r",), embeddings)
+
+
+@pytest.mark.parametrize("damage", MALFORMED_FILES, ids=MALFORMED_FILE_IDS)
+def test_malformed_files_agree_with_the_oracle(family_index, tmp_path, damage):
+    path = tmp_path / "idx.json"
+    save_tree(family_index, path)
+    assert not rejects(oracle_load, path) and not rejects(load_tree, path)
+    path.write_text(damage(path.read_text()))
+    assert rejects(oracle_load, path)
+    assert rejects(load_tree, path)
+
+
+@st.composite
+def small_dags(draw):
+    """A valid index of up to 6 leaves and 3 levels above them: each
+    internal node takes children from any level below its own."""
+    n_leaves = draw(st.integers(1, 6))
+    nodes = {f"L0-{i}": TreeNode(id=f"L0-{i}", level=0, kind="leaf", name=f"n{i}",
+                                 summary=f"s{i}", artifact_id=f"a{i}")
+             for i in range(n_leaves)}
+    roots = list(nodes)
+    for level in range(1, draw(st.integers(0, 3)) + 1):
+        below = list(nodes)
+        uncovered = set(roots)
+        parents = []
+        for j in range(draw(st.integers(1, 3))):
+            children = draw(st.lists(st.sampled_from(below), min_size=1, max_size=4,
+                                     unique=True))
+            pid = f"L{level}-{j}"
+            nodes[pid] = TreeNode(id=pid, level=level, kind="internal", name=pid,
+                                  summary=pid, children=tuple(children))
+            parents.append(pid)
+            uncovered -= set(children)
+        roots = parents + sorted(uncovered)  # every earlier root stays reachable
+    embeddings = np.ones((len(nodes), 3))
+    return nodes, roots, embeddings
+
+
+LEVELS = [-1, 0, 1, 2, 3, 7, "1", 1.5, True, None]
+KINDS = ["leaf", "internal", "branch", None]
+ARTIFACTS = [None, "a0", "fresh", 5]
+TEXTS = ["x", 5, None]
+
+
+@st.composite
+def corrupted(draw, dags):
+    """A DAG from ``dags`` with 0-3 random edits to its fields, roots or rows."""
+    nodes, roots, embeddings = draw(dags)
+    for _ in range(draw(st.integers(0, 3))):
+        nid = draw(st.sampled_from(list(nodes)))
+        node = nodes[nid]
+        what = draw(st.sampled_from(["level", "kind", "children", "artifact_id", "name",
+                                     "summary", "roots", "embeddings"]))
+        if what == "level":
+            nodes[nid] = dataclasses.replace(node, level=draw(st.sampled_from(LEVELS)))
+        elif what == "kind":
+            nodes[nid] = dataclasses.replace(node, kind=draw(st.sampled_from(KINDS)))
+        elif what == "children":
+            extra = draw(st.sampled_from(list(nodes) + ["missing", 5]))
+            edit = draw(st.sampled_from(["clear", "add", "drop"]))
+            children = {"clear": (), "add": node.children + (extra,),
+                        "drop": node.children[1:]}[edit]
+            nodes[nid] = dataclasses.replace(node, children=children)
+        elif what in ("name", "summary"):
+            nodes[nid] = dataclasses.replace(node, **{what: draw(st.sampled_from(TEXTS))})
+        elif what == "artifact_id":
+            nodes[nid] = dataclasses.replace(node, artifact_id=draw(st.sampled_from(ARTIFACTS)))
+        elif what == "roots":
+            edit = draw(st.sampled_from(["drop", "repeat", "add"]))
+            if edit == "drop":
+                roots = roots[1:]
+            elif edit == "repeat":
+                roots = roots + roots[:1]
+            else:
+                roots = roots + [draw(st.sampled_from(list(nodes) + ["missing", 5]))]
+        else:
+            edit = draw(st.sampled_from(["nan", "inf", "short", "long"]))
+            embeddings = embeddings.copy()
+            if edit in ("nan", "inf"):
+                embeddings[draw(st.integers(0, len(embeddings) - 1)), 0] = float(edit)
+            else:
+                embeddings = embeddings[:-1] if edit == "short" else np.vstack(
+                    [embeddings, embeddings[:1]])
+    return nodes, roots, embeddings
+
+
+def _written(nodes, roots, embeddings, directory) -> Path:
+    """The version 2 file of ``nodes`` in their given order, encoded here by hand."""
+    doc = {
+        "version": 2,
+        "roots": list(roots),
+        "nodes": [{"id": n.id, "level": n.level, "kind": n.kind, "name": n.name,
+                   "summary": n.summary, "children": list(n.children),
+                   **({} if n.artifact_id is None else {"artifact_id": n.artifact_id})}
+                  for n in nodes.values()],
+        "embeddings": _embeddings_block(embeddings),
+    }
+    path = Path(directory) / "index.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(corrupted(small_dags()))
+def test_generated_corruptions_agree_with_the_oracle(case):
+    nodes, roots, embeddings = case
+    expected = rejects(oracle_index, nodes, roots, embeddings)
+    assert rejects(TreeIndex, nodes, roots, embeddings) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(nodes, roots, embeddings, tmp)
+        assert rejects(oracle_load, path) == expected
+        assert rejects(load_tree, path) == expected
+
+
+def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed_embedder,
+                                            tmp_path, monkeypatch):
+    made = []
+    init = TreeNode.__init__
+    monkeypatch.setattr(TreeNode, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+    path = tmp_path / "index.json"
+    save_tree(family_index, path)
+    index = load_tree(path)
+    cfg = SearchConfig(beam_width=10, final_k=5, rerank=True)
+    echo = CallableClient(lambda prompt: prompt)  # the candidates in their given order
+    result = recommend(index, family_library.artifacts[0].description, cfg, hashed_embedder,
+                       llm_client=echo)
+    assert len(result.entries) == 5
+    assert tree_stats(index) == tree_stats(family_index)
+    save_tree(index, tmp_path / "again.json")
+    assert made == []
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # the counter does see the view, which is made on first use
+    assert len(index.nodes) == len(made) == len(index.ids)
+
+
+def test_a_level_wider_than_64_bits_is_rejected():
+    # the one input on which the columns differ from the oracle, by design
+    nodes = {"r": TreeNode(id="r", level=2**64, kind="internal", name="r", summary="r",
+                           children=("a",)),
+             "a": TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
+                           artifact_id="a")}
+    assert not rejects(oracle_index, nodes, ("r",), np.ones((2, 2)))
+    with pytest.raises(TreeError, match="does not fit in 64 bits"):
+        TreeIndex(nodes=nodes, roots=("r",), embeddings=np.ones((2, 2)))
