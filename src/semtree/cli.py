@@ -20,7 +20,7 @@ from semtree import baselines, metrics
 from semtree.catalog import CatalogError, library_stats, load_library, load_pairs
 from semtree.embed import EmbedderConfig, EmbeddingError, make_embedder
 from semtree.llm import ChatClient, LlmError, ReplayClient
-from semtree.search import SearchConfig, check_final_k, recommend
+from semtree.search import SearchConfig, check_beam_width, check_final_k, recommend
 from semtree.tree import (
     StoppingCriteria,
     TreeError,
@@ -157,6 +157,8 @@ def _tree_solution(args, file_cfg):
     embedder = _embedder_for_index(index, args, file_cfg)
     given = _given(args, file_cfg, "SearchConfig")
     default = SearchConfig()
+    if "beam_width" in given:  # checked before a wider k can widen it
+        check_beam_width(given["beam_width"])
     # a k wider than the beam widens the beam to k
     given["beam_width"] = max(given.get("beam_width", default.beam_width),
                               given.get("final_k", default.final_k))

@@ -44,6 +44,12 @@ def check_final_k(final_k: int) -> None:
         raise ValueError("final_k must be >= 1")
 
 
+def check_beam_width(beam_width: int) -> None:
+    """A beam keeps at least one node per level."""
+    if beam_width < 1:
+        raise ValueError("beam_width must be >= 1")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     beam_width: int = 10
@@ -51,6 +57,7 @@ class SearchConfig:
     rerank: bool = False
 
     def __post_init__(self):
+        check_beam_width(self.beam_width)
         check_final_k(self.final_k)
         if self.final_k > self.beam_width:
             raise ValueError("final_k must not exceed beam_width")

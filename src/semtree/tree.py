@@ -11,20 +11,20 @@ columns (ids, levels, kinds, names, summaries, artifact ids, CSR
 children and the embedding matrix, the only copy of the node vectors),
 and none of them can be edited once it is made.
 
-On disk (``INDEX_FORMAT_VERSION`` 2) the index is one JSON file: the
-nodes in (level, id) order, and one ``"embeddings"`` block holding the
-whole matrix, whose row ``i`` is node ``i`` of the file.  The block has
-the width ``dim``, a ``mask`` (base64 of ``np.packbits`` over the entries
-whose bits are nonzero, row-major) and the ``values`` of those entries
-(base64 of little-endian float64), so floats round-trip bit for bit,
-``-0.0`` included.
+On disk (``INDEX_FORMAT_VERSION`` 3) the index is a header line of
+UTF-8 JSON, a ``\n``, and the matrix as raw bytes.  The header holds the
+node fields as seven column lists in (level, id) order (``nodes``) and
+the matrix width (``embeddings.dim``); row ``i`` of the matrix is node
+``i`` of the columns.  The payload is a mask (``np.packbits`` over the
+entries whose bits are nonzero, row-major) and then those entries as
+little-endian float64, so floats round-trip bit for bit, ``-0.0``
+included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from base64 import b64decode, b64encode
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -37,8 +37,10 @@ from semtree.catalog import ArtifactLibrary
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 MAX_K = 32  # the most components a level is clustered into
+# the node columns of an index file's header besides "children"
+NODE_COLUMNS = ("id", "level", "kind", "name", "summary", "artifact_id")
 
 
 class TreeError(ValueError):
@@ -53,6 +55,8 @@ class StoppingCriteria:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.max_top_level_nodes < 1:
+            raise ValueError("max_top_level_nodes must be >= 1")
 
 
 @dataclass(eq=False, frozen=True)
@@ -383,76 +387,68 @@ def build_tree(
 
 
 def save_tree(t: TreeIndex, path: str) -> None:
-    """Persist the index as versioned JSON; a lossless, deterministic dump."""
+    """Persist the index in format 3; a lossless, deterministic dump."""
     rows = np.lexsort((t.id_rank, t.levels)).tolist()  # (level, id) order
     ptr, kids = t.child_ptr.tolist(), t.child_rows.tolist()
-    nodes = []
-    for i in rows:
-        obj = {"id": t.ids[i], "level": t.levels[i], "kind": t.kinds[i], "name": t.names[i],
-               "summary": t.summaries[i], "children": [t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]]}
-        if t.artifact_ids[i] is not None:
-            obj["artifact_id"] = t.artifact_ids[i]
-        nodes.append(obj)
+    nodes = {key: [column[i] for i in rows] for key, column in zip(
+        NODE_COLUMNS, (t.ids, t.levels, t.kinds, t.names, t.summaries, t.artifact_ids))}
+    nodes["children"] = [[t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]] for i in rows]
+    header = {"version": INDEX_FORMAT_VERSION, "config": t.config,
+              "provenance": t.provenance, "roots": list(t.roots),
+              "embeddings": {"dim": t.dim}, "nodes": nodes}
+    # dumps runs the C encoder; dump streams through the pure-Python one.
+    # Text that is not UTF-8 raises here, before the file is truncated.
+    head = json.dumps(header, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     matrix = np.asarray(t.embeddings[rows], dtype="<f8")
     nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
-    doc = {
-        "version": INDEX_FORMAT_VERSION,
-        "config": t.config,
-        "provenance": t.provenance,
-        "roots": list(t.roots),
-        "nodes": nodes,
-        "embeddings": {
-            "dim": t.dim,
-            "mask": b64encode(np.packbits(nonzero).tobytes()).decode(),
-            "values": b64encode(matrix[nonzero].tobytes()).decode(),
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        # dumps runs the C encoder; dump streams through the pure-Python one
-        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(b"\n")
+        fh.write(np.packbits(nonzero))
+        fh.write(matrix[nonzero])
 
 
-def _embedding_matrix(block: dict, n: int) -> np.ndarray:
-    """The ``(n, dim)`` matrix that an ``"embeddings"`` block encodes."""
-    dim = block["dim"]
+def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
+    """The ``(n, dim)`` matrix that a payload of mask and values encodes."""
     if type(dim) is not int or dim < 1:
         raise TreeError(f"embedding dim {dim!r} is not a positive integer")
     size = n * dim
-    mask = b64decode(block["mask"], validate=True)
-    if len(mask) != -(-size // 8):
-        raise TreeError(f"embedding mask has {len(mask)} bytes, not the "
-                        f"{-(-size // 8)} of {n} nodes of dim {dim}")
-    nonzero = np.unpackbits(np.frombuffer(mask, dtype=np.uint8)).view(bool)
+    mask = -(-size // 8)
+    if len(payload) < mask:
+        raise TreeError(f"embedding payload has {len(payload)} bytes, fewer than the "
+                        f"{mask}-byte mask of {n} nodes of dim {dim}")
+    nonzero = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask)).view(bool)
     if nonzero[size:].any():
         raise TreeError("embedding mask marks entries past the last node")
-    values = b64decode(block["values"], validate=True)
     count = int(np.count_nonzero(nonzero))
-    if len(values) != 8 * count:
-        raise TreeError(f"embedding values have {len(values)} bytes, not 8 for each "
-                        f"of the {count} entries the mask marks")
+    if len(payload) != mask + 8 * count:
+        raise TreeError(f"embedding payload has {len(payload)} bytes, not the {mask} of "
+                        f"the mask and 8 for each of the {count} entries it marks")
     matrix = np.zeros(size)
     # integer indices: ~3x faster than scattering through the boolean mask
-    matrix[np.flatnonzero(nonzero[:size])] = np.frombuffer(values, dtype="<f8")
+    matrix[np.flatnonzero(nonzero[:size])] = np.frombuffer(payload, dtype="<f8",
+                                                           offset=mask)
     return matrix.reshape(n, dim)
 
 
 def load_tree(path: str) -> TreeIndex:
     """Load and validate an index; any malformed file raises ``TreeError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-            doc = json.loads(text)
-            # Only a \u escape can make a lone surrogate, which save_tree
-            # could not write back as UTF-8.  A backslash is looked for
-            # first: it is found ~60x faster than "\\u", and is rare in an index.
-            if "\\" in text and "\\u" in text:
-                json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        except ValueError as exc:  # bad JSON, bad UTF-8 or a lone surrogate
-            raise TreeError(f"index file {path} is not valid JSON: {exc}") from exc
-    del text  # ~1.6 MB for 2,000 artifacts; the rest of the load need not hold it
+    with open(path, "rb") as fh:
+        head, _, payload = fh.read().partition(b"\n")
+    try:
+        text = head.decode("utf-8")
+        doc = json.loads(text)
+        # Only a \u escape can make a lone surrogate, which save_tree
+        # could not write back as UTF-8.  A backslash is looked for
+        # first: it is found ~60x faster than "\\u", and is rare in an index.
+        if "\\" in text and "\\u" in text:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except ValueError as exc:  # bad JSON, bad UTF-8 or a lone surrogate
+        raise TreeError(f"index file {path}: the header is not valid JSON: {exc}") from exc
+    del head, text
     if not isinstance(doc, dict):
-        raise TreeError(f"index file {path} is not a JSON object")
+        raise TreeError(f"index file {path}: the header is not a JSON object")
     version = doc.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise TreeError(f"unsupported index version {version!r} "
@@ -462,27 +458,30 @@ def load_tree(path: str) -> TreeIndex:
     if not (isinstance(config, dict) and isinstance(provenance, dict)):
         raise TreeError(f"index file {path}: config and provenance must be JSON objects")
     try:
-        objs, roots = doc["nodes"], doc["roots"]
-        for name, value in (("nodes", objs), ("roots", roots)):
-            if type(value) is not list:
-                raise TreeError(f"index file {path}: {name} is not a JSON list")
-        matrix = _embedding_matrix(doc["embeddings"], len(objs))
-        ids, levels, kinds, names, summaries, children = (
-            [obj[key] for obj in objs]
-            for key in ("id", "level", "kind", "name", "summary", "children"))
-        for nid, kids in zip(ids, children):
+        nodes, roots = doc["nodes"], doc["roots"]
+        if type(nodes) is not dict:
+            raise TreeError(f"index file {path}: nodes is not a JSON object")
+        if type(roots) is not list:
+            raise TreeError(f"index file {path}: roots is not a JSON list")
+        ids = nodes["id"]
+        for key in (*NODE_COLUMNS, "children"):
+            if type(nodes[key]) is not list or len(nodes[key]) != len(ids):
+                raise TreeError(f"index file {path}: the {key} column is not a JSON list "
+                                f"with one entry per node")
+        for nid, kids in zip(ids, nodes["children"]):
             if type(kids) is not list:
                 raise TreeError(f"index file {path}: the children of node {nid!r} "
                                 f"are not a JSON list")
-        artifact_ids = [obj.get("artifact_id") for obj in objs]
+        matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))
     except TreeError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
-    del doc, objs  # the columns hold what validation needs
+    del doc, payload  # the columns hold what validation needs
     return TreeIndex.from_columns(
-        ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
-        artifact_ids=artifact_ids, children=children, roots=roots, embeddings=matrix,
+        ids=ids, levels=nodes["level"], kinds=nodes["kind"], names=nodes["name"],
+        summaries=nodes["summary"], artifact_ids=nodes["artifact_id"],
+        children=nodes["children"], roots=roots, embeddings=matrix,
         config=config, provenance=provenance,
     )
 

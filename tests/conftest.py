@@ -1,4 +1,6 @@
+import json
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,28 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
         level_ids = parents
     return TreeIndex(nodes=nodes, roots=tuple(level_ids),
                      embeddings=[vectors[nid] for nid in nodes])
+
+
+def read_index(path):
+    """An index file's header, parsed, and its payload: the bytes after
+    the first newline."""
+    head, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(head.decode("utf-8")), payload
+
+
+def write_index(path, header, payload: bytes) -> None:
+    """Write an index file of ``header`` (with ``json.dumps``' ASCII
+    escapes), a newline and ``payload``."""
+    Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def encode_payload(matrix) -> bytes:
+    """The payload of ``matrix``, encoded here by hand: ``np.packbits`` of
+    the row-major entries whose bits are nonzero, then those entries as
+    little-endian float64."""
+    matrix = np.asarray(matrix, dtype="<f8")
+    nonzero = matrix.view("<u8") != 0
+    return np.packbits(nonzero).tobytes() + matrix[nonzero].tobytes()
 
 
 ACCEPTANCE_RESULTS: list[str] = []

@@ -8,6 +8,7 @@ from semtree.llm import prompt_hash
 from semtree.search import SearchConfig, recommend, render_rerank_prompt, tree_search
 from semtree.summarize import render_summary_prompt
 from semtree.tree import load_tree
+from conftest import read_index, write_index
 
 
 @pytest.fixture()
@@ -125,13 +126,13 @@ def test_config_file_and_flag_precedence(catalog, tmp_path, capsys):
     code, _, _ = run(capsys, "--config", str(cfg), "build", str(catalog),
                      "--out", str(idx1))
     assert code == 0
-    assert json.loads(idx1.read_text())["config"]["embedder"]["dim"] == 48
+    assert read_index(idx1)[0]["config"]["embedder"]["dim"] == 48
 
     idx2 = tmp_path / "i2.json"
     code, _, _ = run(capsys, "--config", str(cfg), "build", str(catalog),
                      "--out", str(idx2), "--dim", "32")
     assert code == 0
-    assert json.loads(idx2.read_text())["config"]["embedder"]["dim"] == 32
+    assert read_index(idx2)[0]["config"]["embedder"]["dim"] == 32
 
 
 @pytest.mark.parametrize("text, named", [
@@ -179,6 +180,7 @@ def test_build_dim_below_one_exits_1(catalog, tmp_path, capsys, dim):
 @pytest.mark.parametrize("flag, value", [
     ("--target-dim", "0"), ("--target-dim", "-3"),
     ("--soft-threshold", "0"), ("--soft-threshold", "1.5"), ("--soft-threshold", "nan"),
+    ("--max-top", "0"), ("--max-top", "-1"),
 ])
 def test_build_setting_out_of_range_exits_1(catalog, tmp_path, capsys, flag, value):
     code, out, err = run(capsys, "build", str(catalog), "--out", str(tmp_path / "i.json"),
@@ -198,9 +200,9 @@ def test_build_from_config_file_matches_flags(catalog, tmp_path, capsys):
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
     assert main(["build", str(catalog), "--out", str(by_flags), *flags]) == 0
     assert by_file.read_bytes() == by_flags.read_bytes()
-    doc = json.loads(by_file.read_text())
-    assert doc["config"]["stopping"] == {"max_depth": 3, "max_top_level_nodes": 2}
-    assert doc["config"]["cluster"]["soft_threshold"] == 0.3
+    header = read_index(by_file)[0]
+    assert header["config"]["stopping"] == {"max_depth": 3, "max_top_level_nodes": 2}
+    assert header["config"]["cluster"]["soft_threshold"] == 0.3
 
 
 # --- search ---------------------------------------------------------------
@@ -280,6 +282,42 @@ def test_search_nonpositive_k_exits_1(built_index, capsys, k):
     assert "final_k" in err
 
 
+BEAM_BELOW_ONE = [["--beam", "0"], ["--beam", "-3", "--k", "1"], ["--beam", "0", "--k", "3"]]
+BEAM_BELOW_ONE_IDS = ["zero", "negative_with_k_1", "zero_with_k_3"]
+
+
+@pytest.mark.parametrize("flags", BEAM_BELOW_ONE, ids=BEAM_BELOW_ONE_IDS)
+def test_search_beam_below_one_exits_1(built_index, capsys, flags):
+    # a k wider than the beam widens the beam, but not one below 1
+    code, out, err = run(capsys, "search", "--index", str(built_index),
+                         "--intent", "http client", *flags)
+    assert code == 1
+    assert out == ""
+    assert "error: beam_width must be >= 1" in err
+
+
+@pytest.mark.parametrize("flags", BEAM_BELOW_ONE, ids=BEAM_BELOW_ONE_IDS)
+def test_bench_tree_beam_below_one_exits_1(built_index, catalog, pairs, tmp_path, capsys,
+                                            flags):
+    report_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "bench", "--solution", "tree", "--index", str(built_index),
+                         "--catalog", str(catalog), "--pairs", str(pairs),
+                         "--out", str(report_path), *flags)
+    assert code == 1
+    assert out == ""
+    assert "error: beam_width must be >= 1" in err
+    assert not report_path.exists()
+
+
+def test_config_file_beam_below_one_exits_1(built_index, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beam": 0, "k": 1}))
+    code, out, err = run(capsys, "--config", str(cfg), "search", "--index", str(built_index),
+                         "--intent", "http client")
+    assert code == 1
+    assert "error: beam_width must be >= 1" in err
+
+
 def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out, err = run(capsys, "search", "--index", str(built_index),
@@ -325,9 +363,9 @@ def test_recorded_replies_reach_the_index_and_the_ranking(catalog, tmp_path, cap
 
 
 def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):
-    doc = json.loads(built_index.read_text())
-    doc["config"]["embedder"]["dim"] = 0
-    built_index.write_text(json.dumps(doc))
+    header, payload = read_index(built_index)
+    header["config"]["embedder"]["dim"] = 0
+    write_index(built_index, header, payload)
     code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", "x")
     assert code == 1
     assert out == ""
@@ -335,9 +373,9 @@ def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):
 
 
 def test_search_ignores_an_unknown_stored_embedder_key(built_index, capsys):
-    doc = json.loads(built_index.read_text())
-    doc["config"]["embedder"]["colour"] = "blue"
-    built_index.write_text(json.dumps(doc))
+    header, payload = read_index(built_index)
+    header["config"]["embedder"]["colour"] = "blue"
+    write_index(built_index, header, payload)
     code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", "x")
     assert code == 0, err
     assert json.loads(out)["entries"]
@@ -462,9 +500,9 @@ def test_unset_provider_endpoint_exits_1(name, catalog, pairs, built_index, tmp_
 def test_remote_index_embedder_takes_the_config_endpoint(built_index, tmp_path,
                                                         monkeypatch):
     monkeypatch.delenv("EMBED_API_BASE", raising=False)
-    doc = json.loads(built_index.read_text())
-    doc["config"]["embedder"]["provider"] = "remote"
-    built_index.write_text(json.dumps(doc))
+    header, payload = read_index(built_index)
+    header["config"]["embedder"]["provider"] = "remote"
+    write_index(built_index, header, payload)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"embed_endpoint": "http://localhost:9/embed"}))
     args = build_parser().parse_args(["--config", str(cfg), "search",
@@ -493,5 +531,5 @@ def test_secrets_absent_from_output_and_logs(catalog, pairs, tmp_path, capsys,
     assert sentinel not in captured.out
     assert sentinel not in captured.err
     assert sentinel not in caplog.text
-    assert sentinel not in idx.read_text()
+    assert sentinel.encode() not in idx.read_bytes()
     assert sentinel not in report.read_text()

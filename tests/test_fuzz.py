@@ -3,8 +3,10 @@
 A saved index or a catalog that is truncated, or has a few bytes or
 characters replaced, inserted or deleted, must either load or raise the
 documented error: ``TreeError`` for ``load_tree``, ``CatalogError`` for
-``load_library``.  Examples are derandomized and capped, so a run is
-deterministic and takes a second or two.
+``load_library``.  An index is also damaged in its payload alone, behind
+an intact header, so the damage reaches the matrix decoder.  Examples
+are derandomized and capped, so a run is deterministic and takes a
+second or two.
 """
 
 import tempfile
@@ -15,10 +17,12 @@ from hypothesis import strategies as st
 
 from semtree.catalog import ArtifactLibrary, CatalogError, load_library
 from semtree.tree import TreeError, TreeIndex, load_tree, save_tree
+from conftest import read_index, write_index
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
 
-INDEX = (Path(__file__).parent / "data" / "index_v2.json").read_bytes()
+GOLDEN = Path(__file__).parent / "data" / "index_v3.semtree"
+INDEX = GOLDEN.read_bytes()
 CATALOG = (
     '{"id": "json", "name": "fastjson", "description": "parse and dump json"}\n'
     '{"id": "yaml", "name": "tinyyaml", "description": "parse yaml files",'
@@ -68,6 +72,25 @@ def test_damaged_index_loads_or_raises_tree_error(data):
         again = Path(tmp) / "again.json"
         save_tree(index, again)
         assert load_tree(again).embeddings.tobytes() == index.embeddings.tobytes()
+
+
+HEADER, PAYLOAD = read_index(GOLDEN)
+
+
+@FUZZ
+@given(damaged(PAYLOAD))
+def test_damaged_payload_loads_or_raises_tree_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        write_index(path, HEADER, payload)
+        try:
+            index = load_tree(path)
+        except TreeError:
+            return
+        assert isinstance(index, TreeIndex)
+        again = Path(tmp) / "again.json"
+        save_tree(index, again)
+        assert read_index(again)[1] == payload
 
 
 @FUZZ

@@ -58,6 +58,13 @@ def test_search_config_rejects_nonpositive_final_k(final_k):
         SearchConfig(final_k=final_k)
 
 
+@pytest.mark.parametrize("beam_width, final_k", [(0, 5), (-3, 1), (0, 0)],
+                         ids=["zero", "negative", "zero_with_k_0"])
+def test_search_config_rejects_a_beam_below_one(beam_width, final_k):
+    with pytest.raises(ValueError, match="^beam_width must be >= 1$"):
+        SearchConfig(beam_width=beam_width, final_k=final_k)
+
+
 def test_search_config_rejects_final_k_above_the_beam():
     with pytest.raises(ValueError, match="final_k must not exceed beam_width"):
         SearchConfig(beam_width=3, final_k=4)

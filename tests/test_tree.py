@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
-from conftest import make_depth1_index, make_family_library
+from conftest import (
+    encode_payload,
+    make_depth1_index,
+    make_family_library,
+    read_index,
+    write_index,
+)
 from semtree.embed import EmbedderConfig, HashedEmbedder
 from semtree.llm import CallableClient, LlmError, prompt_hash
 from semtree.search import SearchConfig, tree_search
@@ -53,6 +60,13 @@ def test_build_covers_all_leaves(family_index, family_library):
     assert leaf_artifacts == set(family_library.ids())
     assert len(family_index.roots) <= 10
     assert family_index.max_level() + 1 <= 4
+
+
+@pytest.mark.parametrize("field", ["max_depth", "max_top_level_nodes"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_stopping_criteria_below_one_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        StoppingCriteria(**{field: value})
 
 
 def test_build_respects_stopping_criteria(family_library, hashed_embedder):
@@ -115,38 +129,24 @@ def test_negative_zero_keeps_its_sign_bit(tmp_path):
 def test_load_rejects_wrong_version(family_index, tmp_path):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
+    header, payload = read_index(path)
+    header["version"] = 99
+    write_index(path, header, payload)
     with pytest.raises(TreeError, match="version"):
         load_tree(path)
 
 
-def _embeddings_block(matrix):
-    """The v2 ``"embeddings"`` block of ``matrix``, encoded here by hand."""
-    matrix = np.asarray(matrix, dtype="<f8")
-    nonzero = matrix.view("<u8") != 0
-    return {
-        "dim": matrix.shape[1],
-        "mask": base64.b64encode(np.packbits(nonzero).tobytes()).decode(),
-        "values": base64.b64encode(matrix[nonzero].tobytes()).decode(),
-    }
-
-
 def test_load_rejects_cycle(tmp_path):
-    doc = {
-        "version": 2,
+    header = {
+        "version": 3,
         "roots": ["a"],
-        "nodes": [
-            {"id": "a", "level": 2, "kind": "internal", "name": "a", "summary": "a",
-             "children": ["b"]},
-            {"id": "b", "level": 1, "kind": "internal", "name": "b", "summary": "b",
-             "children": ["a"]},
-        ],
-        "embeddings": _embeddings_block([[1.0, 0.0], [1.0, 0.0]]),
+        "nodes": {"id": ["a", "b"], "level": [2, 1], "kind": ["internal", "internal"],
+                  "name": ["a", "b"], "summary": ["a", "b"], "children": [["b"], ["a"]],
+                  "artifact_id": [None, None]},
+        "embeddings": {"dim": 2},
     }
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(doc))
+    write_index(path, header, encode_payload([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(TreeError, match="does not decrease level"):
         load_tree(path)
 
@@ -168,31 +168,73 @@ def test_load_asks_to_rebuild_a_version_1_file(tmp_path, capsys):
         assert "semtree build" in capsys.readouterr().err
 
 
-def _edited(*path, value=None):
-    """Damage that sets the entry at ``path`` of the saved document to
-    ``value``, or deletes it when ``value`` is None."""
-    def damage(text):
-        doc = json.loads(text)
-        parent = doc
-        for key in path[:-1]:
+def test_load_asks_to_rebuild_a_version_2_file(tmp_path, capsys):
+    # one JSON object and a newline, its matrix in a base64 "embeddings" block
+    doc = {
+        "version": 2,
+        "roots": ["a"],
+        "nodes": [{"id": "a", "level": 0, "kind": "leaf", "name": "a", "summary": "a",
+                   "children": [], "artifact_id": "a"}],
+        "embeddings": {"dim": 2, "mask": base64.b64encode(bytes([0b10000000])).decode(),
+                       "values": base64.b64encode(np.ones(1).tobytes()).decode()},
+    }
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(TreeError, match="unsupported index version 2 .*rebuild"):
+        load_tree(path)
+    for command in (["search", "--index", str(path), "--intent", "x"],
+                    ["stats", "--index", str(path)]):
+        assert main(command) == 1
+        assert "rebuild the index with `semtree build`" in capsys.readouterr().err
+
+
+def _rewritten(edit):
+    """Damage that writes back the ``(header, payload)`` that ``edit``
+    returns for the file's own."""
+    def damage(path):
+        write_index(path, *edit(*read_index(path)))
+    return damage
+
+
+def _with_header(edit):
+    """Damage that applies ``edit`` to the parsed header in place."""
+    def edited(header, payload):
+        edit(header)
+        return header, payload
+    return _rewritten(edited)
+
+
+def _edited(*keys, value=None):
+    """Damage that sets the header entry at ``keys`` to ``value``, or
+    deletes it when ``value`` is None."""
+    def edit(header):
+        parent = header
+        for key in keys[:-1]:
             parent = parent[key]
         if value is None:
-            del parent[path[-1]]
+            del parent[keys[-1]]
         else:
-            parent[path[-1]] = value
-        return json.dumps(doc)
+            parent[keys[-1]] = value
+    return _with_header(edit)
+
+
+def _bytes_edit(edit):
+    """Damage that applies ``edit`` to the whole file's bytes."""
+    def damage(path):
+        path.write_bytes(edit(path.read_bytes()))
     return damage
 
 
-def _b64_edit(key, edit):
-    """Damage that decodes ``embeddings[key]``, applies ``edit`` to the
-    bytes and encodes the result again."""
-    def damage(text):
-        doc = json.loads(text)
-        block = doc["embeddings"]
-        block[key] = base64.b64encode(edit(base64.b64decode(block[key]))).decode()
-        return json.dumps(doc)
-    return damage
+def _payload_edit(part, edit):
+    """Damage that applies ``edit`` to the payload's ``"mask"`` or
+    ``"values"`` bytes; the mask is ceil(n * dim / 8) bytes."""
+    def edited(header, payload):
+        cut = -(-len(header["nodes"]["id"]) * header["embeddings"]["dim"] // 8)
+        mask, values = payload[:cut], payload[cut:]
+        if part == "mask":
+            return header, edit(mask) + values
+        return header, mask + edit(values)
+    return _rewritten(edited)
 
 
 def _set_value(i, value):
@@ -201,50 +243,48 @@ def _set_value(i, value):
         values = np.frombuffer(raw, dtype="<f8").copy()
         values[i] = value
         return values.tobytes()
-    return _b64_edit("values", edit)
-
-
-def _with_doc(edit):
-    """Damage that applies ``edit`` to the parsed document in place."""
-    def damage(text):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
-    return damage
+    return _payload_edit("values", edit)
 
 
 # Damage to a saved multi-level index, each of which load_tree must reject.
+# The ids of the base64 cases, from when the matrix was base64 text, now
+# name the nearest damage to the raw payload.
 MALFORMED_FILES = [
-    lambda text: text[: len(text) // 2],
-    lambda text: json.dumps([json.loads(text)]),
+    _bytes_edit(lambda data: data[: len(data) // 2]),
+    _rewritten(lambda header, payload: ([header], payload)),
     _edited("nodes"),
-    _edited("nodes", 0, "level"),
-    _edited("nodes", 0, "id"),
-    _edited("embeddings"),  # no node has an embedding
-    _edited("embeddings", value=5),  # a scalar where the matrix belongs
-    _b64_edit("mask", lambda raw: raw[:-1]),  # the matrix is not n x dim
+    _edited("nodes", "level"),
+    _edited("nodes", "id"),
+    _edited("embeddings"),  # no width for the matrix
+    _edited("embeddings", value=5),  # a scalar where the block belongs
+    _payload_edit("mask", lambda raw: raw[:-1]),  # the matrix is not n x dim
     _set_value(3, float("nan")),
     _set_value(0, float("-inf")),
-    _edited("nodes", 1, "artifact_id", value="fam0-art00"),  # node 0's artifact
-    _with_doc(lambda doc: doc["roots"].append(doc["roots"][0])),
-    _edited("nodes", 1, "id", value="L0-0"),
-    lambda text: text.replace('"L0-0"', "5"),  # the node's id and every reference to it
-    _edited("nodes", 0, "name", value=5),
-    _edited("nodes", 0, "summary", value=5),
-    _edited("nodes", 0, "artifact_id", value=5),
-    _edited("nodes", -1, "kind", value="branch"),  # an internal node
-    _edited("nodes", -1, "children", 0, value=[1]),
+    _edited("nodes", "artifact_id", 1, value="fam0-art00"),  # node 0's artifact
+    _with_header(lambda header: header["roots"].append(header["roots"][0])),
+    _edited("nodes", "id", 1, value="L0-0"),
+    _bytes_edit(lambda data: data.replace(b'"L0-0"', b"5")),  # the id and each reference
+    _edited("nodes", "name", 0, value=5),
+    _edited("nodes", "summary", 0, value=5),
+    _edited("nodes", "artifact_id", 0, value=5),
+    _edited("nodes", "kind", -1, value="branch"),  # an internal node
+    _edited("nodes", "children", -1, 0, value=[1]),
     _edited("roots", 0, value=[1]),
-    _edited("embeddings", "mask", value="not base64!"),
-    _edited("embeddings", "values", value="é"),
-    _b64_edit("values", lambda raw: raw[:-8]),
-    _b64_edit("values", lambda raw: raw + raw[:8]),
-    _b64_edit("mask", lambda raw: raw + b"\x00"),
+    _payload_edit("mask", lambda raw: bytes([raw[0] ^ 0x80]) + raw[1:]),  # one bit flipped
+    _payload_edit("values", lambda raw: "é".encode() + raw),  # two stray bytes
+    _payload_edit("values", lambda raw: raw[:-8]),
+    _payload_edit("values", lambda raw: raw + raw[:8]),
+    _payload_edit("mask", lambda raw: raw + b"\x00"),
     _edited("embeddings", "dim", value=0),
     _edited("embeddings", "dim", value=2.5),
     _edited("embeddings", "dim", value="256"),
-    _edited("embeddings", "mask"),
-    _edited("nodes", 0, "level", value=float("inf")),
+    _payload_edit("mask", lambda raw: b""),
+    _edited("nodes", "level", 0, value=float("inf")),
+    _bytes_edit(lambda data: data.replace(b"\n", b"", 1)),
+    _rewritten(lambda header, payload: (header, payload[: len(payload) // 2])),
+    _rewritten(lambda header, payload: (header, payload + b"\x00")),
+    _bytes_edit(lambda data: data.replace(b'"L0-0"', b'"L0-\xff"')),
+    _with_header(lambda header: header["nodes"]["summary"].pop()),
 ]
 MALFORMED_FILE_IDS = [
     "truncated", "not_an_object", "no_nodes", "node_without_level",
@@ -255,14 +295,15 @@ MALFORMED_FILE_IDS = [
     "unknown_kind", "list_child_id", "list_root_id", "non_base64_mask",
     "non_ascii_values", "values_one_float_short", "values_one_float_long",
     "mask_one_byte_long", "zero_dim", "fractional_dim",
-    "string_dim", "no_mask", "infinite_level"]
+    "string_dim", "no_mask", "infinite_level", "no_newline", "truncated_payload",
+    "trailing_payload_byte", "header_not_utf8", "column_one_entry_short"]
 # A JSON object or string where a list belongs.
 NOT_A_LIST = [
-    _with_doc(lambda doc: doc["nodes"][-1].update(
-        children=dict.fromkeys(doc["nodes"][-1]["children"], 0))),
-    _edited("nodes", 0, "children", value=""),  # a leaf's
-    _with_doc(lambda doc: doc.update(roots=dict.fromkeys(doc["roots"], True))),
-    _with_doc(lambda doc: doc.update(roots=doc["roots"][0])),
+    _with_header(lambda header: header["nodes"]["children"].__setitem__(
+        -1, dict.fromkeys(header["nodes"]["children"][-1], 0))),
+    _edited("nodes", "children", 0, value=""),  # a leaf's
+    _with_header(lambda header: header.update(roots=dict.fromkeys(header["roots"], True))),
+    _with_header(lambda header: header.update(roots=header["roots"][0])),
 ]
 NOT_A_LIST_IDS = ["object_children", "string_leaf_children", "object_roots", "string_roots"]
 
@@ -272,7 +313,7 @@ NOT_A_LIST_IDS = ["object_children", "string_leaf_children", "object_roots", "st
 def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
-    path.write_text(damage(path.read_text()))
+    damage(path)
     with pytest.raises(TreeError):
         load_tree(path)
     assert main(["search", "--index", str(path), "--intent", "x"]) == 1
@@ -281,21 +322,28 @@ def test_load_rejects_malformed_file(family_index, tmp_path, capsys, damage):
     assert "error:" in capsys.readouterr().err
 
 
-def _golden_node(doc, node_id):
-    return next(obj for obj in doc["nodes"] if obj["id"] == node_id)
+def _set_field(header, node_id, field, value):
+    """Set ``field`` of the golden node ``node_id`` in the header's columns."""
+    columns = header["nodes"]
+    columns[field][columns["id"].index(node_id)] = value
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: _golden_node(doc, "L1-0").update(children={"L0-1": 0}),
+    (lambda header: _set_field(header, "L1-0", "children", {"L0-1": 0}),
      "the children of node 'L1-0' are not a JSON list"),
-    (lambda doc: _golden_node(doc, "L0-0").update(children=""),
+    (lambda header: _set_field(header, "L0-0", "children", ""),
      "the children of node 'L0-0' are not a JSON list"),
-    (lambda doc: doc.update(roots={"L2-0": True}), "roots is not a JSON list"),
-    (lambda doc: doc.update(roots="L2-0"), "roots is not a JSON list"),
-    (lambda doc: doc.update(nodes={obj["id"]: obj for obj in doc["nodes"]}),
-     "nodes is not a JSON list"),
+    (lambda header: header.update(roots={"L2-0": True}), "roots is not a JSON list"),
+    (lambda header: header.update(roots="L2-0"), "roots is not a JSON list"),
+    (lambda header: header["nodes"].update(id=dict.fromkeys(header["nodes"]["id"], 0)),
+     "the id column is not a JSON list"),
+    (lambda header: header.update(nodes=[dict(zip(header["nodes"], row))
+                                         for row in zip(*header["nodes"].values())]),
+     "nodes is not a JSON object"),
+    (lambda header: header["nodes"]["level"].pop(),
+     "the level column is not a JSON list with one entry per node"),
 ], ids=["object_children", "string_leaf_children", "object_roots", "string_roots",
-        "object_nodes"])
+        "object_nodes", "list_of_node_objects", "column_one_entry_short"])
 def test_load_names_the_field_that_is_not_a_list(tmp_path, edit, message):
     with pytest.raises(TreeError, match=message):
         load_tree(_golden_edited(tmp_path, edit))
@@ -311,19 +359,17 @@ def test_load_rejects_text_that_is_not_utf8(family_index, tmp_path):
 
 def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
     # one node of dim 3: the mask byte's last 5 bits are padding
-    doc = {
-        "version": 2,
+    header = {
+        "version": 3,
         "roots": ["a"],
-        "nodes": [{"id": "a", "level": 0, "kind": "leaf", "name": "a", "summary": "a",
-                   "children": [], "artifact_id": "a"}],
-        "embeddings": _embeddings_block([[1.0, 0.0, 0.0]]),
+        "nodes": {"id": ["a"], "level": [0], "kind": ["leaf"], "name": ["a"],
+                  "summary": ["a"], "children": [[]], "artifact_id": ["a"]},
+        "embeddings": {"dim": 3},
     }
     path = tmp_path / "idx.json"
-    path.write_text(json.dumps(doc))
+    write_index(path, header, encode_payload([[1.0, 0.0, 0.0]]))
     assert load_tree(path).embeddings.tolist() == [[1.0, 0.0, 0.0]]
-    doc["embeddings"]["mask"] = base64.b64encode(bytes([0b10000001])).decode()
-    doc["embeddings"]["values"] = base64.b64encode(np.ones(2).tobytes()).decode()
-    path.write_text(json.dumps(doc))
+    write_index(path, header, bytes([0b10000001]) + np.ones(2).tobytes())
     with pytest.raises(TreeError, match="past the last node"):
         load_tree(path)
 
@@ -549,7 +595,7 @@ def test_tree_stats_node_count_matches_walk(family_index):
     assert tree_stats(family_index)["nodes"] == len(visited)
 
 
-GOLDEN = Path(__file__).parent / "data" / "index_v2.json"
+GOLDEN = Path(__file__).parent / "data" / "index_v3.semtree"
 
 
 def golden_index():
@@ -571,17 +617,37 @@ def test_golden_index_file_is_reproduced(tmp_path):
     assert path.read_bytes() == GOLDEN.read_bytes()
 
 
+def content_sha256(path) -> str:
+    """sha256 of what the index file at ``path`` holds, whatever its
+    format: the columns (children as id lists), roots, config and
+    provenance as sorted-key JSON, then the matrix as little-endian
+    float64, rows in (level, id) order."""
+    t = load_tree(path)
+    rows = np.lexsort((t.id_rank, t.levels)).tolist()
+    ptr, kids = t.child_ptr.tolist(), t.child_rows.tolist()
+    doc = {name: [getattr(t, name)[i] for i in rows]
+           for name in ("ids", "levels", "kinds", "names", "summaries", "artifact_ids")}
+    doc.update(children=[[t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]] for i in rows],
+               roots=list(t.roots), config=t.config, provenance=t.provenance)
+    head = json.dumps(doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    matrix = np.ascontiguousarray(t.embeddings[rows], dtype="<f8")
+    return hashlib.sha256(head + b"\n" + matrix.tobytes()).hexdigest()
+
+
 # build_tree + save_tree of a seeded 300-artifact catalog, whose first level
 # is a BIC sweep over k = 2..18 and picks 16 and whose second picks 4 of 2..4.
 # A numeric change to EM, BIC or soft assignment that flips a chosen k or a
-# membership changes these bytes.
-BUILD_GATE_SHA256 = "130d40f76dfa47f4d279d716b5b904a36d3b41df8ba2759dacb6820abd98db71"
+# membership changes these bytes.  The content digest does not depend on
+# the file format, so a format change moves only the byte digest.
+BUILD_GATE_SHA256 = "bc30662f7698680dc5eeb11313013cb054ad00f82174526cb6431d665a73a23d"
+BUILD_GATE_CONTENT_SHA256 = "2da2bd4c56d49f8d836c477e448c82caaad0f8769ca239a4579190ce2743e3d7"
 
 
 def test_build_bytes_of_a_bic_sweep_are_pinned(hashed_embedder, tmp_path):
     lib = make_family_library(n_families=15, per_family=20, seed=12)
     path = tmp_path / "index.json"
     save_tree(build_tree(lib, hashed_embedder, seed=0), path)
+    assert content_sha256(path) == BUILD_GATE_CONTENT_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
 
 
@@ -598,7 +664,8 @@ def _mixed_reply(prompt):
 
 # The BUILD_GATE_SHA256 catalog summarized by _mixed_reply: the offline
 # fallback runs on the leaves' rows and on a built level's block.
-MIXED_LLM_BUILD_SHA256 = "db198f7d50db42fac5df426712b050838aae60a0afd7c1254d56a354f7ea56fb"
+MIXED_LLM_BUILD_SHA256 = "c4b2f4aa8502feb9784313fce7554d231b63cabee3f9574c1f943e768dc99032"
+MIXED_LLM_BUILD_CONTENT_SHA256 = "eb14f854ffd3af386c18495fed3d0d89b1e0d4f2b684320e1e90f4f4a94f2378"
 
 
 def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_path):
@@ -612,46 +679,56 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
     fallbacks = {n.level for n in index.nodes.values()
                  if n.summary.startswith("Common feature covering:")}
     assert fallbacks == {1, 2}
+    assert content_sha256(path) == MIXED_LLM_BUILD_CONTENT_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MIXED_LLM_BUILD_SHA256
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
     index = load_tree(GOLDEN)
-    doc = json.loads(GOLDEN.read_text())
-    assert doc["version"] == INDEX_FORMAT_VERSION == 2
-    assert list(doc) == sorted(doc)
+    data = GOLDEN.read_bytes()
+    head, payload = data[:data.index(b"\n")], data[data.index(b"\n") + 1:]
+    header = json.loads(head.decode("utf-8"))
+    assert header["version"] == INDEX_FORMAT_VERSION == 3
+    assert head == json.dumps(header, ensure_ascii=False, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+    columns = header["nodes"]
+    assert sorted(columns) == ["artifact_id", "children", "id", "kind", "level", "name",
+                               "summary"]
     # the layout, decoded without semtree: the mask's first bit is its
     # first byte's most significant one, values are little-endian float64
-    # in row-major order, and row i is node i of the file
-    block = doc["embeddings"]
-    n, dim = len(doc["nodes"]), block["dim"]
-    mask = base64.b64decode(block["mask"])
+    # in row-major order, and row i is node i of the columns
+    n, dim = len(columns["id"]), header["embeddings"]["dim"]
+    assert all(len(column) == n for column in columns.values())
+    mask, values = payload[:-(-n * dim // 8)], payload[-(-n * dim // 8):]
     bits = [(mask[j // 8] >> (7 - j % 8)) & 1 for j in range(n * dim)]
-    values = iter(np.frombuffer(base64.b64decode(block["values"]), dtype="<f8"))
+    assert len(values) == 8 * sum(bits)
+    values = iter(struct.unpack(f"<{len(values) // 8}d", values))
     vectors = dict(zip(index.ids, index.embeddings))
-    for i, obj in enumerate(doc["nodes"]):
+    for i, node_id in enumerate(columns["id"]):
         row = [next(values) if bits[i * dim + j] else 0.0 for j in range(dim)]
-        assert vectors[obj["id"]].tobytes() == np.array(row).tobytes()
+        assert vectors[node_id].tobytes() == np.array(row).tobytes()
     assert next(values, None) is None
-    assert index.ids == tuple(obj["id"] for obj in doc["nodes"])
+    assert index.ids == tuple(columns["id"])
+    assert [a is None for a in columns["artifact_id"]] == [k == "internal"
+                                                           for k in columns["kind"]]
 
 
 def _golden_edited(tmp_path, edit):
-    """A copy of the golden file with ``edit`` applied to its document,
+    """A copy of the golden file with ``edit`` applied to its header,
     written with ``json.dumps``' ASCII escapes."""
-    doc = json.loads(GOLDEN.read_text())
-    edit(doc)
+    header, payload = read_index(GOLDEN)
+    edit(header)
     path = tmp_path / "index.json"
-    path.write_text(json.dumps(doc))
+    write_index(path, header, payload)
     return path
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(config=[]),
-    lambda doc: doc.update(provenance=5),
-    lambda doc: doc["config"].update(embedder=[1]),
-    lambda doc: doc["config"].update(embedder={"dim": [3]}),
-    lambda doc: doc["config"].update(embedding_dim=[3]),  # read when no embedder is stored
+    lambda header: header.update(config=[]),
+    lambda header: header.update(provenance=5),
+    lambda header: header["config"].update(embedder=[1]),
+    lambda header: header["config"].update(embedder={"dim": [3]}),
+    lambda header: header["config"].update(embedding_dim=[3]),  # read when no embedder is stored
 ], ids=["list_config", "integer_provenance", "list_embedder", "list_embedder_dim",
         "list_embedding_dim"])
 def test_search_rejects_config_of_the_wrong_type(tmp_path, capsys, edit):
@@ -664,7 +741,7 @@ def test_search_rejects_config_of_the_wrong_type(tmp_path, capsys, edit):
 @pytest.mark.parametrize("key, value", [("config", []), ("provenance", 5)],
                          ids=["list_config", "integer_provenance"])
 def test_load_rejects_config_that_is_not_an_object(tmp_path, capsys, key, value):
-    path = _golden_edited(tmp_path, lambda doc: doc.update({key: value}))
+    path = _golden_edited(tmp_path, lambda header: header.update({key: value}))
     with pytest.raises(TreeError, match="JSON objects"):
         load_tree(path)
     assert main(["stats", "--index", str(path)]) == 1
@@ -672,8 +749,9 @@ def test_load_rejects_config_that_is_not_an_object(tmp_path, capsys, key, value)
 
 
 def test_load_rejects_a_lone_surrogate(tmp_path, capsys):
-    path = _golden_edited(tmp_path, lambda doc: doc["nodes"][0].update(summary="a\ud800b"))
-    assert "\\ud800" in path.read_text()
+    path = _golden_edited(tmp_path, lambda header: _set_field(header, "L0-0", "summary",
+                                                              "a\ud800b"))
+    assert b"\\ud800" in path.read_bytes()
     with pytest.raises(TreeError, match="surrogates not allowed"):
         load_tree(path)
     assert main(["search", "--index", str(path), "--intent", "parse json"]) == 1
@@ -681,26 +759,51 @@ def test_load_rejects_a_lone_surrogate(tmp_path, capsys):
 
 
 def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
-    path = _golden_edited(tmp_path, lambda doc: doc["nodes"][0].update(summary="a\U0001F600b"))
-    assert "\\ud83d\\ude00" in path.read_text()
+    path = _golden_edited(tmp_path, lambda header: _set_field(header, "L0-0", "summary",
+                                                              "a\U0001F600b"))
+    assert b"\\ud83d\\ude00" in path.read_bytes()
     loaded = load_tree(path)
-    node_id = json.loads(GOLDEN.read_text())["nodes"][0]["id"]
-    assert loaded.nodes[node_id].summary == "a\U0001F600b"
+    assert loaded.nodes["L0-0"].summary == "a\U0001F600b"
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_tree(loaded, p1)
     save_tree(load_tree(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert "a\U0001F600b" in p1.read_text(encoding="utf-8")
+    assert "a\U0001F600b".encode("utf-8") in p1.read_bytes()
 
 
 @pytest.mark.parametrize("level", [1.9, "1", True], ids=["float", "string", "bool"])
 def test_load_rejects_a_level_that_is_not_an_integer(tmp_path, capsys, level):
-    def edit(doc):
-        node = next(obj for obj in doc["nodes"] if obj["id"] == "L1-0")
-        node["level"] = level
-    path = _golden_edited(tmp_path, edit)
+    path = _golden_edited(tmp_path, lambda header: _set_field(header, "L1-0", "level", level))
     with pytest.raises(TreeError, match="level .* is not an integer"):
         load_tree(path)
     assert main(["search", "--index", str(path), "--intent", "parse json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_save_that_cannot_encode_leaves_the_file_as_it_was(tmp_path):
+    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a\ud800b",
+                    artifact_id="a")
+    path = tmp_path / "index.json"
+    path.write_bytes(b"an older index")
+    with pytest.raises(UnicodeEncodeError):
+        save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",), embeddings=np.ones((1, 2))), path)
+    assert path.read_bytes() == b"an older index"
+
+
+def test_control_and_non_ascii_text_round_trips_in_one_header_line(tmp_path):
+    text = "a\nb\rc\u2028d\u2029e\x00f\tg é 日本語 \U0001F600"
+    nodes = {"a": TreeNode(id="a", level=0, kind="leaf", name=text, summary=text[::-1],
+                           artifact_id="a"),
+             "r": TreeNode(id="r", level=1, kind="internal", name=text, summary="r",
+                           children=("a",))}
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_tree(TreeIndex(nodes=nodes, roots=("r",), embeddings=np.eye(2)), p1)
+    data = p1.read_bytes()
+    head = data[:data.index(b"\n")]
+    assert b"\r" not in head and b"\x00" not in head
+    assert "é 日本語".encode("utf-8") in head  # written as UTF-8, not escaped
+    loaded = load_tree(p1)
+    assert loaded.names == (text, text) and loaded.summaries == (text[::-1], "r")
+    save_tree(loaded, p2)
+    assert p2.read_bytes() == data

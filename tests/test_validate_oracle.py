@@ -3,9 +3,11 @@ they replaced.
 
 ``oracle_validate`` and ``oracle_load`` are the node-by-node
 ``validate_tree`` and the ``TreeNode``-building ``load_tree`` as they were
-before the index became columns.  On the construction and malformed-file
-cases of ``test_tree.py`` and on generated corruptions of small DAGs, an
-index must fail to load exactly when the oracle raises ``TreeError``.
+before the index became columns; ``oracle_load`` reads the current file
+format, a JSON header line and the matrix payload.  On the construction
+and malformed-file cases of ``test_tree.py`` and on generated
+corruptions of small DAGs, an index must fail to load exactly when the
+oracle raises ``TreeError``.
 Levels are drawn within 64 bits: the columns keep levels as int64 and
 reject a wider one, which the oracle accepted.
 """
@@ -39,9 +41,11 @@ from test_tree import (
     MALFORMED_FILES,
     MATRIX_CASES,
     MATRIX_IDS,
-    _embeddings_block,
     _two_leaves,
 )
+from conftest import encode_payload, read_index, write_index
+
+COLUMNS = ("id", "level", "kind", "name", "summary", "children", "artifact_id")
 
 
 def oracle_validate(nodes, roots, embeddings) -> None:
@@ -108,27 +112,32 @@ def oracle_index(nodes, roots, embeddings) -> None:
 
 def oracle_load(path) -> None:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        header, payload = read_index(path)
+        json.dumps(header, ensure_ascii=False).encode("utf-8")
     except ValueError as exc:
         raise TreeError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 2:
-        raise TreeError("not a version 2 index")
-    if not (isinstance(doc.get("config", {}), dict)
-            and isinstance(doc.get("provenance", {}), dict)):
+    if not isinstance(header, dict) or header.get("version") != 3:
+        raise TreeError("not a version 3 index")
+    if not (isinstance(header.get("config", {}), dict)
+            and isinstance(header.get("provenance", {}), dict)):
         raise TreeError("config and provenance must be JSON objects")
     nodes = {}
     try:
-        matrix = _embedding_matrix(doc["embeddings"], len(doc["nodes"]))
-        for obj in doc["nodes"]:
-            if obj["id"] in nodes:
-                raise TreeError(f"duplicate node id {obj['id']!r}")
-            nodes[obj["id"]] = TreeNode(
-                id=obj["id"], level=obj["level"], kind=obj["kind"], name=obj["name"],
-                summary=obj["summary"], children=tuple(obj["children"]),
-                artifact_id=obj.get("artifact_id"),
+        columns = header["nodes"]
+        n = len(columns["id"])
+        if any(len(columns[key]) != n for key in COLUMNS):
+            raise TreeError("a node column does not have one entry per node")
+        matrix = _embedding_matrix(header["embeddings"]["dim"], payload, n)
+        for i, nid in enumerate(columns["id"]):
+            if nid in nodes:
+                raise TreeError(f"duplicate node id {nid!r}")
+            nodes[nid] = TreeNode(
+                id=nid, level=columns["level"][i], kind=columns["kind"][i],
+                name=columns["name"][i], summary=columns["summary"][i],
+                children=tuple(columns["children"][i]),
+                artifact_id=columns["artifact_id"][i],
             )
-        roots = tuple(doc["roots"])
+        roots = tuple(header["roots"])
     except TreeError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -163,7 +172,7 @@ def test_malformed_files_agree_with_the_oracle(family_index, tmp_path, damage):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
     assert not rejects(oracle_load, path) and not rejects(load_tree, path)
-    path.write_text(damage(path.read_text()))
+    damage(path)
     assert rejects(oracle_load, path)
     assert rejects(load_tree, path)
 
@@ -243,18 +252,20 @@ def corrupted(draw, dags):
 
 
 def _written(nodes, roots, embeddings, directory) -> Path:
-    """The version 2 file of ``nodes`` in their given order, encoded here by hand."""
-    doc = {
-        "version": 2,
+    """The index file of ``nodes`` in their given order, encoded here by hand."""
+    values = nodes.values()
+    header = {
+        "version": 3,
         "roots": list(roots),
-        "nodes": [{"id": n.id, "level": n.level, "kind": n.kind, "name": n.name,
-                   "summary": n.summary, "children": list(n.children),
-                   **({} if n.artifact_id is None else {"artifact_id": n.artifact_id})}
-                  for n in nodes.values()],
-        "embeddings": _embeddings_block(embeddings),
+        "nodes": {"id": [n.id for n in values], "level": [n.level for n in values],
+                  "kind": [n.kind for n in values], "name": [n.name for n in values],
+                  "summary": [n.summary for n in values],
+                  "children": [list(n.children) for n in values],
+                  "artifact_id": [n.artifact_id for n in values]},
+        "embeddings": {"dim": embeddings.shape[1]},
     }
     path = Path(directory) / "index.json"
-    path.write_text(json.dumps(doc))
+    write_index(path, header, encode_payload(embeddings))
     return path
 
 
