@@ -1,4 +1,4 @@
-"""Artifact library and intent-pair catalog: load, validate, persist.
+"""Artifact library and intent-pair catalog: load and validate.
 
 Canonical on-disk format is UTF-8 JSON-lines, one object per line:
 
@@ -76,6 +76,12 @@ def _parse_line(line: str, lineno: int) -> dict:
         raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise CatalogError(f"line {lineno}: expected a JSON object")
+    if "\\u" in line:  # only a \u escape can make a lone surrogate
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CatalogError(f"line {lineno}: a lone surrogate, which UTF-8 cannot "
+                               f"hold ({exc.reason})") from exc
     return obj
 
 
@@ -91,11 +97,11 @@ def load_library(path: str) -> ArtifactLibrary:
     """Load a JSON-lines artifact library, preserving input order.
 
     Raises:
-        CatalogError: on text that is not UTF-8, malformed JSON (with
-            line number), an id that is missing or not a string or number,
-            a duplicate id (naming the id and line; ids compare as
-            strings), an empty description, or an ``extra`` that is not a
-            JSON object.
+        CatalogError: on text that is not UTF-8, malformed JSON or a lone
+            surrogate (with line number), an id that is missing or not a
+            string or number, a duplicate id (naming the id and line; ids
+            compare as strings), an empty description, or an ``extra``
+            that is not a JSON object.
     """
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
@@ -133,21 +139,6 @@ def load_library(path: str) -> ArtifactLibrary:
             eco = art.ecosystem
         artifacts.append(art)
     return ArtifactLibrary(ecosystem=eco, artifacts=tuple(artifacts))
-
-
-def save_library(lib: ArtifactLibrary, path: str) -> None:
-    """Write a library back out in the canonical JSON-lines format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in lib.artifacts:
-            obj = {
-                "id": a.id,
-                "name": a.name,
-                "description": a.description,
-                "ecosystem": a.ecosystem,
-            }
-            if a.extra:
-                obj["extra"] = dict(sorted(a.extra.items()))
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:

@@ -9,7 +9,9 @@ polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
 coverage are validated whenever a ``TreeIndex`` is made.  The index is
 columns (ids, levels, kinds, names, summaries, artifact ids, CSR
 children and the embedding matrix, the only copy of the node vectors),
-and none of them can be edited once it is made.
+and none of them can be edited once it is made.  ``build_tree`` appends
+each level to the columns and ``load_tree`` reads them from a file; both
+hand them to the one ``TreeIndex`` constructor.
 
 On disk (``INDEX_FORMAT_VERSION`` 3) the index is a header line of
 UTF-8 JSON, a ``\n``, and the matrix as raw bytes.  The header holds the
@@ -27,6 +29,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -61,6 +64,8 @@ class StoppingCriteria:
 
 @dataclass(eq=False, frozen=True)
 class TreeNode:
+    """One node of the ``TreeIndex.nodes`` view, which only ``perfsuite/`` reads."""
+
     id: str
     level: int
     kind: str  # "leaf" or "internal"
@@ -86,81 +91,54 @@ class TreeIndex:
     ``leaf_rows`` (artifact id to leaf row).  Nothing here changes after
     that, so the columns cannot fall out of step.
 
-    ``TreeIndex(nodes, roots, embeddings)`` makes an index from a mapping
-    of ``TreeNode``s, copying the matrix; ``load_tree`` makes one from a
-    file's columns with ``TreeIndex.from_columns``.  ``nodes`` and
-    ``leaves()`` are views of the columns as ``TreeNode``s, made on first
-    use; search, re-rank, persistence and statistics never read them.
+    ``build_tree`` and ``load_tree`` both make an index with this one
+    constructor.  It takes ``children`` as child ids per node, and keeps
+    a C-contiguous float64 ``embeddings`` array rather than copying it,
+    making the caller's array read-only; anything else is converted.
+    ``nodes``, ``leaves()`` and ``max_level()`` are views kept only for
+    the benchmark in ``perfsuite/``; nothing in the package reads them.
     """
 
-    def __init__(self, nodes: Mapping[str, TreeNode], roots, embeddings,
-                 config: dict | None = None, provenance: dict | None = None):
-        nodes = dict(nodes)
-        for key, node in nodes.items():
-            if key != node.id:
-                raise TreeError(f"node {node.id!r} is stored under another id, {key!r}")
+    def __init__(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
+                 embeddings, config: dict | None = None, provenance: dict | None = None):
         try:
-            embeddings = np.array(embeddings, dtype=np.float64, order="C")
+            embeddings = np.asarray(embeddings, dtype=np.float64, order="C")
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
             raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
-        values = nodes.values()
-        self._fill(ids=list(nodes), levels=[n.level for n in values],
-                   kinds=[n.kind for n in values], names=[n.name for n in values],
-                   summaries=[n.summary for n in values],
-                   artifact_ids=[n.artifact_id for n in values],
-                   children=[n.children for n in values], roots=roots,
-                   embeddings=embeddings, config=config, provenance=provenance,
-                   nodes=MappingProxyType(nodes))
-
-    @classmethod
-    def from_columns(cls, *, ids, levels, kinds, names, summaries, artifact_ids, children,
-                     roots, embeddings: np.ndarray, config: dict | None = None,
-                     provenance: dict | None = None) -> TreeIndex:
-        """An index of columns as a file holds them: ``children`` lists
-        child ids per node, and ``embeddings``, a C-contiguous float64
-        matrix, is kept rather than copied, and made read-only."""
-        t = cls.__new__(cls)
-        t._fill(ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
-                artifact_ids=artifact_ids, children=children, roots=roots,
-                embeddings=embeddings, config=config, provenance=provenance, nodes=None)
-        return t
-
-    def _fill(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
-              embeddings, config, provenance, nodes) -> None:
         self.ids, self.levels, self.kinds = tuple(ids), tuple(levels), tuple(kinds)
         self.names, self.summaries = tuple(names), tuple(summaries)
         self.artifact_ids, self.roots = tuple(artifact_ids), tuple(roots)
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
-        embeddings.flags.writeable = False
         self.embeddings = embeddings
         self.config = {} if config is None else config
         self.provenance = {} if provenance is None else provenance
-        self._nodes = nodes
         validate_tree(self)
+        embeddings.flags.writeable = False  # a failed check leaves the caller's array as it was
 
     @property
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
+    @cached_property
     def nodes(self) -> Mapping[str, TreeNode]:
-        """The nodes by id, a read-only view made from the columns on first use."""
-        if self._nodes is None:
-            ptr, rows = self.child_ptr.tolist(), self.child_rows.tolist()
-            self._nodes = MappingProxyType({
-                nid: TreeNode(id=nid, level=level, kind=kind, name=name, summary=summary,
-                              children=tuple(self.ids[r] for r in rows[ptr[i]:ptr[i + 1]]),
-                              artifact_id=artifact_id)
-                for i, (nid, level, kind, name, summary, artifact_id) in enumerate(zip(
-                    self.ids, self.levels, self.kinds, self.names, self.summaries,
-                    self.artifact_ids))
-            })
-        return self._nodes
+        """The nodes by id, a read-only view made from the columns on first
+        use; only ``perfsuite/`` reads it."""
+        ptr, rows = self.child_ptr.tolist(), self.child_rows.tolist()
+        return MappingProxyType({
+            nid: TreeNode(id=nid, level=level, kind=kind, name=name, summary=summary,
+                          children=tuple(self.ids[r] for r in rows[ptr[i]:ptr[i + 1]]),
+                          artifact_id=artifact_id)
+            for i, (nid, level, kind, name, summary, artifact_id) in enumerate(zip(
+                self.ids, self.levels, self.kinds, self.names, self.summaries,
+                self.artifact_ids))
+        })
 
     def leaves(self) -> list[TreeNode]:
+        """The leaf nodes of the ``nodes`` view; only ``perfsuite/`` reads it."""
         return [n for n in self.nodes.values() if n.is_leaf()]
 
     def max_level(self) -> int:
+        """``top_level``; only ``perfsuite/`` reads it."""
         return self.top_level
 
 
@@ -308,25 +286,18 @@ def build_tree(
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
-    nodes: dict[str, TreeNode] = {}
-    texts = [a.description for a in lib.artifacts]
+    artifacts = lib.artifacts
+    texts = [a.description for a in artifacts]
     blocks = [embedder.embed(texts)]  # one per level, rows in node order
-    current: list[str] = []
-    for i, artifact in enumerate(lib.artifacts):
-        node = TreeNode(
-            id=f"L0-{i}",
-            level=0,
-            kind="leaf",
-            name=artifact.name,
-            summary=artifact.description,
-            artifact_id=artifact.id,
-        )
-        nodes[node.id] = node
-        current.append(node.id)
+    n = len(artifacts)
+    columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
+               "kinds": ["leaf"] * n, "names": [a.name for a in artifacts],
+               "summaries": list(texts), "artifact_ids": [a.id for a in artifacts],
+               "children": [()] * n}
 
-    level = 0
+    level, first = 0, 0  # the top level is the rows from ``first`` on
     while True:
-        n = len(current)
+        n = len(columns["ids"]) - first
         layers = level + 1
         if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
             break
@@ -344,27 +315,25 @@ def build_tree(
 
         # Each node's "name: summary" text and its row; above the leaves the
         # block is those rows, since FeatureSummary.format() made the same texts.
-        texts = [f"{nodes[nid].name}: {nodes[nid].summary}" for nid in current]
+        texts = [f"{name}: {summary}" for name, summary
+                 in zip(columns["names"][first:], columns["summaries"][first:])]
         rows = blocks[-1] if level else embedder.embed(texts)
         level += 1
         features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
                     for c in clusters]
         blocks.append(embedder.embed([f.format() for f in features]))
-        parent_ids = [f"L{level}-{ordinal}" for ordinal in range(len(clusters))]
-        for pid, members, feature in zip(parent_ids, clusters, features):
-            nodes[pid] = TreeNode(
-                id=pid,
-                level=level,
-                kind="internal",
-                name=feature.name,
-                summary=feature.description,
-                children=tuple(current[i] for i in members),
-            )
-        current = parent_ids
+        below, first, k = columns["ids"][first:], len(columns["ids"]), len(clusters)
+        columns["ids"] += [f"L{level}-{ordinal}" for ordinal in range(k)]
+        columns["levels"] += [level] * k
+        columns["kinds"] += ["internal"] * k
+        columns["names"] += [f.name for f in features]
+        columns["summaries"] += [f.description for f in features]
+        columns["artifact_ids"] += [None] * k
+        columns["children"] += [tuple(below[i] for i in c) for c in clusters]
 
     return TreeIndex(
-        nodes=nodes,
-        roots=tuple(current),
+        **columns,
+        roots=columns["ids"][first:],
         embeddings=np.vstack(blocks),
         config={
             "reducer": {"method": "pca", "target_dim": target_dim},
@@ -478,7 +447,7 @@ def load_tree(path: str) -> TreeIndex:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
     del doc, payload  # the columns hold what validation needs
-    return TreeIndex.from_columns(
+    return TreeIndex(
         ids=ids, levels=nodes["level"], kinds=nodes["kind"], names=nodes["name"],
         summaries=nodes["summary"], artifact_ids=nodes["artifact_id"],
         children=nodes["children"], roots=roots, embeddings=matrix,

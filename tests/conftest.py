@@ -56,25 +56,19 @@ def perturbed_intents(lib: ArtifactLibrary, count: int, seed: int = 11):
 def make_depth1_index(lib: ArtifactLibrary, embedder):
     """One root over all artifacts: tree search must equal a linear scan."""
     from semtree.embed import l2_normalize
-    from semtree.tree import TreeIndex, TreeNode
+    from semtree.tree import TreeIndex
 
     embeddings = embedder.embed([a.description for a in lib.artifacts])
-    nodes = {}
-    leaf_ids = []
-    for i, artifact in enumerate(lib.artifacts):
-        nid = f"L0-{i}"
-        nodes[nid] = TreeNode(
-            id=nid, level=0, kind="leaf", name=artifact.name,
-            summary=artifact.description, artifact_id=artifact.id,
-        )
-        leaf_ids.append(nid)
-    root = TreeNode(
-        id="L1-0", level=1, kind="internal", name="root",
-        summary="everything", children=tuple(leaf_ids),
+    n = len(lib.artifacts)
+    leaf_ids = [f"L0-{i}" for i in range(n)]
+    return TreeIndex(
+        ids=leaf_ids + ["L1-0"], levels=[0] * n + [1], kinds=["leaf"] * n + ["internal"],
+        names=[a.name for a in lib.artifacts] + ["root"],
+        summaries=[a.description for a in lib.artifacts] + ["everything"],
+        artifact_ids=[a.id for a in lib.artifacts] + [None],
+        children=[()] * n + [leaf_ids], roots=("L1-0",),
+        embeddings=np.vstack([embeddings, l2_normalize(embeddings.mean(axis=0))]),
     )
-    nodes[root.id] = root
-    matrix = np.vstack([embeddings, l2_normalize(embeddings.mean(axis=0))])
-    return TreeIndex(nodes=nodes, roots=(root.id,), embeddings=matrix)
 
 
 def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
@@ -82,42 +76,49 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
     """Balanced synthetic polyhierarchy: ``branching`` roots, each subtree
     fanning out by ``branching`` for ``leaf_levels`` more levels."""
     from semtree.embed import l2_normalize
-    from semtree.tree import TreeIndex, TreeNode
+    from semtree.tree import TreeIndex
 
     rng = np.random.default_rng(seed)
-    n_leaves = branching ** (leaf_levels + 1)
-    leaf_embeddings = np.stack(
-        [l2_normalize(rng.normal(size=dim)) for _ in range(n_leaves)]
-    )
-    nodes = {}
-    vectors = {}
-    level_ids = []
-    for i in range(n_leaves):
-        nid = f"L0-{i}"
-        nodes[nid] = TreeNode(
-            id=nid, level=0, kind="leaf", name=f"leaf{i}",
-            summary=f"synthetic leaf {i}", artifact_id=f"a{i}",
-        )
-        vectors[nid] = leaf_embeddings[i]
-        level_ids.append(nid)
-    level = 0
-    while len(level_ids) > branching:
+    n = branching ** (leaf_levels + 1)
+    vectors = [l2_normalize(rng.normal(size=dim)) for _ in range(n)]
+    ids = [f"L0-{i}" for i in range(n)]
+    cols = {"ids": ids, "levels": [0] * n, "kinds": ["leaf"] * n,
+            "names": [f"leaf{i}" for i in range(n)],
+            "summaries": [f"synthetic leaf {i}" for i in range(n)],
+            "artifact_ids": [f"a{i}" for i in range(n)], "children": [()] * n}
+    first, level = 0, 0  # the top level is the rows from first on
+    while len(ids) - first > branching:
         level += 1
-        parents = []
-        for j in range(0, len(level_ids), branching):
-            children = tuple(level_ids[j:j + branching])
+        below, first = range(first, len(ids)), len(ids)
+        for j in range(0, len(below), branching):
+            group = below[j:j + branching]
             pid = f"L{level}-{j // branching}"
-            vectors[pid] = l2_normalize(
-                np.mean([vectors[c] for c in children], axis=0)
-            )
-            nodes[pid] = TreeNode(
-                id=pid, level=level, kind="internal", name=pid,
-                summary=f"group {pid}", children=children,
-            )
-            parents.append(pid)
-        level_ids = parents
-    return TreeIndex(nodes=nodes, roots=tuple(level_ids),
-                     embeddings=[vectors[nid] for nid in nodes])
+            vectors.append(l2_normalize(np.mean([vectors[r] for r in group], axis=0)))
+            for key, value in (("ids", pid), ("levels", level), ("kinds", "internal"),
+                               ("names", pid), ("summaries", f"group {pid}"),
+                               ("artifact_ids", None),
+                               ("children", tuple(ids[r] for r in group))):
+                cols[key].append(value)
+    return TreeIndex(**cols, roots=ids[first:], embeddings=vectors)
+
+
+def columns(nodes) -> dict:
+    """The ``TreeIndex`` column keywords of hand-written node literals.
+
+    Each node is a dict with an ``id``.  ``level`` defaults to 0,
+    ``children`` to none, ``kind`` to internal for a node with children
+    and leaf otherwise, ``name`` and ``summary`` to the id, and
+    ``artifact_id`` to the id for a leaf and None otherwise.
+    """
+    filled = []
+    for node in nodes:
+        kind = node.get("kind", "internal" if node.get("children") else "leaf")
+        filled.append({"level": 0, "name": node["id"], "summary": node["id"],
+                       "children": (), "artifact_id": node["id"] if kind == "leaf" else None,
+                       **node, "kind": kind})
+    return {key: [node[field] for node in filled] for key, field in (
+        ("ids", "id"), ("levels", "level"), ("kinds", "kind"), ("names", "name"),
+        ("summaries", "summary"), ("artifact_ids", "artifact_id"), ("children", "children"))}
 
 
 def read_index(path):

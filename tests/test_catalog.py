@@ -9,7 +9,6 @@ from semtree.catalog import (
     library_stats,
     load_library,
     load_pairs,
-    save_library,
 )
 
 
@@ -101,20 +100,27 @@ def test_full_scale_count(tmp_path):
     assert len(load_library(path)) == 1416
 
 
-def test_round_trip_identity(tmp_path):
-    lib = ArtifactLibrary(ecosystem="npm", artifacts=(
-        Artifact(id="a1", name="one", description="first thing", ecosystem="npm",
-                 extra={"downloads": "120"}),
-        Artifact(id="a2", name="two", description="second  thing", ecosystem="npm"),
-    ))
-    path = tmp_path / "out.jsonl"
-    save_library(lib, path)
-    loaded = load_library(path)
-    assert loaded == lib
-    # save -> load -> save is a byte fixpoint
-    path2 = tmp_path / "out2.jsonl"
-    save_library(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+def test_load_rejects_a_lone_surrogate_with_its_line(tmp_path):
+    # json.loads accepts a "\ud800" escape, but no UTF-8 file can hold it
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [{"id": "a1", "description": "first thing"},
+                       {"id": "a2", "description": "second \ud800 thing"}])
+    assert b"\\ud800" in path.read_bytes()
+    with pytest.raises(CatalogError, match="line 2: a lone surrogate"):
+        load_library(path)
+    write_lines(path, [{"id": "a1", "description": "first thing"}])
+    lib = load_library(path)
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_lines(pairs_path, [{"intent": "do \udfff", "target_id": "a1"}])
+    with pytest.raises(CatalogError, match="line 1: a lone surrogate"):
+        load_pairs(pairs_path, lib)
+
+
+def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [{"id": "a1", "description": "smile \U0001F600"}])
+    assert b"\\ud83d\\ude00" in path.read_bytes()
+    assert load_library(path).artifacts[0].description == "smile \U0001F600"
 
 
 def test_load_pairs_resolves_targets(tmp_path):

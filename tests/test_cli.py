@@ -70,6 +70,31 @@ def test_ingest_extra_not_an_object_exits_1(tmp_path, capsys):
     assert "line 1" in err and "extra" in err
 
 
+@pytest.fixture()
+def surrogate_catalog(tmp_path):
+    """A two-line catalog whose second description holds a lone surrogate."""
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text('{"id": "a", "description": "json parsing"}\n'
+                    '{"id": "b", "description": "yaml \\ud800 parsing"}\n')
+    return path
+
+
+def test_ingest_lone_surrogate_exits_1(surrogate_catalog, capsys):
+    code, _, err = run(capsys, "ingest", str(surrogate_catalog))
+    assert code == 1
+    assert err.startswith("error:") and "line 2" in err and "surrogate" in err
+
+
+def test_build_lone_surrogate_exits_1_and_leaves_the_out_file(surrogate_catalog, tmp_path,
+                                                              capsys):
+    out = tmp_path / "index.semtree"
+    out.write_bytes(b"an older index")
+    code, _, err = run(capsys, "build", str(surrogate_catalog), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "line 2" in err
+    assert out.read_bytes() == b"an older index"
+
+
 def test_ingest_missing_file_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", str(tmp_path / "nope.jsonl"))
     assert code == 1

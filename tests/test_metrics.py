@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_family_library, perturbed_intents
+from conftest import columns, make_family_library, perturbed_intents
 from semtree.baselines import build_term_index, score_tfidf
 from semtree.catalog import IntentSample
 from semtree.metrics import (
@@ -20,7 +20,7 @@ from semtree.metrics import (
     write_csv,
 )
 from semtree.search import RankedList
-from semtree.tree import TreeIndex, TreeNode, build_tree
+from semtree.tree import TreeIndex, build_tree
 
 
 def ranked(ids):
@@ -80,23 +80,21 @@ def test_dcg_equals_formula_oracle():
 
 def manual_tree(cluster_embeddings):
     """Two-level index: one parent per list of leaf embeddings."""
-    nodes = {}
+    nodes = []
     vectors = []
     roots = []
     for ci, members in enumerate(cluster_embeddings):
         child_ids = []
         for mi, emb in enumerate(members):
             nid = f"L0-{ci}-{mi}"
-            nodes[nid] = TreeNode(id=nid, level=0, kind="leaf", name=nid,
-                                  summary=nid, artifact_id=nid)
+            nodes.append({"id": nid})
             vectors.append(np.asarray(emb, dtype=float))
             child_ids.append(nid)
         pid = f"L1-{ci}"
-        nodes[pid] = TreeNode(id=pid, level=1, kind="internal", name=pid,
-                              summary=pid, children=tuple(child_ids))
+        nodes.append({"id": pid, "level": 1, "children": tuple(child_ids)})
         vectors.append(np.mean([np.asarray(e, float) for e in members], axis=0))
         roots.append(pid)
-    return TreeIndex(nodes=nodes, roots=tuple(roots), embeddings=vectors)
+    return TreeIndex(**columns(nodes), roots=tuple(roots), embeddings=vectors)
 
 
 def test_silhouette_duplicated_points_is_one():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    columns,
     make_balanced_index,
     make_depth1_index,
     make_family_library,
@@ -22,7 +23,7 @@ from semtree.search import (
     round_scores,
     tree_search,
 )
-from semtree.tree import TreeIndex, TreeNode
+from semtree.tree import TreeIndex
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
@@ -133,16 +134,11 @@ def test_exact_ties_rank_by_node_id(row_order, reversed_on):
     # arithmetic, different in float summation order.
     forward, query = np.array([0.1, 0.2, 0.3]), np.ones(3)
     assert np.dot(forward, query) != np.dot(forward[::-1], query)
-    leaves = {
-        nid: TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid,
-                      artifact_id=f"a{nid[-1]}")
-        for nid in row_order
-    }
-    root = TreeNode(id="L1-0", level=1, kind="internal", name="root", summary="root",
-                    children=tuple(leaves))
+    nodes = [{"id": nid, "artifact_id": f"a{nid[-1]}"} for nid in row_order]
+    nodes.append({"id": "L1-0", "level": 1, "name": "root", "summary": "root",
+                  "children": row_order})
     vectors = [forward[::-1] if nid == reversed_on else forward for nid in row_order]
-    index = TreeIndex(nodes={**leaves, root.id: root}, roots=(root.id,),
-                      embeddings=[*vectors, np.ones(3)])
+    index = TreeIndex(**columns(nodes), roots=("L1-0",), embeddings=[*vectors, np.ones(3)])
     assert index.ids[:2] == row_order
     got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
     assert got.ids() == ["a0", "a1"]
@@ -153,17 +149,14 @@ def test_shared_children_and_leaf_roots():
     # L0-s has two parents and must be scored once; the root leaf L0-solo
     # is kept in the first round and must carry itself into the second.
     def node(nid, vector, children=()):
-        kind = "internal" if children else "leaf"
-        return TreeNode(id=nid, level=1 if children else 0, kind=kind, name=nid, summary=nid,
-                        children=children,
-                        artifact_id=None if children else "a" + nid[3:]), vector
+        return {"id": nid, "level": 1 if children else 0, "children": children,
+                "artifact_id": None if children else "a" + nid[3:]}, vector
     nodes, vectors = zip(
         node("L0-0", [0, 1, 0]), node("L0-1", [0, 0, 1]), node("L0-2", [0.5, 0.5, 0]),
         node("L0-s", [0.9, 0.1, 0]), node("L0-solo", [0.8, 0.2, 0]),
         node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
         node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s")))
-    index = TreeIndex(nodes={n.id: n for n in nodes}, roots=("L1-0", "L1-1", "L0-solo"),
-                      embeddings=vectors)
+    index = TreeIndex(**columns(nodes), roots=("L1-0", "L1-1", "L0-solo"), embeddings=vectors)
     got = tree_search(index, "x", SearchConfig(beam_width=3, final_k=3),
                       FixedEmbedder([1, 0, 0]))
     assert got.ids() == ["as", "asolo", "a2"]

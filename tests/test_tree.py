@@ -11,8 +11,8 @@ import pytest
 from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
 from conftest import (
+    columns,
     encode_payload,
-    make_depth1_index,
     make_family_library,
     read_index,
     write_index,
@@ -25,7 +25,6 @@ from semtree.tree import (
     StoppingCriteria,
     TreeError,
     TreeIndex,
-    TreeNode,
     build_tree,
     load_tree,
     save_tree,
@@ -38,9 +37,8 @@ def test_single_artifact_tree(hashed_embedder):
         Artifact(id="a1", name="only", description="the only artifact"),
     ))
     index = build_tree(lib, hashed_embedder, seed=0)
-    assert len(index.nodes) == 1
-    root = index.nodes[index.roots[0]]
-    assert root.is_leaf() and root.artifact_id == "a1"
+    assert index.ids == index.roots == ("L0-0",)
+    assert index.kinds == ("leaf",) and index.artifact_ids == ("a1",)
 
 
 def test_build_covers_all_leaves(family_index, family_library):
@@ -116,9 +114,9 @@ def test_load_round_trip_preserves_embeddings(family_index, tmp_path):
 
 
 def test_negative_zero_keeps_its_sign_bit(tmp_path):
-    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a", artifact_id="a")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",), embeddings=[[-0.0, 0.0, 1.0]]), p1)
+    save_tree(TreeIndex(**columns([{"id": "a"}]), roots=("a",), embeddings=[[-0.0, 0.0, 1.0]]),
+              p1)
     loaded = load_tree(p1).embeddings[0]
     assert list(np.signbit(loaded)) == [True, False, False]
     assert list(loaded) == [0.0, 0.0, 1.0]
@@ -374,24 +372,19 @@ def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
         load_tree(path)
 
 
-def _leaf(nid):
-    return TreeNode(id=nid, level=0, kind="leaf", name=nid, summary=nid, artifact_id=nid)
-
-
+# node literals, as conftest.columns reads them
 CONSTRUCTION_CASES = [
-    ({}, (), "no nodes"),
-    ({"a": _leaf("a"), "b": _leaf("b")}, ("a",), "not reachable"),
+    ([], (), "no nodes"),
+    ([{"id": "a"}, {"id": "b"}], ("a",), "not reachable"),
     # the parent comes first, so its edge is met before the child's level
-    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
-                    children=("a",)),
-      "a": dataclasses.replace(_leaf("a"), level="0")}, ("r",), "level '0' is not an integer"),
-    ({"a": dataclasses.replace(_leaf("a"), children=("b",)), "b": _leaf("b")}, ("a",),
+    ([{"id": "r", "level": 1, "children": ("a",)}, {"id": "a", "level": "0"}], ("r",),
+     "level '0' is not an integer"),
+    ([{"id": "a", "kind": "leaf", "children": ("b",)}, {"id": "b"}], ("a",),
      "leaf a has children"),
-    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r"),
-      "a": _leaf("a")}, ("r", "a"), "internal node r has no children"),
-    ({"r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
-                    children=("a",), artifact_id="x"),
-      "a": _leaf("a")}, ("r",), "internal node r carries an artifact_id"),
+    ([{"id": "r", "level": 1, "kind": "internal"}, {"id": "a"}], ("r", "a"),
+     "internal node r has no children"),
+    ([{"id": "r", "level": 1, "children": ("a",), "artifact_id": "x"}, {"id": "a"}], ("r",),
+     "internal node r carries an artifact_id"),
 ]
 CONSTRUCTION_IDS = ["empty", "orphan_leaf", "string_level_after_parent", "leaf_with_children",
                     "childless_internal", "internal_with_artifact"]
@@ -400,7 +393,7 @@ CONSTRUCTION_IDS = ["empty", "orphan_leaf", "string_level_after_parent", "leaf_w
 @pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
-        TreeIndex(nodes=nodes, roots=roots, embeddings=np.ones((len(nodes), 2)))
+        TreeIndex(**columns(nodes), roots=roots, embeddings=np.ones((len(nodes), 2)))
 
 
 def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkeypatch):
@@ -415,7 +408,7 @@ def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkey
     ))
     built = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
-    assert len(built.nodes) == 3
+    assert len(built.ids) == 3
     save_tree(built, tmp_path / "idx.json")
     loaded = load_tree(tmp_path / "idx.json")
     assert [id(t) for t in validated] == [id(built), id(loaded)]
@@ -469,14 +462,15 @@ def test_a_build_embeds_each_level_once_and_the_leaf_summaries_once(family_libra
 
 
 def test_validate_rejects_orphan_leaf(family_index):
-    nodes = dict(family_index.nodes)
-    nodes["L0-orphan"] = TreeNode(
-        id="L0-orphan", level=0, kind="leaf", name="orphan", summary="orphan",
-        artifact_id="orphan",
-    )
-    embeddings = np.vstack([family_index.embeddings, np.zeros(family_index.dim)])
+    t = family_index
+    ptr, rows = t.child_ptr.tolist(), t.child_rows.tolist()
+    children = [[t.ids[r] for r in rows[a:b]] for a, b in zip(ptr, ptr[1:])]
     with pytest.raises(TreeError, match="not reachable"):
-        TreeIndex(nodes=nodes, roots=family_index.roots, embeddings=embeddings)
+        TreeIndex(ids=t.ids + ("L0-orphan",), levels=t.levels + (0,),
+                  kinds=t.kinds + ("leaf",), names=t.names + ("orphan",),
+                  summaries=t.summaries + ("orphan",),
+                  artifact_ids=t.artifact_ids + ("orphan",), children=children + [[]],
+                  roots=t.roots, embeddings=np.vstack([t.embeddings, np.zeros(t.dim)]))
 
 
 def test_index_nodes_are_read_only(family_index):
@@ -502,19 +496,33 @@ def test_index_embeddings_are_read_only(family_index):
         family_index.embeddings[0, 0] = 1.0
 
 
-def test_index_copies_the_embeddings_it_is_given(hashed_embedder):
-    # a later write into the caller's array reaches neither the index
-    # nor a search on it
+def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
+    # a C-contiguous float64 matrix is kept, not copied, and made
+    # read-only once the index is checked, so no later write through the
+    # caller's array can reach a search; a failed check, or any other
+    # matrix, which is converted, leaves the caller's array as it was
     lib = make_family_library(n_families=3, per_family=4)
-    index = make_depth1_index(lib, hashed_embedder)
-    given = np.array(index.embeddings)
-    copied = TreeIndex(nodes=index.nodes, roots=index.roots, embeddings=given)
+    nodes = [{"id": a.id} for a in lib.artifacts]
+    nodes.append({"id": "root", "level": 1, "children": [a.id for a in lib.artifacts]})
+    leaves = hashed_embedder.embed([a.description for a in lib.artifacts])
+    given = np.vstack([leaves, leaves.mean(axis=0)])
+    copied = TreeIndex(**columns(nodes), roots=("root",), embeddings=given.copy())
+    with pytest.raises(TreeError, match="missing root"):
+        TreeIndex(**columns(nodes), roots=("nowhere",), embeddings=given)
+    assert given.flags.writeable
+    kept = TreeIndex(**columns(nodes), roots=("root",), embeddings=given)
+    assert kept.embeddings is given and not given.flags.writeable
     intent = lib.artifacts[5].description
     cfg = SearchConfig(beam_width=3, final_k=3)
-    before = tree_search(copied, intent, cfg, hashed_embedder).entries
-    given[:] = given[::-1]
-    assert copied.embeddings.tobytes() == index.embeddings.tobytes()
-    assert tree_search(copied, intent, cfg, hashed_embedder).entries == before
+    before = tree_search(kept, intent, cfg, hashed_embedder).entries
+    assert before == tree_search(copied, intent, cfg, hashed_embedder).entries
+    with pytest.raises(ValueError, match="read-only"):
+        given[:] = given[::-1]
+    assert tree_search(kept, intent, cfg, hashed_embedder).entries == before
+    for other in (given.astype(np.float32), np.asfortranarray(given)):
+        converted = TreeIndex(**columns(nodes), roots=("root",), embeddings=other)
+        assert converted.embeddings is not other and other.flags.writeable
+        assert converted.embeddings.flags.c_contiguous
 
 
 MATRIX_CASES = [
@@ -531,25 +539,15 @@ MATRIX_IDS = ["too_few_rows", "too_many_rows", "one_dimensional", "one_dimension
 
 
 def _two_leaves():
-    return {"a": _leaf("a"), "b": _leaf("b"),
-            "r": TreeNode(id="r", level=1, kind="internal", name="r", summary="r",
-                          children=("a", "b"))}
+    return columns([{"id": "a"}, {"id": "b"}, {"id": "r", "level": 1, "children": ("a", "b")}])
 
 
 @pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
 def test_construction_checks_the_embedding_matrix(embeddings, message):
-    nodes = _two_leaves()
-    assert TreeIndex(nodes=nodes, roots=("r",), embeddings=np.ones((3, 2))).dim == 2
+    cols = _two_leaves()
+    assert TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2))).dim == 2
     with pytest.raises(TreeError, match=message):
-        TreeIndex(nodes=nodes, roots=("r",), embeddings=embeddings)
-
-
-def test_index_copies_the_nodes_it_is_given():
-    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a", artifact_id="a")
-    given = {"a": leaf}
-    index = TreeIndex(nodes=given, roots=("a",), embeddings=np.ones((1, 2)))
-    del given["a"]
-    assert list(index.nodes) == ["a"]
+        TreeIndex(**cols, roots=("r",), embeddings=embeddings)
 
 
 def test_index_equality_is_identity(family_index, tmp_path):
@@ -782,23 +780,21 @@ def test_load_rejects_a_level_that_is_not_an_integer(tmp_path, capsys, level):
 
 
 def test_a_save_that_cannot_encode_leaves_the_file_as_it_was(tmp_path):
-    leaf = TreeNode(id="a", level=0, kind="leaf", name="a", summary="a\ud800b",
-                    artifact_id="a")
+    index = TreeIndex(**columns([{"id": "a", "summary": "a\ud800b"}]), roots=("a",),
+                      embeddings=np.ones((1, 2)))
     path = tmp_path / "index.json"
     path.write_bytes(b"an older index")
     with pytest.raises(UnicodeEncodeError):
-        save_tree(TreeIndex(nodes={"a": leaf}, roots=("a",), embeddings=np.ones((1, 2))), path)
+        save_tree(index, path)
     assert path.read_bytes() == b"an older index"
 
 
 def test_control_and_non_ascii_text_round_trips_in_one_header_line(tmp_path):
     text = "a\nb\rc\u2028d\u2029e\x00f\tg é 日本語 \U0001F600"
-    nodes = {"a": TreeNode(id="a", level=0, kind="leaf", name=text, summary=text[::-1],
-                           artifact_id="a"),
-             "r": TreeNode(id="r", level=1, kind="internal", name=text, summary="r",
-                           children=("a",))}
+    nodes = [{"id": "a", "name": text, "summary": text[::-1]},
+             {"id": "r", "level": 1, "name": text, "children": ("a",)}]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_tree(TreeIndex(nodes=nodes, roots=("r",), embeddings=np.eye(2)), p1)
+    save_tree(TreeIndex(**columns(nodes), roots=("r",), embeddings=np.eye(2)), p1)
     data = p1.read_bytes()
     head = data[:data.index(b"\n")]
     assert b"\r" not in head and b"\x00" not in head

@@ -2,19 +2,19 @@
 they replaced.
 
 ``oracle_validate`` and ``oracle_load`` are the node-by-node
-``validate_tree`` and the ``TreeNode``-building ``load_tree`` as they were
-before the index became columns; ``oracle_load`` reads the current file
-format, a JSON header line and the matrix payload.  On the construction
-and malformed-file cases of ``test_tree.py`` and on generated
-corruptions of small DAGs, an index must fail to load exactly when the
-oracle raises ``TreeError``.
+``validate_tree`` and the node-building ``load_tree`` as they were
+before the index became columns, on a node record of their own;
+``oracle_load`` reads the current file format, a JSON header line and
+the matrix payload.  On the construction and malformed-file cases of
+``test_tree.py`` and on generated corruptions of small DAGs, an index
+must fail to load exactly when the oracle raises ``TreeError``.
 Levels are drawn within 64 bits: the columns keep levels as int64 and
 reject a wider one, which the oracle accepted.
 """
 
-import dataclasses
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -30,6 +30,7 @@ from semtree.tree import (
     TreeIndex,
     TreeNode,
     _embedding_matrix,
+    build_tree,
     load_tree,
     save_tree,
     tree_stats,
@@ -43,9 +44,31 @@ from test_tree import (
     MATRIX_IDS,
     _two_leaves,
 )
-from conftest import encode_payload, read_index, write_index
+from conftest import columns, encode_payload, read_index, write_index
 
-COLUMNS = ("id", "level", "kind", "name", "summary", "children", "artifact_id")
+# the header's column names and the TreeIndex keywords that take them
+COLUMNS = {"id": "ids", "level": "levels", "kind": "kinds", "name": "names",
+           "summary": "summaries", "children": "children", "artifact_id": "artifact_ids"}
+
+
+@dataclass(eq=False, frozen=True)
+class Node:
+    """The oracle's node record."""
+
+    id: str
+    level: int
+    kind: str
+    name: str
+    summary: str
+    children: tuple
+    artifact_id: str | None
+
+    def is_leaf(self) -> bool:
+        return self.kind == "leaf"
+
+
+def make_index(cols, roots, embeddings) -> TreeIndex:
+    return TreeIndex(**cols, roots=roots, embeddings=embeddings)
 
 
 def oracle_validate(nodes, roots, embeddings) -> None:
@@ -101,8 +124,16 @@ def oracle_validate(nodes, roots, embeddings) -> None:
         raise TreeError("embedding has non-finite values")
 
 
-def oracle_index(nodes, roots, embeddings) -> None:
-    nodes = MappingProxyType(dict(nodes))
+def oracle_index(cols, roots, embeddings) -> None:
+    """``oracle_validate`` on node records made from ``TreeIndex`` column keywords."""
+    nodes = {}
+    for i, nid in enumerate(cols["ids"]):
+        if nid in nodes:
+            raise TreeError(f"duplicate node id {nid!r}")
+        nodes[nid] = Node(nid, cols["levels"][i], cols["kinds"][i], cols["names"][i],
+                          cols["summaries"][i], tuple(cols["children"][i]),
+                          cols["artifact_ids"][i])
+    nodes = MappingProxyType(nodes)
     try:
         embeddings = np.array(embeddings, dtype=np.float64, order="C")
     except (TypeError, ValueError) as exc:
@@ -121,28 +152,20 @@ def oracle_load(path) -> None:
     if not (isinstance(header.get("config", {}), dict)
             and isinstance(header.get("provenance", {}), dict)):
         raise TreeError("config and provenance must be JSON objects")
-    nodes = {}
     try:
-        columns = header["nodes"]
-        n = len(columns["id"])
-        if any(len(columns[key]) != n for key in COLUMNS):
+        nodes = header["nodes"]
+        n = len(nodes["id"])
+        if any(len(nodes[key]) != n for key in COLUMNS):
             raise TreeError("a node column does not have one entry per node")
         matrix = _embedding_matrix(header["embeddings"]["dim"], payload, n)
-        for i, nid in enumerate(columns["id"]):
-            if nid in nodes:
-                raise TreeError(f"duplicate node id {nid!r}")
-            nodes[nid] = TreeNode(
-                id=nid, level=columns["level"][i], kind=columns["kind"][i],
-                name=columns["name"][i], summary=columns["summary"][i],
-                children=tuple(columns["children"][i]),
-                artifact_id=columns["artifact_id"][i],
-            )
+        cols = {keyword: nodes[key] for key, keyword in COLUMNS.items()}
+        cols["children"] = [tuple(children) for children in cols["children"]]
         roots = tuple(header["roots"])
     except TreeError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file: {exc}") from exc
-    oracle_index(nodes, roots, matrix)
+    oracle_index(cols, roots, matrix)
 
 
 def rejects(fn, *args) -> bool:
@@ -157,14 +180,14 @@ def rejects(fn, *args) -> bool:
 @pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
 def test_construction_cases_agree_with_the_oracle(nodes, roots, message):
     embeddings = np.ones((len(nodes), 2))
-    assert rejects(oracle_index, nodes, roots, embeddings)
-    assert rejects(TreeIndex, nodes, roots, embeddings)
+    assert rejects(oracle_index, columns(nodes), roots, embeddings)
+    assert rejects(make_index, columns(nodes), roots, embeddings)
 
 
 @pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
 def test_matrix_cases_agree_with_the_oracle(embeddings, message):
     assert rejects(oracle_index, _two_leaves(), ("r",), embeddings)
-    assert rejects(TreeIndex, _two_leaves(), ("r",), embeddings)
+    assert rejects(make_index, _two_leaves(), ("r",), embeddings)
 
 
 @pytest.mark.parametrize("damage", MALFORMED_FILES, ids=MALFORMED_FILE_IDS)
@@ -181,57 +204,56 @@ def test_malformed_files_agree_with_the_oracle(family_index, tmp_path, damage):
 def small_dags(draw):
     """A valid index of up to 6 leaves and 3 levels above them: each
     internal node takes children from any level below its own."""
-    n_leaves = draw(st.integers(1, 6))
-    nodes = {f"L0-{i}": TreeNode(id=f"L0-{i}", level=0, kind="leaf", name=f"n{i}",
-                                 summary=f"s{i}", artifact_id=f"a{i}")
-             for i in range(n_leaves)}
-    roots = list(nodes)
+    n = draw(st.integers(1, 6))
+    cols = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n, "kinds": ["leaf"] * n,
+            "names": [f"n{i}" for i in range(n)], "summaries": [f"s{i}" for i in range(n)],
+            "artifact_ids": [f"a{i}" for i in range(n)], "children": [()] * n}
+    roots = list(cols["ids"])
     for level in range(1, draw(st.integers(0, 3)) + 1):
-        below = list(nodes)
+        below = list(cols["ids"])
         uncovered = set(roots)
         parents = []
         for j in range(draw(st.integers(1, 3))):
             children = draw(st.lists(st.sampled_from(below), min_size=1, max_size=4,
                                      unique=True))
             pid = f"L{level}-{j}"
-            nodes[pid] = TreeNode(id=pid, level=level, kind="internal", name=pid,
-                                  summary=pid, children=tuple(children))
+            for key, value in (("ids", pid), ("levels", level), ("kinds", "internal"),
+                               ("names", pid), ("summaries", pid), ("artifact_ids", None),
+                               ("children", tuple(children))):
+                cols[key].append(value)
             parents.append(pid)
             uncovered -= set(children)
         roots = parents + sorted(uncovered)  # every earlier root stays reachable
-    embeddings = np.ones((len(nodes), 3))
-    return nodes, roots, embeddings
+    embeddings = np.ones((len(cols["ids"]), 3))
+    return cols, roots, embeddings
 
 
 LEVELS = [-1, 0, 1, 2, 3, 7, "1", 1.5, True, None]
 KINDS = ["leaf", "internal", "branch", None]
 ARTIFACTS = [None, "a0", "fresh", 5]
 TEXTS = ["x", 5, None]
+# the values a corruption may put in each column but children
+CHOICES = {"levels": LEVELS, "kinds": KINDS, "names": TEXTS, "summaries": TEXTS,
+           "artifact_ids": ARTIFACTS}
 
 
 @st.composite
 def corrupted(draw, dags):
-    """A DAG from ``dags`` with 0-3 random edits to its fields, roots or rows."""
-    nodes, roots, embeddings = draw(dags)
+    """A DAG from ``dags`` with 0-3 random edits to its columns, roots or rows."""
+    cols, roots, embeddings = draw(dags)
+    ids = list(cols["ids"])
     for _ in range(draw(st.integers(0, 3))):
-        nid = draw(st.sampled_from(list(nodes)))
-        node = nodes[nid]
-        what = draw(st.sampled_from(["level", "kind", "children", "artifact_id", "name",
-                                     "summary", "roots", "embeddings"]))
-        if what == "level":
-            nodes[nid] = dataclasses.replace(node, level=draw(st.sampled_from(LEVELS)))
-        elif what == "kind":
-            nodes[nid] = dataclasses.replace(node, kind=draw(st.sampled_from(KINDS)))
+        i = draw(st.integers(0, len(ids) - 1))
+        what = draw(st.sampled_from(["levels", "kinds", "children", "artifact_ids", "names",
+                                     "summaries", "roots", "embeddings"]))
+        if what in CHOICES:
+            cols[what][i] = draw(st.sampled_from(CHOICES[what]))
         elif what == "children":
-            extra = draw(st.sampled_from(list(nodes) + ["missing", 5]))
+            extra = draw(st.sampled_from(ids + ["missing", 5]))
             edit = draw(st.sampled_from(["clear", "add", "drop"]))
-            children = {"clear": (), "add": node.children + (extra,),
-                        "drop": node.children[1:]}[edit]
-            nodes[nid] = dataclasses.replace(node, children=children)
-        elif what in ("name", "summary"):
-            nodes[nid] = dataclasses.replace(node, **{what: draw(st.sampled_from(TEXTS))})
-        elif what == "artifact_id":
-            nodes[nid] = dataclasses.replace(node, artifact_id=draw(st.sampled_from(ARTIFACTS)))
+            children = cols["children"][i]
+            cols["children"][i] = {"clear": (), "add": children + (extra,),
+                                   "drop": children[1:]}[edit]
         elif what == "roots":
             edit = draw(st.sampled_from(["drop", "repeat", "add"]))
             if edit == "drop":
@@ -239,7 +261,7 @@ def corrupted(draw, dags):
             elif edit == "repeat":
                 roots = roots + roots[:1]
             else:
-                roots = roots + [draw(st.sampled_from(list(nodes) + ["missing", 5]))]
+                roots = roots + [draw(st.sampled_from(ids + ["missing", 5]))]
         else:
             edit = draw(st.sampled_from(["nan", "inf", "short", "long"]))
             embeddings = embeddings.copy()
@@ -248,22 +270,15 @@ def corrupted(draw, dags):
             else:
                 embeddings = embeddings[:-1] if edit == "short" else np.vstack(
                     [embeddings, embeddings[:1]])
-    return nodes, roots, embeddings
+    return cols, roots, embeddings
 
 
-def _written(nodes, roots, embeddings, directory) -> Path:
-    """The index file of ``nodes`` in their given order, encoded here by hand."""
-    values = nodes.values()
-    header = {
-        "version": 3,
-        "roots": list(roots),
-        "nodes": {"id": [n.id for n in values], "level": [n.level for n in values],
-                  "kind": [n.kind for n in values], "name": [n.name for n in values],
-                  "summary": [n.summary for n in values],
-                  "children": [list(n.children) for n in values],
-                  "artifact_id": [n.artifact_id for n in values]},
-        "embeddings": {"dim": embeddings.shape[1]},
-    }
+def _written(cols, roots, embeddings, directory) -> Path:
+    """The index file of ``cols`` in their given order, encoded here by hand."""
+    nodes = {key: list(cols[keyword]) for key, keyword in COLUMNS.items()}
+    nodes["children"] = [list(children) for children in nodes["children"]]
+    header = {"version": 3, "roots": list(roots), "nodes": nodes,
+              "embeddings": {"dim": embeddings.shape[1]}}
     path = Path(directory) / "index.json"
     write_index(path, header, encode_payload(embeddings))
     return path
@@ -272,21 +287,41 @@ def _written(nodes, roots, embeddings, directory) -> Path:
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(corrupted(small_dags()))
 def test_generated_corruptions_agree_with_the_oracle(case):
-    nodes, roots, embeddings = case
-    expected = rejects(oracle_index, nodes, roots, embeddings)
-    assert rejects(TreeIndex, nodes, roots, embeddings) == expected
+    cols, roots, embeddings = case
+    expected = rejects(oracle_index, cols, roots, embeddings)
+    assert rejects(make_index, cols, roots, embeddings) == expected
     with tempfile.TemporaryDirectory() as tmp:
-        path = _written(nodes, roots, embeddings, tmp)
-        assert rejects(oracle_load, path) == expected
-        assert rejects(load_tree, path) == expected
+        path = _written(cols, roots, embeddings, tmp)
+        on_file = rejects(oracle_load, path)
+        assert rejects(load_tree, path) == on_file
+    # A file's node count comes from its columns, so a matrix a row short
+    # can be a valid payload: two nodes of dim 3 share one mask byte with
+    # one node, and the file reads back with a zero last row.
+    if len(embeddings) == len(cols["ids"]):
+        assert on_file == expected
 
 
-def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed_embedder,
-                                            tmp_path, monkeypatch):
+@pytest.fixture
+def made(monkeypatch):
+    """One entry for each ``TreeNode`` made while the test runs."""
     made = []
     init = TreeNode.__init__
     monkeypatch.setattr(TreeNode, "__init__",
                         lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+    return made
+
+
+def test_build_and_save_make_no_tree_nodes(family_index, family_library, hashed_embedder,
+                                           tmp_path, made):
+    built = build_tree(family_library, hashed_embedder, seed=0)
+    save_tree(built, tmp_path / "built.json")
+    save_tree(family_index, tmp_path / "fixture.json")
+    assert made == []
+    assert (tmp_path / "built.json").read_bytes() == (tmp_path / "fixture.json").read_bytes()
+
+
+def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed_embedder,
+                                            tmp_path, made):
     path = tmp_path / "index.json"
     save_tree(family_index, path)
     index = load_tree(path)
@@ -305,10 +340,7 @@ def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed
 
 def test_a_level_wider_than_64_bits_is_rejected():
     # the one input on which the columns differ from the oracle, by design
-    nodes = {"r": TreeNode(id="r", level=2**64, kind="internal", name="r", summary="r",
-                           children=("a",)),
-             "a": TreeNode(id="a", level=0, kind="leaf", name="a", summary="a",
-                           artifact_id="a")}
-    assert not rejects(oracle_index, nodes, ("r",), np.ones((2, 2)))
+    cols = columns([{"id": "r", "level": 2**64, "children": ("a",)}, {"id": "a"}])
+    assert not rejects(oracle_index, cols, ("r",), np.ones((2, 2)))
     with pytest.raises(TreeError, match="does not fit in 64 bits"):
-        TreeIndex(nodes=nodes, roots=("r",), embeddings=np.ones((2, 2)))
+        make_index(cols, ("r",), np.ones((2, 2)))
