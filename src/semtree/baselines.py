@@ -33,7 +33,7 @@ from semtree.kernels import bm25_scores
 from semtree.llm import LlmError
 from semtree.search import (RankedList, check_final_k, llm_order, render_rerank_prompt,
                             round_scores)
-from semtree.tree import rank_by_id
+from semtree.tree import csr_ranges, rank_by_id
 
 logger = logging.getLogger(__name__)
 
@@ -160,14 +160,6 @@ def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray:
     return np.bincount(known, minlength=len(idx.vocabulary)) * idx.tfidf_idf
 
 
-def _posting_ranges(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The positions ``ptr[k]:ptr[k+1]`` of each key in ``keys``, concatenated
-    in the order of ``keys``."""
-    starts = ptr[keys]
-    lens = ptr[keys + 1] - starts
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-
-
 def _tfidf_dots(idx: TermIndex, q: np.ndarray) -> np.ndarray:
     """Each document's dot product with the dense intent vector ``q``.
 
@@ -176,7 +168,7 @@ def _tfidf_dots(idx: TermIndex, q: np.ndarray) -> np.ndarray:
     additions are those over all postings less exact zeros, so the sums
     are the same bits.
     """
-    sel = _posting_ranges(idx.postings_ptr, np.flatnonzero(q))
+    sel = csr_ranges(idx.postings_ptr, np.flatnonzero(q))
     return np.bincount(idx.postings_doc[sel],
                        weights=idx.tfidf_weights[sel] * q[idx.postings_term[sel]],
                        minlength=idx.n_docs)
@@ -283,8 +275,8 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     """
     q = _distribution(_tfidf_query(idx, intent))
     touched = np.zeros(idx.n_docs, dtype=bool)
-    touched[idx.postings_doc[_posting_ranges(idx.postings_ptr, np.flatnonzero(q))]] = True
-    sel = idx.doc_order[_posting_ranges(idx.doc_ptr, np.flatnonzero(touched))]
+    touched[idx.postings_doc[csr_ranges(idx.postings_ptr, np.flatnonzero(q))]] = True
+    sel = idx.doc_order[csr_ranges(idx.doc_ptr, np.flatnonzero(touched))]
     rescored = _jsd_scores(idx.postings_doc[sel], idx.jsd_p[sel],
                            q[idx.postings_term[sel]], idx.n_docs)
     scores = np.where(touched, rescored, idx.jsd_base)

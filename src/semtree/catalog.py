@@ -85,6 +85,19 @@ def _parse_line(line: str, lineno: int) -> dict:
     return obj
 
 
+def _text(obj: dict, key: str, lineno: int, default: str = "") -> str:
+    """``obj[key]`` as text: a string as it is, a number by ``str()``, and
+    ``default`` if the key is absent."""
+    value = obj.get(key, default)
+    if type(value) is str:  # the common case, returned without a call
+        return value
+    if type(value) in (int, float):
+        return str(value)
+    # JSON null, a boolean, a list or an object
+    label = "artifact id" if key == "id" else key
+    raise CatalogError(f"line {lineno}: {label} {json.dumps(value)} is not a string or number")
+
+
 def _lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -98,10 +111,11 @@ def load_library(path: str) -> ArtifactLibrary:
 
     Raises:
         CatalogError: on text that is not UTF-8, malformed JSON or a lone
-            surrogate (with line number), an id that is missing or not a
-            string or number, a duplicate id (naming the id and line; ids
-            compare as strings), an empty description, or an ``extra``
-            that is not a JSON object.
+            surrogate (with line number), a missing id, an id, name,
+            description or ecosystem that is not a string or number (JSON
+            null, a boolean, a list or an object), a duplicate id (naming
+            the id and line; ids compare as strings), an empty description,
+            or an ``extra`` that is not a JSON object.
     """
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
@@ -110,29 +124,26 @@ def load_library(path: str) -> ArtifactLibrary:
         if not line.strip():
             continue
         obj = _parse_line(line, lineno)
-        aid = obj.get("id")
+        aid = _text(obj, "id", lineno)
         if not aid:
             raise CatalogError(f"line {lineno}: missing artifact id")
-        if isinstance(aid, (list, dict)):
-            raise CatalogError(f"line {lineno}: artifact id {aid!r} is not a string or number")
-        aid = str(aid)
         if aid in seen:
             raise CatalogError(
                 f"line {lineno}: duplicate artifact id {aid!r} "
                 f"(first seen on line {seen[aid]})"
             )
         seen[aid] = lineno
-        desc = obj.get("description", "")
-        if not str(desc).strip():
+        desc = _text(obj, "description", lineno)
+        if not desc.strip():
             raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
         extra = obj.get("extra")
         if not isinstance(extra, (dict, type(None))):
             raise CatalogError(f"line {lineno}: artifact {aid!r}: extra is not a JSON object")
         art = Artifact(
             id=aid,
-            name=str(obj.get("name", "")),
-            description=str(desc),
-            ecosystem=str(obj.get("ecosystem", eco)),
+            name=_text(obj, "name", lineno),
+            description=desc,
+            ecosystem=_text(obj, "ecosystem", lineno, eco),
             extra={str(k): str(v) for k, v in (extra or {}).items()},
         )
         if not eco:
@@ -142,15 +153,19 @@ def load_library(path: str) -> ArtifactLibrary:
 
 
 def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
-    """Load intent-artifact pairs, resolving every target against ``lib``."""
+    """Load intent-artifact pairs, resolving every target against ``lib``.
+
+    An ``intent`` or ``target_id`` must be a string or number, as the
+    library's fields must.
+    """
     known = set(lib.ids())
     pairs: list[IntentSample] = []
     for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
         obj = _parse_line(line, lineno)
-        intent = str(obj.get("intent", "")).strip()
-        target = str(obj.get("target_id", ""))
+        intent = _text(obj, "intent", lineno).strip()
+        target = _text(obj, "target_id", lineno)
         if not intent:
             raise CatalogError(f"line {lineno}: missing intent text")
         if target not in known:

@@ -5,11 +5,12 @@ cosine similarity against the intent embedding, the top-w nodes are
 kept (ties by ascending id), and kept internal nodes are expanded into
 their children while kept leaves carry themselves forward.  When every
 kept node is a leaf the candidates are returned.  Every node is scored
-once per query, by one contiguous matvec over all rows of the index's
-embedding matrix; each level then reads its frontier's scores from that
-vector, and the deduplicated child union makes the polyhierarchy cost
-nothing.  Scores are rounded to ``SCORE_DECIMALS`` before ranking so
-that ties do not depend on summation order.
+once per query, by one product over the rows of the index's dim-major
+matrix at the intent's nonzero dims (a hashed intent touches a few of
+them); each level then reads its frontier's scores from that vector, and
+the deduplicated child union makes the polyhierarchy cost nothing.
+Scores are rounded to ``SCORE_DECIMALS`` before ranking so that ties do
+not depend on summation order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from semtree.llm import LlmError
-from semtree.tree import TreeIndex
+from semtree.tree import TreeIndex, expand_beam
 
 logger = logging.getLogger(__name__)
 
@@ -91,25 +92,27 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
     if query.shape[0] != t.dim:
         raise ValueError("intent embedding dimension does not match the index")
 
-    ptr, rows = t.child_ptr, t.child_rows
-    all_scores = round_scores(t.embeddings @ query)
-    frontier = t.root_rows
-    evaluations = 0
+    nz = np.flatnonzero(query)  # zero dims add nothing to a dot product
+    all_scores = round_scores(query[nz] @ t.dim_major[nz])
+    width = cfg.beam_width
+    frontier, evaluations = t.root_rows, 0
+    if t.root_expansion is not None and len(frontier) <= width:
+        # the beam keeps every root, so it starts from their stored expansion
+        frontier, evaluations = t.root_expansion, len(frontier)
     for _ in range(t.top_level + 2):
         scores = all_scores[frontier]
         evaluations += len(frontier)
-        order = np.lexsort((t.id_rank[frontier], -scores))[: cfg.beam_width]
+        if len(frontier) > width:
+            # only nodes scoring at least the width-th best can be kept;
+            # ties at the cut stay, for the id tie-break below
+            cut = scores >= np.partition(scores, -width)[-width]
+            frontier, scores = frontier[cut], scores[cut]
+        order = np.lexsort((t.id_rank[frontier], -scores))[:width]
         kept, kept_scores = frontier[order], scores[order]
         leaf = t.is_leaf[kept]
         if leaf.all():
             break
-        # Deduplicate the child union with a mask: np.unique sorts and
-        # costs ~10x as much on frontiers of this size.
-        reached = np.zeros(len(t.ids), dtype=bool)
-        reached[kept[leaf]] = True
-        for r in kept[~leaf]:
-            reached[rows[ptr[r]:ptr[r + 1]]] = True
-        frontier = np.flatnonzero(reached)
+        frontier = expand_beam(t, kept, leaf)
     entries = [(t.artifact_ids[r], s) for r, s in zip(kept.tolist(), kept_scores.tolist())]
     return RankedList(intent=intent, entries=entries, node_evaluations=evaluations)
 

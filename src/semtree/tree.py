@@ -8,10 +8,10 @@ Soft assignment can give a node several parents, so the result is a
 polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
 coverage are validated whenever a ``TreeIndex`` is made.  The index is
 columns (ids, levels, kinds, names, summaries, artifact ids, CSR
-children and the embedding matrix, the only copy of the node vectors),
-and none of them can be edited once it is made.  ``build_tree`` appends
-each level to the columns and ``load_tree`` reads them from a file; both
-hand them to the one ``TreeIndex`` constructor.
+children and the embedding matrix, the only copy of the node vectors,
+held dim-major), and none of them can be edited once it is made.
+``build_tree`` appends each level to the columns and ``load_tree`` reads
+them from a file; both hand them to the one ``TreeIndex`` constructor.
 
 On disk (``INDEX_FORMAT_VERSION`` 3) the index is a header line of
 UTF-8 JSON, a ``\n``, and the matrix as raw bytes.  The header holds the
@@ -30,7 +30,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from types import MappingProxyType
 
 import numpy as np
@@ -82,19 +82,22 @@ class TreeIndex:
     """The index as columns: row ``i`` of each is node ``ids[i]``.
 
     ``levels``, ``kinds``, ``names``, ``summaries`` and ``artifact_ids``
-    are tuples; node ``i``'s vector is ``embeddings[i]``, a read-only
-    float64 matrix, and its children are
-    ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR).  ``roots`` are
-    node ids.  ``validate_tree`` runs once, when the index is made, and
-    sets what search reads: ``is_leaf``, ``id_rank`` (each id's rank among
-    the sorted ids, the tie-break), ``root_rows``, ``top_level`` and
-    ``leaf_rows`` (artifact id to leaf row).  Nothing here changes after
-    that, so the columns cannot fall out of step.
+    are tuples; the matrix is held once, as the read-only C-contiguous
+    ``(dim, n)`` float64 array ``dim_major``, and node ``i``'s vector is
+    ``embeddings[i]``, where ``embeddings`` is its ``.T`` view.  Node
+    ``i``'s children are ``child_rows[child_ptr[i]:child_ptr[i + 1]]``
+    (CSR).  ``roots`` are node ids.  ``validate_tree`` runs once, when the
+    index is made, and sets what search reads: ``is_leaf``, ``id_rank``
+    (each id's rank among the sorted ids, the tie-break), ``root_rows``,
+    ``root_expansion``, ``top_level`` and ``leaf_rows`` (artifact id to
+    leaf row).  Nothing here changes after that, so the columns cannot
+    fall out of step.
 
     ``build_tree`` and ``load_tree`` both make an index with this one
-    constructor.  It takes ``children`` as child ids per node, and keeps
-    a C-contiguous float64 ``embeddings`` array rather than copying it,
-    making the caller's array read-only; anything else is converted.
+    constructor.  It takes ``children`` as lists or tuples of child ids
+    per node.  An ``(n, dim)`` float64 ``embeddings`` array whose ``.T``
+    is C-contiguous (Fortran order) is kept rather than copied, making
+    the caller's array read-only; anything else is converted once.
     ``nodes``, ``leaves()`` and ``max_level()`` are views kept only for
     the benchmark in ``perfsuite/``; nothing in the package reads them.
     """
@@ -102,7 +105,7 @@ class TreeIndex:
     def __init__(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
                  embeddings, config: dict | None = None, provenance: dict | None = None):
         try:
-            embeddings = np.asarray(embeddings, dtype=np.float64, order="C")
+            embeddings = np.asarray(embeddings, dtype=np.float64, order="F")
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
             raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
         self.ids, self.levels, self.kinds = tuple(ids), tuple(levels), tuple(kinds)
@@ -114,6 +117,7 @@ class TreeIndex:
         self.provenance = {} if provenance is None else provenance
         validate_tree(self)
         embeddings.flags.writeable = False  # a failed check leaves the caller's array as it was
+        self.dim_major = embeddings.T  # C-contiguous, read-only as its base is
 
     @property
     def dim(self) -> int:
@@ -152,15 +156,28 @@ def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     if len(row) != len(ids):
         seen: set[str] = set()
         raise TreeError(f"duplicate node id {next(n for n in ids if n in seen or seen.add(n))!r}")
+    if not set(map(type, children)) <= {list, tuple}:  # a string would pass as its letters
+        for nid, kids in zip(ids, children):
+            if not isinstance(kids, (list, tuple)):
+                raise TreeError(f"node {nid}: children {kids!r} are not a list of ids")
     ptr = np.zeros(len(ids) + 1, dtype=np.intp)
-    np.cumsum([len(c) for c in children], out=ptr[1:])
+    np.cumsum(np.fromiter(map(len, children), dtype=np.intp), out=ptr[1:])
     try:
-        rows = np.array([row[c] for cs in children for c in cs], dtype=np.intp)
+        rows = np.fromiter(map(row.__getitem__, chain.from_iterable(children)),
+                           dtype=np.intp, count=int(ptr[-1]))
     except (KeyError, TypeError):
         node, child = next((ids[i], c) for i, cs in enumerate(children) for c in cs
                            if not isinstance(c, str) or c not in row)
         raise TreeError(f"node {node} references missing child {child!r}") from None
     return row, ptr, rows
+
+
+def csr_ranges(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[k]:ptr[k+1]`` of each key in ``keys``, concatenated
+    in the order of ``keys``: one gather of many CSR rows."""
+    starts = ptr[keys]
+    lens = ptr[keys + 1] - starts
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 def rank_by_id(ids) -> np.ndarray:
@@ -219,14 +236,20 @@ def validate_tree(t: TreeIndex) -> None:
     has_artifact = np.array([a is not None for a in t.artifact_ids], dtype=bool)
     _raise_at(internal & has_artifact,
               lambda i: f"internal node {ids[i]} carries an artifact_id")
+    leaves = np.flatnonzero(is_leaf).tolist()
+    artifact_ids = list(compress(t.artifact_ids, is_leaf.tolist()))
     leaf_rows: dict[str, int] = {}
-    for r in np.flatnonzero(is_leaf).tolist():
-        artifact_id = t.artifact_ids[r]
-        if not isinstance(artifact_id, str):
-            raise TreeError(f"leaf {ids[r]} has no string artifact_id")
-        other = leaf_rows.setdefault(artifact_id, r)
-        if other != r:
-            raise TreeError(f"leaves {ids[other]} and {ids[r]} share artifact_id {artifact_id}")
+    if set(map(type, artifact_ids)) == {str}:
+        leaf_rows = dict(zip(artifact_ids, leaves))
+    if len(leaf_rows) != len(leaves):  # walk the leaves only to name the culprit
+        leaf_rows = {}
+        for r, artifact_id in zip(leaves, artifact_ids):
+            if not isinstance(artifact_id, str):
+                raise TreeError(f"leaf {ids[r]} has no string artifact_id")
+            other = leaf_rows.setdefault(artifact_id, r)
+            if other != r:
+                raise TreeError(f"leaves {ids[other]} and {ids[r]} share artifact_id "
+                                f"{artifact_id}")
     parents = np.repeat(np.arange(n), fanout)  # the parent row of each CSR edge
     climbs = levels[t.child_rows] >= levels[parents]
     if climbs.any():
@@ -261,6 +284,24 @@ def validate_tree(t: TreeIndex) -> None:
     t.root_rows = np.array(root_rows, dtype=np.intp)
     t.top_level = int(levels.max())
     t.leaf_rows = leaf_rows
+    # A beam at least as wide as the roots keeps them all, so its next
+    # frontier is the same for every query; a beam of leaf roots ends there.
+    root_leaf = is_leaf[t.root_rows]
+    t.root_expansion = None if root_leaf.all() else expand_beam(t, t.root_rows, root_leaf)
+
+
+def expand_beam(t: TreeIndex, kept: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """The rows a beam scores after keeping the rows ``kept``, whose leaf
+    mask is ``leaf``: kept leaves carry themselves forward and kept
+    internal nodes give their children, each row once, in row order.
+
+    The child union is deduplicated with a mask: ``np.unique`` sorts and
+    costs ~10x as much on frontiers of this size.
+    """
+    reached = np.zeros(len(t.ids), dtype=bool)
+    reached[kept[leaf]] = True
+    reached[t.child_rows[csr_ranges(t.child_ptr, kept)]] = True  # a leaf's range is empty
+    return np.flatnonzero(reached)
 
 
 def build_tree(
@@ -334,7 +375,7 @@ def build_tree(
     return TreeIndex(
         **columns,
         roots=columns["ids"][first:],
-        embeddings=np.vstack(blocks),
+        embeddings=np.concatenate([block.T for block in blocks], axis=1).T,
         config={
             "reducer": {"method": "pca", "target_dim": target_dim},
             "cluster": {
@@ -379,7 +420,8 @@ def save_tree(t: TreeIndex, path: str) -> None:
 
 
 def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
-    """The ``(n, dim)`` matrix that a payload of mask and values encodes."""
+    """The ``(n, dim)`` matrix that a payload of mask and values encodes,
+    as the ``.T`` view of a C-contiguous ``(dim, n)`` array."""
     if type(dim) is not int or dim < 1:
         raise TreeError(f"embedding dim {dim!r} is not a positive integer")
     size = n * dim
@@ -394,11 +436,20 @@ def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
     if len(payload) != mask + 8 * count:
         raise TreeError(f"embedding payload has {len(payload)} bytes, not the {mask} of "
                         f"the mask and 8 for each of the {count} entries it marks")
+    # Integer indices (~3x faster than scattering through the boolean
+    # mask), moved in place from row-major at = i * dim + j to dim-major
+    # j * n + i = at * n + i * (1 - n * dim).  A floor division by a scalar
+    # costs a fifth of np.divmod's, whose remainder is not needed.
+    at = np.flatnonzero(nonzero[:size])
+    del nonzero  # free each temporary before the next is made, to keep the peak low
+    row = at // dim
+    row *= 1 - n * dim
+    at *= n
+    at += row
+    del row
     matrix = np.zeros(size)
-    # integer indices: ~3x faster than scattering through the boolean mask
-    matrix[np.flatnonzero(nonzero[:size])] = np.frombuffer(payload, dtype="<f8",
-                                                           offset=mask)
-    return matrix.reshape(n, dim)
+    matrix[at] = np.frombuffer(payload, dtype="<f8", offset=mask)
+    return matrix.reshape(dim, n).T
 
 
 def load_tree(path: str) -> TreeIndex:
@@ -437,10 +488,11 @@ def load_tree(path: str) -> TreeIndex:
             if type(nodes[key]) is not list or len(nodes[key]) != len(ids):
                 raise TreeError(f"index file {path}: the {key} column is not a JSON list "
                                 f"with one entry per node")
-        for nid, kids in zip(ids, nodes["children"]):
-            if type(kids) is not list:
-                raise TreeError(f"index file {path}: the children of node {nid!r} "
-                                f"are not a JSON list")
+        if set(map(type, nodes["children"])) != {list}:
+            for nid, kids in zip(ids, nodes["children"]):
+                if type(kids) is not list:
+                    raise TreeError(f"index file {path}: the children of node {nid!r} "
+                                    f"are not a JSON list")
         matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))
     except TreeError:
         raise

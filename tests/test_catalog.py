@@ -56,8 +56,45 @@ def test_ids_compare_as_strings(tmp_path):
     write_lines(path, [{"id": 1, "description": "x y"}, {"id": "1", "description": "z"}])
     with pytest.raises(CatalogError, match="line 2: duplicate artifact id '1'"):
         load_library(path)
-    write_lines(path, [{"id": True, "description": "x y"}, {"id": 1, "description": "z"}])
-    assert load_library(path).ids() == ["True", "1"]
+    write_lines(path, [{"id": 1.5, "description": "x y"}, {"id": 1, "description": "z"}])
+    assert load_library(path).ids() == ["1.5", "1"]
+
+
+NOT_TEXT = [None, True, False, ["x"], {"x": 1}]
+NOT_TEXT_IDS = ["null", "true", "false", "list", "object"]
+
+
+@pytest.mark.parametrize("value", NOT_TEXT, ids=NOT_TEXT_IDS)
+@pytest.mark.parametrize("field", ["id", "name", "description", "ecosystem"])
+def test_library_field_that_is_not_text_names_line_and_field(tmp_path, field, value):
+    # JSON null and booleans are not made into the text "None", "True", "False"
+    path = tmp_path / "lib.jsonl"
+    row = {"id": "a2", "name": "b", "description": "x y", "ecosystem": "pypi", field: value}
+    write_lines(path, [{"id": "a1", "description": "z"}, row])
+    label = "artifact id" if field == "id" else field
+    with pytest.raises(CatalogError, match=f"^line 2: {label} .* is not a string or number$"):
+        load_library(path)
+
+
+@pytest.mark.parametrize("value", NOT_TEXT, ids=NOT_TEXT_IDS)
+@pytest.mark.parametrize("field", ["intent", "target_id"])
+def test_pair_field_that_is_not_text_names_line_and_field(tmp_path, field, value):
+    lib_path = tmp_path / "lib.jsonl"
+    write_lines(lib_path, [{"id": "1", "description": "first thing"}])
+    lib = load_library(lib_path)
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_lines(pairs_path, [{"intent": "first", "target_id": 1},
+                             {"intent": "first", "target_id": "1", field: value}])
+    with pytest.raises(CatalogError, match=f"^line 2: {field} .* is not a string or number$"):
+        load_pairs(pairs_path, lib)
+
+
+def test_number_fields_keep_their_text(tmp_path):
+    path = tmp_path / "lib.jsonl"
+    write_lines(path, [{"id": 7, "name": 2.5, "description": 10, "ecosystem": 3}])
+    artifact = load_library(path).artifacts[0]
+    assert (artifact.id, artifact.name, artifact.description, artifact.ecosystem) == \
+        ("7", "2.5", "10", "3")
 
 
 def test_text_that_is_not_utf8_raises(tmp_path):

@@ -62,6 +62,15 @@ def test_ingest_malformed_exits_1(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_ingest_null_name_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "description": "x"}\n'
+                   '{"id": "b", "name": null, "description": "y"}\n')
+    code, _, err = run(capsys, "ingest", str(bad))
+    assert code == 1
+    assert "line 2: name null" in err
+
+
 def test_ingest_extra_not_an_object_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "description": "x", "extra": [1, 2]}\n')

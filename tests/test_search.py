@@ -145,6 +145,65 @@ def test_exact_ties_rank_by_node_id(row_order, reversed_on):
     assert got.entries[0][1] == got.entries[1][1]
 
 
+@pytest.mark.parametrize("row_order", [("L0-0", "L0-1"), ("L0-1", "L0-0")])
+def test_sparse_query_ties_rank_by_node_id(row_order):
+    # The query is nonzero on dims 0, 2 and 4 only.  Both rows hold 0.1,
+    # 0.2 and 0.3 there, in opposite orders, and are nonzero on different
+    # other dims: equal in exact arithmetic, different in float summation
+    # order, so only the rounding makes them tie.
+    query = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    rows = {"L0-0": [0.1, 0.5, 0.2, 0.0, 0.3, 0.0], "L0-1": [0.3, 0.0, 0.2, 0.7, 0.1, 0.0]}
+    assert np.dot(rows["L0-0"], query) != np.dot(rows["L0-1"], query)
+    nodes = [{"id": nid, "artifact_id": f"a{nid[-1]}"} for nid in row_order]
+    nodes.append({"id": "L1-0", "level": 1, "children": row_order})
+    index = TreeIndex(**columns(nodes), roots=("L1-0",),
+                      embeddings=[*(rows[nid] for nid in row_order), np.ones(6)])
+    got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
+    assert got.ids() == ["a0", "a1"]
+    assert got.entries[0][1] == got.entries[1][1]
+
+
+def full_product_beam(index, query, width):
+    """The beam over the rounded scores of the full product ``E @ q``: each
+    level's frontier fully sorted by (-score, id rank), kept leaves carried
+    forward.  Returns the kept artifact ids and the number of node scores
+    read."""
+    scores = round_scores(np.ascontiguousarray(index.embeddings) @ query)
+    frontier, evaluations = sorted(index.root_rows.tolist()), 0
+    while True:
+        evaluations += len(frontier)
+        frontier = np.array(frontier)
+        kept = frontier[np.lexsort((index.id_rank[frontier], -scores[frontier]))[:width]]
+        if index.is_leaf[kept].all():
+            return [index.artifact_ids[r] for r in kept.tolist()], evaluations
+        reached = set()
+        for r in kept.tolist():
+            children = index.child_rows[index.child_ptr[r]:index.child_ptr[r + 1]].tolist()
+            reached.update(children or [r])
+        frontier = sorted(reached)
+
+
+@pytest.mark.parametrize("branching, leaf_levels, seed", [(3, 2, 0), (4, 3, 1), (8, 2, 2)])
+def test_search_equals_a_full_product_reference_beam(branching, leaf_levels, seed):
+    # Sparse (hashed) and dense queries, beams narrower and wider than the
+    # roots, so the stored root expansion and the partition cut both run.
+    index = make_balanced_index(branching=branching, leaf_levels=leaf_levels, dim=64,
+                                seed=seed)
+    hashed = HashedEmbedder(EmbedderConfig(dim=64))
+    rng = np.random.default_rng(seed)
+    words = ["json", "yaml", "parse", "http", "retry", "cache", "files", "async", "log"]
+    for width in (1, branching - 1, branching, 10):
+        cfg = SearchConfig(beam_width=width, final_k=1)
+        for _ in range(20):
+            intent = " ".join(rng.choice(words, size=3))
+            dense = rng.normal(size=64)
+            for embedder in (hashed, FixedEmbedder(dense / np.linalg.norm(dense))):
+                query = embedder.embed([intent])[0]
+                got = tree_search(index, intent, cfg, embedder)
+                assert (got.ids(), got.node_evaluations) == full_product_beam(index, query,
+                                                                              width)
+
+
 def test_shared_children_and_leaf_roots():
     # L0-s has two parents and must be scored once; the root leaf L0-solo
     # is kept in the first round and must carry itself into the second.

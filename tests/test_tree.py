@@ -25,6 +25,7 @@ from semtree.tree import (
     StoppingCriteria,
     TreeError,
     TreeIndex,
+    _embedding_matrix,
     build_tree,
     load_tree,
     save_tree,
@@ -497,21 +498,23 @@ def test_index_embeddings_are_read_only(family_index):
 
 
 def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
-    # a C-contiguous float64 matrix is kept, not copied, and made
-    # read-only once the index is checked, so no later write through the
-    # caller's array can reach a search; a failed check, or any other
-    # matrix, which is converted, leaves the caller's array as it was
+    # the index holds its matrix dim-major: an (n, dim) float64 matrix in
+    # Fortran order, whose .T is C-contiguous, is kept, not copied, and
+    # made read-only once the index is checked, so no later write through
+    # the caller's array can reach a search; a failed check leaves the
+    # caller's array as it was, and any other matrix is converted once
     lib = make_family_library(n_families=3, per_family=4)
     nodes = [{"id": a.id} for a in lib.artifacts]
     nodes.append({"id": "root", "level": 1, "children": [a.id for a in lib.artifacts]})
     leaves = hashed_embedder.embed([a.description for a in lib.artifacts])
-    given = np.vstack([leaves, leaves.mean(axis=0)])
-    copied = TreeIndex(**columns(nodes), roots=("root",), embeddings=given.copy())
+    given = np.asfortranarray(np.vstack([leaves, leaves.mean(axis=0)]))
+    copied = TreeIndex(**columns(nodes), roots=("root",), embeddings=given.copy(order="F"))
     with pytest.raises(TreeError, match="missing root"):
         TreeIndex(**columns(nodes), roots=("nowhere",), embeddings=given)
     assert given.flags.writeable
     kept = TreeIndex(**columns(nodes), roots=("root",), embeddings=given)
     assert kept.embeddings is given and not given.flags.writeable
+    assert kept.dim_major.base is given and kept.dim_major.flags.c_contiguous
     intent = lib.artifacts[5].description
     cfg = SearchConfig(beam_width=3, final_k=3)
     before = tree_search(kept, intent, cfg, hashed_embedder).entries
@@ -519,10 +522,21 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     with pytest.raises(ValueError, match="read-only"):
         given[:] = given[::-1]
     assert tree_search(kept, intent, cfg, hashed_embedder).entries == before
-    for other in (given.astype(np.float32), np.asfortranarray(given)):
+    for other in (given.astype(np.float32), np.ascontiguousarray(given)):
         converted = TreeIndex(**columns(nodes), roots=("root",), embeddings=other)
-        assert converted.embeddings is not other and other.flags.writeable
-        assert converted.embeddings.flags.c_contiguous
+        assert not np.shares_memory(converted.embeddings, other) and other.flags.writeable
+        # converted once: the dim-major matrix is a view of the one copy
+        assert converted.embeddings.flags.owndata and not converted.embeddings.flags.writeable
+        assert converted.dim_major.base is converted.embeddings
+        assert converted.dim_major.flags.c_contiguous
+        assert np.array_equal(converted.embeddings, other)
+
+
+def test_children_that_are_not_a_list_of_ids_are_rejected():
+    # a string would make the node the parent of each of its letters
+    cols = columns([{"id": "r", "level": 1, "children": "ab"}, {"id": "a"}, {"id": "b"}])
+    with pytest.raises(TreeError, match="^node r: children 'ab' are not a list of ids$"):
+        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
 
 
 MATRIX_CASES = [
@@ -679,6 +693,33 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
     assert fallbacks == {1, 2}
     assert content_sha256(path) == MIXED_LLM_BUILD_CONTENT_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MIXED_LLM_BUILD_SHA256
+
+
+def _row_major_scatter(dim, payload, n):
+    """The ``(n, dim)`` matrix of a payload, scattered row by row through
+    the mask."""
+    size = n * dim
+    mask = -(-size // 8)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask))[:size]
+    matrix = np.zeros(size)
+    matrix[bits.astype(bool)] = np.frombuffer(payload, dtype="<f8", offset=mask)
+    return matrix.reshape(n, dim)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 5), (4, 1), (5, 3), (2, 4), (3, 11)],
+                         ids=["n_1", "dim_1", "dim_3", "no_padding", "dim_11"])
+def test_embedding_matrix_is_the_row_major_scatter_transposed(n, dim):
+    # every shape but (2, 4) leaves padding bits in the mask's last byte
+    rng = np.random.default_rng(n * 100 + dim)
+    matrix = rng.normal(size=(n, dim))
+    matrix[rng.random((n, dim)) < 0.4] = 0.0
+    matrix.flat[0] = -0.0  # nonzero bits, so the mask marks it
+    payload = encode_payload(matrix)
+    got = _embedding_matrix(dim, payload, n)
+    expected = _row_major_scatter(dim, payload, n)
+    assert got.shape == (n, dim) and got.T.flags.c_contiguous
+    assert got.T.tobytes() == np.ascontiguousarray(expected.T).tobytes()
+    assert expected.tobytes() == matrix.tobytes()
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
