@@ -25,6 +25,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -93,28 +94,23 @@ class TermIndex:
 
 
 def build_term_index(lib: ArtifactLibrary) -> TermIndex:
-    vocab: dict[str, int] = {}
-    terms: list[int] = []
-    docs: list[int] = []
-    tfs: list[int] = []
-    doc_len: list[int] = []
-    for doc, artifact in enumerate(lib.artifacts):
-        counts = Counter(tokenize(artifact.description))
-        for term, c in counts.items():
-            terms.append(vocab.setdefault(term, len(vocab)))
-            docs.append(doc)
-            tfs.append(c)
-        doc_len.append(sum(counts.values()))
+    """Index ``lib``'s descriptions.  The vocabulary is in first-occurrence
+    order; the postings and their tf come from one sort of (term, doc)
+    keys, so they run term by term, docs ascending within each term."""
+    tokens = [tokenize(artifact.description) for artifact in lib.artifacts]
+    flat = list(chain.from_iterable(tokens))
+    vocab = {term: i for i, term in enumerate(dict.fromkeys(flat))}
     ids = lib.ids()
     n = len(ids)
-    terms_arr = np.asarray(terms, dtype=np.int64)
-    order = np.argsort(terms_arr, kind="stable")
-    df = np.bincount(terms_arr, minlength=len(vocab))
+    doc_len = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+    terms = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+    keys, tf = np.unique(terms * n + np.repeat(np.arange(n), doc_len), return_counts=True)
+    postings_term = keys // n
+    postings_doc = keys - postings_term * n
+    postings_tf = tf.astype(np.float64)
+    df = np.bincount(postings_term, minlength=len(vocab))
     ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(df, out=ptr[1:])
-    postings_term = terms_arr[order]
-    postings_doc = np.asarray(docs, dtype=np.int64)[order]
-    postings_tf = np.asarray(tfs, dtype=np.float64)[order]
     tfidf_idf = np.log((1.0 + n) / (1.0 + df))
     w = postings_tf * tfidf_idf[postings_term]
     total = np.bincount(postings_doc, weights=w, minlength=n)
@@ -125,9 +121,9 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
         id_rank=rank_by_id(ids),
         vocabulary=vocab,
         df=df,
-        doc_len=np.asarray(doc_len, dtype=np.float64),
+        doc_len=doc_len.astype(np.float64),
         n_docs=n,
-        avgdl=float(np.mean(doc_len)) if doc_len else 0.0,
+        avgdl=float(np.mean(doc_len)) if n else 0.0,
         postings_ptr=ptr,
         postings_term=postings_term,
         postings_doc=postings_doc,

@@ -69,13 +69,25 @@ class IntentSample:
     target_id: str
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _parse_line(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise CatalogError(f"line {lineno}: expected a JSON object")
+    obj = None
+    if line[:1] == "{":  # the common line: one object, then at most a line ending
+        try:
+            obj, end = _raw_decode(line)
+            if line[end:].strip(" \t\n\r"):  # json.loads allows only this after it
+                obj = None
+        except json.JSONDecodeError:
+            pass
+    if obj is None:  # any other line, and every failure, reports as json.loads does
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CatalogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CatalogError(f"line {lineno}: expected a JSON object")
     if "\\u" in line:  # only a \u escape can make a lone surrogate
         try:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -85,11 +97,11 @@ def _parse_line(line: str, lineno: int) -> dict:
     return obj
 
 
-def _text(obj: dict, key: str, lineno: int, default: str = "") -> str:
-    """``obj[key]`` as text: a string as it is, a number by ``str()``, and
-    ``default`` if the key is absent."""
-    value = obj.get(key, default)
-    if type(value) is str:  # the common case, returned without a call
+def _text(value, key: str, lineno: int) -> str:
+    """A field's ``value`` as text: a string as it is and a number by
+    ``str()``.  ``load_library`` tests for a string itself, the common
+    case, and calls this only for any other value."""
+    if type(value) is str:
         return value
     if type(value) in (int, float):
         return str(value)
@@ -106,6 +118,13 @@ def _lines(path: str) -> list[str]:
             raise CatalogError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _objects(path: str):
+    """Each non-blank line's number and JSON object, in file order."""
+    for lineno, line in enumerate(_lines(path), start=1):
+        if line[:1] == "{" or line.strip():
+            yield lineno, _parse_line(line, lineno)
+
+
 def load_library(path: str) -> ArtifactLibrary:
     """Load a JSON-lines artifact library, preserving input order.
 
@@ -120,11 +139,10 @@ def load_library(path: str) -> ArtifactLibrary:
     artifacts: list[Artifact] = []
     seen: dict[str, int] = {}
     eco = ""
-    for lineno, line in enumerate(_lines(path), start=1):
-        if not line.strip():
-            continue
-        obj = _parse_line(line, lineno)
-        aid = _text(obj, "id", lineno)
+    for lineno, obj in _objects(path):
+        aid = obj.get("id", "")
+        if type(aid) is not str:
+            aid = _text(aid, "id", lineno)
         if not aid:
             raise CatalogError(f"line {lineno}: missing artifact id")
         if aid in seen:
@@ -133,22 +151,26 @@ def load_library(path: str) -> ArtifactLibrary:
                 f"(first seen on line {seen[aid]})"
             )
         seen[aid] = lineno
-        desc = _text(obj, "description", lineno)
+        desc = obj.get("description", "")
+        if type(desc) is not str:
+            desc = _text(desc, "description", lineno)
         if not desc.strip():
             raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
         extra = obj.get("extra")
         if not isinstance(extra, (dict, type(None))):
             raise CatalogError(f"line {lineno}: artifact {aid!r}: extra is not a JSON object")
-        art = Artifact(
-            id=aid,
-            name=_text(obj, "name", lineno),
-            description=desc,
-            ecosystem=_text(obj, "ecosystem", lineno, eco),
-            extra={str(k): str(v) for k, v in (extra or {}).items()},
-        )
+        name = obj.get("name", "")
+        if type(name) is not str:
+            name = _text(name, "name", lineno)
+        ecosystem = obj.get("ecosystem", eco)
+        if type(ecosystem) is not str:
+            ecosystem = _text(ecosystem, "ecosystem", lineno)
+        artifacts.append(Artifact(
+            id=aid, name=name, description=desc, ecosystem=ecosystem,
+            extra={str(k): str(v) for k, v in extra.items()} if extra else {},
+        ))
         if not eco:
-            eco = art.ecosystem
-        artifacts.append(art)
+            eco = ecosystem
     return ArtifactLibrary(ecosystem=eco, artifacts=tuple(artifacts))
 
 
@@ -160,12 +182,9 @@ def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
     """
     known = set(lib.ids())
     pairs: list[IntentSample] = []
-    for lineno, line in enumerate(_lines(path), start=1):
-        if not line.strip():
-            continue
-        obj = _parse_line(line, lineno)
-        intent = _text(obj, "intent", lineno).strip()
-        target = _text(obj, "target_id", lineno)
+    for lineno, obj in _objects(path):
+        intent = _text(obj.get("intent", ""), "intent", lineno).strip()
+        target = _text(obj.get("target_id", ""), "target_id", lineno)
         if not intent:
             raise CatalogError(f"line {lineno}: missing intent text")
         if target not in known:

@@ -111,6 +111,12 @@ class TreeIndex:
         self.ids, self.levels, self.kinds = tuple(ids), tuple(levels), tuple(kinds)
         self.names, self.summaries = tuple(names), tuple(summaries)
         self.artifact_ids, self.roots = tuple(artifact_ids), tuple(roots)
+        for name, column in (("levels", self.levels), ("kinds", self.kinds),
+                             ("names", self.names), ("summaries", self.summaries),
+                             ("artifact_ids", self.artifact_ids), ("children", children)):
+            if len(column) != len(self.ids):
+                raise TreeError(f"the {name} column has {len(column)} entries, not one "
+                                f"for each of the {len(self.ids)} node ids")
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
         self.embeddings = embeddings
         self.config = {} if config is None else config

@@ -2,13 +2,16 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import make_family_library, perturbed_intents
 from semtree.baselines import (
+    TermIndex,
     _distribution,
+    _jsd_scores,
     _ranked,
     _tfidf_dots,
     _tfidf_query,
@@ -129,6 +132,107 @@ def test_term_index_equality_is_identity():
     idx = build_term_index(lib)
     assert (idx == idx) is True
     assert (idx == build_term_index(lib)) is False
+
+
+def counter_term_index(lib):
+    """The term index built one document at a time with a Counter, postings
+    ordered by a stable argsort of their terms: the oracle of the bulk
+    build."""
+    vocab, terms, docs, tfs, doc_len = {}, [], [], [], []
+    for doc, artifact in enumerate(lib.artifacts):
+        counts = Counter(tokenize(artifact.description))
+        for term, c in counts.items():
+            terms.append(vocab.setdefault(term, len(vocab)))
+            docs.append(doc)
+            tfs.append(c)
+        doc_len.append(sum(counts.values()))
+    ids = lib.ids()
+    n = len(ids)
+    terms_arr = np.asarray(terms, dtype=np.int64)
+    order = np.argsort(terms_arr, kind="stable")
+    df = np.bincount(terms_arr, minlength=len(vocab))
+    ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(df, out=ptr[1:])
+    postings_term = terms_arr[order]
+    postings_doc = np.asarray(docs, dtype=np.int64)[order]
+    postings_tf = np.asarray(tfs, dtype=np.float64)[order]
+    tfidf_idf = np.log((1.0 + n) / (1.0 + df))
+    w = postings_tf * tfidf_idf[postings_term]
+    total = np.bincount(postings_doc, weights=w, minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = w / total[postings_doc]
+    return TermIndex(
+        doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids), vocabulary=vocab, df=df,
+        doc_len=np.asarray(doc_len, dtype=np.float64), n_docs=n,
+        avgdl=float(np.mean(doc_len)) if doc_len else 0.0, postings_ptr=ptr,
+        postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
+        bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)), tfidf_idf=tfidf_idf,
+        tfidf_weights=w, tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
+        jsd_total=total, jsd_p=p, doc_order=np.argsort(postings_doc, kind="stable"),
+        doc_ptr=np.append(0, np.cumsum(np.bincount(postings_doc, minlength=n))),
+        jsd_base=_jsd_scores(postings_doc, p, np.zeros_like(p), n),
+    )
+
+
+def assert_same_term_index(got, want):
+    for f in fields(TermIndex):
+        if not f.init:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            if b.dtype == object:
+                assert a.tolist() == b.tolist(), f.name
+            else:
+                assert a.tobytes() == b.tobytes(), f.name
+        elif isinstance(b, dict):
+            assert list(a.items()) == list(b.items()), f.name
+        else:
+            assert a == b, f.name
+
+
+def random_descriptions(seed, count):
+    """Descriptions over a small vocabulary with repeats, mixed case,
+    punctuation, non-ASCII words and some tokenless ones."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)] + ["Straße", "naïve", "ÉCOLE", "日本", "x-ray", "A1b2"]
+    seps = [" ", "  ", "-", ", ", ". ", "! ", "\t"]
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.05:
+            out.append("!!! ???")
+            continue
+        picked = rng.choice(words, size=rng.integers(1, 15))
+        text = "".join(str(w).upper() if rng.random() < 0.2 else str(w)
+                       for pair in zip(picked, rng.choice(seps, size=len(picked)))
+                       for w in pair)
+        out.append(text)
+    return out
+
+
+BULK_EDGE_CASES = {
+    "one-document": ["alpha beta alpha"],
+    "one-tokenless": ["alpha beta", "!!! ???", "beta gamma"],
+    "all-tokenless": ["!!! ???", "--", "日本"],
+    "one-token-repeated": ["go go go go", "go", "stop go go"],
+    "upper-and-non-ascii": ["ALPHA Beta", "Straße naïve ÉCOLE", "ǅungla İstanbul K"],
+}
+
+
+@pytest.mark.parametrize("case", [*BULK_EDGE_CASES, "random-1", "random-2", "random-3",
+                                  "family-library", "family-catalog"])
+def test_bulk_term_index_equals_the_counter_build(case):
+    if case in BULK_EDGE_CASES:
+        lib = make_lib(BULK_EDGE_CASES[case])
+    elif case.startswith("random-"):
+        seed = int(case.split("-")[1])
+        lib = make_lib(random_descriptions(seed, 50 * seed), prefix=f"r{seed}-")
+    elif case == "family-library":
+        lib = make_family_library(n_families=12, per_family=25, seed=21)
+    else:
+        lib = family_catalog_case()[0]
+    assert_same_term_index(build_term_index(lib), counter_term_index(lib))
 
 
 # --- tf-idf ---------------------------------------------------------------

@@ -160,6 +160,57 @@ def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
     assert load_library(path).artifacts[0].description == "smile \U0001F600"
 
 
+# Each case is the text after a good first line; FIELDS stands for the
+# fields of a good second object.  The messages are json.loads' own, and a
+# line that starts with "{" must get them as any other line does.
+LINE_CASES = {
+    "leading-whitespace": (" \t{FIELDS}\n", None),
+    "utf8-bom": ("\ufeff{FIELDS}\n",
+                 "line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    "two-objects": ("{FIELDS} {}\n", "line 2: invalid JSON (Extra data)"),
+    "two-numbers": ("1, 2\n", "line 2: invalid JSON (Extra data)"),
+    "list": ("[]\n", "line 2: expected a JSON object"),
+    "null": ("null\n", "line 2: expected a JSON object"),
+    "truncated": ("{FIELDS\n", "line 2: invalid JSON (Expecting ',' delimiter)"),
+    "truncated-string": ('{"k": "x\n', "line 2: invalid JSON (Invalid control character at)"),
+    "lone-surrogate": ('{"k": "\\ud800", FIELDS}\n',
+                       "line 2: a lone surrogate, which UTF-8 cannot hold "
+                       "(surrogates not allowed)"),
+    "crlf": ("{FIELDS}\r\n", None),
+    "blank-lines": ("\n  \n\t\r\n{FIELDS}\n\n", None),
+    "blank-lines-then-list": ("\n  \n\t\r\n[]\n", "line 5: expected a JSON object"),
+    "form-feed-after": ("{FIELDS}\f\n", "line 2: invalid JSON (Extra data)"),
+    "tab-after": ("{FIELDS}\t \n", None),
+}
+
+
+@pytest.mark.parametrize("loader", ["library", "pairs"])
+@pytest.mark.parametrize("case", list(LINE_CASES))
+def test_line_shapes_load_or_raise_as_json_loads_does(tmp_path, loader, case):
+    text, message = LINE_CASES[case]
+    lib = ArtifactLibrary(ecosystem="", artifacts=(Artifact(id="a1", name="", description="x"),))
+    first, fields = {
+        "library": ('{"id": "a1", "description": "x"}', '"id": "a2", "description": "y z"'),
+        "pairs": ('{"intent": "x", "target_id": "a1"}', '"intent": "y z", "target_id": "a1"'),
+    }[loader]
+    path = tmp_path / "rows.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(first + "\n" + text.replace("FIELDS", fields))
+
+    def load():
+        return load_library(path) if loader == "library" else load_pairs(path, lib)
+
+    if message is None:
+        loaded = load()
+        assert (loaded.ids() if loader == "library" else
+                [(p.intent, p.target_id) for p in loaded]) == {
+            "library": ["a1", "a2"], "pairs": [("x", "a1"), ("y z", "a1")]}[loader]
+    else:
+        with pytest.raises(CatalogError) as info:
+            load()
+        assert str(info.value) == message
+
+
 def test_load_pairs_resolves_targets(tmp_path):
     lib_path = tmp_path / "lib.jsonl"
     write_lines(lib_path, [{"id": "a1", "description": "first thing"}])

@@ -539,6 +539,18 @@ def test_children_that_are_not_a_list_of_ids_are_rejected():
         TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+@pytest.mark.parametrize("column", ["levels", "kinds", "names", "summaries", "artifact_ids",
+                                    "children"])
+def test_a_column_without_one_entry_per_id_is_rejected(column, change):
+    cols = columns([{"id": "a"}, {"id": "b"}, {"id": "r", "level": 1, "children": ("a", "b")}])
+    cols[column] = cols[column][:-1] if change == "short" else [*cols[column], cols[column][0]]
+    count = 2 if change == "short" else 4
+    with pytest.raises(TreeError, match=f"^the {column} column has {count} entries, not one "
+                                        f"for each of the 3 node ids$"):
+        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+
+
 MATRIX_CASES = [
     (np.ones((2, 4)), "one row for each of the 3 nodes"),
     (np.ones((4, 4)), "one row for each of the 3 nodes"),
