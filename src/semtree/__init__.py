@@ -8,12 +8,11 @@ beam search over the tree, optionally refined by an LLM re-rank, with
 classic lexical retrievers available as baselines.
 """
 
-from semtree.catalog import Artifact, ArtifactLibrary, IntentSample, load_library, load_pairs
+from semtree.catalog import ArtifactLibrary, IntentSample, load_library, load_pairs
 from semtree.tree import TreeIndex, TreeNode, build_tree, load_tree, save_tree
 from semtree.search import SearchConfig, recommend, tree_search
 
 __all__ = [
-    "Artifact",
     "ArtifactLibrary",
     "IntentSample",
     "load_library",

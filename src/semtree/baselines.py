@@ -30,6 +30,7 @@ from itertools import chain
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
+from semtree.embed import tokenize
 from semtree.kernels import bm25_scores
 from semtree.llm import LlmError
 from semtree.search import (RankedList, check_final_k, llm_order, render_rerank_prompt,
@@ -38,7 +39,6 @@ from semtree.tree import csr_ranges, rank_by_id
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 BM25_K1 = 1.2  # term-frequency saturation
 BM25_B = 0.75  # document-length normalization
 
@@ -49,11 +49,6 @@ SCORING_PROMPT_TEMPLATE = (
     "Artifact: <{id}, {description}>\n\n"
     "Please only output the integer score."
 )
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(eq=False)
@@ -97,7 +92,7 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     """Index ``lib``'s descriptions.  The vocabulary is in first-occurrence
     order; the postings and their tf come from one sort of (term, doc)
     keys, so they run term by term, docs ascending within each term."""
-    tokens = [tokenize(artifact.description) for artifact in lib.artifacts]
+    tokens = [tokenize(d) for d in lib.descriptions]
     flat = list(chain.from_iterable(tokens))
     vocab = {term: i for i, term in enumerate(dict.fromkeys(flat))}
     ids = lib.ids()
@@ -332,8 +327,8 @@ def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> 
     qvec = _avg_vector(table, intent)
     qn = np.linalg.norm(qvec)
     scores = np.zeros(len(lib))
-    for i, artifact in enumerate(lib.artifacts):
-        dvec = _avg_vector(table, artifact.description)
+    for i, description in enumerate(lib.descriptions):
+        dvec = _avg_vector(table, description)
         dn = np.linalg.norm(dvec)
         if qn > 0 and dn > 0:
             scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
@@ -356,23 +351,20 @@ def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
     """Score each artifact 0-100, then comparatively rank the top fraction."""
     check_final_k(final_k)
     scores: dict[str, float] = {}
-    for artifact in lib.artifacts:
+    by_id = dict(zip(lib.artifact_ids, lib.descriptions))
+    for aid, description in by_id.items():
         prompt = SCORING_PROMPT_TEMPLATE.format(
-            intent=intent, id=artifact.id,
-            description=" ".join(artifact.description.split()),
+            intent=intent, id=aid, description=" ".join(description.split()),
         )
         try:
-            scores[artifact.id] = _parse_score(client.complete(prompt))
+            scores[aid] = _parse_score(client.complete(prompt))
         except LlmError as exc:
-            logger.warning("scoring failed for %s (%s); defaulting to 0", artifact.id, exc)
-            scores[artifact.id] = 0.0
+            logger.warning("scoring failed for %s (%s); defaulting to 0", aid, exc)
+            scores[aid] = 0.0
     subset_size = max(1, math.ceil(subset_fraction * len(lib)))
     by_score = sorted(lib.ids(), key=lambda aid: (-scores[aid], aid))
     subset = by_score[:subset_size]
-    by_id = {a.id: a for a in lib.artifacts}
-    prompt = render_rerank_prompt(
-        intent, [(aid, by_id[aid].description) for aid in subset]
-    )
+    prompt = render_rerank_prompt(intent, [(aid, by_id[aid]) for aid in subset])
     order = llm_order(client, prompt, subset)
     return RankedList(
         intent=intent,

@@ -6,14 +6,16 @@ Canonical on-disk format is UTF-8 JSON-lines, one object per line:
 
 for libraries, and ``{"intent": "...", "target_id": "..."}`` for
 intent-artifact pairs.  Descriptions are trimmed but otherwise kept
-byte-for-byte; tokenization is each retriever's own business.
+byte-for-byte; tokenization is each retriever's own business.  A line's
+``extra`` and ``ecosystem`` are checked but not kept: the library keeps
+one ecosystem, the first non-empty one given.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
@@ -23,42 +25,26 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class Artifact:
-    """One reusable unit: a package, pretrained model, or package group."""
-
-    id: str
-    name: str
-    description: str
-    ecosystem: str = ""
-    extra: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.description.strip():
-            raise CatalogError(f"artifact {self.id!r}: description is empty")
-        object.__setattr__(self, "description", self.description.strip())
-
-
-@dataclass(frozen=True)
 class ArtifactLibrary:
-    """Ordered candidate pool of artifacts with unique ids."""
+    """Ordered candidate pool of artifacts, as columns: row ``i`` of
+    ``artifact_ids``, ``names`` and ``descriptions`` is one artifact.  Ids
+    are unique and descriptions trimmed and non-empty; ``load_library``
+    checks both."""
 
     ecosystem: str
-    artifacts: tuple[Artifact, ...]
+    artifact_ids: tuple[str, ...]
+    names: tuple[str, ...]
+    descriptions: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.artifacts:
+        if not self.artifact_ids:
             raise CatalogError("library is empty")
-        seen = set()
-        for a in self.artifacts:
-            if a.id in seen:
-                raise CatalogError(f"duplicate artifact id {a.id!r}")
-            seen.add(a.id)
 
     def __len__(self) -> int:
-        return len(self.artifacts)
+        return len(self.artifact_ids)
 
     def ids(self) -> list[str]:
-        return [a.id for a in self.artifacts]
+        return list(self.artifact_ids)
 
 
 @dataclass(frozen=True)
@@ -136,8 +122,9 @@ def load_library(path: str) -> ArtifactLibrary:
             the id and line; ids compare as strings), an empty description,
             or an ``extra`` that is not a JSON object.
     """
-    artifacts: list[Artifact] = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # id -> line, in file order: the id column
+    names: list[str] = []
+    descriptions: list[str] = []
     eco = ""
     for lineno, obj in _objects(path):
         aid = obj.get("id", "")
@@ -154,7 +141,8 @@ def load_library(path: str) -> ArtifactLibrary:
         desc = obj.get("description", "")
         if type(desc) is not str:
             desc = _text(desc, "description", lineno)
-        if not desc.strip():
+        desc = desc.strip()
+        if not desc:
             raise CatalogError(f"line {lineno}: artifact {aid!r} has an empty description")
         extra = obj.get("extra")
         if not isinstance(extra, (dict, type(None))):
@@ -162,16 +150,15 @@ def load_library(path: str) -> ArtifactLibrary:
         name = obj.get("name", "")
         if type(name) is not str:
             name = _text(name, "name", lineno)
-        ecosystem = obj.get("ecosystem", eco)
+        ecosystem = obj.get("ecosystem", "")
         if type(ecosystem) is not str:
             ecosystem = _text(ecosystem, "ecosystem", lineno)
-        artifacts.append(Artifact(
-            id=aid, name=name, description=desc, ecosystem=ecosystem,
-            extra={str(k): str(v) for k, v in extra.items()} if extra else {},
-        ))
         if not eco:
             eco = ecosystem
-    return ArtifactLibrary(ecosystem=eco, artifacts=tuple(artifacts))
+        names.append(name)
+        descriptions.append(desc)
+    return ArtifactLibrary(ecosystem=eco, artifact_ids=tuple(seen), names=tuple(names),
+                           descriptions=tuple(descriptions))
 
 
 def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
@@ -180,7 +167,7 @@ def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
     An ``intent`` or ``target_id`` must be a string or number, as the
     library's fields must.
     """
-    known = set(lib.ids())
+    known = set(lib.artifact_ids)
     pairs: list[IntentSample] = []
     for lineno, obj in _objects(path):
         intent = _text(obj.get("intent", ""), "intent", lineno).strip()
@@ -197,7 +184,7 @@ def load_pairs(path: str, lib: ArtifactLibrary) -> list[IntentSample]:
 
 def library_stats(lib: ArtifactLibrary) -> dict:
     """Count plus mean/max/min description length in whitespace tokens."""
-    lengths = [len(a.description.split()) for a in lib.artifacts]
+    lengths = [len(d.split()) for d in lib.descriptions]
     return {
         "count": len(lengths),
         "mean_words": sum(lengths) / len(lengths),

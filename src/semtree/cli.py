@@ -210,7 +210,7 @@ def cmd_bench(args) -> int:
             return 2
         solution = _tree_solution(args, file_cfg)
 
-    report = metrics.run_benchmark(name, solution, lib, pairs)
+    report = metrics.run_benchmark(name, solution, pairs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     if args.csv:

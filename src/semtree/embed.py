@@ -45,6 +45,12 @@ class EmbedderConfig:
             raise ValueError(f"embedding dim must be >= 1, got {self.dim}")
 
 
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumeric characters: the one
+    tokenizer of the embedder, the summarizer and the lexical baselines."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
@@ -85,7 +91,7 @@ def _hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
     """
     buckets: list[int] = []
     signs: list[float] = []
-    for tok in _TOKEN_RE.findall(text.lower()):
+    for tok in tokenize(text):
         b, s = _token_terms(tok, dim, seed)
         buckets += b
         signs += s

@@ -102,11 +102,17 @@ class ChatClient:
 
 
 class ReplayClient:
-    """Replays recorded responses keyed by prompt hash."""
+    """Replays recorded responses keyed by prompt hash; the file must be a
+    JSON object whose values are all response text."""
 
     def __init__(self, path: str):
         with open(path, encoding="utf-8") as fh:
-            self._responses: dict[str, str] = json.load(fh)
+            responses = json.load(fh)
+        if not (isinstance(responses, dict)
+                and all(type(text) is str for text in responses.values())):
+            raise LlmError(f"stub file {path} is not a JSON object of prompt hash "
+                           "to response text")
+        self._responses: dict[str, str] = responses
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from semtree.catalog import ArtifactLibrary, IntentSample
+from semtree.catalog import IntentSample
 from semtree.search import RankedList
 from semtree.tree import TreeIndex
 
@@ -125,8 +125,7 @@ def metrics_from_records(records: list[QueryRecord]) -> dict[str, float]:
             for label, (kind, k) in CUTOFFS.items()}
 
 
-def run_benchmark(solution_name: str, solution, lib: ArtifactLibrary,
-                  pairs: list[IntentSample]) -> EvalReport:
+def run_benchmark(solution_name: str, solution, pairs: list[IntentSample]) -> EvalReport:
     """Time and score ``solution(intent) -> RankedList`` over every pair.
 
     Failures on individual samples are recorded as never-retrieved

@@ -10,13 +10,12 @@ holds.  That keeps tree builds total and reproducible offline.
 from __future__ import annotations
 
 import logging
-import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from semtree.embed import l2_normalize
+from semtree.embed import l2_normalize, tokenize
 from semtree.llm import LlmError
 
 logger = logging.getLogger(__name__)
@@ -34,7 +33,6 @@ SUMMARY_PROMPT_TEMPLATE = (
 _STOPWORDS = frozenset(
     "a an and are as at be by for from in is it of on or that the this to with".split()
 )
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 class SummaryParseError(ValueError):
@@ -79,7 +77,7 @@ def parse_feature_line(line: str) -> FeatureSummary:
 
 
 def _content_tokens(text: str) -> list[str]:
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in _STOPWORDS]
+    return [t for t in tokenize(text) if t not in _STOPWORDS]
 
 
 def offline_summarize(children: list[str], vectors: np.ndarray) -> FeatureSummary:

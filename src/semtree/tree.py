@@ -333,13 +333,11 @@ def build_tree(
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
-    artifacts = lib.artifacts
-    texts = [a.description for a in artifacts]
-    blocks = [embedder.embed(texts)]  # one per level, rows in node order
-    n = len(artifacts)
+    blocks = [embedder.embed(list(lib.descriptions))]  # one per level, rows in node order
+    n = len(lib)
     columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
-               "kinds": ["leaf"] * n, "names": [a.name for a in artifacts],
-               "summaries": list(texts), "artifact_ids": [a.id for a in artifacts],
+               "kinds": ["leaf"] * n, "names": list(lib.names),
+               "summaries": list(lib.descriptions), "artifact_ids": list(lib.artifact_ids),
                "children": [()] * n}
 
     level, first = 0, 0  # the top level is the rows from ``first`` on

@@ -5,8 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semtree.catalog import Artifact, ArtifactLibrary, IntentSample
+from semtree.catalog import ArtifactLibrary, IntentSample
 from semtree.embed import EmbedderConfig, HashedEmbedder
+
+
+def library(*rows, ecosystem: str = "") -> ArtifactLibrary:
+    """An ``ArtifactLibrary`` of ``(id, name, description)`` rows, in order."""
+    ids, names, descriptions = zip(*rows)
+    return ArtifactLibrary(ecosystem=ecosystem, artifact_ids=ids, names=names,
+                           descriptions=descriptions)
 
 
 def _word(rng: np.random.Generator, length: int = 8) -> str:
@@ -22,7 +29,7 @@ def make_family_library(n_families: int = 5, per_family: int = 20, seed: int = 7
     distinguishable within it.
     """
     rng = np.random.default_rng(seed)
-    artifacts = []
+    rows = []
     family_pools = [[_word(rng) for _ in range(8)] for _ in range(n_families)]
     for f in range(n_families):
         pool = family_pools[f]
@@ -30,26 +37,20 @@ def make_family_library(n_families: int = 5, per_family: int = 20, seed: int = 7
             unique = [_word(rng) for _ in range(3)]
             shared = list(rng.choice(pool, size=5, replace=False))
             words = shared + unique
-            artifacts.append(Artifact(
-                id=f"fam{f}-art{i:02d}",
-                name=f"pkg-{f}-{i}",
-                description=" ".join(words),
-                ecosystem="synthetic",
-            ))
-    return ArtifactLibrary(ecosystem="synthetic", artifacts=tuple(artifacts))
+            rows.append((f"fam{f}-art{i:02d}", f"pkg-{f}-{i}", " ".join(words)))
+    return library(*rows, ecosystem="synthetic")
 
 
 def perturbed_intents(lib: ArtifactLibrary, count: int, seed: int = 11):
     """Intent samples made by lightly perturbing artifact descriptions."""
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(lib.artifacts), size=count, replace=False)
+    picks = rng.choice(len(lib), size=count, replace=False)
     samples = []
-    for idx in picks:
-        artifact = lib.artifacts[int(idx)]
-        words = artifact.description.split()
+    for idx in picks.tolist():
+        words = lib.descriptions[idx].split()
         rng.shuffle(words)
         words = words[:-1]  # drop one token
-        samples.append(IntentSample(intent=" ".join(words), target_id=artifact.id))
+        samples.append(IntentSample(intent=" ".join(words), target_id=lib.artifact_ids[idx]))
     return samples
 
 
@@ -58,14 +59,13 @@ def make_depth1_index(lib: ArtifactLibrary, embedder):
     from semtree.embed import l2_normalize
     from semtree.tree import TreeIndex
 
-    embeddings = embedder.embed([a.description for a in lib.artifacts])
-    n = len(lib.artifacts)
+    embeddings = embedder.embed(list(lib.descriptions))
+    n = len(lib)
     leaf_ids = [f"L0-{i}" for i in range(n)]
     return TreeIndex(
         ids=leaf_ids + ["L1-0"], levels=[0] * n + [1], kinds=["leaf"] * n + ["internal"],
-        names=[a.name for a in lib.artifacts] + ["root"],
-        summaries=[a.description for a in lib.artifacts] + ["everything"],
-        artifact_ids=[a.id for a in lib.artifacts] + [None],
+        names=[*lib.names, "root"], summaries=[*lib.descriptions, "everything"],
+        artifact_ids=[*lib.artifact_ids, None],
         children=[()] * n + [leaf_ids], roots=("L1-0",),
         embeddings=np.vstack([embeddings, l2_normalize(embeddings.mean(axis=0))]),
     )

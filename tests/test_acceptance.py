@@ -104,7 +104,7 @@ def test_criterion_2_search_linear_equivalence(embedder):
     indexes = [make_depth1_index(lib, embedder),
                build_tree(lib, embedder, stop=StoppingCriteria(max_top_level_nodes=1), seed=0)]
     assert [index.max_level() for index in indexes] == [1, 3]
-    vocabulary = sorted({w for a in lib.artifacts for w in a.description.split()})
+    vocabulary = sorted({w for d in lib.descriptions for w in d.split()})
     rng = np.random.default_rng(1)
     cfg = SearchConfig(beam_width=5, final_k=5)
     with criterion("2 search equals per-level linear scan (depth-1 and 4-layer built "
@@ -169,9 +169,9 @@ def test_criterion_5_baseline_oracles():
             bm25 = dict(score_bm25(idx, intent).entries)
             oracle_t = oracle_tfidf_scores(lib, intent)
             oracle_b = oracle_bm25_scores(lib, intent)
-            for i, a in enumerate(lib.artifacts):
-                assert abs(tfidf[a.id] - oracle_t[i]) < 1e-9
-                assert abs(bm25[a.id] - oracle_b[i]) < 1e-9
+            for i, aid in enumerate(lib.artifact_ids):
+                assert abs(tfidf[aid] - oracle_t[i]) < 1e-9
+                assert abs(bm25[aid] - oracle_b[i]) < 1e-9
             full = score_lsi(idx, intent, rank=min(idx.n_docs, len(idx.vocabulary)))
             assert full.ids() == score_tfidf(idx, intent).ids()
         p = np.array([0.25, 0.25, 0.5])

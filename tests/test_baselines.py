@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import make_family_library, perturbed_intents
+from conftest import library, make_family_library, perturbed_intents
 from semtree.baselines import (
     TermIndex,
     _distribution,
@@ -26,17 +26,13 @@ from semtree.baselines import (
     score_wordavg,
     tokenize,
 )
-from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.llm import LlmError
 from semtree.search import round_scores
 from semtree.tree import rank_by_id
 
 
 def make_lib(descriptions, prefix="d"):
-    return ArtifactLibrary(ecosystem="", artifacts=tuple(
-        Artifact(id=f"{prefix}{i:02d}", name=f"n{i}", description=desc)
-        for i, desc in enumerate(descriptions)
-    ))
+    return library(*((f"{prefix}{i:02d}", f"n{i}", desc) for i, desc in enumerate(descriptions)))
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +47,7 @@ def corpus20():
 # --- independent oracles --------------------------------------------------
 
 def oracle_tfidf_scores(lib, intent):
-    docs = [tokenize(a.description) for a in lib.artifacts]
+    docs = [tokenize(d) for d in lib.descriptions]
     n = len(docs)
     vocab = sorted({t for d in docs for t in d})
     df = {t: sum(t in set(d) for d in docs) for t in vocab}
@@ -73,7 +69,7 @@ def oracle_tfidf_scores(lib, intent):
 
 
 def oracle_bm25_scores(lib, intent, k1=1.2, b=0.75):
-    docs = [tokenize(a.description) for a in lib.artifacts]
+    docs = [tokenize(d) for d in lib.descriptions]
     n = len(docs)
     avgdl = sum(len(d) for d in docs) / n
     df = Counter(t for d in docs for t in set(d))
@@ -121,8 +117,8 @@ def test_df_matches_recount(corpus20):
     idx = build_term_index(corpus20)
     # one-pass recount oracle
     df = Counter()
-    for a in corpus20.artifacts:
-        df.update(set(tokenize(a.description)))
+    for description in corpus20.descriptions:
+        df.update(set(tokenize(description)))
     for term, i in idx.vocabulary.items():
         assert idx.df[i] == df[term]
 
@@ -139,8 +135,8 @@ def counter_term_index(lib):
     ordered by a stable argsort of their terms: the oracle of the bulk
     build."""
     vocab, terms, docs, tfs, doc_len = {}, [], [], [], []
-    for doc, artifact in enumerate(lib.artifacts):
-        counts = Counter(tokenize(artifact.description))
+    for doc, description in enumerate(lib.descriptions):
+        counts = Counter(tokenize(description))
         for term, c in counts.items():
             terms.append(vocab.setdefault(term, len(vocab)))
             docs.append(doc)
@@ -256,8 +252,8 @@ def test_tfidf_matches_oracle(corpus20):
     ranked = score_tfidf(idx, "w1 w2 w5 w9")
     oracle = oracle_tfidf_scores(corpus20, "w1 w2 w5 w9")
     got = dict(ranked.entries)
-    for i, a in enumerate(corpus20.artifacts):
-        assert got[a.id] == pytest.approx(oracle[i], abs=1e-9)
+    for i, aid in enumerate(corpus20.artifact_ids):
+        assert got[aid] == pytest.approx(oracle[i], abs=1e-9)
 
 
 @pytest.mark.parametrize("intent", [
@@ -301,8 +297,8 @@ def test_bm25_matches_oracle(corpus20):
     ranked = score_bm25(idx, intent)
     oracle = oracle_bm25_scores(corpus20, intent)
     got = dict(ranked.entries)
-    for i, a in enumerate(corpus20.artifacts):
-        assert got[a.id] == pytest.approx(oracle[i], abs=1e-9)
+    for i, aid in enumerate(corpus20.artifact_ids):
+        assert got[aid] == pytest.approx(oracle[i], abs=1e-9)
 
 
 def test_bm25_nonnegative(corpus20):
@@ -422,7 +418,7 @@ def test_jsd_similarity_in_unit_interval(corpus20):
 def oracle_jsd_scores(lib, intent):
     """1 - JSD per document from dense tf-idf distributions, uniform when a
     vector has no weight."""
-    docs = [tokenize(a.description) for a in lib.artifacts]
+    docs = [tokenize(d) for d in lib.descriptions]
     n = len(docs)
     vocab = sorted({t for d in docs for t in d})
     idf = {t: math.log((1 + n) / (1 + sum(t in d for d in docs))) for t in vocab}
@@ -445,8 +441,8 @@ def oracle_jsd_scores(lib, intent):
 def test_jsd_matches_dense_oracle(corpus20, docs, intent):
     lib = corpus20 if docs is None else make_lib(docs)
     got = dict(score_jsd(build_term_index(lib), intent).entries)
-    for a, want in zip(lib.artifacts, oracle_jsd_scores(lib, intent)):
-        assert got[a.id] == pytest.approx(want, abs=1e-9)
+    for aid, want in zip(lib.artifact_ids, oracle_jsd_scores(lib, intent)):
+        assert got[aid] == pytest.approx(want, abs=1e-9)
 
 
 def dense_jsd_scores(idx, q):
@@ -476,9 +472,7 @@ def family_catalog_case(count=200):
     from perfsuite import gen  # the benchmark's generator, importable from the repo root
 
     artifacts = gen.family_catalog(20, 25, "jsd-oracle")
-    lib = ArtifactLibrary(ecosystem="", artifacts=tuple(
-        Artifact(id=a["id"], name=a["name"], description=a["description"])
-        for a in artifacts))
+    lib = library(*((a["id"], a["name"], a["description"]) for a in artifacts))
     stream = gen.IntentMaker(artifacts).stream("jsd-oracle/intents")
     return lib, [next(stream)["intent"] for _ in range(count)]
 
@@ -547,10 +541,7 @@ def test_exact_ties_rank_by_id(scorer, case):
 
 def _unsorted_lib(descriptions, ids=("z1", "a1", "m1")):
     """Catalog order z1, a1, m1 by default: not the id order."""
-    return ArtifactLibrary(ecosystem="", artifacts=tuple(
-        Artifact(id=aid, name=aid, description=desc)
-        for aid, desc in zip(ids, descriptions)
-    ))
+    return library(*((aid, aid, desc) for aid, desc in zip(ids, descriptions)))
 
 
 @pytest.mark.parametrize("scorer", [score_tfidf, score_bm25, score_lsi, score_jsd],
@@ -658,7 +649,7 @@ def gate_intents(lib, count=50, seed=31):
     """Perturbed descriptions; some repeat a term, some add a catalog word or
     an unknown one, and the last knows no term."""
     rng = np.random.default_rng(seed)
-    words = sorted({w for a in lib.artifacts for w in a.description.split()})
+    words = sorted({w for d in lib.descriptions for w in d.split()})
     intents = []
     for i, sample in enumerate(perturbed_intents(lib, count, seed=seed)):
         tokens = sample.intent.split()

@@ -2,14 +2,8 @@ import json
 
 import pytest
 
-from semtree.catalog import (
-    Artifact,
-    ArtifactLibrary,
-    CatalogError,
-    library_stats,
-    load_library,
-    load_pairs,
-)
+from conftest import library
+from semtree.catalog import CatalogError, library_stats, load_library, load_pairs
 
 
 def write_lines(path, rows):
@@ -27,7 +21,7 @@ def test_load_library_preserves_order(tmp_path):
     ])
     lib = load_library(path)
     assert lib.ids() == ["a1", "a2", "a3"]
-    assert lib.artifacts[1].description == "second thing"
+    assert lib.descriptions[1] == "second thing"
 
 
 def test_duplicate_id_names_line(tmp_path):
@@ -92,9 +86,9 @@ def test_pair_field_that_is_not_text_names_line_and_field(tmp_path, field, value
 def test_number_fields_keep_their_text(tmp_path):
     path = tmp_path / "lib.jsonl"
     write_lines(path, [{"id": 7, "name": 2.5, "description": 10, "ecosystem": 3}])
-    artifact = load_library(path).artifacts[0]
-    assert (artifact.id, artifact.name, artifact.description, artifact.ecosystem) == \
-        ("7", "2.5", "10", "3")
+    lib = load_library(path)
+    assert (lib.artifact_ids, lib.names, lib.descriptions, lib.ecosystem) == \
+        (("7",), ("2.5",), ("10",), "3")
 
 
 def test_text_that_is_not_utf8_raises(tmp_path):
@@ -116,6 +110,23 @@ def test_empty_description_rejected(tmp_path):
     write_lines(path, [{"id": "a1", "description": "   "}])
     with pytest.raises(CatalogError, match="empty description"):
         load_library(path)
+
+
+def test_description_loads_trimmed_and_builds_as_its_trimmed_twin(tmp_path, hashed_embedder):
+    from semtree.tree import StoppingCriteria, build_tree, save_tree
+
+    written = []
+    for twin, padded in (("trimmed", "json parser"), ("padded", "  json parser \n\t")):
+        path = tmp_path / f"{twin}.jsonl"
+        write_lines(path, [{"id": "a1", "name": "j", "description": padded},
+                           {"id": "a2", "name": "y", "description": "yaml loader"}])
+        lib = load_library(path)
+        assert lib.descriptions == ("json parser", "yaml loader")
+        index = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
+                           seed=0)
+        save_tree(index, tmp_path / f"{twin}.semtree")
+        written.append((tmp_path / f"{twin}.semtree").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_extra_not_an_object_names_line(tmp_path):
@@ -157,7 +168,7 @@ def test_load_keeps_an_escaped_surrogate_pair(tmp_path):
     path = tmp_path / "lib.jsonl"
     write_lines(path, [{"id": "a1", "description": "smile \U0001F600"}])
     assert b"\\ud83d\\ude00" in path.read_bytes()
-    assert load_library(path).artifacts[0].description == "smile \U0001F600"
+    assert load_library(path).descriptions == ("smile \U0001F600",)
 
 
 # Each case is the text after a good first line; FIELDS stands for the
@@ -188,7 +199,7 @@ LINE_CASES = {
 @pytest.mark.parametrize("case", list(LINE_CASES))
 def test_line_shapes_load_or_raise_as_json_loads_does(tmp_path, loader, case):
     text, message = LINE_CASES[case]
-    lib = ArtifactLibrary(ecosystem="", artifacts=(Artifact(id="a1", name="", description="x"),))
+    lib = library(("a1", "", "x"))
     first, fields = {
         "library": ('{"id": "a1", "description": "x"}', '"id": "a2", "description": "y z"'),
         "pairs": ('{"intent": "x", "target_id": "a1"}', '"intent": "y z", "target_id": "a1"'),
@@ -237,26 +248,24 @@ def test_load_pairs_empty_file_warns(tmp_path, caplog):
 
 
 def test_library_stats_arithmetic():
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="", description="one two"),
-        Artifact(id="b", name="", description="one two three four"),
-        Artifact(id="c", name="", description="one two three four five six"),
-    ))
+    lib = library(
+        ("a", "", "one two"),
+        ("b", "", "one two three four"),
+        ("c", "", "one two three four five six"),
+    )
     stats = library_stats(lib)
     assert stats == {"count": 3, "mean_words": 4.0, "max_words": 6, "min_words": 2}
 
 
 def test_library_stats_single():
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="", description="one two three four five"),
-    ))
+    lib = library(("a", "", "one two three four five"))
     stats = library_stats(lib)
     assert stats["mean_words"] == stats["max_words"] == stats["min_words"] == 5
 
 
 def test_library_stats_matches_recount(family_library):
     # independent recount: whitespace token counts done inline
-    lengths = [len(a.description.split()) for a in family_library.artifacts]
+    lengths = [len(d.split()) for d in family_library.descriptions]
     stats = library_stats(family_library)
     assert stats["count"] == len(lengths)
     assert stats["mean_words"] == pytest.approx(sum(lengths) / len(lengths))

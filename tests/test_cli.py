@@ -361,6 +361,48 @@ def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
     assert "error:" in err and "missing.json" in err
 
 
+def write_malformed_stub(path, kind, prompt):
+    """A stub file that is a JSON list, a JSON string, or an object that
+    maps ``prompt``'s hash to a number."""
+    path.write_text(json.dumps(
+        {"list": [], "string": "a reply", "int-valued": {prompt_hash(prompt): 5}}[kind]))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["list", "string", "int-valued"])
+def test_build_malformed_llm_stub_exits_1(catalog, tmp_path, capsys, kind):
+    build = ["build", str(catalog), "--dim", "64", "--max-top", "1"]
+    offline = tmp_path / "offline.json"
+    assert run(capsys, *build, "--out", str(offline))[0] == 0
+    index = load_tree(str(offline))  # the build sends this level-1 cluster's prompt
+    prompt = render_summary_prompt(
+        [f"{index.nodes[c].name}: {index.nodes[c].summary}"
+         for c in index.nodes["L1-0"].children])
+    stub = write_malformed_stub(tmp_path / "stub.json", kind, prompt)
+    out_path = tmp_path / "recorded.json"
+    code, out, err = run(capsys, *build, "--out", str(out_path), "--llm-stub", str(stub))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "error: stub file" in err and "not a JSON object of prompt hash" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["list", "string", "int-valued"])
+def test_search_rerank_malformed_llm_stub_exits_1(built_index, tmp_path, capsys, kind):
+    intent = "http client"
+    index = load_tree(str(built_index))
+    embedder = _embedder_for_index(index, object(), {})
+    candidates = tree_search(index, intent, SearchConfig(beam_width=10, final_k=3), embedder)
+    prompt = render_rerank_prompt(  # the prompt this search's re-rank sends
+        intent, [(aid, index.summaries[index.leaf_rows[aid]]) for aid in candidates.ids()])
+    stub = write_malformed_stub(tmp_path / "stub.json", kind, prompt)
+    code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", intent,
+                         "--k", "3", "--rerank", "--llm-stub", str(stub))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "error: stub file" in err and "not a JSON object of prompt hash" in err
+
+
 def test_recorded_replies_reach_the_index_and_the_ranking(catalog, tmp_path, capsys):
     build = ["build", str(catalog), "--dim", "64", "--max-top", "1"]
     offline = tmp_path / "offline.json"
@@ -477,7 +519,7 @@ def test_bench_tree_matches_direct_eval(catalog, pairs, built_index, tmp_path, c
     embedder = _embedder_for_index(index, object(), {})
     cfg = SearchConfig(beam_width=10, final_k=5)
     direct = run_benchmark(
-        "tree", lambda intent: recommend(index, intent, cfg, embedder), lib, samples)
+        "tree", lambda intent: recommend(index, intent, cfg, embedder), samples)
     assert json.loads(out)["metrics"] == direct.metrics
 
 

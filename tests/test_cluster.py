@@ -266,7 +266,7 @@ def set_cpus(monkeypatch, count):
 def sweep_case(case, hashed_embedder):
     if case == "level-0":  # the pinned build's first level: k = 2..18 over 300 rows
         lib = make_family_library(n_families=15, per_family=20, seed=12)
-        X = reduce(hashed_embedder.embed([a.description for a in lib.artifacts]), 10)
+        X = reduce(hashed_embedder.embed(list(lib.descriptions)), 10)
         return X, range(2, 19)
     return ill_conditioned(case)
 

@@ -169,8 +169,8 @@ def small_bench():
 
 
 def test_run_benchmark_self_consistent(small_bench):
-    lib, pairs, idx = small_bench
-    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), lib, pairs)
+    _, pairs, idx = small_bench
+    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), pairs)
     assert len(report.records) == len(pairs)
     assert report.metrics == metrics_from_records(report.records)
     # aggregate P@1 equals a direct recount of rank-1 hits
@@ -179,8 +179,8 @@ def test_run_benchmark_self_consistent(small_bench):
 
 
 def test_run_benchmark_timing_invariants(small_bench):
-    lib, pairs, idx = small_bench
-    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), lib, pairs)
+    _, pairs, idx = small_bench
+    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), pairs)
     t = report.timing
     assert 0.0 <= t["min"] <= t["mean"] <= t["max"]
     times = np.asarray([r.elapsed for r in report.records])
@@ -189,7 +189,7 @@ def test_run_benchmark_timing_invariants(small_bench):
 
 
 def test_run_benchmark_tolerates_failures(small_bench, caplog):
-    lib, pairs, idx = small_bench
+    _, pairs, idx = small_bench
 
     calls = {"n": 0}
 
@@ -200,15 +200,15 @@ def test_run_benchmark_tolerates_failures(small_bench, caplog):
         return score_tfidf(idx, intent)
 
     with caplog.at_level("WARNING"):
-        report = run_benchmark("flaky", flaky, lib, pairs)
+        report = run_benchmark("flaky", flaky, pairs)
     assert report.records[0].rank is None
     assert len(report.records) == len(pairs)
 
 
 def test_run_benchmark_rejects_empty_pairs(small_bench):
-    lib, _, idx = small_bench
+    _, _, idx = small_bench
     with pytest.raises(ValueError, match="no benchmark pairs"):
-        run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), lib, [])
+        run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), [])
 
 
 def test_metrics_from_records_hand_values():
@@ -227,8 +227,8 @@ def test_metrics_from_records_hand_values():
 def test_report_json_round_trip(small_bench):
     import json
 
-    lib, pairs, idx = small_bench
-    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), lib, pairs)
+    _, pairs, idx = small_bench
+    report = run_benchmark("tfidf", lambda intent: score_tfidf(idx, intent), pairs)
     doc = json.loads(report.to_json())
     assert doc["solution"] == "tfidf"
     assert doc["metrics"] == report.metrics

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import (
     columns,
+    library,
     make_balanced_index,
     make_depth1_index,
     make_family_library,
     perturbed_intents,
 )
-from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.embed import EmbedderConfig, HashedEmbedder
 from semtree.llm import LlmError
 from semtree.search import (
@@ -86,7 +86,7 @@ def test_rerank_without_a_client_is_rejected(tiny_index, hashed_embedder):
 def test_depth1_equals_linear_scan(family_library, hashed_embedder):
     index = make_depth1_index(family_library, hashed_embedder)
     cfg = SearchConfig(beam_width=5, final_k=5)
-    for intent in ["alpha packaging tools", family_library.artifacts[13].description]:
+    for intent in ["alpha packaging tools", family_library.descriptions[13]]:
         got = tree_search(index, intent, cfg, hashed_embedder)
         assert got.entries == brute_force(index, hashed_embedder, intent, 5)
 
@@ -223,9 +223,7 @@ def test_shared_children_and_leaf_roots():
 
 
 def test_single_leaf_index(hashed_embedder):
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a1", name="only", description="json parsing helpers"),
-    ))
+    lib = library(("a1", "only", "json parsing helpers"))
     index = make_depth1_index(lib, hashed_embedder)
     result = tree_search(index, "parse json", SearchConfig(beam_width=3, final_k=1),
                          hashed_embedder)
@@ -281,11 +279,11 @@ class StubClient:
 
 @pytest.fixture()
 def tiny_index(hashed_embedder):
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="c1", name="one", description="json parsing library"),
-        Artifact(id="c2", name="two", description="yaml parsing library"),
-        Artifact(id="c3", name="three", description="toml parsing library"),
-    ))
+    lib = library(
+        ("c1", "one", "json parsing library"),
+        ("c2", "two", "yaml parsing library"),
+        ("c3", "three", "toml parsing library"),
+    )
     return make_depth1_index(lib, hashed_embedder)
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semtree.catalog import Artifact, ArtifactLibrary
 from semtree.cli import main
 from conftest import (
     columns,
     encode_payload,
+    library,
     make_family_library,
     read_index,
     write_index,
@@ -34,9 +34,7 @@ from semtree.tree import (
 
 
 def test_single_artifact_tree(hashed_embedder):
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a1", name="only", description="the only artifact"),
-    ))
+    lib = library(("a1", "only", "the only artifact"))
     index = build_tree(lib, hashed_embedder, seed=0)
     assert index.ids == index.roots == ("L0-0",)
     assert index.kinds == ("leaf",) and index.artifact_ids == ("a1",)
@@ -403,10 +401,10 @@ def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkey
     validated = []
     check = tree_mod.validate_tree
     monkeypatch.setattr(tree_mod, "validate_tree", lambda t: validated.append(t) or check(t))
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="a", description="json parsing"),
-        Artifact(id="b", name="b", description="yaml parsing"),
-    ))
+    lib = library(
+        ("a", "a", "json parsing"),
+        ("b", "b", "yaml parsing"),
+    )
     built = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
     assert len(built.ids) == 3
@@ -426,10 +424,10 @@ def test_a_two_node_level_merges_through_select_k_bic(hashed_embedder, monkeypat
     monkeypatch.setattr(tree_mod, "fit_gmm", no_fit)
     monkeypatch.setattr(tree_mod, "select_k_bic",
                         lambda X, ks, seed: sweeps.append(list(ks)) or sweep(X, ks, seed))
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="a", description="json parsing"),
-        Artifact(id="b", name="b", description="yaml parsing"),
-    ))
+    lib = library(
+        ("a", "a", "json parsing"),
+        ("b", "b", "yaml parsing"),
+    )
     built = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
     assert sweeps == [[1]]
@@ -452,11 +450,11 @@ def test_a_build_embeds_each_level_once_and_the_leaf_summaries_once(family_libra
     embedder = CountingEmbedder(hashed_embedder)
     index = build_tree(family_library, embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
-    artifacts = family_library.artifacts
     assert index.max_level() >= 2
     assert len(embedder.calls) == index.max_level() + 2
-    assert embedder.calls[0] == [a.description for a in artifacts]
-    assert embedder.calls[1] == [f"{a.name}: {a.description}" for a in artifacts]
+    assert embedder.calls[0] == list(family_library.descriptions)
+    assert embedder.calls[1] == [f"{name}: {description}" for name, description
+                                 in zip(family_library.names, family_library.descriptions)]
     for level, texts in enumerate(embedder.calls[2:], start=1):
         assert texts == [f"{n.name}: {n.summary}" for n in index.nodes.values()
                          if n.level == level]
@@ -504,9 +502,9 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     # the caller's array can reach a search; a failed check leaves the
     # caller's array as it was, and any other matrix is converted once
     lib = make_family_library(n_families=3, per_family=4)
-    nodes = [{"id": a.id} for a in lib.artifacts]
-    nodes.append({"id": "root", "level": 1, "children": [a.id for a in lib.artifacts]})
-    leaves = hashed_embedder.embed([a.description for a in lib.artifacts])
+    nodes = [{"id": aid} for aid in lib.artifact_ids]
+    nodes.append({"id": "root", "level": 1, "children": list(lib.artifact_ids)})
+    leaves = hashed_embedder.embed(list(lib.descriptions))
     given = np.asfortranarray(np.vstack([leaves, leaves.mean(axis=0)]))
     copied = TreeIndex(**columns(nodes), roots=("root",), embeddings=given.copy(order="F"))
     with pytest.raises(TreeError, match="missing root"):
@@ -515,7 +513,7 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     kept = TreeIndex(**columns(nodes), roots=("root",), embeddings=given)
     assert kept.embeddings is given and not given.flags.writeable
     assert kept.dim_major.base is given and kept.dim_major.flags.c_contiguous
-    intent = lib.artifacts[5].description
+    intent = lib.descriptions[5]
     cfg = SearchConfig(beam_width=3, final_k=3)
     before = tree_search(kept, intent, cfg, hashed_embedder).entries
     assert before == tree_search(copied, intent, cfg, hashed_embedder).entries
@@ -587,10 +585,10 @@ def test_index_equality_is_identity(family_index, tmp_path):
 
 
 def test_tree_stats_arithmetic(hashed_embedder):
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="a", description="x" * 10),
-        Artifact(id="b", name="b", description="y" * 20),
-    ))
+    lib = library(
+        ("a", "a", "x" * 10),
+        ("b", "b", "y" * 20),
+    )
     index = build_tree(lib, hashed_embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
     stats = tree_stats(index)
@@ -600,9 +598,7 @@ def test_tree_stats_arithmetic(hashed_embedder):
 
 
 def test_tree_stats_single_leaf(hashed_embedder):
-    lib = ArtifactLibrary(ecosystem="", artifacts=(
-        Artifact(id="a", name="a", description="solo"),
-    ))
+    lib = library(("a", "a", "solo"))
     stats = tree_stats(build_tree(lib, hashed_embedder, seed=0))
     assert stats["layers"] == 1 and stats["nodes"] == 1
 
@@ -624,11 +620,12 @@ GOLDEN = Path(__file__).parent / "data" / "index_v3.semtree"
 
 def golden_index():
     """3 artifacts, dim 16, and a parent level forced by one top node."""
-    lib = ArtifactLibrary(ecosystem="pypi", artifacts=(
-        Artifact(id="json", name="fastjson", description="parse and dump json documents"),
-        Artifact(id="yaml", name="tinyyaml", description="parse yaml configuration files"),
-        Artifact(id="http", name="webget", description="send http requests with retries"),
-    ))
+    lib = library(
+        ("json", "fastjson", "parse and dump json documents"),
+        ("yaml", "tinyyaml", "parse yaml configuration files"),
+        ("http", "webget", "send http requests with retries"),
+        ecosystem="pypi",
+    )
     embedder = HashedEmbedder(EmbedderConfig(dim=16, seed=0))
     return build_tree(lib, embedder, stop=StoppingCriteria(max_top_level_nodes=1), seed=0)
 

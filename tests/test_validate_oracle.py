@@ -327,7 +327,7 @@ def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed
     index = load_tree(path)
     cfg = SearchConfig(beam_width=10, final_k=5, rerank=True)
     echo = CallableClient(lambda prompt: prompt)  # the candidates in their given order
-    result = recommend(index, family_library.artifacts[0].description, cfg, hashed_embedder,
+    result = recommend(index, family_library.descriptions[0], cfg, hashed_embedder,
                        llm_client=echo)
     assert len(result.entries) == 5
     assert tree_stats(index) == tree_stats(family_index)
