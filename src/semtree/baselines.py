@@ -25,17 +25,17 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
 from semtree.embed import tokenize
-from semtree.kernels import bm25_scores
+from semtree.kernels import bm25_scores, csr_ranges
 from semtree.llm import LlmError
 from semtree.search import (RankedList, check_final_k, llm_order, render_rerank_prompt,
                             round_scores)
-from semtree.tree import csr_ranges, rank_by_id
+from semtree.tree import rank_by_id
 
 logger = logging.getLogger(__name__)
 
@@ -54,15 +54,15 @@ SCORING_PROMPT_TEMPLATE = (
 @dataclass(eq=False)
 class TermIndex:
     """Document statistics over an artifact library's descriptions, and the
-    query-independent arrays every scorer reads, computed once."""
+    query-independent arrays every scorer reads, computed once, BM25's
+    per-document length norm among them."""
 
     doc_ids: np.ndarray  # object array, catalog order
     id_rank: np.ndarray  # rank_by_id(doc_ids), the tie-break
+    sorted_ids: np.ndarray  # doc_ids in id order: the zero block of a ranking
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
     df: np.ndarray
-    doc_len: np.ndarray
     n_docs: int
-    avgdl: float
     # Term-major (CSC) postings, the one term-document representation:
     # term t's (doc, tf) pairs live in postings_doc/postings_tf[postings_ptr[t]:
     # postings_ptr[t+1]], docs ascending; postings_term is each posting's term.
@@ -71,6 +71,7 @@ class TermIndex:
     postings_doc: np.ndarray
     postings_tf: np.ndarray
     bm25_idf: np.ndarray  # per term
+    bm25_norm: np.ndarray  # per document: k1 * (1 - b + b * doc_len / avgdl)
     tfidf_idf: np.ndarray  # per term
     tfidf_weights: np.ndarray  # per posting
     tfidf_norms: np.ndarray  # per document
@@ -111,19 +112,21 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     total = np.bincount(postings_doc, weights=w, minlength=n)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in weightless documents
         p = w / total[postings_doc]
+    avgdl = float(np.mean(doc_len)) or 1.0  # 0 only if no description has a token
+    doc_ids, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
     return TermIndex(
-        doc_ids=np.array(ids, dtype=object),
-        id_rank=rank_by_id(ids),
+        doc_ids=doc_ids,
+        id_rank=id_rank,
+        sorted_ids=doc_ids[np.argsort(id_rank)],
         vocabulary=vocab,
         df=df,
-        doc_len=doc_len.astype(np.float64),
         n_docs=n,
-        avgdl=float(np.mean(doc_len)) if n else 0.0,
         postings_ptr=ptr,
         postings_term=postings_term,
         postings_doc=postings_doc,
         postings_tf=postings_tf,
         bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
+        bm25_norm=BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl),
         tfidf_idf=tfidf_idf,
         tfidf_weights=w,
         tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
@@ -135,14 +138,37 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     )
 
 
-def _ranked(ids: np.ndarray, id_rank: np.ndarray, intent: str,
+def _ranked(ids: np.ndarray, id_rank: np.ndarray, sorted_ids: np.ndarray, intent: str,
             scores: np.ndarray) -> RankedList:
     """Rank as search does: scores rounded by ``round_scores``, ties by
-    ``id_rank``; ``ids`` is an object array."""
+    ``id_rank``; ``ids`` is an object array and ``sorted_ids`` holds its ids
+    in id order.
+
+    The list is the one a lexsort of every row over the negated scores and
+    the id rank gives: positives, then the rows at zero in id order, then
+    negatives, then NaNs in id order.  Most rows of a lexical ranking are
+    +0.0 once rounded, so only the other rows are sorted.  The zero block
+    is ``sorted_ids`` less the sorted rows, each with 0.0, and a -0.0 row
+    keeps its sign at its id position there.
+    """
     scores = round_scores(scores)
-    order = np.lexsort((id_rank, -scores))
-    return RankedList(intent=intent,
-                      entries=list(zip(ids[order].tolist(), scores[order].tolist())))
+    rows = np.flatnonzero(scores.view(np.int64))  # +0.0 is the one all-zero bit pattern
+    rows = rows[np.lexsort((id_rank[rows], -scores[rows]))]
+    ranked = scores[rows]
+    pos = np.count_nonzero(ranked > 0)
+    neg = pos + np.count_nonzero(ranked == 0)  # rows[pos:neg] are the -0.0 rows
+    cut = id_rank[np.concatenate((rows[:pos], rows[neg:]))]
+    in_block = np.ones(len(ids), dtype=bool)
+    in_block[cut] = False
+    entries = list(zip(ids[rows[:pos]].tolist(), ranked[:pos].tolist()))
+    entries += zip(sorted_ids[in_block].tolist(), repeat(0.0))
+    cut.sort()
+    signed = id_rank[rows[pos:neg]]
+    for at, aid in zip((pos + signed - np.searchsorted(cut, signed)).tolist(),
+                       ids[rows[pos:neg]].tolist()):
+        entries[at] = (aid, -0.0)
+    entries += zip(ids[rows[neg:]].tolist(), ranked[neg:].tolist())
+    return RankedList(intent=intent, entries=entries)
 
 
 def _tfidf_query(idx: TermIndex, intent: str) -> np.ndarray:
@@ -172,7 +198,7 @@ def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     scores = np.zeros(idx.n_docs)
     hit = dots != 0.0  # a nonzero dot implies a nonzero norm on both sides
     scores[hit] = dots[hit] / (idx.tfidf_norms[hit] * np.linalg.norm(q))
-    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
 
 
 def score_bm25(idx: TermIndex, intent: str) -> RankedList:
@@ -180,14 +206,14 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     counts = Counter(tokenize(intent))
     q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
     if not q_terms:
-        return _ranked(idx.doc_ids, idx.id_rank, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, np.zeros(idx.n_docs))
     q_counts = np.asarray([float(counts[t]) for t in counts if t in idx.vocabulary])
     scores = bm25_scores(
         np.asarray(q_terms, dtype=np.int64), q_counts,
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
-        idx.bm25_idf, idx.doc_len, idx.avgdl, idx.n_docs, BM25_K1, BM25_B,
+        idx.bm25_idf, idx.bm25_norm, idx.n_docs, BM25_K1,
     )
-    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
 
 
 def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,7 +235,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     """Truncated SVD of the tf-idf matrix; cosine in the latent space."""
     q = _tfidf_query(idx, intent)
     if not q.any():
-        return _ranked(idx.doc_ids, idx.id_rank, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, np.zeros(idx.n_docs))
     vt, docs_latent, dn = _lsi_space(idx, rank)
     q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
@@ -218,7 +244,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
     # snap numerical noise so unrelated documents tie at exactly zero
     scores[np.abs(scores) < 1e-10] = 0.0
-    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -276,7 +302,7 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     if weightless.any():
         scores[weightless] = 1.0 - jensen_shannon_divergence(
             _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
 
 
 @dataclass
@@ -287,7 +313,7 @@ class WordVectorTable:
 
 def load_word_vectors(path: str) -> WordVectorTable:
     """Load plain-text vectors: ``word v1 … vd`` per line, optional
-    ``count dim`` header."""
+    ``count dim`` header; every value must be finite."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -305,6 +331,8 @@ def load_word_vectors(path: str) -> WordVectorTable:
                 vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed vector entry") from exc
+            if not np.isfinite(vec).all():  # float() parses nan and inf
+                raise ValueError(f"line {lineno}: non-finite value")
             if dim is None:
                 dim = vec.shape[0]
             if vec.shape[0] != dim:
@@ -332,8 +360,9 @@ def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> 
         dn = np.linalg.norm(dvec)
         if qn > 0 and dn > 0:
             scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
-    ids = lib.ids()
-    return _ranked(np.array(ids, dtype=object), rank_by_id(ids), intent, scores)
+    ids = np.array(lib.artifact_ids, dtype=object)
+    id_rank = rank_by_id(lib.artifact_ids)
+    return _ranked(ids, id_rank, ids[np.argsort(id_rank)], intent, scores)
 
 
 _SCORE_RE = re.compile(r"-?\d+(?:\.\d+)?")

@@ -1,4 +1,5 @@
-"""Hot numeric kernels in float64 numpy: GMM log-densities and BM25 scoring."""
+"""Hot numeric kernels in float64 numpy: GMM log-densities, CSR gathers and
+BM25 scoring."""
 
 from __future__ import annotations
 
@@ -54,13 +55,28 @@ def weighted_log_prob(X, means, variances, log_weights, out=None):
     return out
 
 
+def csr_ranges(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The positions ``ptr[k]:ptr[k+1]`` of each key in ``keys``, concatenated
+    in the order of ``keys``: one gather of many CSR rows."""
+    starts = ptr[keys]
+    lens = ptr[keys + 1] - starts
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 def bm25_scores(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,
-                idf, doc_len, avgdl, n_docs, k1, b):
-    """Okapi BM25 scores for every document given sparse term postings."""
-    scores = np.zeros(n_docs)
-    norm = k1 * (1.0 - b + b * doc_len / avgdl)
-    for t, qtf in zip(q_terms, q_counts):
-        docs = postings_doc[postings_ptr[t]:postings_ptr[t + 1]]
-        tfs = postings_tf[postings_ptr[t]:postings_ptr[t + 1]]
-        scores[docs] += qtf * idf[t] * tfs * (k1 + 1.0) / (tfs + norm[docs])
-    return scores
+                idf, norm, n_docs, k1):
+    """Okapi BM25 scores of every document for the query terms ``q_terms``
+    (counted ``q_counts``), from term-major postings and each document's
+    length norm ``k1 * (1 - b + b * doc_len / avgdl)``.
+
+    Term at a time: the query terms' postings are gathered in query-term
+    order and summed per document by one ``np.bincount``.  Each document's
+    additions are then those of a loop adding one term's postings at a
+    time, in the same order and each ``qtf * idf * tf * (k1 + 1) / (tf +
+    norm)``, so the scores are that loop's bits.
+    """
+    sel = csr_ranges(postings_ptr, q_terms)
+    docs, tfs = postings_doc[sel], postings_tf[sel]
+    qw = np.repeat(q_counts * idf[q_terms], postings_ptr[q_terms + 1] - postings_ptr[q_terms])
+    return np.bincount(docs, weights=qw * tfs * (k1 + 1.0) / (tfs + norm[docs]),
+                       minlength=n_docs)

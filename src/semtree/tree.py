@@ -38,6 +38,7 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
+from semtree.kernels import csr_ranges
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 3
@@ -176,14 +177,6 @@ def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
                            if not isinstance(c, str) or c not in row)
         raise TreeError(f"node {node} references missing child {child!r}") from None
     return row, ptr, rows
-
-
-def csr_ranges(ptr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The positions ``ptr[k]:ptr[k+1]`` of each key in ``keys``, concatenated
-    in the order of ``keys``: one gather of many CSR rows."""
-    starts = ptr[keys]
-    lens = ptr[keys + 1] - starts
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
 def rank_by_id(ids) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import library, make_family_library, perturbed_intents
+from semtree import baselines
 from semtree.baselines import (
     TermIndex,
     _distribution,
@@ -27,7 +28,7 @@ from semtree.baselines import (
     tokenize,
 )
 from semtree.llm import LlmError
-from semtree.search import round_scores
+from semtree.search import RankedList, round_scores
 from semtree.tree import rank_by_id
 
 
@@ -157,12 +158,15 @@ def counter_term_index(lib):
     total = np.bincount(postings_doc, weights=w, minlength=n)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = w / total[postings_doc]
+    avgdl = float(np.mean(doc_len)) or 1.0
     return TermIndex(
-        doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids), vocabulary=vocab, df=df,
-        doc_len=np.asarray(doc_len, dtype=np.float64), n_docs=n,
-        avgdl=float(np.mean(doc_len)) if doc_len else 0.0, postings_ptr=ptr,
+        doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids),
+        sorted_ids=np.array(sorted(ids), dtype=object), vocabulary=vocab, df=df,
+        n_docs=n, postings_ptr=ptr,
         postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
-        bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)), tfidf_idf=tfidf_idf,
+        bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
+        bm25_norm=1.2 * (1.0 - 0.75 + 0.75 * np.asarray(doc_len, dtype=np.float64) / avgdl),
+        tfidf_idf=tfidf_idf,
         tfidf_weights=w, tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
         jsd_total=total, jsd_p=p, doc_order=np.argsort(postings_doc, kind="stable"),
         doc_ptr=np.append(0, np.cumsum(np.bincount(postings_doc, minlength=n))),
@@ -356,7 +360,7 @@ def reference_lsi_scores(idx, intent, rank):
 def test_lsi_runs_one_svd_per_index_and_rank(corpus20, monkeypatch):
     idx = build_term_index(corpus20)
     queries = [(rank, intent) for rank in (3, 8) for intent in ("w2 w6 w11", "w1 w1 w29")]
-    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, intent,
+    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent,
                                     reference_lsi_scores(idx, intent, rank)).entries
             for rank, intent in queries}
     real_svd = np.linalg.svd
@@ -465,7 +469,7 @@ def dense_score_jsd(idx, intent):
     scores = dense_jsd_scores(idx, q)
     scores[idx.jsd_total <= 0] = 1.0 - jensen_shannon_divergence(
         _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
 
 
 def family_catalog_case(count=200):
@@ -570,8 +574,16 @@ ODD_IDS = ("a9", "a10", "ä2", "b", "a1", "Ω", "B", "a100")
 
 
 def reference_order(ids, scores):
-    """The rule the baselines ranked by before ``np.lexsort``, kept as the oracle."""
-    return sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    """The rule the baselines ranked by before ``np.lexsort``, kept as the
+    oracle; NaN scores, which that rule did not order, come last in id order,
+    as ``np.lexsort`` puts them."""
+    def key(i):
+        nan = math.isnan(scores[i])
+        return nan, 0.0 if nan else -scores[i], ids[i]
+    return sorted(range(len(ids)), key=key)
+
+
+NAN = float("nan")
 
 
 def entry_bits(entries):
@@ -586,7 +598,7 @@ def assert_reference_order(ranked, ids):
     assert entry_bits(ranked.entries) == entry_bits([(ids[i], scores[ids[i]]) for i in order])
 
 
-@pytest.mark.parametrize("ids, scores", [
+RANKED_CASES = [
     (ODD_IDS, [0.25] * 8),  # all tied
     (ODD_IDS, [0.0, -0.0, 0.5, -0.0, 0.0, 1.0, -0.0, 0.0]),
     (ODD_IDS, [0.5, 0.5 + 1e-14, 0.5 - 1e-14, 0.3 + 4e-13, 0.3, 0.3 - 2e-13,
@@ -595,10 +607,29 @@ def assert_reference_order(ranked, ids):
     (("日本", "é", "e", "ß", "z", "É"), [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]),
     (("only",), [0.3]),
     (("only",), [-0.0]),
-])
+    # each row keeps its rounded score's bits, -0.0 included, and its place:
+    # positives, the +-0 block in id order, negatives, then NaNs in id order
+    (ODD_IDS, [0.0] * 8),
+    (ODD_IDS, [-0.0] * 8),
+    (ODD_IDS, [0.0, -0.0, 0.5, -0.0, 0.0, -0.25, -0.0, 0.0]),
+    (ODD_IDS, [-0.3, -0.1, -0.3, -0.7, -0.1 - 1e-14, -0.2, -0.05, -0.3]),  # LSI's negatives
+    (ODD_IDS, [NAN, 0.5, NAN, 0.0, -0.2, -0.0, NAN, 0.5]),
+    (ODD_IDS, [NAN] * 8),
+    (ODD_IDS, [1e-13, -1e-13, 4e-13, -6e-13, 0.0, -0.0, 0.1, -0.1]),  # round to +0.0 or -0.0
+    (ODD_IDS, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9]),  # only the last id's row is nonzero
+    (ODD_IDS, [0.0, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0, 0.0]),  # only the first id's row is nonzero
+    (("only",), [0.0]),
+    (("only",), [NAN]),
+    (("only",), [-0.5]),
+    (("only",), [2e-13]),
+]
+
+
+@pytest.mark.parametrize("ids, scores", RANKED_CASES)
 def test_ranked_matches_the_reference_rule(ids, scores):
     rounded = round_scores(np.asarray(scores))
-    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids), "x", np.asarray(scores))
+    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
+                  np.array(sorted(ids), dtype=object), "x", np.asarray(scores))
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -609,9 +640,94 @@ def test_ranked_matches_the_reference_rule_on_random_ties():
     ids = list(dict.fromkeys(ids))
     scores = rng.integers(-3, 4, size=len(ids)) / 4 + rng.normal(scale=1e-14, size=len(ids))
     rounded = round_scores(scores)
-    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids), "x", scores)
+    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
+                  np.array(sorted(ids), dtype=object), "x", scores)
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
+
+
+def lexsort_ranked(ids, id_rank, intent, scores):
+    """The ranking before the zero block: every row rounded, then one lexsort
+    over the negated scores and the id rank, kept as the oracle of
+    ``_ranked``."""
+    scores = round_scores(scores)
+    order = np.lexsort((id_rank, -scores))
+    return RankedList(intent=intent,
+                      entries=list(zip(ids[order].tolist(), scores[order].tolist())))
+
+
+@pytest.mark.parametrize("ids, scores", RANKED_CASES)
+def test_ranked_equals_the_full_lexsort(ids, scores):
+    ids_arr, id_rank, scores = np.array(ids, dtype=object), rank_by_id(ids), np.asarray(scores)
+    got = _ranked(ids_arr, id_rank, np.array(sorted(ids), dtype=object), "x", scores)
+    want = lexsort_ranked(ids_arr, id_rank, "x", scores)
+    assert entry_bits(got.entries) == entry_bits(want.entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ranked_equals_the_full_lexsort_on_random_mixes(seed):
+    rng = np.random.default_rng(seed)
+    ids = list(dict.fromkeys(f"{rng.choice(['a', 'b', 'é', 'B'])}{rng.integers(0, 500)}"
+                             for _ in range(200)))
+    pool = np.array([0.0, -0.0, NAN, 0.5, -0.5, 1e-13, -1e-13, 0.25 + 1e-14, 0.25, -0.75])
+    scores = pool[rng.integers(0, len(pool), size=len(ids))]
+    scores[rng.random(len(ids)) < 0.6] = 0.0  # mostly +0.0, as in a lexical ranking
+    ids_arr, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
+    got = _ranked(ids_arr, id_rank, np.array(sorted(ids), dtype=object), "x", scores)
+    want = lexsort_ranked(ids_arr, id_rank, "x", scores)
+    assert entry_bits(got.entries) == entry_bits(want.entries)
+
+
+@pytest.fixture()
+def ranked_as_lexsort(monkeypatch):
+    """Checks each ``_ranked`` call a scorer makes against the full lexsort."""
+    def ranked(ids, id_rank, sorted_ids, intent, scores):
+        got = _ranked(ids, id_rank, sorted_ids, intent, scores)
+        want = lexsort_ranked(ids, id_rank, intent, scores)
+        assert entry_bits(got.entries) == entry_bits(want.entries), intent
+        return got
+
+    monkeypatch.setattr(baselines, "_ranked", ranked)
+
+
+def random_word_vectors(path, lib, seed, dim=6):
+    """Seeded vectors for three quarters of the catalog's words, so that some
+    descriptions score 0 and some cosines are negative."""
+    rng = np.random.default_rng(seed)
+    words = sorted({t for d in lib.descriptions for t in tokenize(d)})
+    with open(path, "w", encoding="utf-8") as fh:
+        for word in words:
+            if rng.random() < 0.75:
+                fh.write(word + " " + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) + "\n")
+    return load_word_vectors(path)
+
+
+# LSI is left out on the benchmark's catalog: its 2,000 x 6,400 dense SVD
+# is too large for a unit test.
+@pytest.mark.parametrize("catalog, scorer", [
+    *(("gate", s) for s in ("bm25", "tfidf", "jsd", "lsi", "wordavg")),
+    *(("perfsuite-7-lexical", s) for s in ("bm25", "tfidf", "jsd", "wordavg")),
+])
+def test_scorers_rank_catalogs_as_the_full_lexsort(ranked_as_lexsort, catalog, scorer,
+                                                   tmp_path):
+    if catalog == "gate":
+        lib = make_family_library(n_families=12, per_family=25, seed=21)
+        intents = gate_intents(lib)
+    else:
+        from perfsuite import gen  # the benchmark's generator and its lexical catalog
+
+        artifacts = gen.family_catalog(40, 50, "7/lexical")
+        lib = library(*((a["id"], a["name"], a["description"]) for a in artifacts))
+        stream = gen.IntentMaker(artifacts).stream("7/lexical-intents")
+        intents = [next(stream)["intent"] for _ in range(100)] + ["no known term"]
+    if scorer == "wordavg":
+        table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=5)
+        results = [score_wordavg(table, lib, intent) for intent in intents[:10] + intents[-1:]]
+    else:
+        idx = build_term_index(lib)
+        results = [getattr(baselines, f"score_{scorer}")(idx, intent) for intent in intents]
+    for ranked in results:
+        assert_reference_order(ranked, lib.ids())
 
 
 # duplicated descriptions tie; "!!!" has no terms; "pad" matches nothing
@@ -740,6 +856,15 @@ def test_wordavg_malformed_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("red 1.0 oops\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_wordavg_non_finite_value_names_its_line(tmp_path, value):
+    # float() parses each of these; a NaN vector would zero every intent with its word
+    path = tmp_path / "bad.txt"
+    path.write_text(f"green 1.0 0.0\nred {value} 1.0\n")
+    with pytest.raises(ValueError, match="line 2: non-finite value"):
         load_word_vectors(path)
 
 

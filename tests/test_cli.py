@@ -475,6 +475,17 @@ def test_bench_wordavg_requires_vectors(catalog, pairs, tmp_path, capsys):
     assert "--vectors" in err
 
 
+def test_bench_wordavg_non_finite_vector_exits_1(catalog, pairs, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("http 1.0 0.0\nlogging nan 1.0\n")
+    code, _, err = run(capsys, "bench", "--solution", "wordavg", "--vectors", str(vectors),
+                       "--catalog", str(catalog), "--pairs", str(pairs),
+                       "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert "line 2: non-finite value" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_bench_tree_requires_index(catalog, pairs, tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--solution", "tree",
                        "--catalog", str(catalog), "--pairs", str(pairs),

@@ -1,10 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import library
 from semtree import kernels
+from semtree.baselines import BM25_K1, build_term_index
 from semtree.cluster import VARIANCE_FLOOR
+from semtree.embed import tokenize
 
 
 def loop_weighted_log_prob(X, means, variances, log_weights):
@@ -57,8 +61,8 @@ def random_bm25_inputs(seed=1, n_docs=15, vocab=25):
     doc_len = rng.uniform(3.0, 20.0, size=n_docs)
     q_terms = rng.choice(vocab, size=5, replace=False).astype(np.int64)
     q_counts = rng.integers(1, 3, size=5).astype(np.float64)
-    return (q_terms, q_counts, ptr, p_doc, p_tf, idf, doc_len,
-            float(doc_len.mean()), n_docs, 1.2, 0.75)
+    norm = 1.2 * (1.0 - 0.75 + 0.75 * doc_len / float(doc_len.mean()))
+    return q_terms, q_counts, ptr, p_doc, p_tf, idf, norm, n_docs, 1.2
 
 
 def test_weighted_log_prob_matches_scipy_style_oracle():
@@ -129,7 +133,69 @@ def test_weighted_log_prob_cancellation_guard():
     assert got[1].tobytes() == kernels.weighted_log_prob(X, means, variances, log_w).tobytes()
 
 
+def loop_bm25_scores(q_terms, q_counts, postings_ptr, postings_doc, postings_tf,
+                     idf, norm, n_docs, k1):
+    """BM25 one query term at a time, each term's postings added in turn:
+    the kernel before its one bincount, kept as the bit-exact oracle."""
+    scores = np.zeros(n_docs)
+    for t, qtf in zip(q_terms, q_counts):
+        docs = postings_doc[postings_ptr[t]:postings_ptr[t + 1]]
+        tfs = postings_tf[postings_ptr[t]:postings_ptr[t + 1]]
+        scores[docs] += qtf * idf[t] * tfs * (k1 + 1.0) / (tfs + norm[docs])
+    return scores
+
+
+def bm25_args(idx, intent):
+    """The kernel's arguments as ``score_bm25`` passes them."""
+    counts = Counter(tokenize(intent))
+    known = [t for t in counts if t in idx.vocabulary]
+    return (np.asarray([idx.vocabulary[t] for t in known], dtype=np.int64),
+            np.asarray([float(counts[t]) for t in known]),
+            idx.postings_ptr, idx.postings_doc, idx.postings_tf,
+            idx.bm25_idf, idx.bm25_norm, idx.n_docs, BM25_K1)
+
+
+# "common" is in every document; "!!!" and "--" have no tokens; intents
+# repeat terms, and name unknown ones.
+BM25_CASES = {
+    "repeated-terms": (["go go stop", "stop", "go fast go go", "slow"],
+                       ["go go go", "go stop go stop stop", "fast go fast unknown"]),
+    "term-in-every-document": (["common alpha", "common beta beta", "common", "common alpha beta"],
+                               ["common", "common common alpha", "beta common"]),
+    "tokenless-documents": (["alpha beta", "!!!", "beta gamma", "--", "alpha alpha"],
+                            ["alpha", "beta alpha beta", "gamma delta"]),
+    "all-tokenless": (["!!!", "--", "日本"], ["alpha", ""]),
+}
+
+
+@pytest.mark.parametrize("case", BM25_CASES)
+def test_bm25_kernel_equals_the_per_term_loop(case):
+    docs, intents = BM25_CASES[case]
+    idx = build_term_index(library(*((f"d{i}", f"d{i}", d) for i, d in enumerate(docs))))
+    assert np.isfinite(idx.bm25_norm).all()
+    for intent in intents:
+        args = bm25_args(idx, intent)
+        assert kernels.bm25_scores(*args).tobytes() == loop_bm25_scores(*args).tobytes(), intent
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bm25_kernel_equals_the_per_term_loop_on_random_postings(seed):
+    args = random_bm25_inputs(seed=seed)
+    assert kernels.bm25_scores(*args).tobytes() == loop_bm25_scores(*args).tobytes()
+
+
+def test_bm25_kernel_equals_the_per_term_loop_on_the_benchmark_catalog():
+    from perfsuite import gen  # the benchmark's generator and its lexical catalog
+
+    artifacts = gen.family_catalog(40, 50, "7/lexical")
+    idx = build_term_index(library(*((a["id"], a["name"], a["description"]) for a in artifacts)))
+    stream = gen.IntentMaker(artifacts).stream("7/lexical-intents")
+    for _ in range(300):
+        args = bm25_args(idx, next(stream)["intent"])
+        assert kernels.bm25_scores(*args).tobytes() == loop_bm25_scores(*args).tobytes()
+
+
 def test_bm25_kernel_empty_query():
     args = random_bm25_inputs()
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0)) + args[2:]
-    assert np.array_equal(kernels.bm25_scores(*empty), np.zeros(args[8]))
+    assert np.array_equal(kernels.bm25_scores(*empty), np.zeros(args[7]))
