@@ -55,11 +55,13 @@ SCORING_PROMPT_TEMPLATE = (
 class TermIndex:
     """Document statistics over an artifact library's descriptions, and the
     query-independent arrays every scorer reads, computed once, BM25's
-    per-document length norm among them."""
+    per-document length norm and a ranking's zero block among them."""
 
     doc_ids: np.ndarray  # object array, catalog order
     id_rank: np.ndarray  # rank_by_id(doc_ids), the tie-break
-    sorted_ids: np.ndarray  # doc_ids in id order: the zero block of a ranking
+    # (id, 0.0) per document in id order: the zero block every ranking
+    # slices, so a query makes tuples only for its nonzero rows
+    zero_entries: tuple[tuple[str, float], ...]
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
     df: np.ndarray
     n_docs: int
@@ -117,7 +119,7 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     return TermIndex(
         doc_ids=doc_ids,
         id_rank=id_rank,
-        sorted_ids=doc_ids[np.argsort(id_rank)],
+        zero_entries=_zero_entries(doc_ids, id_rank),
         vocabulary=vocab,
         df=df,
         n_docs=n,
@@ -138,18 +140,26 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     )
 
 
-def _ranked(ids: np.ndarray, id_rank: np.ndarray, sorted_ids: np.ndarray, intent: str,
+def _zero_entries(ids: np.ndarray, id_rank: np.ndarray) -> tuple[tuple[str, float], ...]:
+    """``(id, 0.0)`` for each of ``ids`` in id order, the zero block of
+    ``_ranked``; the tuples are immutable, so every ranking can share them."""
+    return tuple(zip(ids[np.argsort(id_rank)].tolist(), repeat(0.0)))
+
+
+def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: tuple, intent: str,
             scores: np.ndarray) -> RankedList:
     """Rank as search does: scores rounded by ``round_scores``, ties by
-    ``id_rank``; ``ids`` is an object array and ``sorted_ids`` holds its ids
-    in id order.
+    ``id_rank``; ``ids`` is an object array and ``zero_entries`` its
+    ``_zero_entries``.
 
     The list is the one a lexsort of every row over the negated scores and
     the id rank gives: positives, then the rows at zero in id order, then
     negatives, then NaNs in id order.  Most rows of a lexical ranking are
     +0.0 once rounded, so only the other rows are sorted.  The zero block
-    is ``sorted_ids`` less the sorted rows, each with 0.0, and a -0.0 row
-    keeps its sign at its id position there.
+    is ``zero_entries`` less the sorted rows, taken as the slices between
+    their id ranks, so it makes no tuple; a -0.0 row keeps its sign at its
+    id position there.  The list is new on every call; only the tuples are
+    shared.
     """
     scores = round_scores(scores)
     rows = np.flatnonzero(scores.view(np.int64))  # +0.0 is the one all-zero bit pattern
@@ -157,12 +167,11 @@ def _ranked(ids: np.ndarray, id_rank: np.ndarray, sorted_ids: np.ndarray, intent
     ranked = scores[rows]
     pos = np.count_nonzero(ranked > 0)
     neg = pos + np.count_nonzero(ranked == 0)  # rows[pos:neg] are the -0.0 rows
-    cut = id_rank[np.concatenate((rows[:pos], rows[neg:]))]
-    in_block = np.ones(len(ids), dtype=bool)
-    in_block[cut] = False
+    cut = np.sort(id_rank[np.concatenate((rows[:pos], rows[neg:]))])
     entries = list(zip(ids[rows[:pos]].tolist(), ranked[:pos].tolist()))
-    entries += zip(sorted_ids[in_block].tolist(), repeat(0.0))
-    cut.sort()
+    entries += chain.from_iterable(map(zero_entries.__getitem__,
+                                       map(slice, np.append(0, cut + 1).tolist(),
+                                           np.append(cut, len(ids)).tolist())))
     signed = id_rank[rows[pos:neg]]
     for at, aid in zip((pos + signed - np.searchsorted(cut, signed)).tolist(),
                        ids[rows[pos:neg]].tolist()):
@@ -198,7 +207,7 @@ def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     scores = np.zeros(idx.n_docs)
     hit = dots != 0.0  # a nonzero dot implies a nonzero norm on both sides
     scores[hit] = dots[hit] / (idx.tfidf_norms[hit] * np.linalg.norm(q))
-    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
 
 
 def score_bm25(idx: TermIndex, intent: str) -> RankedList:
@@ -206,14 +215,14 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     counts = Counter(tokenize(intent))
     q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
     if not q_terms:
-        return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, np.zeros(idx.n_docs))
     q_counts = np.asarray([float(counts[t]) for t in counts if t in idx.vocabulary])
     scores = bm25_scores(
         np.asarray(q_terms, dtype=np.int64), q_counts,
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
         idx.bm25_idf, idx.bm25_norm, idx.n_docs, BM25_K1,
     )
-    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
 
 
 def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,7 +244,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     """Truncated SVD of the tf-idf matrix; cosine in the latent space."""
     q = _tfidf_query(idx, intent)
     if not q.any():
-        return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, np.zeros(idx.n_docs))
     vt, docs_latent, dn = _lsi_space(idx, rank)
     q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
@@ -244,7 +253,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
     # snap numerical noise so unrelated documents tie at exactly zero
     scores[np.abs(scores) < 1e-10] = 0.0
-    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -302,7 +311,7 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
     if weightless.any():
         scores[weightless] = 1.0 - jensen_shannon_divergence(
             _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
 
 
 @dataclass
@@ -313,7 +322,8 @@ class WordVectorTable:
 
 def load_word_vectors(path: str) -> WordVectorTable:
     """Load plain-text vectors: ``word v1 … vd`` per line, optional
-    ``count dim`` header; every value must be finite."""
+    ``count dim`` header (a first line of two integers); every value must
+    be finite."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -323,8 +333,9 @@ def load_word_vectors(path: str) -> WordVectorTable:
                 continue
             if lineno == 1 and len(parts) == 2:
                 try:
+                    int(parts[0])
                     dim = int(parts[1])
-                    continue  # header line
+                    continue  # a header is two integers
                 except ValueError:
                     pass
             try:
@@ -350,19 +361,35 @@ def _avg_vector(table: WordVectorTable, text: str) -> np.ndarray:
     return np.mean(rows, axis=0)
 
 
-def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> RankedList:
-    """Cosine between averaged word vectors of intent and descriptions."""
-    qvec = _avg_vector(table, intent)
-    qn = np.linalg.norm(qvec)
-    scores = np.zeros(len(lib))
-    for i, description in enumerate(lib.descriptions):
-        dvec = _avg_vector(table, description)
-        dn = np.linalg.norm(dvec)
-        if qn > 0 and dn > 0:
-            scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
+def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
+    """``intent -> RankedList`` by the cosine between averaged word vectors
+    of the intent and each description.  The description vectors, their
+    norms and the zero block are computed once here; a query takes one dot
+    per description with a nonzero vector."""
+    dvecs = [_avg_vector(table, description) for description in lib.descriptions]
+    norms = np.fromiter(map(np.linalg.norm, dvecs), dtype=np.float64, count=len(dvecs))
+    rows = np.flatnonzero(norms > 0)
+    dvecs, dn = [dvecs[i] for i in rows.tolist()], norms[rows]
     ids = np.array(lib.artifact_ids, dtype=object)
     id_rank = rank_by_id(lib.artifact_ids)
-    return _ranked(ids, id_rank, ids[np.argsort(id_rank)], intent, scores)
+    zero_entries = _zero_entries(ids, id_rank)
+
+    def score(intent: str) -> RankedList:
+        qvec = _avg_vector(table, intent)
+        qn = np.linalg.norm(qvec)
+        scores = np.zeros(len(ids))
+        if qn > 0:
+            dots = np.fromiter(map(qvec.dot, dvecs), dtype=np.float64, count=len(dvecs))
+            scores[rows] = dots / (qn * dn)
+        return _ranked(ids, id_rank, zero_entries, intent, scores)
+
+    return score
+
+
+def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> RankedList:
+    """Cosine between averaged word vectors of intent and descriptions; a
+    caller with many intents builds ``wordavg_scorer`` once instead."""
+    return wordavg_scorer(table, lib)(intent)
 
 
 _SCORE_RE = re.compile(r"-?\d+(?:\.\d+)?")

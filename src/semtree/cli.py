@@ -196,8 +196,7 @@ def cmd_bench(args) -> int:
         if not args.vectors:
             print("--vectors is required for the wordavg solution", file=sys.stderr)
             return 2
-        table = baselines.load_word_vectors(args.vectors)
-        solution = lambda intent: baselines.score_wordavg(table, lib, intent)
+        solution = baselines.wordavg_scorer(baselines.load_word_vectors(args.vectors), lib)
     elif name == "llm":
         client = _llm_client(args, file_cfg)
         two_stage = _given(args, file_cfg, "llm_two_stage")

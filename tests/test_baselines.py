@@ -26,6 +26,7 @@ from semtree.baselines import (
     score_tfidf,
     score_wordavg,
     tokenize,
+    wordavg_scorer,
 )
 from semtree.llm import LlmError
 from semtree.search import RankedList, round_scores
@@ -161,7 +162,7 @@ def counter_term_index(lib):
     avgdl = float(np.mean(doc_len)) or 1.0
     return TermIndex(
         doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids),
-        sorted_ids=np.array(sorted(ids), dtype=object), vocabulary=vocab, df=df,
+        zero_entries=tuple((i, 0.0) for i in sorted(ids)), vocabulary=vocab, df=df,
         n_docs=n, postings_ptr=ptr,
         postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
         bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
@@ -360,7 +361,7 @@ def reference_lsi_scores(idx, intent, rank):
 def test_lsi_runs_one_svd_per_index_and_rank(corpus20, monkeypatch):
     idx = build_term_index(corpus20)
     queries = [(rank, intent) for rank in (3, 8) for intent in ("w2 w6 w11", "w1 w1 w29")]
-    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent,
+    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent,
                                     reference_lsi_scores(idx, intent, rank)).entries
             for rank, intent in queries}
     real_svd = np.linalg.svd
@@ -469,7 +470,7 @@ def dense_score_jsd(idx, intent):
     scores = dense_jsd_scores(idx, q)
     scores[idx.jsd_total <= 0] = 1.0 - jensen_shannon_divergence(
         _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, idx.sorted_ids, intent, scores)
+    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
 
 
 def family_catalog_case(count=200):
@@ -629,7 +630,7 @@ RANKED_CASES = [
 def test_ranked_matches_the_reference_rule(ids, scores):
     rounded = round_scores(np.asarray(scores))
     got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  np.array(sorted(ids), dtype=object), "x", np.asarray(scores))
+                  tuple((i, 0.0) for i in sorted(ids)), "x", np.asarray(scores))
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -641,7 +642,7 @@ def test_ranked_matches_the_reference_rule_on_random_ties():
     scores = rng.integers(-3, 4, size=len(ids)) / 4 + rng.normal(scale=1e-14, size=len(ids))
     rounded = round_scores(scores)
     got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  np.array(sorted(ids), dtype=object), "x", scores)
+                  tuple((i, 0.0) for i in sorted(ids)), "x", scores)
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -659,7 +660,7 @@ def lexsort_ranked(ids, id_rank, intent, scores):
 @pytest.mark.parametrize("ids, scores", RANKED_CASES)
 def test_ranked_equals_the_full_lexsort(ids, scores):
     ids_arr, id_rank, scores = np.array(ids, dtype=object), rank_by_id(ids), np.asarray(scores)
-    got = _ranked(ids_arr, id_rank, np.array(sorted(ids), dtype=object), "x", scores)
+    got = _ranked(ids_arr, id_rank, tuple((i, 0.0) for i in sorted(ids)), "x", scores)
     want = lexsort_ranked(ids_arr, id_rank, "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
@@ -673,7 +674,7 @@ def test_ranked_equals_the_full_lexsort_on_random_mixes(seed):
     scores = pool[rng.integers(0, len(pool), size=len(ids))]
     scores[rng.random(len(ids)) < 0.6] = 0.0  # mostly +0.0, as in a lexical ranking
     ids_arr, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
-    got = _ranked(ids_arr, id_rank, np.array(sorted(ids), dtype=object), "x", scores)
+    got = _ranked(ids_arr, id_rank, tuple((i, 0.0) for i in sorted(ids)), "x", scores)
     want = lexsort_ranked(ids_arr, id_rank, "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
@@ -681,8 +682,8 @@ def test_ranked_equals_the_full_lexsort_on_random_mixes(seed):
 @pytest.fixture()
 def ranked_as_lexsort(monkeypatch):
     """Checks each ``_ranked`` call a scorer makes against the full lexsort."""
-    def ranked(ids, id_rank, sorted_ids, intent, scores):
-        got = _ranked(ids, id_rank, sorted_ids, intent, scores)
+    def ranked(ids, id_rank, zero_entries, intent, scores):
+        got = _ranked(ids, id_rank, zero_entries, intent, scores)
         want = lexsort_ranked(ids, id_rank, intent, scores)
         assert entry_bits(got.entries) == entry_bits(want.entries), intent
         return got
@@ -757,6 +758,27 @@ def test_wordavg_orders_by_the_reference_rule(tmp_path):
                          ["green"] * 8, ["near"]):
         lib = _unsorted_lib(descriptions, ODD_IDS)
         assert_reference_order(score_wordavg(table, lib, "red"), lib.ids())
+
+
+def test_ranked_lists_belong_to_their_caller(tmp_path):
+    # every ranking shares the index's (id, 0.0) tuples but not its list, so
+    # editing one result leaves the zero block and the next query's list alone
+    lib = _unsorted_lib(ODD_DOCS, ODD_IDS)
+    idx = build_term_index(lib)
+    zero_entries = idx.zero_entries
+    assert zero_entries == tuple((aid, 0.0) for aid in sorted(ODD_IDS))
+    table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=2)
+    scorers = [lambda q, f=f: f(idx, q) for f in (score_tfidf, score_bm25, score_lsi, score_jsd)]
+    for scorer in scorers + [wordavg_scorer(table, lib)]:
+        for intent in ("json parse", "unknownword"):
+            want = entry_bits(scorer(intent).entries)
+            got = scorer(intent)
+            got.entries[-1] = ("edited", 1.0)
+            got.entries.append(("appended", 2.0))
+            got.entries.sort(reverse=True)
+            assert idx.zero_entries is zero_entries
+            assert zero_entries == tuple((aid, 0.0) for aid in sorted(ODD_IDS))
+            assert entry_bits(scorer(intent).entries) == want
 
 
 # --- ranked-list gate -----------------------------------------------------
@@ -866,6 +888,69 @@ def test_wordavg_non_finite_value_names_its_line(tmp_path, value):
     path.write_text(f"green 1.0 0.0\nred {value} 1.0\n")
     with pytest.raises(ValueError, match="line 2: non-finite value"):
         load_word_vectors(path)
+
+
+# "red 1" is a word and its one value; only two integers make a "count dim" header
+@pytest.mark.parametrize("text", ["red 1\ngreen 2\n", "2 1\nred 1\ngreen 2\n"],
+                         ids=["one-dimensional-without-header", "two-integers-are-the-header"])
+def test_one_dimensional_vectors_keep_their_first_word(tmp_path, text):
+    path = tmp_path / "vectors.txt"
+    path.write_text(text)
+    table = load_word_vectors(path)
+    assert table.dim == 1
+    assert {w: v.tolist() for w, v in table.vectors.items()} == {"red": [1.0], "green": [2.0]}
+
+
+def loop_score_wordavg(table, lib, intent):
+    """``score_wordavg`` as it was before ``wordavg_scorer``: every
+    description averaged and its norm taken on every intent, one dot per
+    description, ranked by the full lexsort.  Kept as the oracle."""
+    qvec = baselines._avg_vector(table, intent)
+    qn = np.linalg.norm(qvec)
+    scores = np.zeros(len(lib))
+    for i, description in enumerate(lib.descriptions):
+        dvec = baselines._avg_vector(table, description)
+        dn = np.linalg.norm(dvec)
+        if qn > 0 and dn > 0:
+            scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
+    ids = np.array(lib.artifact_ids, dtype=object)
+    return lexsort_ranked(ids, rank_by_id(lib.artifact_ids), intent, scores)
+
+
+@pytest.mark.parametrize("catalog", ["gate", "perfsuite-7-lexical"])
+@pytest.mark.parametrize("seed, dim", [(5, 6), (8, 1), (9, 50)])
+def test_wordavg_scorer_equals_the_per_intent_loop(tmp_path, catalog, seed, dim):
+    if catalog == "gate":
+        lib = make_family_library(n_families=12, per_family=25, seed=21)
+        intents = gate_intents(lib)
+        intents = intents[:20] + intents[-1:]
+    else:
+        from perfsuite import gen  # the benchmark's generator and its lexical catalog
+
+        artifacts = gen.family_catalog(40, 50, "7/lexical")
+        lib = library(*((a["id"], a["name"], a["description"]) for a in artifacts))
+        stream = gen.IntentMaker(artifacts).stream("7/lexical-intents")
+        intents = [next(stream)["intent"] for _ in range(5)] + ["no known term"]
+    table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=seed, dim=dim)
+    scorer = wordavg_scorer(table, lib)
+    for intent in intents:
+        want = entry_bits(loop_score_wordavg(table, lib, intent).entries)
+        assert entry_bits(scorer(intent).entries) == want, intent
+        assert entry_bits(score_wordavg(table, lib, intent).entries) == want, intent
+
+
+def test_wordavg_scorer_averages_each_description_once(tmp_path, monkeypatch):
+    lib = make_lib(["red green", "blue", "red red", "nothing known"])
+    path = tmp_path / "vectors.txt"
+    path.write_text("red 1.0 0.0\ngreen 0.0 1.0\nblue 0.5 0.5\n")
+    averaged = []
+    real = baselines._avg_vector
+    monkeypatch.setattr(baselines, "_avg_vector",
+                        lambda table, text: averaged.append(text) or real(table, text))
+    scorer = wordavg_scorer(load_word_vectors(path), lib)
+    for intent in ("red", "blue green", "red"):
+        scorer(intent)
+    assert averaged == [*lib.descriptions, "red", "blue green", "red"]
 
 
 # --- two-stage LLM --------------------------------------------------------

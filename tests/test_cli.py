@@ -486,6 +486,22 @@ def test_bench_wordavg_non_finite_vector_exits_1(catalog, pairs, tmp_path, capsy
     assert not (tmp_path / "r.json").exists()
 
 
+def test_bench_wordavg_reads_the_same_vectors_with_and_without_a_header(catalog, pairs, tmp_path,
+                                                                        capsys):
+    rows = ["structured 1.0 0.0", "logging 0.5 0.5", "http -1.0 0.5", "retries 0.2 0.9",
+            "sqlite 0.0 1.0", "runner 0.3 -0.4"]
+    reports = []
+    for name, header in (("plain", []), ("header", [f"{len(rows)} 2"])):
+        vectors = tmp_path / f"vectors-{name}.txt"
+        vectors.write_text("\n".join(header + rows) + "\n")
+        code, out, _ = run(capsys, "bench", "--solution", "wordavg", "--vectors", str(vectors),
+                           "--catalog", str(catalog), "--pairs", str(pairs),
+                           "--out", str(tmp_path / f"r-{name}.json"))
+        assert code == 0
+        reports.append(json.loads(out)["metrics"])
+    assert reports[0] == reports[1] and reports[0]
+
+
 def test_bench_tree_requires_index(catalog, pairs, tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--solution", "tree",
                        "--catalog", str(catalog), "--pairs", str(pairs),
