@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -52,8 +53,11 @@ def tokenize(text: str) -> list[str]:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """``v`` (1-D) over its L2 norm; a zero vector gives e₀.  The norm is
+    ``np.linalg.norm``'s own 1-D float path, ``sqrt(v · v)``, without its
+    dispatch."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         out = np.zeros_like(v)
         out[0] = 1.0
@@ -107,7 +111,8 @@ class HashedEmbedder:
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("no texts to embed")
-        return np.stack([_hashed_embed(t, self.cfg.dim, self.cfg.seed) for t in texts])
+        rows = [_hashed_embed(t, self.cfg.dim, self.cfg.seed) for t in texts]
+        return rows[0][None] if len(rows) == 1 else np.stack(rows)  # a query skips the copy
 
 
 class RemoteEmbedder:

@@ -10,7 +10,8 @@ matrix at the intent's nonzero dims (a hashed intent touches a few of
 them); each level then reads its frontier's scores from that vector, and
 the deduplicated child union makes the polyhierarchy cost nothing.
 Scores are rounded to ``SCORE_DECIMALS`` before ranking so that ties do
-not depend on summation order.
+not depend on summation order; rounding is elementwise, so each level
+rounds only the scores it reads.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from semtree.tree import TreeIndex, expand_beam
 logger = logging.getLogger(__name__)
 
 SCORE_DECIMALS = 12
+# A frontier of at most this many rows is lexsorted whole: below ~150 rows
+# that costs less than cutting it with np.partition first, and the cut
+# only drops rows the sort would rank below the beam.
+SORT_WHOLE = 128
 
 RERANK_PROMPT_TEMPLATE = (
     "Given a user requirement and a list of candidate artifacts, rank the "
@@ -39,16 +44,23 @@ RERANK_PROMPT_TEMPLATE = (
 )
 
 
+def _check_count(name: str, value) -> None:
+    """``value`` is an integer of at least 1: a bool or a float is not
+    taken for one, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def check_final_k(final_k: int) -> None:
     """A ranking returns at least one entry."""
-    if final_k < 1:
-        raise ValueError("final_k must be >= 1")
+    _check_count("final_k", final_k)
 
 
 def check_beam_width(beam_width: int) -> None:
     """A beam keeps at least one node per level."""
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
+    _check_count("beam_width", beam_width)
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,7 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
     equal, so the id tie-break decides.  A tie can still split if its
     exact value lies within about 1e-16 of a rounding boundary.
     """
-    return np.round(scores, SCORE_DECIMALS)
+    return scores.round(SCORE_DECIMALS)  # np.round without its dispatch
 
 
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:
@@ -93,16 +105,16 @@ def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> Ranke
         raise ValueError("intent embedding dimension does not match the index")
 
     nz = np.flatnonzero(query)  # zero dims add nothing to a dot product
-    all_scores = round_scores(query[nz] @ t.dim_major[nz])
+    raw = query[nz] @ t.dim_major[nz]
     width = cfg.beam_width
     frontier, evaluations = t.root_rows, 0
     if t.root_expansion is not None and len(frontier) <= width:
         # the beam keeps every root, so it starts from their stored expansion
         frontier, evaluations = t.root_expansion, len(frontier)
     for _ in range(t.top_level + 2):
-        scores = all_scores[frontier]
+        scores = round_scores(raw[frontier])  # elementwise: only the rows read
         evaluations += len(frontier)
-        if len(frontier) > width:
+        if len(frontier) > max(width, SORT_WHOLE):
             # only nodes scoring at least the width-th best can be kept;
             # ties at the cut stay, for the id tie-break below
             cut = scores >= np.partition(scores, -width)[-width]

@@ -38,7 +38,6 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
-from semtree.kernels import csr_ranges
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 3
@@ -294,12 +293,15 @@ def expand_beam(t: TreeIndex, kept: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     mask is ``leaf``: kept leaves carry themselves forward and kept
     internal nodes give their children, each row once, in row order.
 
-    The child union is deduplicated with a mask: ``np.unique`` sorts and
-    costs ~10x as much on frontiers of this size.
+    The kept rows' child ranges are sliced out of ``child_rows`` (a leaf's
+    is empty) and their union is deduplicated with a mask: ``np.unique``
+    sorts and costs ~10x as much on frontiers of this size.
     """
+    ptr, rows = t.child_ptr, t.child_rows
     reached = np.zeros(len(t.ids), dtype=bool)
     reached[kept[leaf]] = True
-    reached[t.child_rows[csr_ranges(t.child_ptr, kept)]] = True  # a leaf's range is empty
+    reached[np.concatenate([rows[a:b] for a, b in zip(ptr[kept].tolist(),
+                                                       ptr[kept + 1].tolist())])] = True
     return np.flatnonzero(reached)
 
 

@@ -989,6 +989,14 @@ def test_two_stage_rejects_final_k_below_one(final_k):
     assert prompts == []  # checked before any call
 
 
+@pytest.mark.parametrize("final_k", [1.5, 2.0, True])
+def test_two_stage_rejects_a_non_integer_final_k(final_k):
+    lib = make_lib(["one", "two", "three"], prefix="a")
+    client = ScriptedClient({"a00": 90}, ranking_response="[a00]")
+    with pytest.raises(ValueError, match="^final_k must be an integer, got "):
+        llm_two_stage(lib, "x", client, subset_fraction=1.0, final_k=final_k)
+
+
 def test_two_stage_threshold():
     lib = make_lib(["one thing", "two thing", "three thing"], prefix="a")
     client = ScriptedClient({"a00": 90, "a01": 10, "a02": 5},

@@ -80,6 +80,43 @@ def test_token_memo_stays_within_its_bound():
             == reference_hashed_embed(tokens[0], 16, 0).tobytes())
 
 
+def test_one_text_embeds_to_its_row_of_a_batch():
+    # A single text skips the stack of a batch; its vector keeps the bits.
+    texts = ["parse json files with retries", "!!!", "go go go go", "",
+             "Straße NAÏVE école 漢字 X-Ray", "json json yaml json"]
+    embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
+    batch = embedder.embed(texts)
+    for i, text in enumerate(texts):
+        one = embedder.embed([text])
+        assert one.shape == (1, 64)
+        assert one[0].tobytes() == batch[i].tobytes()
+
+
+def reference_l2_normalize(v):
+    """l2_normalize with the norm taken by np.linalg.norm."""
+    v = np.asarray(v, dtype=np.float64)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        out = np.zeros_like(v)
+        out[0] = 1.0
+        return out
+    return v / norm
+
+
+def test_l2_normalize_equals_numpy_norm_bits():
+    # Scales from 1e-170 to 1e170 reach the underflow of the squares to a
+    # zero norm and their overflow to an infinite one; an inf entry too.
+    rng = np.random.default_rng(0)
+    vectors = []
+    for exponent in range(-170, 171, 10):
+        for size in (1, 7, 256):
+            vectors.append(rng.normal(size=size) * 10.0 ** exponent)
+    vectors += [np.array([np.inf, 1.0]), np.array([0.0, -0.0, 0.0]), rng.normal(size=512)[::3]]
+    with np.errstate(over="ignore", invalid="ignore"):  # as np.linalg.norm warns
+        for v in vectors:
+            assert l2_normalize(v).tobytes() == reference_l2_normalize(v).tobytes()
+
+
 def test_hashed_deterministic():
     emb = HashedEmbedder(EmbedderConfig(dim=64, seed=9))
     a = emb.embed(["parse json files"])

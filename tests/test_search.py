@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ from conftest import (
     make_family_library,
     perturbed_intents,
 )
-from semtree.embed import EmbedderConfig, HashedEmbedder
+from semtree.embed import EmbedderConfig, HashedEmbedder, l2_normalize
 from semtree.llm import LlmError
 from semtree.search import (
+    SORT_WHOLE,
     RankedList,
     SearchConfig,
     parse_id_list,
@@ -23,7 +26,7 @@ from semtree.search import (
     round_scores,
     tree_search,
 )
-from semtree.tree import TreeIndex
+from semtree.tree import TreeIndex, build_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
@@ -64,6 +67,25 @@ def test_search_config_rejects_nonpositive_final_k(final_k):
 def test_search_config_rejects_a_beam_below_one(beam_width, final_k):
     with pytest.raises(ValueError, match="^beam_width must be >= 1$"):
         SearchConfig(beam_width=beam_width, final_k=final_k)
+
+
+@pytest.mark.parametrize("beam_width, final_k, name", [
+    (10, 1.5, "final_k"), (10, 2.0, "final_k"), (10, True, "final_k"),
+    (1.5, 1, "beam_width"), (10.0, 5, "beam_width"), (True, 1, "beam_width"),
+    (True, True, "beam_width"), ("10", 5, "beam_width"), (np.float64(10), 5, "beam_width"),
+])
+def test_search_config_rejects_a_non_integer_setting(beam_width, final_k, name):
+    # 1.5 would fail later as a slice bound; True would be taken for 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        SearchConfig(beam_width=beam_width, final_k=final_k)
+
+
+def test_search_config_takes_numpy_integers(tiny_index, hashed_embedder):
+    cfg = SearchConfig(beam_width=np.int64(3), final_k=np.int32(2))
+    got = recommend(tiny_index, "parsing library", cfg, hashed_embedder)
+    want = recommend(tiny_index, "parsing library", SearchConfig(beam_width=3, final_k=2),
+                     hashed_embedder)
+    assert len(got.entries) == 2 and got.entries == want.entries
 
 
 def test_search_config_rejects_final_k_above_the_beam():
@@ -183,10 +205,13 @@ def full_product_beam(index, query, width):
         frontier = sorted(reached)
 
 
-@pytest.mark.parametrize("branching, leaf_levels, seed", [(3, 2, 0), (4, 3, 1), (8, 2, 2)])
+@pytest.mark.parametrize("branching, leaf_levels, seed",
+                         [(3, 2, 0), (4, 3, 1), (8, 2, 2), (16, 1, 3)])
 def test_search_equals_a_full_product_reference_beam(branching, leaf_levels, seed):
     # Sparse (hashed) and dense queries, beams narrower and wider than the
-    # roots, so the stored root expansion and the partition cut both run.
+    # roots, so the stored root expansion runs; frontiers of at most
+    # SORT_WHOLE rows are sorted whole, and the 16-way index's wider ones
+    # (160 and 256 leaves) are cut by the partition first.
     index = make_balanced_index(branching=branching, leaf_levels=leaf_levels, dim=64,
                                 seed=seed)
     hashed = HashedEmbedder(EmbedderConfig(dim=64))
@@ -202,6 +227,30 @@ def test_search_equals_a_full_product_reference_beam(branching, leaf_levels, see
                 got = tree_search(index, intent, cfg, embedder)
                 assert (got.ids(), got.node_evaluations) == full_product_beam(index, query,
                                                                               width)
+
+
+@pytest.mark.parametrize("width", [1, 10, 50])
+def test_ties_at_the_partition_cut_rank_by_node_id(width):
+    # 200 leaves under one root hold one of three vectors, so a frontier
+    # wider than SORT_WHOLE is cut inside a block of exact ties; the ties
+    # at the cut must stay and be ranked by node id, whose order ("L0-10"
+    # before "L0-2") is not the row order.
+    assert 200 > SORT_WHOLE
+    rng = np.random.default_rng(4)
+    choices = rng.integers(0, 3, size=200)
+    basis = [l2_normalize(rng.normal(size=8)) for _ in range(3)]
+    nodes = [{"id": f"L0-{i}"} for i in range(200)]
+    nodes.append({"id": "L1-0", "level": 1, "children": tuple(n["id"] for n in nodes)})
+    index = TreeIndex(**columns(nodes), roots=("L1-0",),
+                      embeddings=[*(basis[c] for c in choices.tolist()), np.ones(8)])
+    for _ in range(10):
+        query = l2_normalize(rng.normal(size=8))
+        got = tree_search(index, "x", SearchConfig(beam_width=width, final_k=1),
+                          FixedEmbedder(query))
+        assert (got.ids(), got.node_evaluations) == full_product_beam(index, query, width)
+        last = got.entries[-1][1]
+        tied = round_scores(index.embeddings[:200] @ query) == last
+        assert tied.sum() > sum(score == last for _, score in got.entries)  # ties cross the cut
 
 
 def test_shared_children_and_leaf_roots():
@@ -240,6 +289,29 @@ def test_node_evaluation_bound(hashed_embedder):
         result = tree_search(index, intent, cfg, hashed_embedder)
         assert result.node_evaluations <= 5 * 8 * layers
         assert len(result.entries) <= 5
+
+
+# The sha256 of tree_search's (id, score.hex()) lists and node_evaluations
+# for 500 perturbed intents on the BUILD_GATE_SHA256 index (a seeded
+# 300-artifact catalog, built at seed 0), at beam widths 1, 5, 10, 20 and
+# one as wide as the widest level.  It pins the product, the rounding, the
+# partition cut, the tie-break and the beam expansion to the bit.
+SEARCH_GATE_SHA256 = "9f71288cd869906c7d81b7074487d39751a14ceb797d8379f139934a74d5c581"
+
+
+def test_search_results_are_pinned(hashed_embedder):
+    lib = make_family_library(n_families=15, per_family=20, seed=12)
+    index = build_tree(lib, hashed_embedder, seed=0)
+    intents = [s.intent for seed in (11, 12) for s in perturbed_intents(lib, 250, seed=seed)]
+    widest = max(np.bincount(index.levels).tolist())
+    digest = hashlib.sha256()
+    for width in (1, 5, 10, 20, widest):
+        cfg = SearchConfig(beam_width=width, final_k=1)
+        for intent in intents:
+            got = tree_search(index, intent, cfg, hashed_embedder)
+            digest.update(json.dumps([[[aid, score.hex()] for aid, score in got.entries],
+                                      got.node_evaluations]).encode())
+    assert digest.hexdigest() == SEARCH_GATE_SHA256
 
 
 def test_rerank_prompt_matches_golden():
