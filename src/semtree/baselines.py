@@ -30,11 +30,11 @@ from itertools import chain, repeat
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
+from semtree.checks import check_integer
 from semtree.embed import tokenize
 from semtree.kernels import bm25_scores, csr_ranges
 from semtree.llm import LlmError
-from semtree.search import (RankedList, check_final_k, llm_order, render_rerank_prompt,
-                            round_scores)
+from semtree.search import RankedList, llm_order, render_rerank_prompt, round_scores
 from semtree.tree import rank_by_id
 
 logger = logging.getLogger(__name__)
@@ -63,7 +63,6 @@ class TermIndex:
     # slices, so a query makes tuples only for its nonzero rows
     zero_entries: tuple[tuple[str, float], ...]
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
-    df: np.ndarray
     n_docs: int
     # Term-major (CSC) postings, the one term-document representation:
     # term t's (doc, tf) pairs live in postings_doc/postings_tf[postings_ptr[t]:
@@ -121,7 +120,6 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
         id_rank=id_rank,
         zero_entries=_zero_entries(doc_ids, id_rank),
         vocabulary=vocab,
-        df=df,
         n_docs=n,
         postings_ptr=ptr,
         postings_term=postings_term,
@@ -322,8 +320,9 @@ class WordVectorTable:
 
 def load_word_vectors(path: str) -> WordVectorTable:
     """Load plain-text vectors: ``word v1 … vd`` per line, optional
-    ``count dim`` header (a first line of two integers); every value must
-    be finite."""
+    ``count dim`` header (a first line of two integers); every word needs
+    at least one value, every value must be finite and ``dim`` must be
+    at least 1, since a 0-dimensional table scores every artifact 0."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -333,11 +332,15 @@ def load_word_vectors(path: str) -> WordVectorTable:
                 continue
             if lineno == 1 and len(parts) == 2:
                 try:
-                    int(parts[0])
-                    dim = int(parts[1])
-                    continue  # a header is two integers
+                    _, dim = map(int, parts)  # a header is two integers
                 except ValueError:
                     pass
+                else:
+                    if dim < 1:
+                        raise ValueError(f"line 1: header dim {dim} is not >= 1")
+                    continue
+            if len(parts) == 1:
+                raise ValueError(f"line {lineno}: word {parts[0]!r} has no values")
             try:
                 vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
@@ -386,12 +389,6 @@ def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
     return score
 
 
-def score_wordavg(table: WordVectorTable, lib: ArtifactLibrary, intent: str) -> RankedList:
-    """Cosine between averaged word vectors of intent and descriptions; a
-    caller with many intents builds ``wordavg_scorer`` once instead."""
-    return wordavg_scorer(table, lib)(intent)
-
-
 _SCORE_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
@@ -405,7 +402,7 @@ def _parse_score(response: str) -> float:
 def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
                   subset_fraction: float = 0.10, final_k: int = 5) -> RankedList:
     """Score each artifact 0-100, then comparatively rank the top fraction."""
-    check_final_k(final_k)
+    check_integer("final_k", final_k, 1)
     scores: dict[str, float] = {}
     by_id = dict(zip(lib.artifact_ids, lib.descriptions))
     for aid, description in by_id.items():

@@ -18,9 +18,10 @@ import sys
 
 from semtree import baselines, metrics
 from semtree.catalog import CatalogError, library_stats, load_library, load_pairs
+from semtree.checks import check_integer
 from semtree.embed import EmbedderConfig, EmbeddingError, make_embedder
 from semtree.llm import ChatClient, LlmError, ReplayClient
-from semtree.search import SearchConfig, check_beam_width, check_final_k, recommend
+from semtree.search import SearchConfig, recommend
 from semtree.tree import (
     StoppingCriteria,
     TreeError,
@@ -144,9 +145,6 @@ def _embedder_for_index(index, args, file_cfg):
     recorded = {f: stored[f] for f in RECORDED_EMBEDDER if f in stored}
     if "dim" not in recorded and "embedding_dim" in index.config:
         recorded["dim"] = index.config["embedding_dim"]
-    for f in ("dim", "seed"):
-        if f in recorded and type(recorded[f]) is not int:
-            raise TreeError(f"index config: embedder {f} {recorded[f]!r} must be an integer")
     given = _given(args, file_cfg, "EmbedderConfig")
     return make_embedder(EmbedderConfig(**{**given, **recorded}))
 
@@ -158,7 +156,7 @@ def _tree_solution(args, file_cfg):
     given = _given(args, file_cfg, "SearchConfig")
     default = SearchConfig()
     if "beam_width" in given:  # checked before a wider k can widen it
-        check_beam_width(given["beam_width"])
+        check_integer("beam_width", given["beam_width"], 1)
     # a k wider than the beam widens the beam to k
     given["beam_width"] = max(given.get("beam_width", default.beam_width),
                               given.get("final_k", default.final_k))
@@ -201,7 +199,7 @@ def cmd_bench(args) -> int:
         client = _llm_client(args, file_cfg)
         two_stage = _given(args, file_cfg, "llm_two_stage")
         if "final_k" in two_stage:  # run_benchmark logs a sample's error and goes on
-            check_final_k(two_stage["final_k"])
+            check_integer("final_k", two_stage["final_k"], 1)
         solution = lambda intent: baselines.llm_two_stage(lib, intent, client, **two_stage)
     else:  # tree
         if not args.index:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from semtree.checks import check_integer
 from semtree.llm import JsonEndpoint
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -42,8 +43,9 @@ class EmbedderConfig:
     model: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"embedding dim must be >= 1, got {self.dim}")
+        # kept as Python ints: a numpy one has no to_bytes and no JSON form
+        object.__setattr__(self, "dim", check_integer("embedding dim", self.dim, 1))
+        object.__setattr__(self, "seed", check_integer("embedding seed", self.seed))
 
 
 def tokenize(text: str) -> list[str]:

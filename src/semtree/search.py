@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from semtree.checks import check_integer
 from semtree.llm import LlmError
 from semtree.tree import TreeIndex, expand_beam
 
@@ -44,25 +45,6 @@ RERANK_PROMPT_TEMPLATE = (
 )
 
 
-def _check_count(name: str, value) -> None:
-    """``value`` is an integer of at least 1: a bool or a float is not
-    taken for one, a numpy integer is."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
-def check_final_k(final_k: int) -> None:
-    """A ranking returns at least one entry."""
-    _check_count("final_k", final_k)
-
-
-def check_beam_width(beam_width: int) -> None:
-    """A beam keeps at least one node per level."""
-    _check_count("beam_width", beam_width)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     beam_width: int = 10
@@ -70,8 +52,8 @@ class SearchConfig:
     rerank: bool = False
 
     def __post_init__(self):
-        check_beam_width(self.beam_width)
-        check_final_k(self.final_k)
+        check_integer("beam_width", self.beam_width, 1)
+        check_integer("final_k", self.final_k, 1)
         if self.final_k > self.beam_width:
             raise ValueError("final_k must not exceed beam_width")
 

@@ -13,14 +13,15 @@ held dim-major), and none of them can be edited once it is made.
 ``build_tree`` appends each level to the columns and ``load_tree`` reads
 them from a file; both hand them to the one ``TreeIndex`` constructor.
 
-On disk (``INDEX_FORMAT_VERSION`` 3) the index is a header line of
-UTF-8 JSON, a ``\n``, and the matrix as raw bytes.  The header holds the
-node fields as seven column lists in (level, id) order (``nodes``) and
-the matrix width (``embeddings.dim``); row ``i`` of the matrix is node
-``i`` of the columns.  The payload is a mask (``np.packbits`` over the
-entries whose bits are nonzero, row-major) and then those entries as
+On disk (``INDEX_FORMAT_VERSION`` 4) the index is stored as memory
+holds it: a header line of UTF-8 JSON, a ``\n``, and the matrix as raw
+bytes.  The header holds the node fields as seven column lists in the
+index's own row order (``nodes``; a build's is level by level, each
+level in cluster order) and the matrix width (``embeddings.dim``).  The
+payload is ``dim_major`` in C order: a mask (``np.packbits`` over the
+entries whose bits are nonzero) and then those entries as
 little-endian float64, so floats round-trip bit for bit, ``-0.0``
-included.
+included, and a loaded index equals the saved one column for column.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from types import MappingProxyType
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
+from semtree.checks import check_integer
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 MAX_K = 32  # the most components a level is clustered into
 # the node columns of an index file's header besides "children"
 NODE_COLUMNS = ("id", "level", "kind", "name", "summary", "artifact_id")
@@ -56,10 +58,8 @@ class StoppingCriteria:
     max_top_level_nodes: int = 10
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.max_top_level_nodes < 1:
-            raise ValueError("max_top_level_nodes must be >= 1")
+        for name in ("max_depth", "max_top_level_nodes"):  # as Python ints, for the header
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
 
 
 @dataclass(eq=False, frozen=True)
@@ -322,9 +322,9 @@ def build_tree(
     offline extractive summarizer).  With offline providers and a fixed
     seed the result is a pure function of (library, config).
     """
-    if target_dim < 1:
-        raise ValueError(f"target_dim must be >= 1, got {target_dim}")
-    if not 0 < soft_threshold <= 1:  # NaN fails too
+    # numpy's generators take no negative seed
+    target_dim, seed = check_integer("target_dim", target_dim, 1), check_integer("seed", seed, 0)
+    if isinstance(soft_threshold, bool) or not 0 < soft_threshold <= 1:  # NaN fails too
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
@@ -396,20 +396,20 @@ def build_tree(
 
 
 def save_tree(t: TreeIndex, path: str) -> None:
-    """Persist the index in format 3; a lossless, deterministic dump."""
-    rows = np.lexsort((t.id_rank, t.levels)).tolist()  # (level, id) order
+    """Persist the index in format 4, columns and ``dim_major`` as they
+    are held; a lossless, deterministic dump."""
     ptr, kids = t.child_ptr.tolist(), t.child_rows.tolist()
-    nodes = {key: [column[i] for i in rows] for key, column in zip(
-        NODE_COLUMNS, (t.ids, t.levels, t.kinds, t.names, t.summaries, t.artifact_ids))}
-    nodes["children"] = [[t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]] for i in rows]
+    nodes = dict(zip(NODE_COLUMNS, (t.ids, t.levels, t.kinds, t.names, t.summaries,
+                                    t.artifact_ids)))
+    nodes["children"] = [[t.ids[r] for r in kids[a:b]] for a, b in zip(ptr, ptr[1:])]
     header = {"version": INDEX_FORMAT_VERSION, "config": t.config,
-              "provenance": t.provenance, "roots": list(t.roots),
+              "provenance": t.provenance, "roots": t.roots,
               "embeddings": {"dim": t.dim}, "nodes": nodes}
     # dumps runs the C encoder; dump streams through the pure-Python one.
     # Text that is not UTF-8 raises here, before the file is truncated.
     head = json.dumps(header, ensure_ascii=False, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    matrix = np.asarray(t.embeddings[rows], dtype="<f8")
+    matrix = np.asarray(t.dim_major, dtype="<f8")
     nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
     with open(path, "wb") as fh:
         fh.write(head)
@@ -419,8 +419,9 @@ def save_tree(t: TreeIndex, path: str) -> None:
 
 
 def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
-    """The ``(n, dim)`` matrix that a payload of mask and values encodes,
-    as the ``.T`` view of a C-contiguous ``(dim, n)`` array."""
+    """The ``(n, dim)`` matrix that a payload of mask and values encodes:
+    the ``.T`` view of the C-contiguous ``(dim, n)`` array whose entries
+    the payload lists in order."""
     if type(dim) is not int or dim < 1:
         raise TreeError(f"embedding dim {dim!r} is not a positive integer")
     size = n * dim
@@ -428,25 +429,15 @@ def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
     if len(payload) < mask:
         raise TreeError(f"embedding payload has {len(payload)} bytes, fewer than the "
                         f"{mask}-byte mask of {n} nodes of dim {dim}")
-    nonzero = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask)).view(bool)
-    if nonzero[size:].any():
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask))
+    at = np.flatnonzero(bits.view(bool))  # ~3x faster than on the uint8 bits
+    if at.size and at[-1] >= size:
         raise TreeError("embedding mask marks entries past the last node")
-    count = int(np.count_nonzero(nonzero))
-    if len(payload) != mask + 8 * count:
+    if len(payload) != mask + 8 * at.size:
         raise TreeError(f"embedding payload has {len(payload)} bytes, not the {mask} of "
-                        f"the mask and 8 for each of the {count} entries it marks")
-    # Integer indices (~3x faster than scattering through the boolean
-    # mask), moved in place from row-major at = i * dim + j to dim-major
-    # j * n + i = at * n + i * (1 - n * dim).  A floor division by a scalar
-    # costs a fifth of np.divmod's, whose remainder is not needed.
-    at = np.flatnonzero(nonzero[:size])
-    del nonzero  # free each temporary before the next is made, to keep the peak low
-    row = at // dim
-    row *= 1 - n * dim
-    at *= n
-    at += row
-    del row
+                        f"the mask and 8 for each of the {at.size} entries it marks")
     matrix = np.zeros(size)
+    # integer indices: ~3x faster than scattering through the boolean mask
     matrix[at] = np.frombuffer(payload, dtype="<f8", offset=mask)
     return matrix.reshape(dim, n).T
 

@@ -135,10 +135,10 @@ def write_index(path, header, payload: bytes) -> None:
 
 
 def encode_payload(matrix) -> bytes:
-    """The payload of ``matrix``, encoded here by hand: ``np.packbits`` of
-    the row-major entries whose bits are nonzero, then those entries as
-    little-endian float64."""
-    matrix = np.asarray(matrix, dtype="<f8")
+    """The payload of the ``(n, dim)`` ``matrix``, encoded here by hand:
+    ``np.packbits`` of the dim-major entries (``matrix.T`` in C order)
+    whose bits are nonzero, then those entries as little-endian float64."""
+    matrix = np.ascontiguousarray(np.asarray(matrix, dtype="<f8").T)
     nonzero = matrix.view("<u8") != 0
     return np.packbits(nonzero).tobytes() + matrix[nonzero].tobytes()
 

@@ -24,7 +24,6 @@ from semtree.baselines import (
     score_jsd,
     score_lsi,
     score_tfidf,
-    score_wordavg,
     tokenize,
     wordavg_scorer,
 )
@@ -104,7 +103,7 @@ def oracle_jsd(p, q):
 def test_term_index_basics():
     idx = build_term_index(make_lib(["a b", "b c"]))
     assert set(idx.vocabulary) == {"a", "b", "c"}
-    assert idx.df[idx.vocabulary["b"]] == 2
+    assert np.diff(idx.postings_ptr)[idx.vocabulary["b"]] == 2
     assert idx.n_docs == 2
 
 
@@ -122,7 +121,7 @@ def test_df_matches_recount(corpus20):
     for description in corpus20.descriptions:
         df.update(set(tokenize(description)))
     for term, i in idx.vocabulary.items():
-        assert idx.df[i] == df[term]
+        assert np.diff(idx.postings_ptr)[i] == df[term]
 
 
 def test_term_index_equality_is_identity():
@@ -162,7 +161,7 @@ def counter_term_index(lib):
     avgdl = float(np.mean(doc_len)) or 1.0
     return TermIndex(
         doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids),
-        zero_entries=tuple((i, 0.0) for i in sorted(ids)), vocabulary=vocab, df=df,
+        zero_entries=tuple((i, 0.0) for i in sorted(ids)), vocabulary=vocab,
         n_docs=n, postings_ptr=ptr,
         postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
         bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
@@ -344,10 +343,10 @@ def test_lsi_two_topic_separation():
 def reference_lsi_scores(idx, intent, rank):
     """LSI as a fresh SVD on every query: the oracle for the kept space."""
     q = np.bincount([idx.vocabulary[t] for t in tokenize(intent) if t in idx.vocabulary],
-                    minlength=len(idx.vocabulary)) * np.log((1.0 + idx.n_docs) / (1.0 + idx.df))
+                    minlength=len(idx.vocabulary)) * np.log((1.0 + idx.n_docs) / (1.0 + np.diff(idx.postings_ptr)))
     X = np.zeros((idx.n_docs, len(idx.vocabulary)))
     X[idx.postings_doc, idx.postings_term] = (
-        idx.postings_tf * np.log((1.0 + idx.n_docs) / (1.0 + idx.df))[idx.postings_term])
+        idx.postings_tf * np.log((1.0 + idx.n_docs) / (1.0 + np.diff(idx.postings_ptr)))[idx.postings_term])
     basis = np.linalg.svd(X, full_matrices=False)[2][:rank].T
     docs_latent, q_latent = X @ basis, q @ basis
     qn, dn = np.linalg.norm(q_latent), np.linalg.norm(docs_latent, axis=1)
@@ -723,7 +722,7 @@ def test_scorers_rank_catalogs_as_the_full_lexsort(ranked_as_lexsort, catalog, s
         intents = [next(stream)["intent"] for _ in range(100)] + ["no known term"]
     if scorer == "wordavg":
         table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=5)
-        results = [score_wordavg(table, lib, intent) for intent in intents[:10] + intents[-1:]]
+        results = list(map(wordavg_scorer(table, lib), intents[:10] + intents[-1:]))
     else:
         idx = build_term_index(lib)
         results = [getattr(baselines, f"score_{scorer}")(idx, intent) for intent in intents]
@@ -757,7 +756,7 @@ def test_wordavg_orders_by_the_reference_rule(tmp_path):
     for descriptions in (["near", "red", "green", "near", "anti", "red near", "x", "red"],
                          ["green"] * 8, ["near"]):
         lib = _unsorted_lib(descriptions, ODD_IDS)
-        assert_reference_order(score_wordavg(table, lib, "red"), lib.ids())
+        assert_reference_order(wordavg_scorer(table, lib)("red"), lib.ids())
 
 
 def test_ranked_lists_belong_to_their_caller(tmp_path):
@@ -855,14 +854,14 @@ def vector_file(tmp_path):
 def test_wordavg_single_word_doc(vector_file):
     table = load_word_vectors(vector_file)
     lib = make_lib(["red", "green"])
-    ranked = score_wordavg(table, lib, "red")
+    ranked = wordavg_scorer(table, lib)("red")
     assert ranked.entries[0] == ("d00", pytest.approx(1.0))
 
 
 def test_wordavg_out_of_table_scores_zero(vector_file):
     table = load_word_vectors(vector_file)
     lib = make_lib(["unknownword anothermiss", "red"])
-    ranked = score_wordavg(table, lib, "red")
+    ranked = wordavg_scorer(table, lib)("red")
     assert dict(ranked.entries)["d00"] == 0.0
 
 
@@ -870,7 +869,7 @@ def test_wordavg_mean_matches_hand_value(vector_file):
     table = load_word_vectors(vector_file)
     lib = make_lib(["red green blue"])
     # hand arithmetic: mean = (0.5, 0.5); cosine with red (1,0) = 0.7071...
-    ranked = score_wordavg(table, lib, "red")
+    ranked = wordavg_scorer(table, lib)("red")
     assert ranked.entries[0][1] == pytest.approx(0.5 / math.sqrt(0.5), abs=1e-9)
 
 
@@ -878,6 +877,20 @@ def test_wordavg_malformed_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("red 1.0 oops\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("red 1.0 0.0\njson\n", "line 2: word 'json' has no values"),
+    ("json\nred 1.0\n", "line 1: word 'json' has no values"),
+    ("2 0\njson\nparse\n", "line 1: header dim 0 is not >= 1"),
+    ("2 -3\njson 1.0\n", "line 1: header dim -3 is not >= 1"),
+], ids=["word-alone", "first-word-alone", "header-dim-0", "header-dim-negative"])
+def test_wordavg_file_that_would_score_nothing_names_its_line(tmp_path, text, message):
+    # a 0-dimensional table would score every artifact 0
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         load_word_vectors(path)
 
 
@@ -902,7 +915,7 @@ def test_one_dimensional_vectors_keep_their_first_word(tmp_path, text):
 
 
 def loop_score_wordavg(table, lib, intent):
-    """``score_wordavg`` as it was before ``wordavg_scorer``: every
+    """The word-average ranking as it was before ``wordavg_scorer``: every
     description averaged and its norm taken on every intent, one dot per
     description, ranked by the full lexsort.  Kept as the oracle."""
     qvec = baselines._avg_vector(table, intent)
@@ -936,7 +949,6 @@ def test_wordavg_scorer_equals_the_per_intent_loop(tmp_path, catalog, seed, dim)
     for intent in intents:
         want = entry_bits(loop_score_wordavg(table, lib, intent).entries)
         assert entry_bits(scorer(intent).entries) == want, intent
-        assert entry_bits(score_wordavg(table, lib, intent).entries) == want, intent
 
 
 def test_wordavg_scorer_averages_each_description_once(tmp_path, monkeypatch):

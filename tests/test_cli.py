@@ -448,6 +448,20 @@ def test_search_index_with_stored_dim_0_exits_1(built_index, capsys):
     assert "error:" in err and "dim must be >= 1" in err
 
 
+@pytest.mark.parametrize("field, value", [("dim", 64.0), ("dim", True), ("seed", 0.5),
+                                          ("seed", "0"), ("seed", None)])
+def test_search_index_with_a_stored_non_integer_setting_exits_1(built_index, capsys, field,
+                                                                value):
+    header, payload = read_index(built_index)
+    header["config"]["embedder"][field] = value
+    write_index(built_index, header, payload)
+    code, out, err = run(capsys, "search", "--index", str(built_index), "--intent", "x")
+    assert code == 1
+    assert out == ""
+    assert f"error: embedding {field} must be an integer, got {value!r}" in err
+    assert "Traceback" not in err
+
+
 def test_search_ignores_an_unknown_stored_embedder_key(built_index, capsys):
     header, payload = read_index(built_index)
     header["config"]["embedder"]["colour"] = "blue"
@@ -483,6 +497,20 @@ def test_bench_wordavg_non_finite_vector_exits_1(catalog, pairs, tmp_path, capsy
                        "--out", str(tmp_path / "r.json"))
     assert code == 1
     assert "line 2: non-finite value" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("text", ["2 0\nhttp\nlogging\n", "http\nlogging 1.0\n"],
+                         ids=["header-dim-0", "word-alone"])
+def test_bench_wordavg_vectors_that_score_nothing_exit_1(catalog, pairs, tmp_path, capsys,
+                                                          text):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(text)
+    code, _, err = run(capsys, "bench", "--solution", "wordavg", "--vectors", str(vectors),
+                       "--catalog", str(catalog), "--pairs", str(pairs),
+                       "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert "line 1: " in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

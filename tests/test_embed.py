@@ -202,3 +202,21 @@ def test_remote_exhausts_retry_budget(monkeypatch):
 def test_config_rejects_dim_below_one(dim):
     with pytest.raises(ValueError, match="dim must be >= 1"):
         EmbedderConfig(dim=dim)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.5), ("dim", 16.0), ("dim", True), ("dim", "16"), ("dim", np.float64(16)),
+    ("seed", 1.5), ("seed", True), ("seed", "0"), ("seed", np.float64(0)),
+])
+def test_config_rejects_a_non_integer_setting(field, value):
+    # 1.5 failed only at embed time, and True was taken for 1
+    with pytest.raises(ValueError, match=f"^embedding {field} must be an integer, got "):
+        EmbedderConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = EmbedderConfig(dim=np.int64(16), seed=np.int32(3))
+    assert type(cfg.dim) is int and type(cfg.seed) is int
+    texts = ["parse json files", "send http requests"]
+    got = HashedEmbedder(cfg).embed(texts)
+    assert got.tobytes() == HashedEmbedder(EmbedderConfig(dim=16, seed=3)).embed(texts).tobytes()

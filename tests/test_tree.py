@@ -66,6 +66,48 @@ def test_stopping_criteria_below_one_are_rejected(field, value):
         StoppingCriteria(**{field: value})
 
 
+NON_INTEGERS = [2.5, 2.0, True, "3", np.float64(3)]
+
+
+@pytest.mark.parametrize("field", ["max_depth", "max_top_level_nodes"])
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_stopping_criteria_reject_a_non_integer(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        StoppingCriteria(**{field: value})
+
+
+@pytest.mark.parametrize("setting", ["target_dim", "seed"])
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_build_rejects_a_non_integer_setting(setting, value, hashed_embedder):
+    lib = library(("a", "a", "json"), ("b", "b", "yaml"))
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer, got "):
+        build_tree(lib, hashed_embedder, **{setting: value})
+
+
+def test_build_rejects_a_negative_seed(hashed_embedder):
+    # it failed in numpy, unnamed, once the whole library was embedded
+    lib = make_family_library(n_families=3, per_family=10)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        build_tree(lib, hashed_embedder, seed=-1)
+
+
+def test_build_rejects_a_bool_soft_threshold(hashed_embedder):
+    # True == 1 would pass the range check as the widest threshold
+    lib = library(("a", "a", "json"), ("b", "b", "yaml"))
+    with pytest.raises(ValueError, match="soft_threshold"):
+        build_tree(lib, hashed_embedder, soft_threshold=True)
+
+
+def test_build_takes_numpy_integer_settings(family_library, hashed_embedder, tmp_path):
+    # each is recorded in the header as a plain JSON integer
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_tree(build_tree(family_library, hashed_embedder, target_dim=np.int64(10),
+                         stop=StoppingCriteria(np.int32(4), np.int64(10)), seed=np.int64(0)),
+              p1)
+    save_tree(build_tree(family_library, hashed_embedder, seed=0), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_build_respects_stopping_criteria(family_library, hashed_embedder):
     index = build_tree(family_library, hashed_embedder,
                        stop=StoppingCriteria(max_depth=2, max_top_level_nodes=3),
@@ -135,7 +177,7 @@ def test_load_rejects_wrong_version(family_index, tmp_path):
 
 def test_load_rejects_cycle(tmp_path):
     header = {
-        "version": 3,
+        "version": INDEX_FORMAT_VERSION,
         "roots": ["a"],
         "nodes": {"id": ["a", "b"], "level": [2, 1], "kind": ["internal", "internal"],
                   "name": ["a", "b"], "summary": ["a", "b"], "children": [["b"], ["a"]],
@@ -357,7 +399,7 @@ def test_load_rejects_text_that_is_not_utf8(family_index, tmp_path):
 def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
     # one node of dim 3: the mask byte's last 5 bits are padding
     header = {
-        "version": 3,
+        "version": INDEX_FORMAT_VERSION,
         "roots": ["a"],
         "nodes": {"id": ["a"], "level": [0], "kind": ["leaf"], "name": ["a"],
                   "summary": ["a"], "children": [[]], "artifact_id": ["a"]},
@@ -615,7 +657,7 @@ def test_tree_stats_node_count_matches_walk(family_index):
     assert tree_stats(family_index)["nodes"] == len(visited)
 
 
-GOLDEN = Path(__file__).parent / "data" / "index_v3.semtree"
+GOLDEN = Path(__file__).parent / "data" / "index_v4.semtree"
 
 
 def golden_index():
@@ -660,7 +702,7 @@ def content_sha256(path) -> str:
 # A numeric change to EM, BIC or soft assignment that flips a chosen k or a
 # membership changes these bytes.  The content digest does not depend on
 # the file format, so a format change moves only the byte digest.
-BUILD_GATE_SHA256 = "bc30662f7698680dc5eeb11313013cb054ad00f82174526cb6431d665a73a23d"
+BUILD_GATE_SHA256 = "8b94639bb5d639960f12c2e9a757c0798257ee417d7bdd59a541103132db08c7"
 BUILD_GATE_CONTENT_SHA256 = "2da2bd4c56d49f8d836c477e448c82caaad0f8769ca239a4579190ce2743e3d7"
 
 
@@ -670,6 +712,28 @@ def test_build_bytes_of_a_bic_sweep_are_pinned(hashed_embedder, tmp_path):
     save_tree(build_tree(lib, hashed_embedder, seed=0), path)
     assert content_sha256(path) == BUILD_GATE_CONTENT_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
+
+
+@pytest.mark.parametrize("build", [
+    lambda embedder: build_tree(make_family_library(n_families=15, per_family=20, seed=12),
+                                embedder, seed=0),
+    lambda embedder: golden_index(),
+], ids=["build_gate", "golden"])
+def test_a_loaded_index_equals_the_built_one(build, hashed_embedder, tmp_path):
+    # the file holds the columns and dim_major in the index's own order,
+    # so loading gives back the built index itself, not a reordered copy
+    built = build(hashed_embedder)
+    path = tmp_path / "index.json"
+    save_tree(built, path)
+    loaded = load_tree(path)
+    for name in ("ids", "levels", "kinds", "names", "summaries", "artifact_ids", "roots",
+                 "config", "provenance"):
+        assert getattr(loaded, name) == getattr(built, name), name
+    for name in ("child_ptr", "child_rows"):
+        assert getattr(loaded, name).tolist() == getattr(built, name).tolist(), name
+    assert loaded.dim_major.shape == built.dim_major.shape
+    assert loaded.dim_major.flags.c_contiguous
+    assert loaded.dim_major.tobytes() == built.dim_major.tobytes()
 
 
 def _mixed_reply(prompt):
@@ -685,7 +749,7 @@ def _mixed_reply(prompt):
 
 # The BUILD_GATE_SHA256 catalog summarized by _mixed_reply: the offline
 # fallback runs on the leaves' rows and on a built level's block.
-MIXED_LLM_BUILD_SHA256 = "c4b2f4aa8502feb9784313fce7554d231b63cabee3f9574c1f943e768dc99032"
+MIXED_LLM_BUILD_SHA256 = "f8288a51cc0b2830439ecad8a5e95f3a7441c82aa14217e987749b1ad141cea1"
 MIXED_LLM_BUILD_CONTENT_SHA256 = "eb14f854ffd3af386c18495fed3d0d89b1e0d4f2b684320e1e90f4f4a94f2378"
 
 
@@ -705,14 +769,14 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
 
 
 def _row_major_scatter(dim, payload, n):
-    """The ``(n, dim)`` matrix of a payload, scattered row by row through
-    the mask."""
+    """The ``(dim, n)`` matrix of a payload, scattered in row-major order
+    through the mask."""
     size = n * dim
     mask = -(-size // 8)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask))[:size]
     matrix = np.zeros(size)
     matrix[bits.astype(bool)] = np.frombuffer(payload, dtype="<f8", offset=mask)
-    return matrix.reshape(n, dim)
+    return matrix.reshape(dim, n)
 
 
 @pytest.mark.parametrize("n, dim", [(1, 5), (4, 1), (5, 3), (2, 4), (3, 11)],
@@ -727,8 +791,8 @@ def test_embedding_matrix_is_the_row_major_scatter_transposed(n, dim):
     got = _embedding_matrix(dim, payload, n)
     expected = _row_major_scatter(dim, payload, n)
     assert got.shape == (n, dim) and got.T.flags.c_contiguous
-    assert got.T.tobytes() == np.ascontiguousarray(expected.T).tobytes()
-    assert expected.tobytes() == matrix.tobytes()
+    assert got.T.tobytes() == expected.tobytes()
+    assert expected.T.tobytes() == matrix.tobytes()
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
@@ -736,7 +800,7 @@ def test_golden_index_file_loads_and_decodes_by_hand():
     data = GOLDEN.read_bytes()
     head, payload = data[:data.index(b"\n")], data[data.index(b"\n") + 1:]
     header = json.loads(head.decode("utf-8"))
-    assert header["version"] == INDEX_FORMAT_VERSION == 3
+    assert header["version"] == INDEX_FORMAT_VERSION == 4
     assert head == json.dumps(header, ensure_ascii=False, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     columns = header["nodes"]
@@ -744,19 +808,22 @@ def test_golden_index_file_loads_and_decodes_by_hand():
                                "summary"]
     # the layout, decoded without semtree: the mask's first bit is its
     # first byte's most significant one, values are little-endian float64
-    # in row-major order, and row i is node i of the columns
+    # in dim-major order (dim by dim, node by node within a dim), and
+    # node i of the columns is row i of the index
     n, dim = len(columns["id"]), header["embeddings"]["dim"]
     assert all(len(column) == n for column in columns.values())
     mask, values = payload[:-(-n * dim // 8)], payload[-(-n * dim // 8):]
     bits = [(mask[j // 8] >> (7 - j % 8)) & 1 for j in range(n * dim)]
     assert len(values) == 8 * sum(bits)
     values = iter(struct.unpack(f"<{len(values) // 8}d", values))
-    vectors = dict(zip(index.ids, index.embeddings))
-    for i, node_id in enumerate(columns["id"]):
-        row = [next(values) if bits[i * dim + j] else 0.0 for j in range(dim)]
-        assert vectors[node_id].tobytes() == np.array(row).tobytes()
+    by_dim = [[next(values) if bits[j * n + i] else 0.0 for i in range(n)] for j in range(dim)]
     assert next(values, None) is None
+    for i in range(n):
+        row = [by_dim[j][i] for j in range(dim)]
+        assert index.embeddings[i].tobytes() == np.array(row).tobytes()
     assert index.ids == tuple(columns["id"])
+    assert index.ids == tuple(f"L{level}-{ordinal}" for level, size in enumerate(
+        np.bincount(columns["level"]).tolist()) for ordinal in range(size))
     assert [a is None for a in columns["artifact_id"]] == [k == "internal"
                                                            for k in columns["kind"]]
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from semtree.search import SearchConfig, recommend
 from semtree.llm import CallableClient
 from semtree.tree import (
+    INDEX_FORMAT_VERSION,
     TreeError,
     TreeIndex,
     TreeNode,
@@ -147,8 +148,8 @@ def oracle_load(path) -> None:
         json.dumps(header, ensure_ascii=False).encode("utf-8")
     except ValueError as exc:
         raise TreeError(f"not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("version") != 3:
-        raise TreeError("not a version 3 index")
+    if not isinstance(header, dict) or header.get("version") != INDEX_FORMAT_VERSION:
+        raise TreeError(f"not a version {INDEX_FORMAT_VERSION} index")
     if not (isinstance(header.get("config", {}), dict)
             and isinstance(header.get("provenance", {}), dict)):
         raise TreeError("config and provenance must be JSON objects")
@@ -277,7 +278,7 @@ def _written(cols, roots, embeddings, directory) -> Path:
     """The index file of ``cols`` in their given order, encoded here by hand."""
     nodes = {key: list(cols[keyword]) for key, keyword in COLUMNS.items()}
     nodes["children"] = [list(children) for children in nodes["children"]]
-    header = {"version": 3, "roots": list(roots), "nodes": nodes,
+    header = {"version": INDEX_FORMAT_VERSION, "roots": list(roots), "nodes": nodes,
               "embeddings": {"dim": embeddings.shape[1]}}
     path = Path(directory) / "index.json"
     write_index(path, header, encode_payload(embeddings))
@@ -296,7 +297,7 @@ def test_generated_corruptions_agree_with_the_oracle(case):
         assert rejects(load_tree, path) == on_file
     # A file's node count comes from its columns, so a matrix a row short
     # can be a valid payload: two nodes of dim 3 share one mask byte with
-    # one node, and the file reads back with a zero last row.
+    # one node, and the file reads back as another matrix of that shape.
     if len(embeddings) == len(cols["ids"]):
         assert on_file == expected
 
