@@ -114,11 +114,11 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in weightless documents
         p = w / total[postings_doc]
     avgdl = float(np.mean(doc_len)) or 1.0  # 0 only if no description has a token
-    doc_ids, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
+    doc_ids, id_rank, zero_entries = _ranking_columns(ids)
     return TermIndex(
         doc_ids=doc_ids,
         id_rank=id_rank,
-        zero_entries=_zero_entries(doc_ids, id_rank),
+        zero_entries=zero_entries,
         vocabulary=vocab,
         n_docs=n,
         postings_ptr=ptr,
@@ -138,17 +138,19 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     )
 
 
-def _zero_entries(ids: np.ndarray, id_rank: np.ndarray) -> tuple[tuple[str, float], ...]:
-    """``(id, 0.0)`` for each of ``ids`` in id order, the zero block of
-    ``_ranked``; the tuples are immutable, so every ranking can share them."""
-    return tuple(zip(ids[np.argsort(id_rank)].tolist(), repeat(0.0)))
+def _ranking_columns(ids) -> tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]:
+    """What ``_ranked`` reads of the distinct ``ids``: an object array of them,
+    their ``rank_by_id`` (the tie-break) and the zero block, ``(id, 0.0)``
+    for each in id order, whose immutable tuples every ranking shares."""
+    return (np.array(ids, dtype=object), rank_by_id(ids),
+            tuple(zip(sorted(ids), repeat(0.0))))
 
 
 def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: tuple, intent: str,
             scores: np.ndarray) -> RankedList:
     """Rank as search does: scores rounded by ``round_scores``, ties by
-    ``id_rank``; ``ids`` is an object array and ``zero_entries`` its
-    ``_zero_entries``.
+    ``id_rank``; ``ids``, ``id_rank`` and ``zero_entries`` are those of
+    ``_ranking_columns``.
 
     The list is the one a lexsort of every row over the negated scores and
     the id rank gives: positives, then the rows at zero in id order, then
@@ -210,13 +212,10 @@ def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
 
 def score_bm25(idx: TermIndex, intent: str) -> RankedList:
     """Okapi BM25 with idf = ln(1 + (n - df + 0.5) / (df + 0.5))."""
-    counts = Counter(tokenize(intent))
-    q_terms = [idx.vocabulary[t] for t in counts if t in idx.vocabulary]
-    if not q_terms:
-        return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, np.zeros(idx.n_docs))
-    q_counts = np.asarray([float(counts[t]) for t in counts if t in idx.vocabulary])
+    counts = Counter(t for t in tokenize(intent) if t in idx.vocabulary)
     scores = bm25_scores(
-        np.asarray(q_terms, dtype=np.int64), q_counts,
+        np.asarray([idx.vocabulary[t] for t in counts], dtype=np.int64),
+        np.asarray(list(counts.values()), dtype=np.float64),
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
         idx.bm25_idf, idx.bm25_norm, idx.n_docs, BM25_K1,
     )
@@ -373,9 +372,7 @@ def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
     norms = np.fromiter(map(np.linalg.norm, dvecs), dtype=np.float64, count=len(dvecs))
     rows = np.flatnonzero(norms > 0)
     dvecs, dn = [dvecs[i] for i in rows.tolist()], norms[rows]
-    ids = np.array(lib.artifact_ids, dtype=object)
-    id_rank = rank_by_id(lib.artifact_ids)
-    zero_entries = _zero_entries(ids, id_rank)
+    ids, id_rank, zero_entries = _ranking_columns(lib.artifact_ids)
 
     def score(intent: str) -> RankedList:
         qvec = _avg_vector(table, intent)

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
-from semtree.checks import check_integer
+from semtree.checks import check_integer, check_real
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
@@ -324,7 +324,8 @@ def build_tree(
     """
     # numpy's generators take no negative seed
     target_dim, seed = check_integer("target_dim", target_dim, 1), check_integer("seed", seed, 0)
-    if isinstance(soft_threshold, bool) or not 0 < soft_threshold <= 1:  # NaN fails too
+    soft_threshold = check_real("soft_threshold", soft_threshold)  # a Python float, for the header
+    if not 0 < soft_threshold <= 1:
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 

@@ -158,6 +158,62 @@ def test_silhouette_well_separated_families_positive(hashed_embedder):
     assert silhouette(tree, 1) > 0.0
 
 
+def test_silhouette_counts_a_shared_child_once_per_parent():
+    # L0-2 sits under both parents, as a soft assignment can place it
+    vectors = [(1.0, 0.1, 0.0), (0.9, 0.2, 0.1), (0.5, 0.5, 0.2), (0.1, 1.0, 0.0),
+               (0.0, 0.8, 0.3), (0.3, 0.2, 1.0)]
+    nodes = [{"id": f"L0-{i}"} for i in range(len(vectors))]
+    nodes += [{"id": "L1-0", "level": 1, "children": ("L0-0", "L0-1", "L0-2")},
+              {"id": "L1-1", "level": 1, "children": ("L0-2", "L0-3", "L0-4", "L0-5")}]
+    t = TreeIndex(**columns(nodes), roots=("L1-0", "L1-1"),
+                  embeddings=[*vectors, np.ones(3), np.ones(3)])
+    assert silhouette(t, 1) == pytest.approx(silhouette_oracle(t, 1), abs=1e-9)
+
+
+def silhouette_fsum(t, level):
+    """Reference that does not cancel: the distance of two unit rows is half
+    their squared difference, and every sum is taken by ``math.fsum``."""
+    ptr = t.child_ptr
+    parents = sorted((r for r, lvl in enumerate(t.levels) if lvl == level and ptr[r + 1] > ptr[r]),
+                     key=t.ids.__getitem__)
+    clusters = [[t.embeddings[c] / np.linalg.norm(t.embeddings[c])
+                 for c in t.child_rows[ptr[r]:ptr[r + 1]]] for r in parents]
+
+    def mean_dist(vec, members, count):
+        return math.fsum(0.5 * math.fsum((vec - o) ** 2) for o in members) / count
+
+    values = []
+    for ci, members in enumerate(clusters):
+        for vec in members:
+            if len(members) == 1:
+                values.append(0.0)
+                continue
+            a = mean_dist(vec, members, len(members) - 1)  # its own term is exactly 0
+            b = min(mean_dist(vec, other, len(other))
+                    for cj, other in enumerate(clusters) if cj != ci)
+            values.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
+    return math.fsum(values) / len(values)
+
+
+@pytest.mark.parametrize("separation", [1e-2, 1e-4])
+@pytest.mark.parametrize("jitter", [1e-4, 1e-6, 1e-8])
+def test_silhouette_of_nearly_parallel_clusters_matches_an_exact_sum(jitter, separation):
+    # Three clusters in dim 8, two of whose directions are ``separation``
+    # apart; rows are scaled by U(0.5, 2) and jittered by ``jitter``, so
+    # 1 - cos of two rows loses most of its digits to cancellation.
+    rng = np.random.default_rng([round(-math.log10(jitter)), round(-math.log10(separation))])
+    for _ in range(5):
+        first = rng.normal(size=8)
+        first /= np.linalg.norm(first)
+        step = rng.normal(size=8)
+        step -= step.dot(first) * first
+        directions = (first, first + separation * step / np.linalg.norm(step), rng.normal(size=8))
+        clusters = [[rng.uniform(0.5, 2.0) * (d / np.linalg.norm(d) + jitter * rng.normal(size=8))
+                     for _ in range(rng.integers(2, 40))] for d in directions]
+        t = manual_tree(clusters)
+        assert abs(silhouette(t, 1) - silhouette_fsum(t, 1)) < 1e-11
+
+
 # --- benchmark runs -------------------------------------------------------
 
 @pytest.fixture(scope="module")

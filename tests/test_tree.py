@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -96,6 +97,24 @@ def test_build_rejects_a_bool_soft_threshold(hashed_embedder):
     lib = library(("a", "a", "json"), ("b", "b", "yaml"))
     with pytest.raises(ValueError, match="soft_threshold"):
         build_tree(lib, hashed_embedder, soft_threshold=True)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, "0.3"])
+def test_build_rejects_a_threshold_that_is_not_a_finite_real(hashed_embedder, threshold):
+    lib = library(("a", "a", "json"), ("b", "b", "yaml"))
+    with pytest.raises(ValueError, match="soft_threshold"):
+        build_tree(lib, hashed_embedder, soft_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [np.float32(0.3), np.float64(0.3)])
+def test_build_takes_a_numpy_float_threshold(family_library, hashed_embedder, tmp_path,
+                                             threshold):
+    # recorded in the header as the plain JSON number of the same value
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_tree(build_tree(family_library, hashed_embedder, soft_threshold=threshold), p1)
+    save_tree(build_tree(family_library, hashed_embedder, soft_threshold=float(threshold)), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert load_tree(p1).config["cluster"]["soft_threshold"] == float(threshold)
 
 
 def test_build_takes_numpy_integer_settings(family_library, hashed_embedder, tmp_path):
