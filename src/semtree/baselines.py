@@ -59,9 +59,9 @@ class TermIndex:
 
     doc_ids: np.ndarray  # object array, catalog order
     id_rank: np.ndarray  # rank_by_id(doc_ids), the tie-break
-    # (id, 0.0) per document in id order: the zero block every ranking
-    # slices, so a query makes tuples only for its nonzero rows
-    zero_entries: tuple[tuple[str, float], ...]
+    # (id, 0.0) per document in id order, read-only: the zero block every
+    # ranking gathers, so a query makes tuples only for its nonzero rows
+    zero_entries: np.ndarray
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
     n_docs: int
     # Term-major (CSC) postings, the one term-document representation:
@@ -138,15 +138,17 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     )
 
 
-def _ranking_columns(ids) -> tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]:
+def _ranking_columns(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``_ranked`` reads of the distinct ``ids``: an object array of them,
-    their ``rank_by_id`` (the tie-break) and the zero block, ``(id, 0.0)``
-    for each in id order, whose immutable tuples every ranking shares."""
-    return (np.array(ids, dtype=object), rank_by_id(ids),
-            tuple(zip(sorted(ids), repeat(0.0))))
+    their ``rank_by_id`` (the tie-break) and the zero block, a read-only
+    object array of ``(id, 0.0)`` for each in id order, whose immutable
+    tuples every ranking shares."""
+    zero_entries = np.fromiter(zip(sorted(ids), repeat(0.0)), dtype=object, count=len(ids))
+    zero_entries.flags.writeable = False
+    return np.array(ids, dtype=object), rank_by_id(ids), zero_entries
 
 
-def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: tuple, intent: str,
+def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: np.ndarray, intent: str,
             scores: np.ndarray) -> RankedList:
     """Rank as search does: scores rounded by ``round_scores``, ties by
     ``id_rank``; ``ids``, ``id_rank`` and ``zero_entries`` are those of
@@ -155,28 +157,30 @@ def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: tuple, intent: s
     The list is the one a lexsort of every row over the negated scores and
     the id rank gives: positives, then the rows at zero in id order, then
     negatives, then NaNs in id order.  Most rows of a lexical ranking are
-    +0.0 once rounded, so only the other rows are sorted.  The zero block
-    is ``zero_entries`` less the sorted rows, taken as the slices between
-    their id ranks, so it makes no tuple; a -0.0 row keeps its sign at its
-    id position there.  The list is new on every call; only the tuples are
-    shared.
+    +0.0, which rounding leaves as it is, so only the other rows are
+    rounded, and only those that are not zero once rounded are sorted.
+    The zero block is ``zero_entries`` gathered at every id rank but
+    theirs, so it makes no tuple; a -0.0 row keeps its sign at its id rank
+    in a copy of the array.  The list is new on every call; only the
+    tuples are shared.
     """
-    scores = round_scores(scores)
     rows = np.flatnonzero(scores.view(np.int64))  # +0.0 is the one all-zero bit pattern
-    rows = rows[np.lexsort((id_rank[rows], -scores[rows]))]
-    ranked = scores[rows]
+    rounded = round_scores(scores[rows])  # elementwise, so the same as rounding every row
+    zero = rounded == 0
+    signed = rows[zero & np.signbit(rounded)]
+    if len(signed):
+        zero_entries = zero_entries.copy()
+        for at, aid in zip(id_rank[signed].tolist(), ids[signed].tolist()):
+            zero_entries[at] = (aid, -0.0)
+    rows, rounded = rows[~zero], rounded[~zero]
+    order = np.lexsort((id_rank[rows], -rounded))
+    rows, ranked = rows[order], rounded[order]
     pos = np.count_nonzero(ranked > 0)
-    neg = pos + np.count_nonzero(ranked == 0)  # rows[pos:neg] are the -0.0 rows
-    cut = np.sort(id_rank[np.concatenate((rows[:pos], rows[neg:]))])
+    keep = np.ones(len(ids), dtype=bool)
+    keep[id_rank[rows]] = False
     entries = list(zip(ids[rows[:pos]].tolist(), ranked[:pos].tolist()))
-    entries += chain.from_iterable(map(zero_entries.__getitem__,
-                                       map(slice, np.append(0, cut + 1).tolist(),
-                                           np.append(cut, len(ids)).tolist())))
-    signed = id_rank[rows[pos:neg]]
-    for at, aid in zip((pos + signed - np.searchsorted(cut, signed)).tolist(),
-                       ids[rows[pos:neg]].tolist()):
-        entries[at] = (aid, -0.0)
-    entries += zip(ids[rows[neg:]].tolist(), ranked[neg:].tolist())
+    entries += zero_entries[keep].tolist()
+    entries += zip(ids[rows[pos:]].tolist(), ranked[pos:].tolist())
     return RankedList(intent=intent, entries=entries)
 
 

@@ -19,11 +19,18 @@ in k order, so the chosen model and the index bytes do not depend on the
 number of workers.  Fork, not spawn, keeps the parent's module state: a
 worker calls whatever ``fit_gmm`` and kernel the parent has in place,
 and only the data, the k's and the fitted models are pickled.
+
+A build runs on one OpenBLAS thread (``one_blas_thread``): the sweep's
+workers are already one per CPU, and a second BLAS thread per process
+only contends with them.  The forked workers inherit the setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
 import logging
 import math
 import multiprocessing
@@ -40,6 +47,47 @@ VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-4  # convergence: absolute log-likelihood change per iteration
 EM_MAX_ITER = 200
 BIC_RESTARTS = 3  # EM restarts per candidate k in select_k_bic
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the scipy-openblas that numpy
+    has already loaded (opened with ``RTLD_NOLOAD``, so never a second
+    copy), or None, logged once at debug level, where there is no such
+    library or symbol: another BLAS, or a platform other than Linux."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    logger.debug("no loaded scipy-openblas thread setter; builds keep the BLAS's threads")
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, the function) on one OpenBLAS
+    thread and restore the previous count when it ends or raises.  The
+    count is the process's, so other threads' BLAS calls share it.  Where
+    ``_openblas_threads`` finds no setter this does nothing."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def reduce(X: np.ndarray, target_dim: int) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.checks import check_integer, check_real
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
-from semtree.cluster import fit_gmm, reduce, select_k_bic, soft_assign
+from semtree.cluster import fit_gmm, one_blas_thread, reduce, select_k_bic, soft_assign
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 4
@@ -305,6 +305,7 @@ def expand_beam(t: TreeIndex, kept: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+@one_blas_thread()
 def build_tree(
     lib: ArtifactLibrary,
     embedder,
@@ -320,7 +321,8 @@ def build_tree(
     and a node joins every cluster with at least ``soft_threshold``
     responsibility.  ``summarizer`` is a chat client (or None for the
     offline extractive summarizer).  With offline providers and a fixed
-    seed the result is a pure function of (library, config).
+    seed the result is a pure function of (library, config).  The build
+    runs on one BLAS thread (``one_blas_thread``).
     """
     # numpy's generators take no negative seed
     target_dim, seed = check_integer("target_dim", target_dim, 1), check_integer("seed", seed, 0)

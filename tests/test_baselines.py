@@ -131,6 +131,16 @@ def test_term_index_equality_is_identity():
     assert (idx == build_term_index(lib)) is False
 
 
+def zero_block(ids):
+    """The zero block ``_ranked`` reads: a read-only object array of
+    ``(id, 0.0)`` for each id in id order, filled one element at a time."""
+    block = np.empty(len(ids), dtype=object)
+    for at, aid in enumerate(sorted(ids)):
+        block[at] = (aid, 0.0)
+    block.flags.writeable = False
+    return block
+
+
 def counter_term_index(lib):
     """The term index built one document at a time with a Counter, postings
     ordered by a stable argsort of their terms: the oracle of the bulk
@@ -161,7 +171,7 @@ def counter_term_index(lib):
     avgdl = float(np.mean(doc_len)) or 1.0
     return TermIndex(
         doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids),
-        zero_entries=tuple((i, 0.0) for i in sorted(ids)), vocabulary=vocab,
+        zero_entries=zero_block(ids), vocabulary=vocab,
         n_docs=n, postings_ptr=ptr,
         postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
         bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
@@ -181,7 +191,8 @@ def assert_same_term_index(got, want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert type(a) is type(b), f.name
         if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape,
+                                                             b.flags.writeable), f.name
             if b.dtype == object:
                 assert a.tolist() == b.tolist(), f.name
             else:
@@ -629,7 +640,7 @@ RANKED_CASES = [
 def test_ranked_matches_the_reference_rule(ids, scores):
     rounded = round_scores(np.asarray(scores))
     got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  tuple((i, 0.0) for i in sorted(ids)), "x", np.asarray(scores))
+                  zero_block(ids), "x", np.asarray(scores))
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -641,7 +652,7 @@ def test_ranked_matches_the_reference_rule_on_random_ties():
     scores = rng.integers(-3, 4, size=len(ids)) / 4 + rng.normal(scale=1e-14, size=len(ids))
     rounded = round_scores(scores)
     got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  tuple((i, 0.0) for i in sorted(ids)), "x", scores)
+                  zero_block(ids), "x", scores)
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -659,7 +670,7 @@ def lexsort_ranked(ids, id_rank, intent, scores):
 @pytest.mark.parametrize("ids, scores", RANKED_CASES)
 def test_ranked_equals_the_full_lexsort(ids, scores):
     ids_arr, id_rank, scores = np.array(ids, dtype=object), rank_by_id(ids), np.asarray(scores)
-    got = _ranked(ids_arr, id_rank, tuple((i, 0.0) for i in sorted(ids)), "x", scores)
+    got = _ranked(ids_arr, id_rank, zero_block(ids), "x", scores)
     want = lexsort_ranked(ids_arr, id_rank, "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
@@ -673,7 +684,7 @@ def test_ranked_equals_the_full_lexsort_on_random_mixes(seed):
     scores = pool[rng.integers(0, len(pool), size=len(ids))]
     scores[rng.random(len(ids)) < 0.6] = 0.0  # mostly +0.0, as in a lexical ranking
     ids_arr, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
-    got = _ranked(ids_arr, id_rank, tuple((i, 0.0) for i in sorted(ids)), "x", scores)
+    got = _ranked(ids_arr, id_rank, zero_block(ids), "x", scores)
     want = lexsort_ranked(ids_arr, id_rank, "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
@@ -765,7 +776,8 @@ def test_ranked_lists_belong_to_their_caller(tmp_path):
     lib = _unsorted_lib(ODD_DOCS, ODD_IDS)
     idx = build_term_index(lib)
     zero_entries = idx.zero_entries
-    assert zero_entries == tuple((aid, 0.0) for aid in sorted(ODD_IDS))
+    assert not zero_entries.flags.writeable
+    assert zero_entries.tolist() == [(aid, 0.0) for aid in sorted(ODD_IDS)]
     table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=2)
     scorers = [lambda q, f=f: f(idx, q) for f in (score_tfidf, score_bm25, score_lsi, score_jsd)]
     for scorer in scorers + [wordavg_scorer(table, lib)]:
@@ -776,7 +788,7 @@ def test_ranked_lists_belong_to_their_caller(tmp_path):
             got.entries.append(("appended", 2.0))
             got.entries.sort(reverse=True)
             assert idx.zero_entries is zero_entries
-            assert zero_entries == tuple((aid, 0.0) for aid in sorted(ODD_IDS))
+            assert zero_entries.tolist() == [(aid, 0.0) for aid in sorted(ODD_IDS)]
             assert entry_bits(scorer(intent).entries) == want
 
 

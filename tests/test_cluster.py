@@ -363,6 +363,89 @@ def test_a_daemonic_process_builds_the_same_bytes(hashed_embedder, tmp_path, mon
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
 
 
+# --- one BLAS thread per build --------------------------------------------
+
+@pytest.fixture()
+def blas_threads():
+    """The BLAS thread count getter, with the count set to 2 for the test
+    and put back after it."""
+    threads = cluster._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy has no loaded scipy-openblas thread setter")
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+class ThreadRecordingEmbedder:
+    """Notes the BLAS thread count at each ``embed`` call, then embeds with
+    ``inner``, or raises when there is none."""
+
+    def __init__(self, get_threads, inner=None):
+        self.get_threads, self.inner, self.seen = get_threads, inner, []
+
+    def embed(self, texts):
+        self.seen.append(self.get_threads())
+        if self.inner is None:
+            raise RuntimeError("embedder down")
+        return self.inner.embed(texts)
+
+
+def test_a_build_runs_on_one_blas_thread_and_restores_the_count(blas_threads,
+                                                                hashed_embedder):
+    embedder = ThreadRecordingEmbedder(blas_threads, hashed_embedder)
+    build_tree(make_family_library(n_families=4, per_family=10, seed=1), embedder, seed=0)
+    assert len(embedder.seen) > 1 and set(embedder.seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_a_build_that_raises_restores_the_blas_thread_count(blas_threads):
+    embedder = ThreadRecordingEmbedder(blas_threads)
+    with pytest.raises(RuntimeError, match="embedder down"):
+        build_tree(make_family_library(n_families=4, per_family=10, seed=1), embedder, seed=0)
+    assert embedder.seen == [1]
+    assert blas_threads() == 2
+
+
+def test_forked_sweep_workers_inherit_one_blas_thread(blas_threads, hashed_embedder,
+                                                      monkeypatch):
+    set_cpus(monkeypatch, 2)
+
+    def one_thread_fit(data, k, seed, *, n_init=1):
+        assert os.getpid() != parent, f"k={k} fitted in process"
+        assert blas_threads() == 1, f"k={k} on {blas_threads()} BLAS threads"
+        return fit_gmm(data, k, seed, n_init=n_init)
+
+    parent = os.getpid()
+    monkeypatch.setattr(cluster, "fit_gmm", one_thread_fit)
+    build_tree(make_family_library(n_families=15, per_family=20, seed=12), hashed_embedder,
+               seed=0)
+    assert blas_threads() == 2
+
+
+def test_a_build_without_the_blas_setter_writes_the_same_bytes(hashed_embedder, tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setattr(cluster, "_openblas_threads", lambda: None)
+    path = tmp_path / "index.json"
+    build_into(hashed_embedder, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
+
+
+def test_a_missing_blas_setter_is_logged_once(monkeypatch, caplog):
+    monkeypatch.setattr(cluster.glob, "glob", lambda pattern: [])
+    cluster._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level("DEBUG", logger="semtree.cluster"):
+            for _ in range(2):
+                with cluster.one_blas_thread():
+                    pass
+    finally:
+        cluster._openblas_threads.cache_clear()
+    assert [r.levelname for r in caplog.records] == ["DEBUG"]
+
+
 # --- soft_assign ----------------------------------------------------------
 
 def test_rows_stochastic_and_memberships_valid():
