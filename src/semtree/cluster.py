@@ -17,8 +17,11 @@ per CPU in the process's affinity mask, so ``taskset`` limits it.  Each
 k is fitted the same way whatever process runs it and the curve is read
 in k order, so the chosen model and the index bytes do not depend on the
 number of workers.  Fork, not spawn, keeps the parent's module state: a
-worker calls whatever ``fit_gmm`` and kernel the parent has in place,
-and only the data, the k's and the fitted models are pickled.
+worker calls whatever ``fit_gmm`` and kernel the parent had in place
+when it was forked, and only the data, the k's and the fitted models
+are pickled.  A build forks its workers once, at the first sweep that
+needs them, and every later level's sweep reuses them (``SweepPool``);
+``select_k_bic`` called on its own forks a pool for that call only.
 
 A build runs on one OpenBLAS thread (``one_blas_thread``): the sweep's
 workers are already one per CPU, and a second BLAS thread per process
@@ -177,6 +180,7 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, n_init: int = 1) -> GmmModel
     variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (n_init, k, 1))
     weights = np.full((n_init, k), 1.0 / k)
     moments_of = np.hstack([X, X * X])  # the M-step's one matmul operand
+    moments_t = np.ascontiguousarray(moments_of.T)  # the E-step's, laid out once
 
     live = np.arange(n_init)  # the restart each stack row holds
     prev_ll = np.full(n_init, -np.inf)
@@ -194,7 +198,8 @@ def fit_gmm(data: np.ndarray, k: int, seed: int, *, n_init: int = 1) -> GmmModel
     work = np.empty((n_init, k, n))
     for _ in range(EM_MAX_ITER):
         resp, log_norm = _normalize(weighted_log_prob(X, means, variances, np.log(weights),
-                                                      out=work[:len(live)]))
+                                                      out=work[:len(live)],
+                                                      moments_t=moments_t))
         ll = log_norm.sum(axis=-1)
         for i, r in enumerate(live):
             if ll[i] + 1e-8 < prev_ll[i]:
@@ -237,14 +242,42 @@ def _fit_candidate(X: np.ndarray, seed: int, k: int) -> GmmModel:
     return fit_gmm(X, k, seed, n_init=BIC_RESTARTS)
 
 
-def select_k_bic(data: np.ndarray, k_range: range,
-                 seed: int) -> tuple[GmmModel, list[tuple[int, float]]]:
+class SweepPool:
+    """Forked workers for BIC sweeps: forked by the first sweep that needs
+    them, as many as its workers, and reused by every later sweep until
+    the pool is closed, which terminates and joins them.  A context
+    manager that closes the pool when its block ends or raises."""
+
+    def __init__(self):
+        self._pool = None
+
+    def imap(self, fit, ks: list[int], workers: int):
+        if self._pool is None:
+            self._pool = multiprocessing.get_context("fork").Pool(workers)
+        return self._pool.imap(fit, ks)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+    def __enter__(self) -> SweepPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def select_k_bic(data: np.ndarray, k_range: range, seed: int,
+                 pool: SweepPool | None = None) -> tuple[GmmModel, list[tuple[int, float]]]:
     """Fit one GMM per candidate k and return the BIC minimizer plus the curve.
 
-    With more than one CPU the fits run in a forked pool that lives only
-    for this call, largest k first so that the longest fits start early.
-    A daemonic process may not have children, so there, as on one CPU,
-    they run in this process.
+    With more than one CPU the fits run in forked workers, largest k
+    first so that the longest fits start early: those of ``pool`` (a
+    build's, kept across its levels) or else a pool that lives only for
+    this call.  A daemonic process may not have children, so there, as
+    on one CPU, they run in this process.
     """
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
@@ -257,8 +290,8 @@ def select_k_bic(data: np.ndarray, k_range: range,
         fits = dict(zip(candidates, map(fit, candidates)))
     else:
         largest_first = sorted(candidates, reverse=True)
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            fits = dict(zip(largest_first, pool.imap(fit, largest_first)))
+        with SweepPool() if pool is None else contextlib.nullcontext(pool) as sweep:
+            fits = dict(zip(largest_first, sweep.imap(fit, largest_first, workers)))
     curve: list[tuple[int, float]] = []
     best: GmmModel | None = None
     best_bic = math.inf

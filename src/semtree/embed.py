@@ -7,12 +7,18 @@ cosine similarity reduces to a dot product.
 
 The offline provider keeps each token's hashed buckets and signs in a
 process-wide LRU memo of ``TOKEN_MEMO_SIZE`` tokens, keyed by token,
-dimension and seed, since intents repeat their words.  The memo only
-saves hashing: vectors are the same with or without it.
+dimension and seed, since intents repeat their words.  A build can
+embed more distinct tokens than that, most of them twice, so inside
+``token_scope()`` (which ``build_tree`` enters) every token's terms are
+also kept, per dimension and seed, until the scope ends: each is looked
+up there first, then in the LRU, and hashed at most once per scope.
+The memos only save hashing: vectors are the same with or without them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import hashlib
 import math
@@ -89,8 +95,37 @@ def _token_terms(token: str, dim: int, seed: int) -> tuple[tuple[int, ...], tupl
     return tuple((h >> 1) % dim for h in hashes), tuple(1.0 if h & 1 else -1.0 for h in hashes)
 
 
-def _hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
-    """Signed hashing of tokens and their character trigrams into buckets.
+class _ScopeTerms(dict):
+    """A token scope's terms for one dimension and seed, by token; a token
+    not yet here is looked up in the LRU (and hashed there if absent)."""
+
+    def __init__(self, dim: int, seed: int):
+        super().__init__()
+        self.dim, self.seed = dim, seed
+
+    def __missing__(self, token: str):
+        terms = self[token] = _token_terms(token, self.dim, self.seed)
+        return terms
+
+
+# The open token scope's _ScopeTerms by (dim, seed), or None outside one.
+_scope: contextvars.ContextVar[dict | None] = contextvars.ContextVar("token_scope",
+                                                                    default=None)
+
+
+@contextlib.contextmanager
+def token_scope():
+    """Keep every token's hashed terms until the block ends or raises."""
+    reset = _scope.set({})
+    try:
+        yield
+    finally:
+        _scope.reset(reset)
+
+
+def _hashed_embed(text: str, dim: int, seed: int, memo: _ScopeTerms | None = None) -> np.ndarray:
+    """Signed hashing of tokens and their character trigrams into buckets,
+    each token's terms read from ``memo`` when given, else from the LRU.
 
     Each bucket's sum is a small integer, so it is exact in any order, and
     the per-token memo gives the same vector as hashing every feature anew.
@@ -98,7 +133,7 @@ def _hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
     buckets: list[int] = []
     signs: list[float] = []
     for tok in tokenize(text):
-        b, s = _token_terms(tok, dim, seed)
+        b, s = _token_terms(tok, dim, seed) if memo is None else memo[tok]
         buckets += b
         signs += s
     return l2_normalize(np.bincount(buckets, weights=signs, minlength=dim))
@@ -113,7 +148,10 @@ class HashedEmbedder:
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("no texts to embed")
-        rows = [_hashed_embed(t, self.cfg.dim, self.cfg.seed) for t in texts]
+        dim, seed = self.cfg.dim, self.cfg.seed
+        scope = _scope.get()
+        memo = None if scope is None else scope.setdefault((dim, seed), _ScopeTerms(dim, seed))
+        rows = [_hashed_embed(t, dim, seed, memo) for t in texts]
         return rows[0][None] if len(rows) == 1 else np.stack(rows)  # a query skips the copy
 
 

@@ -39,7 +39,9 @@ import numpy as np
 from semtree.catalog import ArtifactLibrary
 from semtree.checks import check_integer, check_real
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
-from semtree.cluster import fit_gmm, one_blas_thread, reduce, select_k_bic, soft_assign
+from semtree.cluster import (SweepPool, fit_gmm, one_blas_thread, reduce, select_k_bic,
+                             soft_assign)
+from semtree.embed import token_scope
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 4
@@ -322,7 +324,9 @@ def build_tree(
     responsibility.  ``summarizer`` is a chat client (or None for the
     offline extractive summarizer).  With offline providers and a fixed
     seed the result is a pure function of (library, config).  The build
-    runs on one BLAS thread (``one_blas_thread``).
+    runs on one BLAS thread (``one_blas_thread``), in one ``token_scope``,
+    and its levels' BIC sweeps share one ``SweepPool``, whose workers are
+    gone when the build returns or raises.
     """
     # numpy's generators take no negative seed
     target_dim, seed = check_integer("target_dim", target_dim, 1), check_integer("seed", seed, 0)
@@ -331,48 +335,49 @@ def build_tree(
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
-    blocks = [embedder.embed(list(lib.descriptions))]  # one per level, rows in node order
-    n = len(lib)
-    columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
-               "kinds": ["leaf"] * n, "names": list(lib.names),
-               "summaries": list(lib.descriptions), "artifact_ids": list(lib.artifact_ids),
-               "children": [()] * n}
+    with token_scope(), SweepPool() as pool:
+        blocks = [embedder.embed(list(lib.descriptions))]  # one per level, rows in node order
+        n = len(lib)
+        columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
+                   "kinds": ["leaf"] * n, "names": list(lib.names),
+                   "summaries": list(lib.descriptions), "artifact_ids": list(lib.artifact_ids),
+                   "children": [()] * n}
 
-    level, first = 0, 0  # the top level is the rows from ``first`` on
-    while True:
-        n = len(columns["ids"]) - first
-        layers = level + 1
-        if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
-            break
-        reduced = reduce(blocks[-1], target_dim)
-        upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
-        # a level of two nodes can only take k = 1: both merge into one parent
-        model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed)
-        assignment = soft_assign(model, reduced, soft_threshold)
+        level, first = 0, 0  # the top level is the rows from ``first`` on
+        while True:
+            n = len(columns["ids"]) - first
+            layers = level + 1
+            if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
+                break
+            reduced = reduce(blocks[-1], target_dim)
+            upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
+            # a level of two nodes can only take k = 1: both merge into one parent
+            model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed, pool)
+            assignment = soft_assign(model, reduced, soft_threshold)
 
-        clusters: list[list[int]] = [[] for _ in range(model.k)]  # positions in the level
-        for i, picked in enumerate(assignment.memberships):
-            for c in picked:
-                clusters[c].append(i)
-        clusters = [c for c in clusters if c]
+            clusters: list[list[int]] = [[] for _ in range(model.k)]  # positions in the level
+            for i, picked in enumerate(assignment.memberships):
+                for c in picked:
+                    clusters[c].append(i)
+            clusters = [c for c in clusters if c]
 
-        # Each node's "name: summary" text and its row; above the leaves the
-        # block is those rows, since FeatureSummary.format() made the same texts.
-        texts = [f"{name}: {summary}" for name, summary
-                 in zip(columns["names"][first:], columns["summaries"][first:])]
-        rows = blocks[-1] if level else embedder.embed(texts)
-        level += 1
-        features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
-                    for c in clusters]
-        blocks.append(embedder.embed([f.format() for f in features]))
-        below, first, k = columns["ids"][first:], len(columns["ids"]), len(clusters)
-        columns["ids"] += [f"L{level}-{ordinal}" for ordinal in range(k)]
-        columns["levels"] += [level] * k
-        columns["kinds"] += ["internal"] * k
-        columns["names"] += [f.name for f in features]
-        columns["summaries"] += [f.description for f in features]
-        columns["artifact_ids"] += [None] * k
-        columns["children"] += [tuple(below[i] for i in c) for c in clusters]
+            # Each node's "name: summary" text and its row; above the leaves the
+            # block is those rows, since FeatureSummary.format() made the same texts.
+            texts = [f"{name}: {summary}" for name, summary
+                     in zip(columns["names"][first:], columns["summaries"][first:])]
+            rows = blocks[-1] if level else embedder.embed(texts)
+            level += 1
+            features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
+                        for c in clusters]
+            blocks.append(embedder.embed([f.format() for f in features]))
+            below, first, k = columns["ids"][first:], len(columns["ids"]), len(clusters)
+            columns["ids"] += [f"L{level}-{ordinal}" for ordinal in range(k)]
+            columns["levels"] += [level] * k
+            columns["kinds"] += ["internal"] * k
+            columns["names"] += [f.name for f in features]
+            columns["summaries"] += [f.description for f in features]
+            columns["artifact_ids"] += [None] * k
+            columns["children"] += [tuple(below[i] for i in c) for c in clusters]
 
     return TreeIndex(
         **columns,

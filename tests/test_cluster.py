@@ -344,6 +344,80 @@ def test_a_fault_in_a_worker_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class ForkCounter:
+    """Stands in for ``multiprocessing.get_context``: counts the fork pools made."""
+
+    def __init__(self):
+        self.pools, self.fork = 0, multiprocessing.get_context("fork")
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, workers):
+        self.pools += 1
+        return self.fork.Pool(workers)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    counter = ForkCounter()
+    monkeypatch.setattr(cluster.multiprocessing, "get_context", counter)
+    return counter
+
+
+def test_a_lone_sweep_forks_a_pool_for_its_call_only(forks, monkeypatch):
+    X, _ = three_blob_data(seed=0)
+    set_cpus(monkeypatch, 2)
+    for calls in (1, 2):
+        select_k_bic(X, range(2, 6), seed=0)
+        assert forks.pools == calls
+        assert multiprocessing.active_children() == []
+
+
+def test_a_build_forks_one_pool_for_all_its_sweeps(forks, hashed_embedder, tmp_path,
+                                                   monkeypatch):
+    import semtree.tree as tree_mod
+
+    set_cpus(monkeypatch, 2)
+    sweeps = []
+    sweep = tree_mod.select_k_bic
+    monkeypatch.setattr(tree_mod, "select_k_bic",
+                        lambda X, ks, seed, pool: sweeps.append(len(ks))
+                        or sweep(X, ks, seed, pool))
+    path = tmp_path / "index.json"
+    build_into(hashed_embedder, path)
+    assert len(sweeps) == 2 and min(sweeps) >= 2  # both levels sweep in workers
+    assert forks.pools == 1
+    assert multiprocessing.active_children() == []
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_GATE_SHA256
+
+
+def test_a_build_without_a_sweep_forks_nothing(forks, hashed_embedder, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    index = build_tree(make_family_library(n_families=2, per_family=5, seed=1),
+                       hashed_embedder, seed=0)
+    assert index.top_level == 0
+    assert forks.pools == 0
+
+
+def fault_above_the_leaves(data, k, seed, *, n_init=1):
+    if len(data) < 100:  # the level-1 sweep of build_into's 300 leaves
+        raise SweepFault(f"level 1, k={k} in process {os.getpid()}")
+    return fit_gmm(data, k, seed, n_init=n_init)
+
+
+def test_a_fault_in_a_level_1_worker_ends_the_build_and_its_pool(forks, hashed_embedder,
+                                                                 tmp_path, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cluster, "fit_gmm", fault_above_the_leaves)
+    with pytest.raises(SweepFault, match="level 1, k=") as raised:
+        build_into(hashed_embedder, tmp_path / "index.json")
+    assert not raised.value.args[0].endswith(f"in process {os.getpid()}")  # in a worker
+    assert forks.pools == 1
+    assert multiprocessing.active_children() == []
+
+
 def build_into(embedder, path):
     lib = make_family_library(n_families=15, per_family=20, seed=12)
     save_tree(build_tree(lib, embedder, seed=0), path)

@@ -16,7 +16,9 @@ from semtree.embed import (
     _hashed_embed,
     _token_terms,
     l2_normalize,
+    token_scope,
 )
+from semtree import embed
 
 
 def reference_hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
@@ -78,6 +80,78 @@ def test_token_memo_stays_within_its_bound():
     assert _token_terms.cache_info().currsize <= TOKEN_MEMO_SIZE
     assert (embedder.embed([tokens[0]])[0].tobytes()
             == reference_hashed_embed(tokens[0], 16, 0).tobytes())
+
+
+SCOPE_TEXTS = ["parse json files with retries", "", "!!!", "go go go go go",
+               "Grüße, naïve café — 漢字 ЖЖ", "json json yaml json", "JSON Parse",
+               "a" * 40 + " " + "0123456789" * 4]
+
+
+def test_rows_in_a_token_scope_match_the_reference():
+    # Every text twice, the second time read from the scope; then a batch
+    # with more distinct tokens than the LRU holds, twice.
+    wide = [" ".join(f"w{i}x{j}" for j in range(10)) for i in range(TOKEN_MEMO_SIZE // 10 + 50)]
+    embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
+    for batch in (SCOPE_TEXTS, SCOPE_TEXTS[::-1], wide, wide):
+        want = [reference_hashed_embed(t, 64, 5).tobytes() for t in batch]
+        outside = embedder.embed(batch)
+        with token_scope():
+            inside = [embedder.embed(batch), embedder.embed(batch)]
+            inside.append(np.stack([embedder.embed([t])[0] for t in batch]))
+        assert [row.tobytes() for row in outside] == want
+        for rows in inside:
+            assert [row.tobytes() for row in rows] == want
+
+
+def test_a_token_scope_hashes_each_token_once(monkeypatch):
+    calls = []
+
+    def counted(token, dim, seed):
+        calls.append((token, dim, seed))
+        return _token_terms(token, dim, seed)
+
+    monkeypatch.setattr(embed, "_token_terms", counted)
+    embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
+    with token_scope():
+        for _ in range(3):
+            embedder.embed(SCOPE_TEXTS)
+        embedder.embed([SCOPE_TEXTS[0]])
+    tokens = {tok for text in SCOPE_TEXTS for tok in embed.tokenize(text)}
+    assert sorted(calls) == sorted((tok, 64, 5) for tok in tokens)
+    calls.clear()
+    embedder.embed(SCOPE_TEXTS[:1])  # outside a scope, each token goes to the LRU
+    assert calls == [(tok, 64, 5) for tok in embed.tokenize(SCOPE_TEXTS[0])]
+
+
+def test_embedders_in_one_token_scope_share_no_entries():
+    texts = ["parse json files", "json schema", "parse yaml", "files json parse"]
+    configs = [(64, 1), (32, 1), (64, 2), (32, 2)]
+    embedders = [HashedEmbedder(EmbedderConfig(dim=d, seed=s)) for d, s in configs]
+    with token_scope():
+        for text in texts:  # interleaved, so each token is kept under every setting
+            for (dim, seed), embedder in zip(configs, embedders):
+                got = embedder.embed([text, text])
+                assert got[1].tobytes() == reference_hashed_embed(text, dim, seed).tobytes()
+        scope = embed._scope.get()
+        assert sorted(scope) == sorted(configs)
+        for (dim, seed), terms in scope.items():
+            assert (terms.dim, terms.seed) == (dim, seed)
+            assert all(terms[tok] == _token_terms(tok, dim, seed) for tok in terms)
+
+
+def test_a_token_scope_ends_when_its_block_ends_or_raises():
+    assert embed._scope.get() is None
+    with token_scope():
+        HashedEmbedder(EmbedderConfig(dim=16)).embed(["json"])
+        assert len(embed._scope.get()) == 1
+        with token_scope():  # a nested scope starts empty and leaves the outer one
+            assert embed._scope.get() == {}
+        assert len(embed._scope.get()) == 1
+    assert embed._scope.get() is None
+    with pytest.raises(RuntimeError, match="embedder down"):
+        with token_scope():
+            raise RuntimeError("embedder down")
+    assert embed._scope.get() is None
 
 
 def test_one_text_embeds_to_its_row_of_a_batch():

@@ -26,9 +26,10 @@ def loop_weighted_log_prob(X, means, variances, log_weights):
     return out
 
 
-def loop_kernel(X, means, variances, log_weights, out=None):
+def loop_kernel(X, means, variances, log_weights, out=None, *, moments_t=None):
     """The loop oracle behind the kernel's interface: each model of a
-    ``(..., k, d)`` stack in turn, transposed to component-major ``(..., k, n)``."""
+    ``(..., k, d)`` stack in turn, transposed to component-major ``(..., k, n)``.
+    It reads ``X`` itself, so the laid-out ``moments_t`` is ignored."""
     if out is None:
         out = np.empty(means.shape[:-1] + (X.shape[0],))
     for model in np.ndindex(means.shape[:-2]):
@@ -108,6 +109,52 @@ def test_stacked_models_equal_each_model_alone(seed, n, d, k):
     assert kernels.weighted_log_prob(X, means, variances, log_w, out=buffer[:3]).base is buffer
     assert buffer[:3].tobytes() == got.tobytes()
     assert np.allclose(got, loop_kernel(X, means, variances, log_w), rtol=1e-12, atol=0.0)
+
+
+def laid_out(X):
+    """``X`` and ``X²`` as the E-step's operand: the C-contiguous ``[X, X²].T``."""
+    return np.ascontiguousarray(np.hstack([X, X * X]).T)
+
+
+# (n, d, k, r): r models stacked, or None for one model, as soft_assign
+# passes; d = 10 at n = 25-999 are shapes where a GEMM on transposed views
+# and one on contiguous operands can differ in the last bit, and n = 1,000,
+# d = 10, k up to 32 with r = 3 restarts are the build's level-0 sweep.
+OPERAND_SHAPES = [(25, 10, 2, None), (250, 10, 16, 3), (333, 10, 18, 3), (500, 10, 22, 2),
+                  (999, 10, 32, 3), (1000, 10, 32, 3), (1000, 10, 9, None), (40, 6, 4, 3),
+                  (7, 17, 5, None), (50, 1, 3, 2), (300, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("n,d,k,r", OPERAND_SHAPES)
+def test_laid_out_operands_give_the_kernels_own_bytes(n, d, k, r):
+    if r is None:
+        X, means, variances, log_w = random_gmm_inputs(n, n, d, k)
+    else:
+        X, means, variances, log_w = random_stack(n, n, d, k, r)
+    own = kernels.weighted_log_prob(X, means, variances, log_w)
+    given = kernels.weighted_log_prob(X, means, variances, log_w, moments_t=laid_out(X))
+    assert given.tobytes() == own.tobytes()
+    out = np.empty(own.shape)
+    assert kernels.weighted_log_prob(X, means, variances, log_w, out,
+                                     moments_t=laid_out(X)) is out
+    assert out.tobytes() == own.tobytes()
+
+
+def test_fit_gmm_lays_out_the_kernels_operand_once(monkeypatch):
+    from semtree import cluster
+
+    seen = []
+
+    def recording(X, means, variances, log_weights, out=None, *, moments_t=None):
+        seen.append(moments_t)
+        return kernels.weighted_log_prob(X, means, variances, log_weights, out,
+                                         moments_t=moments_t)
+
+    X = random_gmm_inputs(0, 200, 10, 1)[0]
+    monkeypatch.setattr(cluster, "weighted_log_prob", recording)
+    cluster.fit_gmm(X, 6, seed=0, n_init=3)
+    assert len(seen) > 1 and all(m is seen[0] for m in seen)
+    assert seen[0].flags.c_contiguous and seen[0].tobytes() == laid_out(X).tobytes()
 
 
 def test_weighted_log_prob_cancellation_guard():

@@ -18,7 +18,8 @@ from conftest import (
     read_index,
     write_index,
 )
-from semtree.embed import EmbedderConfig, HashedEmbedder
+from semtree import embed
+from semtree.embed import EmbedderConfig, HashedEmbedder, tokenize
 from semtree.llm import CallableClient, LlmError, prompt_hash
 from semtree.search import SearchConfig, tree_search
 from semtree.tree import (
@@ -484,7 +485,8 @@ def test_a_two_node_level_merges_through_select_k_bic(hashed_embedder, monkeypat
     sweep = tree_mod.select_k_bic
     monkeypatch.setattr(tree_mod, "fit_gmm", no_fit)
     monkeypatch.setattr(tree_mod, "select_k_bic",
-                        lambda X, ks, seed: sweeps.append(list(ks)) or sweep(X, ks, seed))
+                        lambda X, ks, seed, pool: sweeps.append(list(ks))
+                        or sweep(X, ks, seed, pool))
     lib = library(
         ("a", "a", "json parsing"),
         ("b", "b", "yaml parsing"),
@@ -519,6 +521,49 @@ def test_a_build_embeds_each_level_once_and_the_leaf_summaries_once(family_libra
     for level, texts in enumerate(embedder.calls[2:], start=1):
         assert texts == [f"{n.name}: {n.summary}" for n in index.nodes.values()
                          if n.level == level]
+
+
+def test_a_build_hashes_each_distinct_token_once(hashed_embedder, monkeypatch):
+    # The build embeds the descriptions, then the "name: summary" texts
+    # that repeat them, then one block of summaries per level: each token
+    # is looked up in the LRU once, at its first use in the build.
+    calls = []
+    terms = embed._token_terms
+    monkeypatch.setattr(embed, "_token_terms",
+                        lambda *key: calls.append(key) or terms(*key))
+    embedder = CountingEmbedder(hashed_embedder)
+    index = build_tree(make_family_library(n_families=15, per_family=20, seed=12), embedder,
+                       seed=0)
+    assert index.top_level == 2
+    tokens = {tok for texts in embedder.calls for text in texts for tok in tokenize(text)}
+    cfg = hashed_embedder.cfg
+    assert len(tokens) > 1000
+    assert sorted(calls) == sorted((tok, cfg.dim, cfg.seed) for tok in tokens)
+
+
+class LevelOneDown:
+    """Embeds with ``inner``, noting whether a token scope is open, and
+    raises at the third call, the level-1 summaries of a build."""
+
+    def __init__(self, inner):
+        self.inner, self.scoped = inner, []
+
+    def embed(self, texts):
+        self.scoped.append(embed._scope.get() is not None)
+        if len(self.scoped) == 3:
+            raise RuntimeError("embedder down at level 1")
+        return self.inner.embed(texts)
+
+
+def test_a_build_drops_its_token_scope_when_it_returns_or_raises(hashed_embedder):
+    embedder = LevelOneDown(hashed_embedder)
+    lib = make_family_library(n_families=15, per_family=20, seed=12)
+    with pytest.raises(RuntimeError, match="embedder down at level 1"):
+        build_tree(lib, embedder, seed=0)
+    assert embedder.scoped == [True] * 3
+    assert embed._scope.get() is None
+    build_tree(lib, hashed_embedder, seed=0)
+    assert embed._scope.get() is None
 
 
 def test_validate_rejects_orphan_leaf(family_index):
