@@ -7,18 +7,16 @@ cosine similarity reduces to a dot product.
 
 The offline provider keeps each token's hashed buckets and signs in a
 process-wide LRU memo of ``TOKEN_MEMO_SIZE`` tokens, keyed by token,
-dimension and seed, since intents repeat their words.  A build can
-embed more distinct tokens than that, most of them twice, so inside
-``token_scope()`` (which ``build_tree`` enters) every token's terms are
-also kept, per dimension and seed, until the scope ends: each is looked
-up there first, then in the LRU, and hashed at most once per scope.
-The memos only save hashing: vectors are the same with or without them.
+dimension and seed, since intents repeat their words.  A batch can hold
+more distinct tokens than that (a build's leaf level holds ~3,300), so a
+call of several texts also keeps its tokens' terms in a dict for that
+call: each distinct token is looked up, and hashed, at most once per
+call.  A one-text call, every query, reads the LRU alone.  The memos
+only save hashing: vectors are the same with or without them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import hashlib
 import math
@@ -52,6 +50,8 @@ class EmbedderConfig:
         # kept as Python ints: a numpy one has no to_bytes and no JSON form
         object.__setattr__(self, "dim", check_integer("embedding dim", self.dim, 1))
         object.__setattr__(self, "seed", check_integer("embedding seed", self.seed))
+        if not -2**63 <= self.seed < 2**63:  # the hash key is the seed's 8 bytes
+            raise ValueError(f"embedding seed must be in [-2**63, 2**63), got {self.seed}")
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,9 +95,9 @@ def _token_terms(token: str, dim: int, seed: int) -> tuple[tuple[int, ...], tupl
     return tuple((h >> 1) % dim for h in hashes), tuple(1.0 if h & 1 else -1.0 for h in hashes)
 
 
-class _ScopeTerms(dict):
-    """A token scope's terms for one dimension and seed, by token; a token
-    not yet here is looked up in the LRU (and hashed there if absent)."""
+class _CallTerms(dict):
+    """One ``embed`` call's terms for its dimension and seed, by token; a
+    token not yet here is looked up in the LRU (and hashed there if absent)."""
 
     def __init__(self, dim: int, seed: int):
         super().__init__()
@@ -108,22 +108,7 @@ class _ScopeTerms(dict):
         return terms
 
 
-# The open token scope's _ScopeTerms by (dim, seed), or None outside one.
-_scope: contextvars.ContextVar[dict | None] = contextvars.ContextVar("token_scope",
-                                                                    default=None)
-
-
-@contextlib.contextmanager
-def token_scope():
-    """Keep every token's hashed terms until the block ends or raises."""
-    reset = _scope.set({})
-    try:
-        yield
-    finally:
-        _scope.reset(reset)
-
-
-def _hashed_embed(text: str, dim: int, seed: int, memo: _ScopeTerms | None = None) -> np.ndarray:
+def _hashed_embed(text: str, dim: int, seed: int, memo: _CallTerms | None = None) -> np.ndarray:
     """Signed hashing of tokens and their character trigrams into buckets,
     each token's terms read from ``memo`` when given, else from the LRU.
 
@@ -149,10 +134,13 @@ class HashedEmbedder:
         if not texts:
             raise ValueError("no texts to embed")
         dim, seed = self.cfg.dim, self.cfg.seed
-        scope = _scope.get()
-        memo = None if scope is None else scope.setdefault((dim, seed), _ScopeTerms(dim, seed))
-        rows = [_hashed_embed(t, dim, seed, memo) for t in texts]
-        return rows[0][None] if len(rows) == 1 else np.stack(rows)  # a query skips the copy
+        if len(texts) == 1:  # a query: the LRU alone, and its row not copied
+            return _hashed_embed(texts[0], dim, seed)[None]
+        memo = _CallTerms(dim, seed)
+        rows = np.empty((len(texts), dim))  # filled in place: a stacked list holds a batch twice
+        for i, text in enumerate(texts):
+            rows[i] = _hashed_embed(text, dim, seed, memo)
+        return rows
 
 
 class RemoteEmbedder:

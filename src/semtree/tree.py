@@ -41,7 +41,6 @@ from semtree.checks import check_integer, check_real
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import (SweepPool, fit_gmm, one_blas_thread, reduce, select_k_bic,
                              soft_assign)
-from semtree.embed import token_scope
 from semtree.summarize import summarize_cluster
 
 INDEX_FORMAT_VERSION = 4
@@ -323,10 +322,12 @@ def build_tree(
     and a node joins every cluster with at least ``soft_threshold``
     responsibility.  ``summarizer`` is a chat client (or None for the
     offline extractive summarizer).  With offline providers and a fixed
-    seed the result is a pure function of (library, config).  The build
-    runs on one BLAS thread (``one_blas_thread``), in one ``token_scope``,
-    and its levels' BIC sweeps share one ``SweepPool``, whose workers are
-    gone when the build returns or raises.
+    seed the result is a pure function of (library, config).  Each level
+    is embedded in one ``embedder.embed`` call; the leaves' call holds the
+    descriptions and then the ``"name: summary"`` texts that their parents'
+    summaries read.  The build runs on one BLAS thread
+    (``one_blas_thread``), and its levels' BIC sweeps share one
+    ``SweepPool``, whose workers are gone when the build returns or raises.
     """
     # numpy's generators take no negative seed
     target_dim, seed = check_integer("target_dim", target_dim, 1), check_integer("seed", seed, 0)
@@ -335,9 +336,16 @@ def build_tree(
         raise ValueError(f"soft_threshold must be in (0, 1], got {soft_threshold}")
     stop = stop or StoppingCriteria()
 
-    with token_scope(), SweepPool() as pool:
-        blocks = [embedder.embed(list(lib.descriptions))]  # one per level, rows in node order
+    with SweepPool() as pool:
         n = len(lib)
+        # The top level's "name: summary" texts, which their parents'
+        # summaries read, and those texts' rows: the leaves' are embedded in
+        # the descriptions' call, and above the leaves they are the level's
+        # FeatureSummary.format() texts, whose rows are its block.
+        texts = [f"{name}: {description}"
+                 for name, description in zip(lib.names, lib.descriptions)]
+        leaf = embedder.embed([*lib.descriptions, *texts])
+        blocks, rows = [leaf[:n]], leaf[n:]  # a block per level, rows in node order
         columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
                    "kinds": ["leaf"] * n, "names": list(lib.names),
                    "summaries": list(lib.descriptions), "artifact_ids": list(lib.artifact_ids),
@@ -345,7 +353,7 @@ def build_tree(
 
         level, first = 0, 0  # the top level is the rows from ``first`` on
         while True:
-            n = len(columns["ids"]) - first
+            n = len(texts)
             layers = level + 1
             if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
                 break
@@ -361,15 +369,12 @@ def build_tree(
                     clusters[c].append(i)
             clusters = [c for c in clusters if c]
 
-            # Each node's "name: summary" text and its row; above the leaves the
-            # block is those rows, since FeatureSummary.format() made the same texts.
-            texts = [f"{name}: {summary}" for name, summary
-                     in zip(columns["names"][first:], columns["summaries"][first:])]
-            rows = blocks[-1] if level else embedder.embed(texts)
             level += 1
             features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
                         for c in clusters]
-            blocks.append(embedder.embed([f.format() for f in features]))
+            texts = [f.format() for f in features]
+            rows = embedder.embed(texts)
+            blocks.append(rows)
             below, first, k = columns["ids"][first:], len(columns["ids"]), len(clusters)
             columns["ids"] += [f"L{level}-{ordinal}" for ordinal in range(k)]
             columns["levels"] += [level] * k

@@ -224,6 +224,17 @@ def test_build_setting_out_of_range_exits_1(catalog, tmp_path, capsys, flag, val
     assert "error:" in err and flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("seed", [str(2**63), str(2**64)])
+def test_build_seed_beyond_64_bits_exits_1(catalog, tmp_path, capsys, seed):
+    # The embedder's hash key is the seed's 8 bytes; 2**63 overflowed them.
+    out = tmp_path / "i.json"
+    code, stdout, err = run(capsys, "build", str(catalog), "--out", str(out), "--seed", seed)
+    assert code == 1
+    assert stdout == "" and "Traceback" not in err
+    assert f"error: embedding seed must be in [-2**63, 2**63), got {seed}" in err
+    assert not out.exists()
+
+
 def test_build_from_config_file_matches_flags(catalog, tmp_path, capsys):
     settings = {"seed": 3, "dim": 48, "target_dim": 4, "soft_threshold": 0.3,
                 "max_depth": 3, "max_top": 2}

@@ -16,7 +16,6 @@ from semtree.embed import (
     _hashed_embed,
     _token_terms,
     l2_normalize,
-    token_scope,
 )
 from semtree import embed
 
@@ -67,8 +66,9 @@ def test_embedders_of_other_settings_do_not_share_memo_entries():
     embedders = [HashedEmbedder(EmbedderConfig(dim=d, seed=s)) for d, s in configs]
     for text in texts:  # interleaved, so each token is memoized under every setting
         for (dim, seed), embedder in zip(configs, embedders):
-            got = embedder.embed([text])[0]
-            assert got.tobytes() == reference_hashed_embed(text, dim, seed).tobytes()
+            want = reference_hashed_embed(text, dim, seed).tobytes()
+            assert embedder.embed([text])[0].tobytes() == want
+            assert [row.tobytes() for row in embedder.embed([text, text])] == [want, want]
 
 
 def test_token_memo_stays_within_its_bound():
@@ -82,76 +82,51 @@ def test_token_memo_stays_within_its_bound():
             == reference_hashed_embed(tokens[0], 16, 0).tobytes())
 
 
-SCOPE_TEXTS = ["parse json files with retries", "", "!!!", "go go go go go",
+BATCH_TEXTS = ["parse json files with retries", "", "!!!", "go go go go go",
                "Grüße, naïve café — 漢字 ЖЖ", "json json yaml json", "JSON Parse",
                "a" * 40 + " " + "0123456789" * 4]
+# More distinct tokens than the LRU holds: 2,540 of them.
+WIDE_TEXTS = [" ".join(f"w{i}x{j}" for j in range(10)) for i in range(TOKEN_MEMO_SIZE // 10 + 50)]
 
 
-def test_rows_in_a_token_scope_match_the_reference():
-    # Every text twice, the second time read from the scope; then a batch
-    # with more distinct tokens than the LRU holds, twice.
-    wide = [" ".join(f"w{i}x{j}" for j in range(10)) for i in range(TOKEN_MEMO_SIZE // 10 + 50)]
+def test_a_batch_matches_the_reference():
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
-    for batch in (SCOPE_TEXTS, SCOPE_TEXTS[::-1], wide, wide):
+    for batch in (BATCH_TEXTS, BATCH_TEXTS[::-1], WIDE_TEXTS, WIDE_TEXTS + WIDE_TEXTS):
         want = [reference_hashed_embed(t, 64, 5).tobytes() for t in batch]
-        outside = embedder.embed(batch)
-        with token_scope():
-            inside = [embedder.embed(batch), embedder.embed(batch)]
-            inside.append(np.stack([embedder.embed([t])[0] for t in batch]))
-        assert [row.tobytes() for row in outside] == want
-        for rows in inside:
-            assert [row.tobytes() for row in rows] == want
+        for _ in range(2):  # the second call reads what the LRU kept of the first
+            assert [row.tobytes() for row in embedder.embed(batch)] == want
 
 
-def test_a_token_scope_hashes_each_token_once(monkeypatch):
-    calls = []
+def features_of(tokens):
+    """Each token's hashed features, as ``_token_terms`` makes them."""
+    return [f for tok in tokens
+            for f in (tok, *(f"#{tok}#"[i:i + 3] for i in range(len(tok))))]
 
-    def counted(token, dim, seed):
-        calls.append((token, dim, seed))
-        return _token_terms(token, dim, seed)
 
-    monkeypatch.setattr(embed, "_token_terms", counted)
+@pytest.mark.parametrize("batch", [BATCH_TEXTS * 3, WIDE_TEXTS + WIDE_TEXTS[::-1]],
+                         ids=["repeated", "wider-than-the-lru"])
+def test_a_batch_hashes_each_distinct_token_once(monkeypatch, batch):
+    hashed = []
+    feature_hash = embed._hash_feature
+    monkeypatch.setattr(embed, "_hash_feature", lambda f, seed: hashed.append(f)
+                        or feature_hash(f, seed))
+    _token_terms.cache_clear()
+    HashedEmbedder(EmbedderConfig(dim=64, seed=5)).embed(batch)
+    tokens = {tok for text in batch for tok in embed.tokenize(text)}
+    assert sorted(hashed) == sorted(features_of(tokens))
+
+
+def test_a_one_text_call_reads_the_lru(monkeypatch):
+    looked_up = []
+    terms = embed._token_terms
+    monkeypatch.setattr(embed, "_token_terms", lambda *key: looked_up.append(key)
+                        or terms(*key))
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
-    with token_scope():
-        for _ in range(3):
-            embedder.embed(SCOPE_TEXTS)
-        embedder.embed([SCOPE_TEXTS[0]])
-    tokens = {tok for text in SCOPE_TEXTS for tok in embed.tokenize(text)}
-    assert sorted(calls) == sorted((tok, 64, 5) for tok in tokens)
-    calls.clear()
-    embedder.embed(SCOPE_TEXTS[:1])  # outside a scope, each token goes to the LRU
-    assert calls == [(tok, 64, 5) for tok in embed.tokenize(SCOPE_TEXTS[0])]
-
-
-def test_embedders_in_one_token_scope_share_no_entries():
-    texts = ["parse json files", "json schema", "parse yaml", "files json parse"]
-    configs = [(64, 1), (32, 1), (64, 2), (32, 2)]
-    embedders = [HashedEmbedder(EmbedderConfig(dim=d, seed=s)) for d, s in configs]
-    with token_scope():
-        for text in texts:  # interleaved, so each token is kept under every setting
-            for (dim, seed), embedder in zip(configs, embedders):
-                got = embedder.embed([text, text])
-                assert got[1].tobytes() == reference_hashed_embed(text, dim, seed).tobytes()
-        scope = embed._scope.get()
-        assert sorted(scope) == sorted(configs)
-        for (dim, seed), terms in scope.items():
-            assert (terms.dim, terms.seed) == (dim, seed)
-            assert all(terms[tok] == _token_terms(tok, dim, seed) for tok in terms)
-
-
-def test_a_token_scope_ends_when_its_block_ends_or_raises():
-    assert embed._scope.get() is None
-    with token_scope():
-        HashedEmbedder(EmbedderConfig(dim=16)).embed(["json"])
-        assert len(embed._scope.get()) == 1
-        with token_scope():  # a nested scope starts empty and leaves the outer one
-            assert embed._scope.get() == {}
-        assert len(embed._scope.get()) == 1
-    assert embed._scope.get() is None
-    with pytest.raises(RuntimeError, match="embedder down"):
-        with token_scope():
-            raise RuntimeError("embedder down")
-    assert embed._scope.get() is None
+    embedder.embed(["json json yaml json"])  # every token, repeats included
+    assert looked_up == [("json", 64, 5), ("json", 64, 5), ("yaml", 64, 5), ("json", 64, 5)]
+    looked_up.clear()
+    embedder.embed(["json json yaml json", "yaml"])  # a batch's distinct tokens once
+    assert looked_up == [("json", 64, 5), ("yaml", 64, 5)]
 
 
 def test_one_text_embeds_to_its_row_of_a_batch():
@@ -286,6 +261,21 @@ def test_config_rejects_a_non_integer_setting(field, value):
     # 1.5 failed only at embed time, and True was taken for 1
     with pytest.raises(ValueError, match=f"^embedding {field} must be an integer, got "):
         EmbedderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+def test_config_takes_a_seed_at_either_bound(seed):
+    texts = ["parse json files", "json"]
+    got = HashedEmbedder(EmbedderConfig(dim=16, seed=seed)).embed(texts)
+    assert [row.tobytes() for row in got] == [reference_hashed_embed(t, 16, seed).tobytes()
+                                              for t in texts]
+
+
+@pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, np.uint64(2**63)])
+def test_config_rejects_a_seed_outside_64_bits(seed):
+    # the seed is the hash key's 8 bytes; 2**63 overflowed them at embed time
+    with pytest.raises(ValueError, match=r"^embedding seed must be in \[-2\*\*63, 2\*\*63\), got "):
+        EmbedderConfig(seed=seed)
 
 
 def test_config_takes_numpy_integers():

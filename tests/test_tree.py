@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     read_index,
     write_index,
 )
+from test_embed import features_of
 from semtree import embed
 from semtree.embed import EmbedderConfig, HashedEmbedder, tokenize
 from semtree.llm import CallableClient, LlmError, prompt_hash
@@ -510,60 +512,53 @@ class CountingEmbedder:
 
 def test_a_build_embeds_each_level_once_and_the_leaf_summaries_once(family_library,
                                                                     hashed_embedder):
+    # The leaves' call holds the descriptions, then the "name: summary"
+    # texts that the level-1 summaries read; each later call is one level.
     embedder = CountingEmbedder(hashed_embedder)
     index = build_tree(family_library, embedder, stop=StoppingCriteria(max_top_level_nodes=1),
                        seed=0)
-    assert index.max_level() >= 2
-    assert len(embedder.calls) == index.max_level() + 2
-    assert embedder.calls[0] == list(family_library.descriptions)
-    assert embedder.calls[1] == [f"{name}: {description}" for name, description
-                                 in zip(family_library.names, family_library.descriptions)]
-    for level, texts in enumerate(embedder.calls[2:], start=1):
-        assert texts == [f"{n.name}: {n.summary}" for n in index.nodes.values()
-                         if n.level == level]
+    assert index.top_level >= 2
+    assert len(embedder.calls) == index.top_level + 1
+    leaf_texts = [f"{name}: {description}" for name, description
+                  in zip(family_library.names, family_library.descriptions)]
+    assert embedder.calls[0] == [*family_library.descriptions, *leaf_texts]
+    for level, texts in enumerate(embedder.calls[1:], start=1):
+        assert texts == [f"{name}: {summary}" for name, summary, at
+                         in zip(index.names, index.summaries, index.levels) if at == level]
+
+
+class HashCountingEmbedder(CountingEmbedder):
+    """Also notes the features that each call hashes."""
+
+    def __init__(self, inner, hashed: list):
+        super().__init__(inner)
+        self.hashed, self.hashed_by_call = hashed, []
+
+    def embed(self, texts):
+        start = len(self.hashed)
+        rows = super().embed(texts)
+        self.hashed_by_call.append(self.hashed[start:])
+        return rows
 
 
 def test_a_build_hashes_each_distinct_token_once(hashed_embedder, monkeypatch):
-    # The build embeds the descriptions, then the "name: summary" texts
-    # that repeat them, then one block of summaries per level: each token
-    # is looked up in the LRU once, at its first use in the build.
-    calls = []
-    terms = embed._token_terms
-    monkeypatch.setattr(embed, "_token_terms",
-                        lambda *key: calls.append(key) or terms(*key))
-    embedder = CountingEmbedder(hashed_embedder)
-    index = build_tree(make_family_library(n_families=15, per_family=20, seed=12), embedder,
+    # The leaves' call holds more distinct tokens than the LRU keeps, most
+    # of them twice (a description and its "name: summary" text), and
+    # hashes each once; a later call hashes at most its own tokens, once.
+    hashed = []
+    feature_hash = embed._hash_feature
+    monkeypatch.setattr(embed, "_hash_feature", lambda f, seed: hashed.append(f)
+                        or feature_hash(f, seed))
+    embed._token_terms.cache_clear()
+    embedder = HashCountingEmbedder(hashed_embedder, hashed)
+    index = build_tree(make_family_library(n_families=36, per_family=20, seed=12), embedder,
                        seed=0)
     assert index.top_level == 2
-    tokens = {tok for texts in embedder.calls for text in texts for tok in tokenize(text)}
-    cfg = hashed_embedder.cfg
-    assert len(tokens) > 1000
-    assert sorted(calls) == sorted((tok, cfg.dim, cfg.seed) for tok in tokens)
-
-
-class LevelOneDown:
-    """Embeds with ``inner``, noting whether a token scope is open, and
-    raises at the third call, the level-1 summaries of a build."""
-
-    def __init__(self, inner):
-        self.inner, self.scoped = inner, []
-
-    def embed(self, texts):
-        self.scoped.append(embed._scope.get() is not None)
-        if len(self.scoped) == 3:
-            raise RuntimeError("embedder down at level 1")
-        return self.inner.embed(texts)
-
-
-def test_a_build_drops_its_token_scope_when_it_returns_or_raises(hashed_embedder):
-    embedder = LevelOneDown(hashed_embedder)
-    lib = make_family_library(n_families=15, per_family=20, seed=12)
-    with pytest.raises(RuntimeError, match="embedder down at level 1"):
-        build_tree(lib, embedder, seed=0)
-    assert embedder.scoped == [True] * 3
-    assert embed._scope.get() is None
-    build_tree(lib, hashed_embedder, seed=0)
-    assert embed._scope.get() is None
+    tokens = [{tok for text in texts for tok in tokenize(text)} for texts in embedder.calls]
+    assert len(tokens[0]) > embed.TOKEN_MEMO_SIZE
+    assert sorted(embedder.hashed_by_call[0]) == sorted(features_of(tokens[0]))
+    for call_tokens, call_hashed in zip(tokens[1:], embedder.hashed_by_call[1:]):
+        assert not Counter(call_hashed) - Counter(features_of(call_tokens))
 
 
 def test_validate_rejects_orphan_leaf(family_index):
