@@ -12,10 +12,10 @@ Formulas are fixed so the oracles are unambiguous:
   BM25 idf       ln(1 + (n - df + 0.5) / (df + 0.5))
   JSD            base-2 logs over the union support, 0*log0 = 0
 
-JSD rescores only the documents that share a term with the intent, over
-their doc-major postings; every other document keeps the score the index
-computed once with q = 0.  Each document's sums run in the same order as
-a pass over all postings, so the scores are that pass's bits.
+With m = (p + q)/2, a term only one side holds adds exactly its own mass
+to JSD, so 1 - JSD = 1/2 * the sum over the terms both hold of
+p*log2((p + q)/p) + q*log2((p + q)/q): nonnegative terms on the intent's
+postings alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from semtree.catalog import ArtifactLibrary
-from semtree.checks import check_integer
+from semtree.checks import check_integer, check_real
 from semtree.embed import tokenize
 from semtree.kernels import bm25_scores, csr_ranges
 from semtree.llm import LlmError
@@ -78,11 +78,6 @@ class TermIndex:
     tfidf_norms: np.ndarray  # per document
     jsd_total: np.ndarray  # per document: the sum of its tf-idf weights
     jsd_p: np.ndarray  # per posting: its weight over its document's total
-    # Doc-major view of the postings: document d's postings, terms ascending,
-    # are postings_*[doc_order[doc_ptr[d]:doc_ptr[d+1]]].
-    doc_order: np.ndarray
-    doc_ptr: np.ndarray
-    jsd_base: np.ndarray  # per document: its JSD score for an intent it shares no term with
     # LSI space by requested rank: the top right singular vectors (rank, V) of
     # the tf-idf matrix, the documents' coordinates on them (n, rank) and
     # their norms (n,).
@@ -132,9 +127,6 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
         tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
         jsd_total=total,
         jsd_p=p,
-        doc_order=np.argsort(postings_doc, kind="stable"),  # keeps terms ascending
-        doc_ptr=np.append(0, np.cumsum(np.bincount(postings_doc, minlength=n))),
-        jsd_base=_jsd_scores(postings_doc, p, np.zeros_like(p), n),
     )
 
 
@@ -243,6 +235,7 @@ def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     """Truncated SVD of the tf-idf matrix; cosine in the latent space."""
+    rank = check_integer("rank", rank, 1)
     q = _tfidf_query(idx, intent)
     if not q.any():
         return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, np.zeros(idx.n_docs))
@@ -275,38 +268,25 @@ def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return div
 
 
-def _jsd_scores(doc: np.ndarray, p: np.ndarray, qt: np.ndarray, n: int) -> np.ndarray:
-    """1 - JSD per document from its postings' documents ``doc``, document
-    probabilities ``p`` and intent probabilities ``qt``.
-
-    Every term a document lacks has p = 0 and m = q/2, so together they add
-    (1 - sum of q over its terms)/2.  Each document's sums run over its
-    postings in the order given.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where masked out
-        m = 0.5 * (p + qt)
-        terms = (np.where(p > 0, p * np.log2(p / m), 0.0)
-                 + np.where(qt > 0, qt * np.log2(qt / m), 0.0))
-    return 1.0 - 0.5 * (np.bincount(doc, weights=terms, minlength=n)
-                        + 1.0 - np.bincount(doc, weights=qt, minlength=n))
+def _jsd_shares(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each term's share of 1 - JSD, ``(p*log2((p+q)/p) + q*log2((p+q)/q))/2``
+    where both ``p`` and ``q`` are > 0, else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or nan where masked out
+        s = p + q
+        shares = 0.5 * (p * np.log2(s / p) + q * np.log2(s / q))
+    return np.where((p > 0) & (q > 0), shares, 0.0)
 
 
 def score_jsd(idx: TermIndex, intent: str) -> RankedList:
-    """Similarity = 1 - JSD between normalized tf-idf distributions.
-
-    Only the documents that share a term with the intent are rescored, over
-    all of their postings in ascending term order (the doc-major view); every
-    other document has q = 0 on each of its postings, so its score is the
-    one ``build_term_index`` computed with q = 0.  Each document's sums are
-    those of a pass over all postings, so the scores are the same bits.
-    """
+    """Similarity = 1 - JSD between normalized tf-idf distributions, as
+    1/2 * the sum over the terms both hold of p*log2((p+q)/p) +
+    q*log2((p+q)/q): one sum over the intent's postings, gathered as
+    TF-IDF gathers them, so a document sharing no term with it scores +0.0."""
     q = _distribution(_tfidf_query(idx, intent))
-    touched = np.zeros(idx.n_docs, dtype=bool)
-    touched[idx.postings_doc[csr_ranges(idx.postings_ptr, np.flatnonzero(q))]] = True
-    sel = idx.doc_order[csr_ranges(idx.doc_ptr, np.flatnonzero(touched))]
-    rescored = _jsd_scores(idx.postings_doc[sel], idx.jsd_p[sel],
-                           q[idx.postings_term[sel]], idx.n_docs)
-    scores = np.where(touched, rescored, idx.jsd_base)
+    sel = csr_ranges(idx.postings_ptr, np.flatnonzero(q))
+    scores = np.bincount(idx.postings_doc[sel],
+                         weights=_jsd_shares(idx.jsd_p[sel], q[idx.postings_term[sel]]),
+                         minlength=idx.n_docs)
     # a document with no weight keeps the uniform distribution
     weightless = idx.jsd_total <= 0
     if weightless.any():
@@ -404,6 +384,9 @@ def llm_two_stage(lib: ArtifactLibrary, intent: str, client,
                   subset_fraction: float = 0.10, final_k: int = 5) -> RankedList:
     """Score each artifact 0-100, then comparatively rank the top fraction."""
     check_integer("final_k", final_k, 1)
+    subset_fraction = check_real("subset_fraction", subset_fraction)
+    if not 0 < subset_fraction <= 1:
+        raise ValueError(f"subset_fraction must be in (0, 1], got {subset_fraction}")
     scores: dict[str, float] = {}
     by_id = dict(zip(lib.artifact_ids, lib.descriptions))
     for aid, description in by_id.items():

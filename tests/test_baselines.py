@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from semtree import baselines
 from semtree.baselines import (
     TermIndex,
     _distribution,
-    _jsd_scores,
     _ranked,
     _tfidf_dots,
     _tfidf_query,
@@ -178,9 +178,7 @@ def counter_term_index(lib):
         bm25_norm=1.2 * (1.0 - 0.75 + 0.75 * np.asarray(doc_len, dtype=np.float64) / avgdl),
         tfidf_idf=tfidf_idf,
         tfidf_weights=w, tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
-        jsd_total=total, jsd_p=p, doc_order=np.argsort(postings_doc, kind="stable"),
-        doc_ptr=np.append(0, np.cumsum(np.bincount(postings_doc, minlength=n))),
-        jsd_base=_jsd_scores(postings_doc, p, np.zeros_like(p), n),
+        jsd_total=total, jsd_p=p,
     )
 
 
@@ -390,6 +388,15 @@ def test_lsi_clamps_rank(corpus20, caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("rank, message", [
+    (-1, "rank must be >= 1"), (0, "rank must be >= 1"),
+    (True, "rank must be an integer"), (2.5, "rank must be an integer"),
+])
+def test_lsi_rejects_a_rank_that_is_not_a_positive_integer(corpus20, rank, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        score_lsi(build_term_index(corpus20), "w1", rank=rank)
+
+
 def test_lsi_clamp_is_logged_once_per_index_and_rank(corpus20, caplog):
     idx = build_term_index(corpus20)
     with caplog.at_level("WARNING"):
@@ -511,11 +518,73 @@ def test_sparse_jsd_equals_dense_bits(case):
     else:
         lib, intents = make_lib(ILL_CONDITIONED_DOCS[case]), ILL_CONDITIONED_INTENTS
     idx = build_term_index(lib)
-    zero_q = np.zeros(len(idx.vocabulary))
-    assert idx.jsd_base.tobytes() == dense_jsd_scores(idx, zero_q).tobytes()
     for intent in intents:
         assert (entry_bits(score_jsd(idx, intent).entries)
                 == entry_bits(dense_score_jsd(idx, intent).entries)), intent
+
+
+def decimal_jsd_scores(lib, intent):
+    """1 - JSD per document in 40-digit decimal arithmetic, straight from the
+    descriptions: tf-idf distributions (uniform when a vector has no
+    weight) and the divergence summed over their union support."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        docs = [Counter(tokenize(d)) for d in lib.descriptions]
+        n = len(docs)
+        vocab = list(dict.fromkeys(t for d in docs for t in d))
+        idf = {t: (Decimal(1 + n) / (1 + sum(t in d for d in docs))).ln() for t in vocab}
+
+        def dist(counts):
+            w = [counts[t] * idf[t] for t in vocab]
+            total = sum(w)
+            return [x / total for x in w] if total > 0 else [Decimal(1) / len(vocab)] * len(vocab)
+
+        def div(a, m):
+            return a * (a / m).ln() / Decimal(2).ln() if a > 0 else 0
+
+        q = dist(Counter(t for t in tokenize(intent) if t in idf))
+        return [1 - sum(div(a, (a + b) / 2) + div(b, (a + b) / 2)
+                        for a, b in zip(dist(d), q)) / 2 for d in docs]
+
+
+# Besides ILL_CONDITIONED_DOCS: d00 holds "beta" at p << q for the intent
+# "beta"; d01 is near-identical to "alpha beta" and to the intent of 999
+# alphas and 1,000 betas; d03 equals "gamma delta" and d04 is one term.
+EXTREME_DOCS = ["alpha " * 1000 + "beta", "alpha " * 1000 + "beta " * 1001, "beta gamma",
+                "gamma delta", "delta"]
+EXTREME_INTENTS = ["beta", "alpha beta", "alpha " * 999 + "beta " * 1000, "gamma delta",
+                   "delta", "nosuch"]
+
+
+@pytest.mark.parametrize("case", [*ILL_CONDITIONED_DOCS, "extreme"])
+def test_jsd_raw_scores_match_the_decimal_reference(case, monkeypatch):
+    if case == "extreme":
+        lib, intents = make_lib(EXTREME_DOCS), EXTREME_INTENTS
+    else:
+        lib, intents = make_lib(ILL_CONDITIONED_DOCS[case]), ILL_CONDITIONED_INTENTS
+    monkeypatch.setattr(baselines, "round_scores", lambda scores: scores)  # the raw scores
+    idx = build_term_index(lib)
+    for intent in intents:
+        got = dict(score_jsd(idx, intent).entries)
+        for aid, want in zip(lib.artifact_ids, decimal_jsd_scores(lib, intent)):
+            assert abs(Decimal(got[aid]) - want) <= Decimal("1e-15"), (intent, aid)
+
+
+def test_jsd_scores_documents_sharing_no_term_positive_zero():
+    from perfsuite import gen  # the benchmark's generator and its lexical catalog
+
+    artifacts = gen.family_catalog(40, 50, "7/lexical")
+    lib = library(*((a["id"], a["name"], a["description"]) for a in artifacts))
+    idx = build_term_index(lib)
+    stream = gen.IntentMaker(artifacts).stream("7/lexical-intents")
+    doc_terms = [set(tokenize(d)) for d in lib.descriptions]
+    for intent in [next(stream)["intent"] for _ in range(20)]:
+        assert _tfidf_query(idx, intent).any()  # q is not the uniform fallback
+        scores = dict(score_jsd(idx, intent).entries)
+        words = set(tokenize(intent))
+        disjoint = [aid for aid, terms in zip(lib.artifact_ids, doc_terms) if not terms & words]
+        assert disjoint
+        assert {scores[aid].hex() for aid in disjoint} == {(0.0).hex()}, intent
 
 
 def test_jsd_identical_doc_ranks_first():
@@ -818,9 +887,10 @@ def gate_intents(lib, count=50, seed=31):
 # its catalog order.  The scorers return scores rounded by round_scores,
 # so the gate pins each formula to 12 decimals, the rounding and the
 # tie-break.  A change of summation order moves only last bits, which the
-# rounding hides: reversing each document's posting order in JSD's
-# doc_order leaves all four sha256s equal.  test_sparse_jsd_equals_dense_bits
-# is the bit-level check of JSD's sums.
+# rounding hides: summing JSD's gathered postings in reverse order leaves
+# its sha256 equal.  test_sparse_jsd_equals_dense_bits checks JSD against
+# the pass over all postings after rounding, and
+# test_jsd_raw_scores_match_the_decimal_reference checks its raw scores.
 RANKED_GATE_SHA256 = {
     "bm25": "0230d284a1a23f4a8722af988cdbefa6e081bed47db6d0c7ec737be012af8899",
     "tfidf": "3d1473897227c6d1f834f73b44961951b89aaec2f8301fa8eaba785229b8ff37",
@@ -1019,6 +1089,25 @@ def test_two_stage_rejects_a_non_integer_final_k(final_k):
     client = ScriptedClient({"a00": 90}, ranking_response="[a00]")
     with pytest.raises(ValueError, match="^final_k must be an integer, got "):
         llm_two_stage(lib, "x", client, subset_fraction=1.0, final_k=final_k)
+
+
+@pytest.mark.parametrize("fraction, message", [
+    (-1.0, r"in \(0, 1\]"), (0.0, r"in \(0, 1\]"), (1.5, r"in \(0, 1\]"),
+    (math.nan, "a finite real number"), (True, "a finite real number"),
+    ("0.5", "a finite real number"),
+])
+def test_two_stage_rejects_a_subset_fraction_outside_zero_one(fraction, message):
+    lib = make_lib(["one", "two", "three"], prefix="a")
+    prompts = []
+
+    class RecordingClient:
+        def complete(self, prompt):
+            prompts.append(prompt)
+            return "[a00, a01, a02]"
+
+    with pytest.raises(ValueError, match=f"^subset_fraction must be {message}"):
+        llm_two_stage(lib, "x", RecordingClient(), subset_fraction=fraction)
+    assert prompts == []  # checked before any call
 
 
 def test_two_stage_threshold():
