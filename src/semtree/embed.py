@@ -8,11 +8,11 @@ cosine similarity reduces to a dot product.
 The offline provider keeps each token's hashed buckets and signs in a
 process-wide LRU memo of ``TOKEN_MEMO_SIZE`` tokens, keyed by token,
 dimension and seed, since intents repeat their words.  A batch can hold
-more distinct tokens than that (a build's leaf level holds ~3,300), so a
-call of several texts also keeps its tokens' terms in a dict for that
-call: each distinct token is looked up, and hashed, at most once per
-call.  A one-text call, every query, reads the LRU alone.  The memos
-only save hashing: vectors are the same with or without them.
+more distinct tokens than that (a build's leaf level holds ~3,300), so
+every call, one query or a whole tree level, also keeps its tokens'
+terms in a plain dict for that call: each distinct token is looked up in
+the LRU, and hashed, at most once per call.  The memos only save
+hashing: vectors are the same with or without them.
 """
 
 from __future__ import annotations
@@ -95,37 +95,13 @@ def _token_terms(token: str, dim: int, seed: int) -> tuple[tuple[int, ...], tupl
     return tuple((h >> 1) % dim for h in hashes), tuple(1.0 if h & 1 else -1.0 for h in hashes)
 
 
-class _CallTerms(dict):
-    """One ``embed`` call's terms for its dimension and seed, by token; a
-    token not yet here is looked up in the LRU (and hashed there if absent)."""
-
-    def __init__(self, dim: int, seed: int):
-        super().__init__()
-        self.dim, self.seed = dim, seed
-
-    def __missing__(self, token: str):
-        terms = self[token] = _token_terms(token, self.dim, self.seed)
-        return terms
-
-
-def _hashed_embed(text: str, dim: int, seed: int, memo: _CallTerms | None = None) -> np.ndarray:
-    """Signed hashing of tokens and their character trigrams into buckets,
-    each token's terms read from ``memo`` when given, else from the LRU.
-
-    Each bucket's sum is a small integer, so it is exact in any order, and
-    the per-token memo gives the same vector as hashing every feature anew.
-    """
-    buckets: list[int] = []
-    signs: list[float] = []
-    for tok in tokenize(text):
-        b, s = _token_terms(tok, dim, seed) if memo is None else memo[tok]
-        buckets += b
-        signs += s
-    return l2_normalize(np.bincount(buckets, weights=signs, minlength=dim))
-
-
 class HashedEmbedder:
-    """Offline, deterministic embedder: same (text, seed) → same vector."""
+    """Offline, deterministic embedder: same (text, seed) → same vector.
+
+    Signed hashing of tokens and their character trigrams into buckets.
+    Each bucket's sum is a small integer, so it is exact in any order, and
+    the memos give the same vector as hashing every feature anew.
+    """
 
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
@@ -134,12 +110,18 @@ class HashedEmbedder:
         if not texts:
             raise ValueError("no texts to embed")
         dim, seed = self.cfg.dim, self.cfg.seed
-        if len(texts) == 1:  # a query: the LRU alone, and its row not copied
-            return _hashed_embed(texts[0], dim, seed)[None]
-        memo = _CallTerms(dim, seed)
+        terms = {}  # token → (buckets, signs), each read from the LRU once a call
         rows = np.empty((len(texts), dim))  # filled in place: a stacked list holds a batch twice
         for i, text in enumerate(texts):
-            rows[i] = _hashed_embed(text, dim, seed, memo)
+            buckets: list[int] = []
+            signs: list[float] = []
+            for tok in tokenize(text):
+                if tok not in terms:
+                    terms[tok] = _token_terms(tok, dim, seed)
+                b, s = terms[tok]
+                buckets += b
+                signs += s
+            rows[i] = l2_normalize(np.bincount(buckets, weights=signs, minlength=dim))
         return rows
 
 

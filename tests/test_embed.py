@@ -13,7 +13,6 @@ from semtree.embed import (
     HashedEmbedder,
     RemoteEmbedder,
     _hash_feature,
-    _hashed_embed,
     _token_terms,
     l2_normalize,
 )
@@ -40,15 +39,20 @@ TEXTS = st.text(alphabet=st.sampled_from("abcxyzAZ019 ,.!-ÄéßЖ漢"), max_siz
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(TEXTS)
-@example("")
-@example("!!!")
-@example("Grüße, naïve café — 漢字 ЖЖ")
-@example("a" * 40 + " " + "0123456789" * 4 + " b")
-def test_memoized_embed_matches_reference(text):
-    want = reference_hashed_embed(text, 64, 5).tobytes()
-    for _ in range(2):  # the second call reads the memo
-        assert _hashed_embed(text, 64, 5).tobytes() == want
+@given(st.lists(TEXTS, min_size=1, max_size=5))
+@example([""])
+@example(["!!!"])
+@example(["Grüße, naïve café — 漢字 ЖЖ"])
+@example(["a" * 40 + " " + "0123456789" * 4 + " b"])
+@example(["json json yaml json", "yaml", "", "json"])
+def test_memoized_embed_matches_reference(texts):
+    # A batch and each of its texts alone give the reference's bits.
+    embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
+    want = [reference_hashed_embed(text, 64, 5).tobytes() for text in texts]
+    for call, want_call in [(texts, want), *(([t], [w]) for t, w in zip(texts, want))]:
+        _token_terms.cache_clear()
+        for _ in range(2):  # the LRU cold, then warm
+            assert [row.tobytes() for row in embedder.embed(call)] == want_call
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3])
@@ -103,34 +107,41 @@ def features_of(tokens):
             for f in (tok, *(f"#{tok}#"[i:i + 3] for i in range(len(tok))))]
 
 
-@pytest.mark.parametrize("batch", [BATCH_TEXTS * 3, WIDE_TEXTS + WIDE_TEXTS[::-1]],
-                         ids=["repeated", "wider-than-the-lru"])
+@pytest.mark.parametrize("batch", [["json json yaml json"], BATCH_TEXTS * 3,
+                                   WIDE_TEXTS + WIDE_TEXTS[::-1]],
+                         ids=["one-text", "repeated", "wider-than-the-lru"])
 def test_a_batch_hashes_each_distinct_token_once(monkeypatch, batch):
-    hashed = []
-    feature_hash = embed._hash_feature
+    hashed, looked_up = [], []
+    feature_hash, terms = embed._hash_feature, embed._token_terms
     monkeypatch.setattr(embed, "_hash_feature", lambda f, seed: hashed.append(f)
                         or feature_hash(f, seed))
-    _token_terms.cache_clear()
-    HashedEmbedder(EmbedderConfig(dim=64, seed=5)).embed(batch)
-    tokens = {tok for text in batch for tok in embed.tokenize(text)}
-    assert sorted(hashed) == sorted(features_of(tokens))
-
-
-def test_a_one_text_call_reads_the_lru(monkeypatch):
-    looked_up = []
-    terms = embed._token_terms
     monkeypatch.setattr(embed, "_token_terms", lambda *key: looked_up.append(key)
                         or terms(*key))
+    _token_terms.cache_clear()
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
-    embedder.embed(["json json yaml json"])  # every token, repeats included
-    assert looked_up == [("json", 64, 5), ("json", 64, 5), ("yaml", 64, 5), ("json", 64, 5)]
+    embedder.embed(batch)
+    tokens = {tok for text in batch for tok in embed.tokenize(text)}
+    assert sorted(hashed) == sorted(features_of(tokens))
+    one_each = sorted((tok, 64, 5) for tok in tokens)
+    assert sorted(looked_up) == one_each
     looked_up.clear()
-    embedder.embed(["json json yaml json", "yaml"])  # a batch's distinct tokens once
-    assert looked_up == [("json", 64, 5), ("yaml", 64, 5)]
+    embedder.embed(batch)  # the LRU warm: still one lookup per distinct token
+    assert sorted(looked_up) == one_each
+
+
+@pytest.mark.parametrize("texts", [["json json yaml"], ["json json yaml", "yaml", "!!!"]],
+                         ids=["one-text", "batch"])
+def test_writing_into_a_returned_row_changes_no_later_result(texts):
+    embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
+    want = [reference_hashed_embed(text, 64, 5).tobytes() for text in texts]
+    embedder.embed(texts)[:] = 7.0
+    assert [row.tobytes() for row in embedder.embed(texts)] == want
+    for text, row in zip(texts, want):
+        embedder.embed([text])[0, :] = -7.0
+        assert embedder.embed([text])[0].tobytes() == row
 
 
 def test_one_text_embeds_to_its_row_of_a_batch():
-    # A single text skips the stack of a batch; its vector keeps the bits.
     texts = ["parse json files with retries", "!!!", "go go go go", "",
              "Straße NAÏVE école 漢字 X-Ray", "json json yaml json"]
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
