@@ -94,16 +94,14 @@ def one_blas_thread():
 
 
 def reduce(X: np.ndarray, target_dim: int) -> np.ndarray:
-    """Centered ``X`` on its top ``target_dim`` principal components."""
+    """Centered ``X`` on its top ``target_dim`` principal components.
+    Identical rows centre to zero, so the same SVD reduces them to zeros."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:
         raise ValueError("pca needs at least 2 vectors")
     target = min(target_dim, d, n - 1)
     centered = X - X.mean(axis=0)
-    if not np.any(np.abs(centered) > 1e-12):
-        logger.warning("all input vectors identical; falling back to identity reduction")
-        return X
     # SVD of the centered matrix; sign fixed so each component's
     # largest-magnitude entry is positive (determinism).
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -307,13 +305,14 @@ def select_k_bic(data: np.ndarray, k_range: range, seed: int,
 
 @dataclass(frozen=True)
 class SoftAssignment:
+    """The points' responsibilities and the clusters that the points join."""
     responsibilities: np.ndarray  # (n, k), row-stochastic
-    memberships: tuple[tuple[int, ...], ...]  # per item, sorted cluster indices
+    clusters: tuple[tuple[int, ...], ...]  # non-empty ones in component order, members ascending
 
 
 def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> SoftAssignment:
-    """Memberships are clusters above ``threshold`` responsibility, always
-    including the argmax cluster."""
+    """A point joins each cluster of at least ``threshold`` responsibility and
+    its argmax cluster; ``clusters`` lists each non-empty cluster's members."""
     X = np.asarray(data, dtype=np.float64)
     if X.shape[1] != model.dim:
         raise ValueError("data dimensionality does not match the fitted model")
@@ -321,7 +320,5 @@ def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> So
                                         np.log(model.weights)))[0].T
     picked = resp >= threshold
     picked[np.arange(len(resp)), resp.argmax(axis=1)] = True
-    clusters = np.nonzero(picked)[1].tolist()  # row-major: by item, then cluster
-    ends = np.cumsum(picked.sum(axis=1)).tolist()
-    memberships = tuple(tuple(clusters[a:b]) for a, b in zip([0] + ends, ends))
-    return SoftAssignment(responsibilities=resp, memberships=memberships)
+    clusters = tuple(tuple(np.flatnonzero(c).tolist()) for c in picked.T if c.any())
+    return SoftAssignment(responsibilities=resp, clusters=clusters)

@@ -355,22 +355,15 @@ def build_tree(
         while True:
             n = len(texts)
             layers = level + 1
-            if n == 1 or n <= stop.max_top_level_nodes or layers >= stop.max_depth:
+            if n <= stop.max_top_level_nodes or layers >= stop.max_depth:
                 break
             reduced = reduce(blocks[-1], target_dim)
             upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
             # a level of two nodes can only take k = 1: both merge into one parent
             model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed, pool)
-            assignment = soft_assign(model, reduced, soft_threshold)
-
-            clusters: list[list[int]] = [[] for _ in range(model.k)]  # positions in the level
-            for i, picked in enumerate(assignment.memberships):
-                for c in picked:
-                    clusters[c].append(i)
-            clusters = [c for c in clusters if c]
-
+            clusters = soft_assign(model, reduced, soft_threshold).clusters  # level positions
             level += 1
-            features = [summarize_cluster([texts[i] for i in c], rows[c], client=summarizer)
+            features = [summarize_cluster([texts[i] for i in c], rows[list(c)], client=summarizer)
                         for c in clusters]
             texts = [f.format() for f in features]
             rows = embedder.embed(texts)
@@ -487,15 +480,9 @@ def load_tree(path: str) -> TreeIndex:
         if type(roots) is not list:
             raise TreeError(f"index file {path}: roots is not a JSON list")
         ids = nodes["id"]
-        for key in (*NODE_COLUMNS, "children"):
-            if type(nodes[key]) is not list or len(nodes[key]) != len(ids):
-                raise TreeError(f"index file {path}: the {key} column is not a JSON list "
-                                f"with one entry per node")
-        if set(map(type, nodes["children"])) != {list}:
-            for nid, kids in zip(ids, nodes["children"]):
-                if type(kids) is not list:
-                    raise TreeError(f"index file {path}: the children of node {nid!r} "
-                                    f"are not a JSON list")
+        for key in (*NODE_COLUMNS, "children"):  # TreeIndex checks their lengths and entries
+            if type(nodes[key]) is not list:
+                raise TreeError(f"index file {path}: the {key} column is not a JSON list")
         matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))
     except TreeError:
         raise

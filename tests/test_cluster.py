@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
 import os
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -58,12 +60,16 @@ def test_reduce_matches_svd_oracle():
     assert np.allclose(reduced.var(axis=0), s[:4] ** 2 / 20, rtol=0.0, atol=1e-9)
 
 
-def test_reduce_degenerate_identity_fallback(caplog):
+def test_reduce_identical_rows_to_zeros(caplog):
     X = np.ones((6, 3))
-    with caplog.at_level("WARNING"):
+    with caplog.at_level("DEBUG"):
         reduced = reduce(X, 2)
-    assert np.array_equal(reduced, X)
-    assert "identity reduction" in caplog.text
+    assert reduced.shape == (6, 2) and not reduced.any()
+    assert not caplog.records
+    # rows within 1e-12 of each other go through the same SVD, not back as the input
+    near = X + np.random.default_rng(0).normal(scale=1e-14, size=X.shape)
+    assert np.abs(near - near.mean(axis=0)).max() < 1e-12
+    assert reduce(near, 2).shape == (6, 2)
 
 
 # --- fit_gmm --------------------------------------------------------------
@@ -160,7 +166,7 @@ def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
 
     def outcome():
         model, _ = select_k_bic(X, range(2, 9), seed=0)
-        return model.k, len(model.ll_history), soft_assign(model, X).memberships
+        return model.k, len(model.ll_history), soft_assign(model, X).clusters
 
     got = outcome()
     monkeypatch.setattr(cluster, "weighted_log_prob", loop_kernel)
@@ -200,15 +206,18 @@ def reference_fit_gmm(data, k, seed, *, n_init=1):
                     log_likelihood=history[-1], ll_history=tuple(history))
 
 
-def reference_memberships(model, X, threshold=0.2):
-    """Per row: the clusters at or above ``threshold``, plus the argmax."""
+def reference_clusters(model, X, threshold=0.2):
+    """Each non-empty cluster's rows, in cluster order: per row, from the
+    loop kernel, the clusters at or above ``threshold`` plus the argmax,
+    inverted into clusters one row at a time."""
     wlp = loop_weighted_log_prob(X, model.means, model.variances, np.log(model.weights))
     resp = np.exp(wlp - wlp.max(axis=1, keepdims=True))
     resp /= resp.sum(axis=1, keepdims=True)
-    return tuple(
-        tuple(sorted(set(np.flatnonzero(row >= threshold).tolist()) | {int(np.argmax(row))}))
-        for row in resp
-    )
+    clusters = [[] for _ in range(model.k)]
+    for i, row in enumerate(resp):
+        for c in set(np.flatnonzero(row >= threshold).tolist()) | {int(np.argmax(row))}:
+            clusters[c].append(i)
+    return tuple(tuple(c) for c in clusters if c)
 
 
 def ill_conditioned(case):
@@ -242,14 +251,14 @@ def test_em_matches_the_sample_major_reference(case, monkeypatch):
     monkeypatch.setattr(cluster, "fit_gmm", reference_fit_gmm)
     want, _ = select_k_bic(X, k_range, seed=0)
     assert got.k == want.k
-    assert soft_assign(got, X).memberships == reference_memberships(want, X)
+    assert soft_assign(got, X).clusters == reference_clusters(want, X)
 
 
 def test_underflow_case_has_exactly_zero_responsibilities():
     X, _ = ill_conditioned("underflow")
     assignment = soft_assign(fit_gmm(X, 3, seed=0), X)
     assert np.any(assignment.responsibilities == 0.0)
-    assert all(len(m) == 1 for m in assignment.memberships)
+    assert sorted(chain.from_iterable(assignment.clusters)) == list(range(len(X)))
 
 
 def test_bic_empty_range():
@@ -529,16 +538,19 @@ def test_rows_stochastic_and_memberships_valid():
     rows = assignment.responsibilities.sum(axis=1)
     assert np.allclose(rows, 1.0, atol=1e-9)
     assert np.all(assignment.responsibilities >= 0)
-    for i, members in enumerate(assignment.memberships):
-        assert int(np.argmax(assignment.responsibilities[i])) in members
-        assert all(0 <= c < model.k for c in members)
+    assert len(assignment.clusters) == model.k  # so cluster c is component c
+    for i, row in enumerate(assignment.responsibilities):
+        assert i in assignment.clusters[int(np.argmax(row))]
+    for members in assignment.clusters:
+        assert list(members) == sorted(set(members)) and set(members) <= set(range(len(X)))
+    assert assignment.clusters == reference_clusters(model, X)
 
 
 def test_point_at_component_mean_single_membership():
     X = two_blob_data()
     model = fit_gmm(X, 2, seed=0)
     assignment = soft_assign(model, model.means[:1], threshold=0.2)
-    assert len(assignment.memberships[0]) == 1
+    assert assignment.clusters == ((0,),)
     assert assignment.responsibilities[0].max() > 0.99
 
 
@@ -546,7 +558,7 @@ def test_threshold_half_caps_memberships():
     X = two_blob_data()
     model = fit_gmm(X, 2, seed=0)
     assignment = soft_assign(model, X, threshold=0.5)
-    assert max(len(m) for m in assignment.memberships) <= 2
+    assert max(Counter(chain.from_iterable(assignment.clusters)).values()) <= 2
 
 
 def test_equidistant_point_double_membership():
@@ -561,26 +573,27 @@ def test_equidistant_point_double_membership():
         log_likelihood=0.0,
     )
     assignment = soft_assign(model, np.array([[5.0, 5.0]]), threshold=0.2)
-    assert len(assignment.memberships[0]) == 2
+    assert assignment.clusters == ((0,), (0,))
     assert np.allclose(assignment.responsibilities[0], 0.5)
 
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]  # ±e1, ±e2, ±e3
 
 
+# Row 0 is the point and row 1 sits on component 1, which it alone joins.
 @pytest.mark.parametrize("means,point,threshold,want", [
     # six equal responsibilities of 1/6, all below the threshold: the first argmax
-    (AXES, [0.0, 0.0, 0.0], 0.2, (0,)),
-    # the largest responsibility, +e3's 0.184, is below the threshold
-    (AXES, [0.0, 0.0, 0.1], 0.2, (4,)),
+    (AXES, [0.0, 0.0, 0.0], 0.2, ((0,), (1,))),
+    # the largest responsibility, +e3's 0.184 (component 4), is below the threshold
+    (AXES, [0.0, 0.0, 0.1], 0.2, ((1,), (0,))),
     # two responsibilities of exactly 1/2 at a threshold of 1/2
-    (np.array([[0.0, 0.0], [10.0, 10.0]]), [5.0, 5.0], 0.5, (0, 1)),
+    (np.array([[0.0, 0.0], [10.0, 10.0]]), [5.0, 5.0], 0.5, ((0,), (0, 1))),
 ])
 def test_memberships_at_ties_and_below_the_threshold(means, point, threshold, want):
     k, d = means.shape
     model = GmmModel(k=k, weights=np.full(k, 1.0 / k), means=means,
                      variances=np.ones((k, d)), log_likelihood=0.0)
     X = np.array([point, means[1]])
-    got = soft_assign(model, X, threshold=threshold).memberships
-    assert got[0] == want
-    assert got == reference_memberships(model, X, threshold)
+    got = soft_assign(model, X, threshold=threshold).clusters
+    assert got == want
+    assert got == reference_clusters(model, X, threshold)

@@ -391,9 +391,9 @@ def _set_field(header, node_id, field, value):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda header: _set_field(header, "L1-0", "children", {"L0-1": 0}),
-     "the children of node 'L1-0' are not a JSON list"),
+     "node L1-0: children .* are not a list of ids"),
     (lambda header: _set_field(header, "L0-0", "children", ""),
-     "the children of node 'L0-0' are not a JSON list"),
+     "node L0-0: children '' are not a list of ids"),
     (lambda header: header.update(roots={"L2-0": True}), "roots is not a JSON list"),
     (lambda header: header.update(roots="L2-0"), "roots is not a JSON list"),
     (lambda header: header["nodes"].update(id=dict.fromkeys(header["nodes"]["id"], 0)),
@@ -402,7 +402,7 @@ def _set_field(header, node_id, field, value):
                                          for row in zip(*header["nodes"].values())]),
      "nodes is not a JSON object"),
     (lambda header: header["nodes"]["level"].pop(),
-     "the level column is not a JSON list with one entry per node"),
+     "the levels column has .* entries, not one for each of the .* node ids"),
 ], ids=["object_children", "string_leaf_children", "object_roots", "string_roots",
         "object_nodes", "list_of_node_objects", "column_one_entry_short"])
 def test_load_names_the_field_that_is_not_a_list(tmp_path, edit, message):
@@ -825,6 +825,29 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
     assert fallbacks == {1, 2}
     assert content_sha256(path) == MIXED_LLM_BUILD_CONTENT_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MIXED_LLM_BUILD_SHA256
+
+
+# Catalogs whose descriptions repeat: the leaves' rows are one row many times
+# over, which reduce takes to all-zero rows, or two rows that alternate.
+DEGENERATE_CATALOGS = {
+    "12_same": ([(f"a{i}", "tool", "parse json files") for i in range(12)],
+                "beacc7fdbc62c5904479753d17f15d6eee3b91becf13e7bbb20db05af24019f2"),
+    "200_same": ([(f"a{i}", "tool", "parse json files") for i in range(200)],
+                 "8d370da31c54b53841f2cb9402cc84edcfdd3026c9f278e94bf42eca14f29cd4"),
+    "40_names_same": ([(f"a{i}", f"tool{i}", "parse json files") for i in range(40)],
+                      "bd3c25fca77832f1a8f341881b0e8ae41928dd83847e295f357c1f64c9726bcc"),
+    "30_alternating": ([(f"a{i}", "tool", ("parse json files", "send http requests")[i % 2])
+                        for i in range(30)],
+                       "d48e98fb1db38f985b05fb100e8801da472b0ab17b450fee186a21501fc9195c"),
+}
+
+
+@pytest.mark.parametrize("rows, sha256", DEGENERATE_CATALOGS.values(),
+                         ids=DEGENERATE_CATALOGS.keys())
+def test_build_bytes_of_repeated_descriptions_are_pinned(rows, sha256, tmp_path):
+    path = tmp_path / "index.json"
+    save_tree(build_tree(library(*rows), HashedEmbedder(EmbedderConfig()), seed=3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def _row_major_scatter(dim, payload, n):
