@@ -305,38 +305,46 @@ def load_word_vectors(path: str) -> WordVectorTable:
     """Load plain-text vectors: ``word v1 … vd`` per line, optional
     ``count dim`` header (a first line of two integers); every word needs
     at least one value, every value must be finite and ``dim`` must be
-    at least 1, since a 0-dimensional table scores every artifact 0."""
+    at least 1, since a 0-dimensional table scores every artifact 0.
+    Every error, bytes that are not UTF-8 included, names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_word_vectors(fh)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise ValueError(f"word-vector file {path}: {exc}") from exc
+
+
+def _parse_word_vectors(lines) -> WordVectorTable:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    _, dim = map(int, parts)  # a header is two integers
-                except ValueError:
-                    pass
-                else:
-                    if dim < 1:
-                        raise ValueError(f"line 1: header dim {dim} is not >= 1")
-                    continue
-            if len(parts) == 1:
-                raise ValueError(f"line {lineno}: word {parts[0]!r} has no values")
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed vector entry") from exc
-            if not np.isfinite(vec).all():  # float() parses nan and inf
-                raise ValueError(f"line {lineno}: non-finite value")
-            if dim is None:
-                dim = vec.shape[0]
-            if vec.shape[0] != dim:
-                raise ValueError(f"line {lineno}: expected {dim} values, got {vec.shape[0]}")
-            vectors[parts[0]] = vec
+                _, dim = map(int, parts)  # a header is two integers
+            except ValueError:
+                pass
+            else:
+                if dim < 1:
+                    raise ValueError(f"line 1: header dim {dim} is not >= 1")
+                continue
+        if len(parts) == 1:
+            raise ValueError(f"line {lineno}: word {parts[0]!r} has no values")
+        try:
+            vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed vector entry") from exc
+        if not np.isfinite(vec).all():  # float() parses nan and inf
+            raise ValueError(f"line {lineno}: non-finite value")
+        if dim is None:
+            dim = vec.shape[0]
+        if vec.shape[0] != dim:
+            raise ValueError(f"line {lineno}: expected {dim} values, got {vec.shape[0]}")
+        vectors[parts[0]] = vec
     if dim is None:
-        raise ValueError("empty word-vector file")
+        raise ValueError("no vectors")
     return WordVectorTable(dim=dim, vectors=vectors)
 
 

@@ -19,9 +19,10 @@ in k order, so the chosen model and the index bytes do not depend on the
 number of workers.  Fork, not spawn, keeps the parent's module state: a
 worker calls whatever ``fit_gmm`` and kernel the parent had in place
 when it was forked, and only the data, the k's and the fitted models
-are pickled.  A build forks its workers once, at the first sweep that
-needs them, and every later level's sweep reuses them (``SweepPool``);
-``select_k_bic`` called on its own forks a pool for that call only.
+are pickled.  Every sweep runs its fits through a ``SweepPool``, the one
+place that decides where they run: a build forks its workers once, at
+the first sweep that needs them, and every later level's sweep reuses
+them.
 
 A build runs on one OpenBLAS thread (``one_blas_thread``): the sweep's
 workers are already one per CPU, and a second BLAS thread per process
@@ -103,14 +104,11 @@ def reduce(X: np.ndarray, target_dim: int) -> np.ndarray:
     target = min(target_dim, d, n - 1)
     centered = X - X.mean(axis=0)
     # SVD of the centered matrix; sign fixed so each component's
-    # largest-magnitude entry is positive (determinism).
+    # largest-magnitude entry is positive (determinism), by an exact ±1.
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:target]
-    for i in range(comps.shape[0]):
-        j = int(np.argmax(np.abs(comps[i])))
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
-    return centered @ comps.T
+    pivots = comps[np.arange(target), np.abs(comps).argmax(axis=1)]
+    return centered @ (comps * np.where(pivots < 0, -1.0, 1.0)[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -241,18 +239,25 @@ def _fit_candidate(X: np.ndarray, seed: int, k: int) -> GmmModel:
 
 
 class SweepPool:
-    """Forked workers for BIC sweeps: forked by the first sweep that needs
-    them, as many as its workers, and reused by every later sweep until
-    the pool is closed, which terminates and joins them.  A context
-    manager that closes the pool when its block ends or raises."""
+    """Where BIC sweeps' fits run: in this process where fewer than two
+    workers are possible or the process is daemonic (it may not have
+    children), else in workers forked by the first call that needs them,
+    as many as its workers, and reused until the pool is closed, which
+    terminates and joins them.  Closed when its ``with`` block ends or raises."""
 
     def __init__(self):
         self._pool = None
 
-    def imap(self, fit, ks: list[int], workers: int):
+    def fits(self, fit, ks: list[int]) -> dict[int, GmmModel]:
+        """``fit(k)`` for each k in ``ks``, keyed by k; in workers the
+        largest k is submitted first, so that the longest fits start early."""
+        workers = min(len(os.sched_getaffinity(0)), len(ks))
+        if workers < 2 or multiprocessing.current_process().daemon:
+            return {k: fit(k) for k in ks}
         if self._pool is None:
             self._pool = multiprocessing.get_context("fork").Pool(workers)
-        return self._pool.imap(fit, ks)
+        largest_first = sorted(ks, reverse=True)
+        return dict(zip(largest_first, self._pool.imap(fit, largest_first)))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -268,51 +273,32 @@ class SweepPool:
 
 
 def select_k_bic(data: np.ndarray, k_range: range, seed: int,
-                 pool: SweepPool | None = None) -> tuple[GmmModel, list[tuple[int, float]]]:
-    """Fit one GMM per candidate k and return the BIC minimizer plus the curve.
-
-    With more than one CPU the fits run in forked workers, largest k
-    first so that the longest fits start early: those of ``pool`` (a
-    build's, kept across its levels) or else a pool that lives only for
-    this call.  A daemonic process may not have children, so there, as
-    on one CPU, they run in this process.
-    """
+                 pool: SweepPool) -> tuple[GmmModel, list[tuple[int, float]]]:
+    """Fit one GMM per candidate k through ``pool`` and return the BIC
+    minimizer, the curve's first minimum in k order, plus the curve."""
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
     candidates = [k for k in k_range if 1 <= k < n]
     if not candidates:
         raise ValueError(f"no valid k in {k_range!r} for n={n}")
-    fit = functools.partial(_fit_candidate, X, seed)
-    workers = min(len(os.sched_getaffinity(0)), len(candidates))
-    if workers < 2 or multiprocessing.current_process().daemon:
-        fits = dict(zip(candidates, map(fit, candidates)))
-    else:
-        largest_first = sorted(candidates, reverse=True)
-        with SweepPool() if pool is None else contextlib.nullcontext(pool) as sweep:
-            fits = dict(zip(largest_first, sweep.imap(fit, largest_first, workers)))
-    curve: list[tuple[int, float]] = []
-    best: GmmModel | None = None
-    best_bic = math.inf
-    for k in candidates:
-        model = fits[k]
-        value = bic(model, n)
-        curve.append((k, value))
-        if value < best_bic:
-            best, best_bic = model, value
-    assert best is not None
-    return best, curve
+    fits = pool.fits(functools.partial(_fit_candidate, X, seed), candidates)
+    curve = [(k, bic(fits[k], n)) for k in candidates]
+    best, _ = min(curve, key=lambda point: point[1])
+    return fits[best], curve
 
 
 @dataclass(frozen=True)
 class SoftAssignment:
     """The points' responsibilities and the clusters that the points join."""
     responsibilities: np.ndarray  # (n, k), row-stochastic
-    clusters: tuple[tuple[int, ...], ...]  # non-empty ones in component order, members ascending
+    clusters: tuple[tuple[int, ...], ...]  # distinct, non-empty, component order, ascending
 
 
 def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> SoftAssignment:
     """A point joins each cluster of at least ``threshold`` responsibility and
-    its argmax cluster; ``clusters`` lists each non-empty cluster's members."""
+    its argmax cluster; ``clusters`` lists each non-empty cluster's members,
+    once per member set: a cluster with the members of an earlier one (as
+    every cluster of identical rows has) is dropped, so it adds no parent."""
     X = np.asarray(data, dtype=np.float64)
     if X.shape[1] != model.dim:
         raise ValueError("data dimensionality does not match the fitted model")
@@ -320,5 +306,5 @@ def soft_assign(model: GmmModel, data: np.ndarray, threshold: float = 0.2) -> So
                                         np.log(model.weights)))[0].T
     picked = resp >= threshold
     picked[np.arange(len(resp)), resp.argmax(axis=1)] = True
-    clusters = tuple(tuple(np.flatnonzero(c).tolist()) for c in picked.T if c.any())
+    clusters = tuple(dict.fromkeys(tuple(np.flatnonzero(c).tolist()) for c in picked.T if c.any()))
     return SoftAssignment(responsibilities=resp, clusters=clusters)

@@ -103,11 +103,14 @@ class ChatClient:
 
 class ReplayClient:
     """Replays recorded responses keyed by prompt hash; the file must be a
-    JSON object whose values are all response text."""
+    JSON object whose values are all response text, in UTF-8."""
 
     def __init__(self, path: str):
-        with open(path, encoding="utf-8") as fh:
-            responses = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                responses = json.load(fh)
+        except ValueError:  # not UTF-8, or not JSON
+            responses = None
         if not (isinstance(responses, dict)
                 and all(type(text) is str for text in responses.values())):
             raise LlmError(f"stub file {path} is not a JSON object of prompt hash "

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semtree.catalog import ArtifactLibrary, IntentSample
+from semtree.cluster import SweepPool
 from semtree.embed import EmbedderConfig, HashedEmbedder
 
 
@@ -156,6 +157,14 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def family_library():
     return make_family_library()
+
+
+@pytest.fixture()
+def pool():
+    """The ``SweepPool`` that a test's ``select_k_bic`` calls share, closed
+    (its workers, if any were forked, gone) when the test ends."""
+    with SweepPool() as sweep:
+        yield sweep
 
 
 @pytest.fixture(scope="session")

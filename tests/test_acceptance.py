@@ -129,7 +129,7 @@ def test_criterion_3_sublinear_search(embedder):
             assert result.node_evaluations <= 160
 
 
-def test_criterion_4_clustering_recovery():
+def test_criterion_4_clustering_recovery(pool):
     centers = np.zeros((3, 5))
     centers[1, 0] = 8.0
     centers[2, 1] = 8.0
@@ -138,7 +138,7 @@ def test_criterion_4_clustering_recovery():
         for seed in range(10):
             rng = np.random.default_rng(seed)
             X = np.vstack([rng.normal(c, 0.5, (100, 5)) for c in centers])
-            model, _ = select_k_bic(X, range(1, 7), seed=seed)
+            model, _ = select_k_bic(X, range(1, 7), seed, pool)
             if model.k == 3:
                 hits += 1
             history = np.array(model.ll_history)

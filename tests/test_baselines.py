@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import fields
 from decimal import Decimal, localcontext
@@ -972,7 +973,18 @@ def test_wordavg_file_that_would_score_nothing_names_its_line(tmp_path, text, me
     # a 0-dimensional table would score every artifact 0
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^word-vector file {re.escape(str(path))}: {message}$"):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"red 1.0\ngr\xffen 2.0\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"\n \n", "no vectors"),
+], ids=["not-utf-8", "empty"])
+def test_word_vector_errors_name_the_file(tmp_path, data, message):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^word-vector file {re.escape(str(path))}: {message}"):
         load_word_vectors(path)
 
 

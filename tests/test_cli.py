@@ -372,15 +372,22 @@ def test_search_missing_llm_stub_exits_1(built_index, tmp_path, capsys):
     assert "error:" in err and "missing.json" in err
 
 
+STUB_KINDS = ["list", "string", "int-valued", "not-json", "not-utf-8"]
+
+
 def write_malformed_stub(path, kind, prompt):
-    """A stub file that is a JSON list, a JSON string, or an object that
-    maps ``prompt``'s hash to a number."""
-    path.write_text(json.dumps(
-        {"list": [], "string": "a reply", "int-valued": {prompt_hash(prompt): 5}}[kind]))
+    """A stub file that is a JSON list, a JSON string, an object that maps
+    ``prompt``'s hash to a number, text that is not JSON, or that object
+    with a reply in bytes that are not UTF-8."""
+    key = prompt_hash(prompt)
+    path.write_bytes({"list": b"[]", "string": b'"a reply"',
+                      "int-valued": json.dumps({key: 5}).encode(),
+                      "not-json": b"a reply",
+                      "not-utf-8": f'{{"{key}": "a r\xe9ply"}}'.encode("latin-1")}[kind])
     return path
 
 
-@pytest.mark.parametrize("kind", ["list", "string", "int-valued"])
+@pytest.mark.parametrize("kind", STUB_KINDS)
 def test_build_malformed_llm_stub_exits_1(catalog, tmp_path, capsys, kind):
     build = ["build", str(catalog), "--dim", "64", "--max-top", "1"]
     offline = tmp_path / "offline.json"
@@ -394,11 +401,11 @@ def test_build_malformed_llm_stub_exits_1(catalog, tmp_path, capsys, kind):
     code, out, err = run(capsys, *build, "--out", str(out_path), "--llm-stub", str(stub))
     assert code == 1
     assert out == "" and "Traceback" not in err
-    assert "error: stub file" in err and "not a JSON object of prompt hash" in err
+    assert f"error: stub file {stub} is not a JSON object of prompt hash" in err
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("kind", ["list", "string", "int-valued"])
+@pytest.mark.parametrize("kind", STUB_KINDS)
 def test_search_rerank_malformed_llm_stub_exits_1(built_index, tmp_path, capsys, kind):
     intent = "http client"
     index = load_tree(str(built_index))
@@ -411,7 +418,7 @@ def test_search_rerank_malformed_llm_stub_exits_1(built_index, tmp_path, capsys,
                          "--k", "3", "--rerank", "--llm-stub", str(stub))
     assert code == 1
     assert out == "" and "Traceback" not in err
-    assert "error: stub file" in err and "not a JSON object of prompt hash" in err
+    assert f"error: stub file {stub} is not a JSON object of prompt hash" in err
 
 
 def test_recorded_replies_reach_the_index_and_the_ranking(catalog, tmp_path, capsys):
@@ -507,7 +514,20 @@ def test_bench_wordavg_non_finite_vector_exits_1(catalog, pairs, tmp_path, capsy
                        "--catalog", str(catalog), "--pairs", str(pairs),
                        "--out", str(tmp_path / "r.json"))
     assert code == 1
-    assert "line 2: non-finite value" in err and "Traceback" not in err
+    assert f"error: word-vector file {vectors}: line 2: non-finite value" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_bench_wordavg_vectors_not_utf8_exit_1_naming_the_file(catalog, pairs, tmp_path,
+                                                               capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"http 1.0 0.0\nlogg\xe9ing 0.0 1.0\n")
+    code, _, err = run(capsys, "bench", "--solution", "wordavg", "--vectors", str(vectors),
+                       "--catalog", str(catalog), "--pairs", str(pairs),
+                       "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert f"error: word-vector file {vectors}: 'utf-8' codec" in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import pytest
 from semtree import cluster
 from semtree.cluster import (
     GmmModel,
+    SweepPool,
     VARIANCE_FLOOR,
     bic,
     fit_gmm,
@@ -126,23 +128,23 @@ def test_weights_sum_and_variance_floor():
 
 # --- select_k_bic ---------------------------------------------------------
 
-def test_bic_selects_three_clusters():
+def test_bic_selects_three_clusters(pool):
     X, _ = three_blob_data(seed=0)
-    model, curve = select_k_bic(X, range(1, 7), seed=0)
+    model, curve = select_k_bic(X, range(1, 7), 0, pool)
     assert model.k == 3
     assert [k for k, _ in curve] == [1, 2, 3, 4, 5, 6]
 
 
-def test_bic_excludes_k_at_n():
+def test_bic_excludes_k_at_n(pool):
     X = np.random.default_rng(0).normal(size=(5, 2))
-    model, curve = select_k_bic(X, range(1, 6), seed=0)
+    model, curve = select_k_bic(X, range(1, 6), 0, pool)
     assert all(k < 5 for k, _ in curve)
 
 
-def test_bic_single_blob_prefers_one():
+def test_bic_single_blob_prefers_one(pool):
     rng = np.random.default_rng(7)
     X = rng.normal(0.0, 0.1, size=(80, 3))
-    model, curve = select_k_bic(X, range(1, 5), seed=0)
+    model, curve = select_k_bic(X, range(1, 5), 0, pool)
     assert model.k == 1
     # hand-check the k=1 BIC value against the formula
     m1 = fit_gmm(X, 1, seed=0)
@@ -165,7 +167,8 @@ def test_bic_on_duplicate_groups_matches_loop_kernel(offset, monkeypatch):
     X = duplicate_groups(offset)
 
     def outcome():
-        model, _ = select_k_bic(X, range(2, 9), seed=0)
+        with SweepPool() as pool:  # forked anew, so its workers fit with the kernel in place
+            model, _ = select_k_bic(X, range(2, 9), 0, pool)
         return model.k, len(model.ll_history), soft_assign(model, X).clusters
 
     got = outcome()
@@ -247,9 +250,11 @@ def test_em_matches_the_sample_major_reference(case, monkeypatch):
         want = reference_fit_gmm(X, k, seed=0, n_init=cluster.BIC_RESTARTS)
         assert len(got.ll_history) == len(want.ll_history), k
         assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-9, abs=0.0), k
-    got, _ = select_k_bic(X, k_range, seed=0)
-    monkeypatch.setattr(cluster, "fit_gmm", reference_fit_gmm)
-    want, _ = select_k_bic(X, k_range, seed=0)
+    with SweepPool() as pool:
+        got, _ = select_k_bic(X, k_range, 0, pool)
+    monkeypatch.setattr(cluster, "fit_gmm", reference_fit_gmm)  # forked anew, so workers see it
+    with SweepPool() as pool:
+        want, _ = select_k_bic(X, k_range, 0, pool)
     assert got.k == want.k
     assert soft_assign(got, X).clusters == reference_clusters(want, X)
 
@@ -261,9 +266,18 @@ def test_underflow_case_has_exactly_zero_responsibilities():
     assert sorted(chain.from_iterable(assignment.clusters)) == list(range(len(X)))
 
 
-def test_bic_empty_range():
+def test_bic_empty_range(pool):
     with pytest.raises(ValueError, match="no valid k"):
-        select_k_bic(np.zeros((4, 2)), range(8, 9), seed=0)
+        select_k_bic(np.zeros((4, 2)), range(8, 9), 0, pool)
+
+
+def test_tied_bic_values_keep_the_smallest_k(pool, monkeypatch):
+    X, _ = three_blob_data(seed=0)
+    values = {2: 5.0, 3: 1.0, 4: 7.0, 5: 1.0, 6: 1.0}
+    monkeypatch.setattr(cluster, "bic", lambda model, n: values[model.k])
+    model, curve = select_k_bic(X, range(2, 7), 0, pool)
+    assert curve == list(values.items())
+    assert model.k == 3
 
 
 # --- the BIC sweep's worker pool -------------------------------------------
@@ -284,10 +298,12 @@ def sweep_case(case, hashed_embedder):
 def test_pooled_sweep_is_bit_equal_to_one_cpu(case, hashed_embedder, monkeypatch):
     X, k_range = sweep_case(case, hashed_embedder)
     set_cpus(monkeypatch, 2)
-    pooled, pooled_curve = select_k_bic(X, k_range, seed=0)
+    with SweepPool() as pool:
+        pooled, pooled_curve = select_k_bic(X, k_range, 0, pool)
     assert multiprocessing.active_children() == []
     set_cpus(monkeypatch, 1)
-    serial, serial_curve = select_k_bic(X, k_range, seed=0)
+    with SweepPool() as pool:
+        serial, serial_curve = select_k_bic(X, k_range, 0, pool)
     assert pooled.k == serial.k
     assert pooled_curve == serial_curve
     for name in ("weights", "means", "variances"):
@@ -347,8 +363,8 @@ def test_a_fault_in_a_worker_reaches_the_caller(monkeypatch):
     X, _ = three_blob_data(seed=0)
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(cluster, "fit_gmm", failing_fit)
-    with pytest.raises(SweepFault, match="k=4 in process") as raised:
-        select_k_bic(X, range(2, 7), seed=0)
+    with pytest.raises(SweepFault, match="k=4 in process") as raised, SweepPool() as pool:
+        select_k_bic(X, range(2, 7), 0, pool)
     assert raised.value.args[0] != f"k=4 in process {os.getpid()}"  # raised in a worker
     assert multiprocessing.active_children() == []
 
@@ -375,13 +391,19 @@ def forks(monkeypatch):
     return counter
 
 
-def test_a_lone_sweep_forks_a_pool_for_its_call_only(forks, monkeypatch):
+@pytest.mark.parametrize("cpus, pools", [(2, 1), (1, 0)])
+def test_a_pool_called_twice_forks_once_and_on_one_cpu_never(cpus, pools, forks,
+                                                             monkeypatch):
     X, _ = three_blob_data(seed=0)
-    set_cpus(monkeypatch, 2)
-    for calls in (1, 2):
-        select_k_bic(X, range(2, 6), seed=0)
-        assert forks.pools == calls
-        assert multiprocessing.active_children() == []
+    set_cpus(monkeypatch, cpus)
+    fit = functools.partial(cluster._fit_candidate, X, 0)
+    with SweepPool() as pool:
+        first, second = pool.fits(fit, [2, 3, 4]), pool.fits(fit, [3, 5])
+        assert forks.pools == pools
+    assert multiprocessing.active_children() == []
+    assert list(first) == ([4, 3, 2] if pools else [2, 3, 4])  # workers: largest k first
+    assert first[3].ll_history == second[3].ll_history
+    assert [m.k for m in second.values()] == list(second)
 
 
 def test_a_build_forks_one_pool_for_all_its_sweeps(forks, hashed_embedder, tmp_path,
@@ -573,8 +595,9 @@ def test_equidistant_point_double_membership():
         log_likelihood=0.0,
     )
     assignment = soft_assign(model, np.array([[5.0, 5.0]]), threshold=0.2)
-    assert assignment.clusters == ((0,), (0,))
     assert np.allclose(assignment.responsibilities[0], 0.5)
+    # both components pick the point; the second cluster repeats the first
+    assert assignment.clusters == ((0,),)
 
 
 AXES = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]  # ±e1, ±e2, ±e3

@@ -828,14 +828,15 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
 
 
 # Catalogs whose descriptions repeat: the leaves' rows are one row many times
-# over, which reduce takes to all-zero rows, or two rows that alternate.
+# over, which reduce takes to all-zero rows (one parent holds them all), or
+# two rows that alternate.
 DEGENERATE_CATALOGS = {
     "12_same": ([(f"a{i}", "tool", "parse json files") for i in range(12)],
-                "beacc7fdbc62c5904479753d17f15d6eee3b91becf13e7bbb20db05af24019f2"),
+                "a50719d4b8e2ae814535beadf7125c83c7bafeae9c0611453a1836108493a03c"),
     "200_same": ([(f"a{i}", "tool", "parse json files") for i in range(200)],
-                 "8d370da31c54b53841f2cb9402cc84edcfdd3026c9f278e94bf42eca14f29cd4"),
+                 "20641def6a2fb1201f344258e078470ca12fc9e437510a40a6a5442100f7cdd9"),
     "40_names_same": ([(f"a{i}", f"tool{i}", "parse json files") for i in range(40)],
-                      "bd3c25fca77832f1a8f341881b0e8ae41928dd83847e295f357c1f64c9726bcc"),
+                      "079b9668dc8e35808534d45e75da4cdaf79d0e68deb5126e06fc0203deb15d40"),
     "30_alternating": ([(f"a{i}", "tool", ("parse json files", "send http requests")[i % 2])
                         for i in range(30)],
                        "d48e98fb1db38f985b05fb100e8801da472b0ab17b450fee186a21501fc9195c"),
@@ -848,6 +849,15 @@ def test_build_bytes_of_repeated_descriptions_are_pinned(rows, sha256, tmp_path)
     path = tmp_path / "index.json"
     save_tree(build_tree(library(*rows), HashedEmbedder(EmbedderConfig()), seed=3), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_identical_artifacts_get_one_parent():
+    # every k fits zero rows equally well and each point's responsibility is
+    # spread evenly, so each of BIC's k components picks every point
+    rows, _ = DEGENERATE_CATALOGS["200_same"]
+    index = build_tree(library(*rows), HashedEmbedder(EmbedderConfig()), seed=3)
+    assert index.roots == ("L1-0",)
+    assert index.nodes["L1-0"].children == tuple(f"L0-{i}" for i in range(200))
 
 
 def _row_major_scatter(dim, payload, n):
