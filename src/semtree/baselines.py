@@ -357,13 +357,13 @@ def _avg_vector(table: WordVectorTable, text: str) -> np.ndarray:
 
 def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
     """``intent -> RankedList`` by the cosine between averaged word vectors
-    of the intent and each description.  The description vectors, their
-    norms and the zero block are computed once here; a query takes one dot
-    per description with a nonzero vector."""
-    dvecs = [_avg_vector(table, description) for description in lib.descriptions]
+    of the intent and each description.  The nonzero description vectors
+    are stacked once here, with their norms and the zero block; a query
+    takes one ``(m, dim) @ q`` product over them."""
+    dvecs = np.array([_avg_vector(table, description) for description in lib.descriptions])
     norms = np.fromiter(map(np.linalg.norm, dvecs), dtype=np.float64, count=len(dvecs))
     rows = np.flatnonzero(norms > 0)
-    dvecs, dn = [dvecs[i] for i in rows.tolist()], norms[rows]
+    dvecs, dn = dvecs[rows], norms[rows]
     ids, id_rank, zero_entries = _ranking_columns(lib.artifact_ids)
 
     def score(intent: str) -> RankedList:
@@ -371,8 +371,7 @@ def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
         qn = np.linalg.norm(qvec)
         scores = np.zeros(len(ids))
         if qn > 0:
-            dots = np.fromiter(map(qvec.dot, dvecs), dtype=np.float64, count=len(dvecs))
-            scores[rows] = dots / (qn * dn)
+            scores[rows] = dvecs @ qvec / (qn * dn)
         return _ranked(ids, id_rank, zero_entries, intent, scores)
 
     return score

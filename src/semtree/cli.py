@@ -181,11 +181,6 @@ def cmd_bench(args) -> int:
     lib = load_library(args.catalog)
     pairs = load_pairs(args.pairs, lib)
     name = args.solution
-    if name not in BASELINE_SOLUTIONS:
-        print(f"unknown solution {name!r}; registered: {', '.join(BASELINE_SOLUTIONS)}",
-              file=sys.stderr)
-        return 2
-
     if name in ("tfidf", "bm25", "lsi", "jsd"):
         idx = baselines.build_term_index(lib)
         scorer = getattr(baselines, f"score_{name}")
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("bench", parents=[llm], help="run a benchmark sweep for one solution")
-    p.add_argument("--solution", required=True)
+    p.add_argument("--solution", required=True, choices=BASELINE_SOLUTIONS)
     p.add_argument("--catalog", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
@@ -283,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
     try:
         return args.fn(args)
     except (CatalogError, TreeError, OSError, ValueError, LlmError,

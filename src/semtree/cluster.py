@@ -1,10 +1,10 @@
 """Dimensionality reduction, diagonal-covariance GMM via EM, BIC model
 selection, and soft cluster assignment.
 
-The reducer is PCA with a deterministic sign per component; the build
-uses only the reduced matrix.  EM uses k-means++-style seeding, a
-variance floor against duplicate points, and is fully deterministic
-given a seed.
+The reducer is PCA, each component's sign left as the SVD gives it: the
+build uses only the reduced matrix, and nothing it computes from it
+depends on a sign.  EM uses k-means++-style seeding, a variance floor
+against duplicate points, and is fully deterministic given a seed.
 
 EM works component-major: log densities and responsibilities are (k, n)
 C-contiguous arrays, so every per-sample reduction runs over k contiguous
@@ -96,19 +96,18 @@ def one_blas_thread():
 
 def reduce(X: np.ndarray, target_dim: int) -> np.ndarray:
     """Centered ``X`` on its top ``target_dim`` principal components.
-    Identical rows centre to zero, so the same SVD reduces them to zeros."""
+    Identical rows centre to zero, so the same SVD reduces them to zeros.
+    Each component's sign is the SVD's: negating an axis changes neither
+    the k-means++ seeding, nor diagonal EM, nor soft assignment, so the
+    build's clusters and bytes do not depend on it."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:
         raise ValueError("pca needs at least 2 vectors")
     target = min(target_dim, d, n - 1)
     centered = X - X.mean(axis=0)
-    # SVD of the centered matrix; sign fixed so each component's
-    # largest-magnitude entry is positive (determinism), by an exact ±1.
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:target]
-    pivots = comps[np.arange(target), np.abs(comps).argmax(axis=1)]
-    return centered @ (comps * np.where(pivots < 0, -1.0, 1.0)[:, None]).T
+    return centered @ vt[:target].T
 
 
 @dataclass(frozen=True)

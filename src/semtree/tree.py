@@ -109,15 +109,16 @@ class TreeIndex:
             embeddings = np.asarray(embeddings, dtype=np.float64, order="F")
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
             raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
-        self.ids, self.levels, self.kinds = tuple(ids), tuple(levels), tuple(kinds)
-        self.names, self.summaries = tuple(names), tuple(summaries)
-        self.artifact_ids, self.roots = tuple(artifact_ids), tuple(roots)
-        for name, column in (("levels", self.levels), ("kinds", self.kinds),
-                             ("names", self.names), ("summaries", self.summaries),
-                             ("artifact_ids", self.artifact_ids), ("children", children)):
-            if len(column) != len(self.ids):
+        for name, column in (("ids", ids), ("levels", levels), ("kinds", kinds),
+                             ("names", names), ("summaries", summaries),
+                             ("artifact_ids", artifact_ids), ("children", children)):
+            if not isinstance(column, (list, tuple)):  # a string would pass as its letters
+                raise TreeError(f"the {name} column is not a list or tuple")
+            if len(column) != len(ids):
                 raise TreeError(f"the {name} column has {len(column)} entries, not one "
-                                f"for each of the {len(self.ids)} node ids")
+                                f"for each of the {len(ids)} node ids")
+        (self.ids, self.levels, self.kinds, self.names, self.summaries, self.artifact_ids,
+         self.roots) = map(tuple, (ids, levels, kinds, names, summaries, artifact_ids, roots))
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
         self.embeddings = embeddings
         self.config = {} if config is None else config
@@ -156,17 +157,11 @@ class TreeIndex:
 def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Each id's row, and the rows of each node's ``children`` ids as CSR
     arrays (``child_ptr``, ``child_rows``)."""
-    try:
-        row = {nid: i for i, nid in enumerate(ids)}
-    except TypeError as exc:  # a JSON list or object as an id
-        raise TreeError(f"node ids must be strings: {exc}") from exc
-    if len(row) != len(ids):
-        seen: set[str] = set()
-        raise TreeError(f"duplicate node id {next(n for n in ids if n in seen or seen.add(n))!r}")
-    if not set(map(type, children)) <= {list, tuple}:  # a string would pass as its letters
-        for nid, kids in zip(ids, children):
-            if not isinstance(kids, (list, tuple)):
-                raise TreeError(f"node {nid}: children {kids!r} are not a list of ids")
+    _check_types(ids, (str,),
+                 lambda i: f"node {ids[i]!r}: id, name and summary must be strings")
+    row = _distinct_keys(ids, range(len(ids)), lambda a, b: f"duplicate node id {ids[b]!r}")
+    _check_types(children, (list, tuple),
+                 lambda i: f"node {ids[i]}: children {children[i]!r} are not a list of ids")
     ptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.fromiter(map(len, children), dtype=np.intp), out=ptr[1:])
     try:
@@ -187,6 +182,26 @@ def rank_by_id(ids) -> np.ndarray:
     return ranks
 
 
+def _check_types(column, accepted: tuple[type, ...], message) -> None:
+    """Raise ``TreeError(message(i))`` at the first entry ``i`` of ``column`` not of an
+    ``accepted`` type (a bool is no int), walking only a column whose set of types fails."""
+    if not set(map(type, column)) <= set(accepted):
+        for i, value in enumerate(column):
+            if not isinstance(value, accepted) or isinstance(value, bool):
+                raise TreeError(message(i))
+
+
+def _distinct_keys(keys, rows, message) -> dict:
+    """``dict(zip(keys, rows))``; raises ``TreeError(message(a, b))`` at the first key
+    ``keys[b]`` that repeats an earlier one, ``keys[a]``."""
+    index = dict(zip(keys, rows))
+    if len(index) != len(keys):
+        first: dict = {}
+        raise TreeError(message(*next((first[k], b) for b, k in enumerate(keys)
+                                      if first.setdefault(k, b) != b)))
+    return index
+
+
 def _raise_at(bad: np.ndarray, message) -> None:
     """Raise ``TreeError(message(i))`` for the first row ``i`` that ``bad`` marks."""
     if bad.any():
@@ -196,13 +211,13 @@ def _raise_at(bad: np.ndarray, message) -> None:
 def validate_tree(t: TreeIndex) -> None:
     """Check the index's columns and set the arrays that search reads.
 
-    Checks: levels are integers; ids, names, summaries and leaves'
-    artifact ids are strings; each kind is ``leaf`` or ``internal``;
-    leaves have no children and internal nodes have some; each artifact
-    has one leaf; levels decrease along every CSR edge (hence
-    acyclicity); roots are present and distinct; every leaf is reached
-    by a level-by-level sweep from the roots; and the embedding matrix is
-    finite with one row per node.  ``TreeIndex`` runs it when made.
+    Checks: levels are integers; names, summaries and leaves' artifact
+    ids are strings (``_csr`` checks the ids); each kind is ``leaf`` or
+    ``internal``; leaves have no children and internal nodes have some;
+    each artifact has one leaf; levels decrease along every CSR edge
+    (hence acyclicity); roots are present and distinct; every leaf is
+    reached by a level-by-level sweep from the roots; and the embedding
+    matrix is finite with one row per node.  ``TreeIndex`` runs it when made.
     """
     n, ids = len(t.ids), t.ids
     if not n:
@@ -210,21 +225,15 @@ def validate_tree(t: TreeIndex) -> None:
     if t.embeddings.ndim != 2 or len(t.embeddings) != n:
         raise TreeError(f"embedding matrix of shape {t.embeddings.shape} does not "
                         f"have one row for each of the {n} nodes")
-    # Each type check is one set of types, made at C speed; only a column
-    # that holds some other type is walked to find the node.
-    if set(map(type, t.levels)) != {int}:  # before any edge compares two levels
-        for nid, level in zip(ids, t.levels):
-            if not isinstance(level, int) or isinstance(level, bool):
-                raise TreeError(f"node {nid!r}: level {level!r} is not an integer")
+    _check_types(t.levels, (int,),  # before any edge compares two levels
+                 lambda i: f"node {ids[i]!r}: level {t.levels[i]!r} is not an integer")
     try:
         levels = np.array(t.levels, dtype=np.int64)
     except OverflowError as exc:
         raise TreeError(f"a node level does not fit in 64 bits: {exc}") from exc
-    if set(map(type, chain(ids, t.names, t.summaries))) != {str}:
-        for nid, name, summary in zip(ids, t.names, t.summaries):
-            if not (isinstance(nid, str) and isinstance(name, str)
-                    and isinstance(summary, str)):
-                raise TreeError(f"node {nid!r}: id, name and summary must be strings")
+    for column in (t.names, t.summaries):
+        _check_types(column, (str,),
+                     lambda i: f"node {ids[i]!r}: id, name and summary must be strings")
     is_leaf = np.array([kind == "leaf" for kind in t.kinds], dtype=bool)
     internal = np.array([kind == "internal" for kind in t.kinds], dtype=bool)
     _raise_at(~(is_leaf | internal),
@@ -232,37 +241,23 @@ def validate_tree(t: TreeIndex) -> None:
     fanout = np.diff(t.child_ptr)
     _raise_at(is_leaf & (fanout > 0), lambda i: f"leaf {ids[i]} has children")
     _raise_at(internal & (fanout == 0), lambda i: f"internal node {ids[i]} has no children")
-    has_artifact = np.array([a is not None for a in t.artifact_ids], dtype=bool)
-    _raise_at(internal & has_artifact,
+    _raise_at(internal & np.array([a is not None for a in t.artifact_ids], dtype=bool),
               lambda i: f"internal node {ids[i]} carries an artifact_id")
     leaves = np.flatnonzero(is_leaf).tolist()
     artifact_ids = list(compress(t.artifact_ids, is_leaf.tolist()))
-    leaf_rows: dict[str, int] = {}
-    if set(map(type, artifact_ids)) == {str}:
-        leaf_rows = dict(zip(artifact_ids, leaves))
-    if len(leaf_rows) != len(leaves):  # walk the leaves only to name the culprit
-        leaf_rows = {}
-        for r, artifact_id in zip(leaves, artifact_ids):
-            if not isinstance(artifact_id, str):
-                raise TreeError(f"leaf {ids[r]} has no string artifact_id")
-            other = leaf_rows.setdefault(artifact_id, r)
-            if other != r:
-                raise TreeError(f"leaves {ids[other]} and {ids[r]} share artifact_id "
-                                f"{artifact_id}")
+    _check_types(artifact_ids, (str,),
+                 lambda j: f"leaf {ids[leaves[j]]} has no string artifact_id")
+    leaf_rows = _distinct_keys(artifact_ids, leaves, lambda a, b: (
+        f"leaves {ids[leaves[a]]} and {ids[leaves[b]]} share artifact_id {artifact_ids[b]}"))
     parents = np.repeat(np.arange(n), fanout)  # the parent row of each CSR edge
-    climbs = levels[t.child_rows] >= levels[parents]
-    if climbs.any():
-        e = int(np.argmax(climbs))
-        p, c = int(parents[e]), int(t.child_rows[e])
-        raise TreeError(f"edge {ids[p]} -> {ids[c]} does not decrease level "
-                        f"({t.levels[p]} -> {t.levels[c]})")
-    root_rows = []
-    for root_id in t.roots:
-        if not isinstance(root_id, str) or root_id not in t.row_of:
-            raise TreeError(f"missing root node {root_id!r}")
-        root_rows.append(t.row_of[root_id])
-    if len(set(root_rows)) != len(root_rows):
-        raise TreeError(f"duplicate root ids in {list(t.roots)}")
+    _raise_at(levels[t.child_rows] >= levels[parents], lambda e: (
+        f"edge {ids[parents[e]]} -> {ids[t.child_rows[e]]} does not decrease level "
+        f"({t.levels[parents[e]]} -> {t.levels[t.child_rows[e]]})"))
+    missing_root = lambda i: f"missing root node {t.roots[i]!r}"
+    _check_types(t.roots, (str,), missing_root)
+    root_rows = np.array([t.row_of.get(root_id, -1) for root_id in t.roots], dtype=np.intp)
+    _raise_at(root_rows < 0, missing_root)
+    _distinct_keys(t.roots, root_rows, lambda a, b: f"duplicate root ids in {list(t.roots)}")
     # Full leaf coverage: each pass reaches the children of the last one,
     # so a pass goes one edge deeper and the sweep ends below the leaves.
     reached = np.zeros(n, dtype=bool)
@@ -276,11 +271,11 @@ def validate_tree(t: TreeIndex) -> None:
     orphans = [ids[r] for r in np.flatnonzero(is_leaf & ~reached).tolist()]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
-    finite = np.isfinite(t.embeddings).all(axis=1)
-    _raise_at(~finite, lambda i: f"node {ids[i]}: embedding has non-finite values")
+    _raise_at(~np.isfinite(t.embeddings).all(axis=1),
+              lambda i: f"node {ids[i]}: embedding has non-finite values")
     t.is_leaf = is_leaf
     t.id_rank = rank_by_id(ids)
-    t.root_rows = np.array(root_rows, dtype=np.intp)
+    t.root_rows = root_rows
     t.top_level = int(levels.max())
     t.leaf_rows = leaf_rows
     # A beam at least as wide as the roots keeps them all, so its next
@@ -352,13 +347,9 @@ def build_tree(
                    "children": [()] * n}
 
         level, first = 0, 0  # the top level is the rows from ``first`` on
-        while True:
-            n = len(texts)
-            layers = level + 1
-            if n <= stop.max_top_level_nodes or layers >= stop.max_depth:
-                break
+        while len(texts) > stop.max_top_level_nodes and level + 1 < stop.max_depth:
             reduced = reduce(blocks[-1], target_dim)
-            upper = min(math.ceil(math.sqrt(n)), MAX_K, n - 1)
+            upper = min(math.ceil(math.sqrt(len(texts))), MAX_K, len(texts) - 1)
             # a level of two nodes can only take k = 1: both merge into one parent
             model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed, pool)
             clusters = soft_assign(model, reduced, soft_threshold).clusters  # level positions
@@ -479,10 +470,8 @@ def load_tree(path: str) -> TreeIndex:
             raise TreeError(f"index file {path}: nodes is not a JSON object")
         if type(roots) is not list:
             raise TreeError(f"index file {path}: roots is not a JSON list")
-        ids = nodes["id"]
-        for key in (*NODE_COLUMNS, "children"):  # TreeIndex checks their lengths and entries
-            if type(nodes[key]) is not list:
-                raise TreeError(f"index file {path}: the {key} column is not a JSON list")
+        ids, levels, kinds, names, summaries, artifact_ids, children = (
+            nodes[key] for key in (*NODE_COLUMNS, "children"))  # TreeIndex checks them
         matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))
     except TreeError:
         raise
@@ -490,25 +479,16 @@ def load_tree(path: str) -> TreeIndex:
         raise TreeError(f"malformed index file {path}: {type(exc).__name__} {exc}") from exc
     del doc, payload  # the columns hold what validation needs
     return TreeIndex(
-        ids=ids, levels=nodes["level"], kinds=nodes["kind"], names=nodes["name"],
-        summaries=nodes["summary"], artifact_ids=nodes["artifact_id"],
-        children=nodes["children"], roots=roots, embeddings=matrix,
+        ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
+        artifact_ids=artifact_ids, children=children, roots=roots, embeddings=matrix,
         config=config, provenance=provenance,
     )
 
 
 def tree_stats(t: TreeIndex) -> dict:
     """Layer/node counts and mean summary lengths in characters."""
-    leaf = t.is_leaf.tolist()
-    leaf_lengths = [len(s) for s, is_leaf in zip(t.summaries, leaf) if is_leaf]
-    internal_lengths = [len(s) for s, is_leaf in zip(t.summaries, leaf) if not is_leaf]
-    return {
-        "layers": t.top_level + 1,
-        "nodes": len(t.ids),
-        "mean_leaf_summary_length": (
-            sum(leaf_lengths) / len(leaf_lengths) if leaf_lengths else 0.0
-        ),
-        "mean_internal_summary_length": (
-            sum(internal_lengths) / len(internal_lengths) if internal_lengths else 0.0
-        ),
-    }
+    lengths = np.fromiter(map(len, t.summaries), dtype=np.int64, count=len(t.ids))
+    leaf, internal = lengths[t.is_leaf], lengths[~t.is_leaf]
+    return {"layers": t.top_level + 1, "nodes": len(t.ids),
+            "mean_leaf_summary_length": float(leaf.mean()) if leaf.size else 0.0,
+            "mean_internal_summary_length": float(internal.mean()) if internal.size else 0.0}

@@ -1008,10 +1008,10 @@ def test_one_dimensional_vectors_keep_their_first_word(tmp_path, text):
     assert {w: v.tolist() for w, v in table.vectors.items()} == {"red": [1.0], "green": [2.0]}
 
 
-def loop_score_wordavg(table, lib, intent):
-    """The word-average ranking as it was before ``wordavg_scorer``: every
-    description averaged and its norm taken on every intent, one dot per
-    description, ranked by the full lexsort.  Kept as the oracle."""
+def loop_wordavg_scores(table, lib, intent):
+    """The word-average cosines as they were before ``wordavg_scorer``:
+    every description averaged and its norm taken on every intent, and one
+    dot per description."""
     qvec = baselines._avg_vector(table, intent)
     qn = np.linalg.norm(qvec)
     scores = np.zeros(len(lib))
@@ -1020,8 +1020,14 @@ def loop_score_wordavg(table, lib, intent):
         dn = np.linalg.norm(dvec)
         if qn > 0 and dn > 0:
             scores[i] = float(np.dot(qvec, dvec) / (qn * dn))
+    return scores
+
+
+def loop_score_wordavg(table, lib, intent):
+    """``loop_wordavg_scores`` ranked by the full lexsort.  Kept as the oracle."""
     ids = np.array(lib.artifact_ids, dtype=object)
-    return lexsort_ranked(ids, rank_by_id(lib.artifact_ids), intent, scores)
+    return lexsort_ranked(ids, rank_by_id(lib.artifact_ids), intent,
+                          loop_wordavg_scores(table, lib, intent))
 
 
 @pytest.mark.parametrize("catalog", ["gate", "perfsuite-7-lexical"])
@@ -1043,6 +1049,31 @@ def test_wordavg_scorer_equals_the_per_intent_loop(tmp_path, catalog, seed, dim)
     for intent in intents:
         want = entry_bits(loop_score_wordavg(table, lib, intent).entries)
         assert entry_bits(scorer(intent).entries) == want, intent
+
+
+@pytest.mark.parametrize("seed, dim", [(5, 6), (8, 1), (9, 50)])
+def test_wordavg_raw_scores_are_within_1e_15_of_the_per_row_dots(tmp_path, monkeypatch,
+                                                                  seed, dim):
+    # one (m, dim) @ q product may round a cosine's last bits unlike the
+    # row's own dot; before round_scores, none may move by more than 1e-15
+    from perfsuite import gen  # the benchmark's lexical catalog
+
+    artifacts = gen.family_catalog(40, 50, "7/lexical")
+    lib = library(*((a["id"], a["name"], a["description"]) for a in artifacts))
+    stream = gen.IntentMaker(artifacts).stream("7/lexical-intents")
+    intents = [next(stream)["intent"] for _ in range(5)] + ["no known term"]
+    table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=seed, dim=dim)
+    raw = []
+    ranked = baselines._ranked
+    monkeypatch.setattr(baselines, "_ranked",
+                        lambda *args: raw.append(args[-1].copy()) or ranked(*args))
+    scorer = wordavg_scorer(table, lib)
+    for intent in intents:
+        scorer(intent)
+        want = loop_wordavg_scores(table, lib, intent)
+        assert np.array_equal(raw[-1] == 0, want == 0), intent
+        assert np.abs(raw[-1] - want).max() <= 1e-15, intent
+    assert len(raw) == len(intents)
 
 
 def test_wordavg_scorer_averages_each_description_once(tmp_path, monkeypatch):

@@ -397,7 +397,7 @@ def _set_field(header, node_id, field, value):
     (lambda header: header.update(roots={"L2-0": True}), "roots is not a JSON list"),
     (lambda header: header.update(roots="L2-0"), "roots is not a JSON list"),
     (lambda header: header["nodes"].update(id=dict.fromkeys(header["nodes"]["id"], 0)),
-     "the id column is not a JSON list"),
+     "the ids column is not a list or tuple"),
     (lambda header: header.update(nodes=[dict(zip(header["nodes"], row))
                                          for row in zip(*header["nodes"].values())]),
      "nodes is not a JSON object"),
@@ -638,6 +638,26 @@ def test_children_that_are_not_a_list_of_ids_are_rejected():
         TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("kind", ["string", "dict"])
+@pytest.mark.parametrize("column", ["ids", "levels", "kinds", "names", "summaries",
+                                    "artifact_ids", "children"])
+def test_a_column_that_is_not_a_list_is_rejected(column, kind):
+    # of the right length, so only its type gives it away: a string would
+    # pass as its letters and a dict as its keys
+    cols = columns([{"id": "a"}, {"id": "b"}, {"id": "r", "level": 1, "children": ("a", "b")}])
+    cols[column] = ("abr" if kind == "string"
+                    else {f"key{i}": value for i, value in enumerate(cols[column])})
+    with pytest.raises(TreeError, match=f"^the {column} column is not a list or tuple$"):
+        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+
+
+def test_leaves_sharing_an_artifact_id_are_both_named():
+    cols = columns([{"id": "a"}, {"id": "b", "artifact_id": "x"}, {"id": "c", "artifact_id": "x"},
+                    {"id": "r", "level": 1, "children": ("a", "b", "c")}])
+    with pytest.raises(TreeError, match="^leaves b and c share artifact_id x$"):
+        TreeIndex(**cols, roots=("r",), embeddings=np.ones((4, 2)))
+
+
 @pytest.mark.parametrize("change", ["short", "long"])
 @pytest.mark.parametrize("column", ["levels", "kinds", "names", "summaries", "artifact_ids",
                                     "children"])
@@ -858,6 +878,27 @@ def test_identical_artifacts_get_one_parent():
     index = build_tree(library(*rows), HashedEmbedder(EmbedderConfig()), seed=3)
     assert index.roots == ("L1-0",)
     assert index.nodes["L1-0"].children == tuple(f"L0-{i}" for i in range(200))
+
+
+def test_build_bytes_do_not_depend_on_pca_signs(hashed_embedder, tmp_path, monkeypatch):
+    # k-means++ seeding, diagonal EM and soft assignment are exactly
+    # invariant to negating an axis, so reduce keeps the SVD's signs
+    import semtree.tree as tree_mod
+
+    lib = make_family_library(n_families=12, per_family=25, seed=21)
+    save_tree(build_tree(lib, hashed_embedder, seed=0), tmp_path / "svd.semtree")
+    reduce, rng, flipped = tree_mod.reduce, np.random.default_rng(4), []
+
+    def negated(X, target_dim):
+        reduced = reduce(X, target_dim)
+        signs = np.where(rng.random(reduced.shape[1]) < 0.5, -1.0, 1.0)
+        flipped.append(int((signs < 0).sum()))
+        return reduced * signs
+
+    monkeypatch.setattr(tree_mod, "reduce", negated)
+    save_tree(build_tree(lib, hashed_embedder, seed=0), tmp_path / "negated.semtree")
+    assert len(flipped) > 1 and sum(flipped) > 0
+    assert (tmp_path / "negated.semtree").read_bytes() == (tmp_path / "svd.semtree").read_bytes()
 
 
 def _row_major_scatter(dim, payload, n):
