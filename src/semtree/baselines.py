@@ -55,13 +55,9 @@ SCORING_PROMPT_TEMPLATE = (
 class TermIndex:
     """Document statistics over an artifact library's descriptions, and the
     query-independent arrays every scorer reads, computed once, BM25's
-    per-document length norm and a ranking's zero block among them."""
+    per-document length norm and the ranking columns among them."""
 
-    doc_ids: np.ndarray  # object array, catalog order
-    id_rank: np.ndarray  # rank_by_id(doc_ids), the tie-break
-    # (id, 0.0) per document in id order, read-only: the zero block every
-    # ranking gathers, so a query makes tuples only for its nonzero rows
-    zero_entries: np.ndarray
+    ranking: tuple[np.ndarray, np.ndarray, np.ndarray]  # _ranking_columns of the ids
     vocabulary: dict[str, int]  # term -> index, first-occurrence order
     n_docs: int
     # Term-major (CSC) postings, the one term-document representation:
@@ -76,7 +72,6 @@ class TermIndex:
     tfidf_idf: np.ndarray  # per term
     tfidf_weights: np.ndarray  # per posting
     tfidf_norms: np.ndarray  # per document
-    jsd_total: np.ndarray  # per document: the sum of its tf-idf weights
     jsd_p: np.ndarray  # per posting: its weight over its document's total
     # LSI space by requested rank: the top right singular vectors (rank, V) of
     # the tf-idf matrix, the documents' coordinates on them (n, rank) and
@@ -109,11 +104,8 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in weightless documents
         p = w / total[postings_doc]
     avgdl = float(np.mean(doc_len)) or 1.0  # 0 only if no description has a token
-    doc_ids, id_rank, zero_entries = _ranking_columns(ids)
     return TermIndex(
-        doc_ids=doc_ids,
-        id_rank=id_rank,
-        zero_entries=zero_entries,
+        ranking=_ranking_columns(ids),
         vocabulary=vocab,
         n_docs=n,
         postings_ptr=ptr,
@@ -125,7 +117,6 @@ def build_term_index(lib: ArtifactLibrary) -> TermIndex:
         tfidf_idf=tfidf_idf,
         tfidf_weights=w,
         tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
-        jsd_total=total,
         jsd_p=p,
     )
 
@@ -140,31 +131,25 @@ def _ranking_columns(ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(ids, dtype=object), rank_by_id(ids), zero_entries
 
 
-def _ranked(ids: np.ndarray, id_rank: np.ndarray, zero_entries: np.ndarray, intent: str,
+def _ranked(ranking: tuple[np.ndarray, np.ndarray, np.ndarray], intent: str,
             scores: np.ndarray) -> RankedList:
-    """Rank as search does: scores rounded by ``round_scores``, ties by
-    ``id_rank``; ``ids``, ``id_rank`` and ``zero_entries`` are those of
-    ``_ranking_columns``.
+    """Rank as search does: scores rounded by ``round_scores``, ties by id
+    rank; ``ranking`` is what ``_ranking_columns`` returns.
 
     The list is the one a lexsort of every row over the negated scores and
     the id rank gives: positives, then the rows at zero in id order, then
     negatives, then NaNs in id order.  Most rows of a lexical ranking are
     +0.0, which rounding leaves as it is, so only the other rows are
     rounded, and only those that are not zero once rounded are sorted.
-    The zero block is ``zero_entries`` gathered at every id rank but
-    theirs, so it makes no tuple; a -0.0 row keeps its sign at its id rank
-    in a copy of the array.  The list is new on every call; only the
-    tuples are shared.
+    Rounding makes every zero +0.0, so the zero block is the shared one,
+    gathered at every id rank but those of the sorted rows: it makes no
+    tuple.  The list is new on every call; only the tuples are shared.
     """
+    ids, id_rank, zero_entries = ranking
     rows = np.flatnonzero(scores.view(np.int64))  # +0.0 is the one all-zero bit pattern
     rounded = round_scores(scores[rows])  # elementwise, so the same as rounding every row
-    zero = rounded == 0
-    signed = rows[zero & np.signbit(rounded)]
-    if len(signed):
-        zero_entries = zero_entries.copy()
-        for at, aid in zip(id_rank[signed].tolist(), ids[signed].tolist()):
-            zero_entries[at] = (aid, -0.0)
-    rows, rounded = rows[~zero], rounded[~zero]
+    nonzero = rounded != 0
+    rows, rounded = rows[nonzero], rounded[nonzero]
     order = np.lexsort((id_rank[rows], -rounded))
     rows, ranked = rows[order], rounded[order]
     pos = np.count_nonzero(ranked > 0)
@@ -203,7 +188,7 @@ def score_tfidf(idx: TermIndex, intent: str) -> RankedList:
     scores = np.zeros(idx.n_docs)
     hit = dots != 0.0  # a nonzero dot implies a nonzero norm on both sides
     scores[hit] = dots[hit] / (idx.tfidf_norms[hit] * np.linalg.norm(q))
-    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
+    return _ranked(idx.ranking, intent, scores)
 
 
 def score_bm25(idx: TermIndex, intent: str) -> RankedList:
@@ -215,7 +200,7 @@ def score_bm25(idx: TermIndex, intent: str) -> RankedList:
         idx.postings_ptr, idx.postings_doc, idx.postings_tf,
         idx.bm25_idf, idx.bm25_norm, idx.n_docs, BM25_K1,
     )
-    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
+    return _ranked(idx.ranking, intent, scores)
 
 
 def _lsi_space(idx: TermIndex, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,7 +223,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     rank = check_integer("rank", rank, 1)
     q = _tfidf_query(idx, intent)
     if not q.any():
-        return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, np.zeros(idx.n_docs))
+        return _ranked(idx.ranking, intent, np.zeros(idx.n_docs))
     vt, docs_latent, dn = _lsi_space(idx, rank)
     q_latent = q @ vt.T
     qn = np.linalg.norm(q_latent)
@@ -247,7 +232,7 @@ def score_lsi(idx: TermIndex, intent: str, rank: int = 100) -> RankedList:
     scores[mask] = (docs_latent[mask] @ q_latent) / (dn[mask] * qn)
     # snap numerical noise so unrelated documents tie at exactly zero
     scores[np.abs(scores) < 1e-10] = 0.0
-    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
+    return _ranked(idx.ranking, intent, scores)
 
 
 def _distribution(weights: np.ndarray) -> np.ndarray:
@@ -288,11 +273,11 @@ def score_jsd(idx: TermIndex, intent: str) -> RankedList:
                          weights=_jsd_shares(idx.jsd_p[sel], q[idx.postings_term[sel]]),
                          minlength=idx.n_docs)
     # a document with no weight keeps the uniform distribution
-    weightless = idx.jsd_total <= 0
+    weightless = idx.tfidf_norms == 0
     if weightless.any():
         scores[weightless] = 1.0 - jensen_shannon_divergence(
             _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
+    return _ranked(idx.ranking, intent, scores)
 
 
 @dataclass
@@ -358,21 +343,21 @@ def _avg_vector(table: WordVectorTable, text: str) -> np.ndarray:
 def wordavg_scorer(table: WordVectorTable, lib: ArtifactLibrary):
     """``intent -> RankedList`` by the cosine between averaged word vectors
     of the intent and each description.  The nonzero description vectors
-    are stacked once here, with their norms and the zero block; a query
+    are stacked once here, with their norms and the ranking columns; a query
     takes one ``(m, dim) @ q`` product over them."""
     dvecs = np.array([_avg_vector(table, description) for description in lib.descriptions])
     norms = np.fromiter(map(np.linalg.norm, dvecs), dtype=np.float64, count=len(dvecs))
     rows = np.flatnonzero(norms > 0)
     dvecs, dn = dvecs[rows], norms[rows]
-    ids, id_rank, zero_entries = _ranking_columns(lib.artifact_ids)
+    ranking = _ranking_columns(lib.artifact_ids)
 
     def score(intent: str) -> RankedList:
         qvec = _avg_vector(table, intent)
         qn = np.linalg.norm(qvec)
-        scores = np.zeros(len(ids))
+        scores = np.zeros(len(lib))
         if qn > 0:
             scores[rows] = dvecs @ qvec / (qn * dn)
-        return _ranked(ids, id_rank, zero_entries, intent, scores)
+        return _ranked(ranking, intent, scores)
 
     return score
 

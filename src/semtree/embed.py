@@ -61,16 +61,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """``v`` (1-D) over its L2 norm; a zero vector gives e₀.  The norm is
-    ``np.linalg.norm``'s own 1-D float path, ``sqrt(v · v)``, without its
-    dispatch."""
+    """``v`` (1-D) over its L2 norm; a norm of 0 (a zero vector, or one whose
+    squares underflow) gives the zero vector, which has no direction.  The
+    norm is ``np.linalg.norm``'s own 1-D float path, ``sqrt(v · v)``,
+    without its dispatch."""
     v = np.asarray(v, dtype=np.float64)
     norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        out = np.zeros_like(v)
-        out[0] = 1.0
-        return out
-    return v / norm
+    return v / norm if norm else np.zeros_like(v)
 
 
 @functools.lru_cache(maxsize=8)

@@ -75,9 +75,11 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
     Scores equal in exact arithmetic can differ in the last bits of their
     float dot products, depending on summation order; rounding makes them
     equal, so the id tie-break decides.  A tie can still split if its
-    exact value lies within about 1e-16 of a rounding boundary.
+    exact value lies within about 1e-16 of a rounding boundary.  A zero's
+    sign is summation noise too, so every zero is +0.0: adding 0.0 turns
+    -0.0 into +0.0 and is exact for every other value.
     """
-    return scores.round(SCORE_DECIMALS)  # np.round without its dispatch
+    return scores.round(SCORE_DECIMALS) + 0.0  # np.round without its dispatch
 
 
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:

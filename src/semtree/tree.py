@@ -117,6 +117,8 @@ class TreeIndex:
             if len(column) != len(ids):
                 raise TreeError(f"the {name} column has {len(column)} entries, not one "
                                 f"for each of the {len(ids)} node ids")
+        if not isinstance(roots, (list, tuple)):
+            raise TreeError("roots is not a list or tuple")
         (self.ids, self.levels, self.kinds, self.names, self.summaries, self.artifact_ids,
          self.roots) = map(tuple, (ids, levels, kinds, names, summaries, artifact_ids, roots))
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
@@ -468,8 +470,6 @@ def load_tree(path: str) -> TreeIndex:
         nodes, roots = doc["nodes"], doc["roots"]
         if type(nodes) is not dict:
             raise TreeError(f"index file {path}: nodes is not a JSON object")
-        if type(roots) is not list:
-            raise TreeError(f"index file {path}: roots is not a JSON list")
         ids, levels, kinds, names, summaries, artifact_ids, children = (
             nodes[key] for key in (*NODE_COLUMNS, "children"))  # TreeIndex checks them
         matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))

@@ -132,14 +132,15 @@ def test_term_index_equality_is_identity():
     assert (idx == build_term_index(lib)) is False
 
 
-def zero_block(ids):
-    """The zero block ``_ranked`` reads: a read-only object array of
+def ranking_columns(ids):
+    """The ranking columns ``_ranked`` reads: the ids as an object array,
+    their id rank and the zero block, a read-only object array of
     ``(id, 0.0)`` for each id in id order, filled one element at a time."""
     block = np.empty(len(ids), dtype=object)
     for at, aid in enumerate(sorted(ids)):
         block[at] = (aid, 0.0)
     block.flags.writeable = False
-    return block
+    return np.array(ids, dtype=object), rank_by_id(ids), block
 
 
 def counter_term_index(lib):
@@ -171,35 +172,40 @@ def counter_term_index(lib):
         p = w / total[postings_doc]
     avgdl = float(np.mean(doc_len)) or 1.0
     return TermIndex(
-        doc_ids=np.array(ids, dtype=object), id_rank=rank_by_id(ids),
-        zero_entries=zero_block(ids), vocabulary=vocab,
+        ranking=ranking_columns(ids), vocabulary=vocab,
         n_docs=n, postings_ptr=ptr,
         postings_term=postings_term, postings_doc=postings_doc, postings_tf=postings_tf,
         bm25_idf=np.log(1.0 + (n - df + 0.5) / (df + 0.5)),
         bm25_norm=1.2 * (1.0 - 0.75 + 0.75 * np.asarray(doc_len, dtype=np.float64) / avgdl),
         tfidf_idf=tfidf_idf,
         tfidf_weights=w, tfidf_norms=np.sqrt(np.bincount(postings_doc, weights=w * w, minlength=n)),
-        jsd_total=total, jsd_p=p,
+        jsd_p=p,
     )
+
+
+def assert_same_value(a, b, name):
+    assert type(a) is type(b), name
+    if isinstance(b, np.ndarray):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape,
+                                                         b.flags.writeable), name
+        if b.dtype == object:
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
+    elif isinstance(b, dict):
+        assert list(a.items()) == list(b.items()), name
+    elif isinstance(b, tuple):
+        assert len(a) == len(b), name
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_value(x, y, f"{name}[{i}]")
+    else:
+        assert a == b, name
 
 
 def assert_same_term_index(got, want):
     for f in fields(TermIndex):
-        if not f.init:
-            continue
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert type(a) is type(b), f.name
-        if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape,
-                                                             b.flags.writeable), f.name
-            if b.dtype == object:
-                assert a.tolist() == b.tolist(), f.name
-            else:
-                assert a.tobytes() == b.tobytes(), f.name
-        elif isinstance(b, dict):
-            assert list(a.items()) == list(b.items()), f.name
-        else:
-            assert a == b, f.name
+        if f.init:
+            assert_same_value(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 def random_descriptions(seed, count):
@@ -370,7 +376,7 @@ def reference_lsi_scores(idx, intent, rank):
 def test_lsi_runs_one_svd_per_index_and_rank(corpus20, monkeypatch):
     idx = build_term_index(corpus20)
     queries = [(rank, intent) for rank in (3, 8) for intent in ("w2 w6 w11", "w1 w1 w29")]
-    want = {(rank, intent): _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent,
+    want = {(rank, intent): _ranked(idx.ranking, intent,
                                     reference_lsi_scores(idx, intent, rank)).entries
             for rank, intent in queries}
     real_svd = np.linalg.svd
@@ -486,9 +492,9 @@ def dense_jsd_scores(idx, q):
 def dense_score_jsd(idx, intent):
     q = _distribution(_tfidf_query(idx, intent))
     scores = dense_jsd_scores(idx, q)
-    scores[idx.jsd_total <= 0] = 1.0 - jensen_shannon_divergence(
-        _distribution(np.zeros(len(q))), q)
-    return _ranked(idx.doc_ids, idx.id_rank, idx.zero_entries, intent, scores)
+    total = np.bincount(idx.postings_doc, weights=idx.tfidf_weights, minlength=idx.n_docs)
+    scores[total <= 0] = 1.0 - jensen_shannon_divergence(_distribution(np.zeros(len(q))), q)
+    return _ranked(idx.ranking, intent, scores)
 
 
 def family_catalog_case(count=200):
@@ -671,8 +677,15 @@ def entry_bits(entries):
     return [(aid, float(score).hex()) for aid, score in entries]
 
 
+def negative_zeros(entries):
+    """The ids whose score is -0.0: none, since every zero is +0.0."""
+    return [aid for aid, score in entries if score == 0 and math.copysign(1.0, score) < 0]
+
+
 def assert_reference_order(ranked, ids):
-    """``ranked`` holds every id once, ordered by ``reference_order`` of its scores."""
+    """``ranked`` holds every id once, ordered by ``reference_order`` of its
+    scores, and reports no -0.0."""
+    assert negative_zeros(ranked.entries) == []
     scores = dict(ranked.entries)
     assert len(ranked.entries) == len(scores) == len(ids)
     order = reference_order(ids, [scores[aid] for aid in ids])
@@ -688,15 +701,15 @@ RANKED_CASES = [
     (("日本", "é", "e", "ß", "z", "É"), [0.7, 0.7, 0.7, 0.7, 0.7, 0.7]),
     (("only",), [0.3]),
     (("only",), [-0.0]),
-    # each row keeps its rounded score's bits, -0.0 included, and its place:
-    # positives, the +-0 block in id order, negatives, then NaNs in id order
+    # each row keeps its rounded score's bits, a zero's as +0.0, and its place:
+    # positives, the zero block in id order, negatives, then NaNs in id order
     (ODD_IDS, [0.0] * 8),
     (ODD_IDS, [-0.0] * 8),
     (ODD_IDS, [0.0, -0.0, 0.5, -0.0, 0.0, -0.25, -0.0, 0.0]),
     (ODD_IDS, [-0.3, -0.1, -0.3, -0.7, -0.1 - 1e-14, -0.2, -0.05, -0.3]),  # LSI's negatives
     (ODD_IDS, [NAN, 0.5, NAN, 0.0, -0.2, -0.0, NAN, 0.5]),
     (ODD_IDS, [NAN] * 8),
-    (ODD_IDS, [1e-13, -1e-13, 4e-13, -6e-13, 0.0, -0.0, 0.1, -0.1]),  # round to +0.0 or -0.0
+    (ODD_IDS, [1e-13, -1e-13, 4e-13, -6e-13, 0.0, -0.0, 0.1, -0.1]),  # each zero is +0.0
     (ODD_IDS, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9]),  # only the last id's row is nonzero
     (ODD_IDS, [0.0, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0, 0.0]),  # only the first id's row is nonzero
     (("only",), [0.0]),
@@ -709,10 +722,10 @@ RANKED_CASES = [
 @pytest.mark.parametrize("ids, scores", RANKED_CASES)
 def test_ranked_matches_the_reference_rule(ids, scores):
     rounded = round_scores(np.asarray(scores))
-    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  zero_block(ids), "x", np.asarray(scores))
+    got = _ranked(ranking_columns(ids), "x", np.asarray(scores))
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
+    assert negative_zeros(got.entries) == []
 
 
 def test_ranked_matches_the_reference_rule_on_random_ties():
@@ -721,8 +734,7 @@ def test_ranked_matches_the_reference_rule_on_random_ties():
     ids = list(dict.fromkeys(ids))
     scores = rng.integers(-3, 4, size=len(ids)) / 4 + rng.normal(scale=1e-14, size=len(ids))
     rounded = round_scores(scores)
-    got = _ranked(np.array(ids, dtype=object), rank_by_id(ids),
-                  zero_block(ids), "x", scores)
+    got = _ranked(ranking_columns(ids), "x", scores)
     want = [(ids[i], float(rounded[i])) for i in reference_order(ids, rounded.tolist())]
     assert entry_bits(got.entries) == entry_bits(want)
 
@@ -739,9 +751,9 @@ def lexsort_ranked(ids, id_rank, intent, scores):
 
 @pytest.mark.parametrize("ids, scores", RANKED_CASES)
 def test_ranked_equals_the_full_lexsort(ids, scores):
-    ids_arr, id_rank, scores = np.array(ids, dtype=object), rank_by_id(ids), np.asarray(scores)
-    got = _ranked(ids_arr, id_rank, zero_block(ids), "x", scores)
-    want = lexsort_ranked(ids_arr, id_rank, "x", scores)
+    ranking, scores = ranking_columns(ids), np.asarray(scores)
+    got = _ranked(ranking, "x", scores)
+    want = lexsort_ranked(*ranking[:2], "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
 
@@ -753,18 +765,18 @@ def test_ranked_equals_the_full_lexsort_on_random_mixes(seed):
     pool = np.array([0.0, -0.0, NAN, 0.5, -0.5, 1e-13, -1e-13, 0.25 + 1e-14, 0.25, -0.75])
     scores = pool[rng.integers(0, len(pool), size=len(ids))]
     scores[rng.random(len(ids)) < 0.6] = 0.0  # mostly +0.0, as in a lexical ranking
-    ids_arr, id_rank = np.array(ids, dtype=object), rank_by_id(ids)
-    got = _ranked(ids_arr, id_rank, zero_block(ids), "x", scores)
-    want = lexsort_ranked(ids_arr, id_rank, "x", scores)
+    ranking = ranking_columns(ids)
+    got = _ranked(ranking, "x", scores)
+    want = lexsort_ranked(*ranking[:2], "x", scores)
     assert entry_bits(got.entries) == entry_bits(want.entries)
 
 
 @pytest.fixture()
 def ranked_as_lexsort(monkeypatch):
     """Checks each ``_ranked`` call a scorer makes against the full lexsort."""
-    def ranked(ids, id_rank, zero_entries, intent, scores):
-        got = _ranked(ids, id_rank, zero_entries, intent, scores)
-        want = lexsort_ranked(ids, id_rank, intent, scores)
+    def ranked(ranking, intent, scores):
+        got = _ranked(ranking, intent, scores)
+        want = lexsort_ranked(*ranking[:2], intent, scores)
         assert entry_bits(got.entries) == entry_bits(want.entries), intent
         return got
 
@@ -830,14 +842,17 @@ def test_scorers_order_by_the_reference_rule(scorer, docs, intent):
 
 def test_wordavg_orders_by_the_reference_rule(tmp_path):
     # "near" is "red" turned by 1e-7 rad: its cosine with "red" is 1 - 5e-15,
-    # equal to 1 once rounded, and "anti" gives a cosine of -1
+    # equal to 1 once rounded, and "anti" gives a cosine of -1; "tilt" and
+    # "bent" are orthogonal, but their float cosine is about -3e-17
     path = tmp_path / "vectors.txt"
-    path.write_text("red 1.0 0.0\nnear 1.0 1e-7\ngreen 0.0 1.0\nanti -1.0 0.0\n")
+    path.write_text("red 1.0 0.0\nnear 1.0 1e-7\ngreen 0.0 1.0\nanti -1.0 0.0\n"
+                    "tilt 0.3 0.1\nbent -0.1 0.3\n")
     table = load_word_vectors(path)
     for descriptions in (["near", "red", "green", "near", "anti", "red near", "x", "red"],
-                         ["green"] * 8, ["near"]):
+                         ["green"] * 8, ["near"], ["bent", "tilt"]):
         lib = _unsorted_lib(descriptions, ODD_IDS)
-        assert_reference_order(wordavg_scorer(table, lib)("red"), lib.ids())
+        for intent in ("red", "tilt"):
+            assert_reference_order(wordavg_scorer(table, lib)(intent), lib.ids())
 
 
 def test_ranked_lists_belong_to_their_caller(tmp_path):
@@ -845,7 +860,7 @@ def test_ranked_lists_belong_to_their_caller(tmp_path):
     # editing one result leaves the zero block and the next query's list alone
     lib = _unsorted_lib(ODD_DOCS, ODD_IDS)
     idx = build_term_index(lib)
-    zero_entries = idx.zero_entries
+    zero_entries = idx.ranking[2]
     assert not zero_entries.flags.writeable
     assert zero_entries.tolist() == [(aid, 0.0) for aid in sorted(ODD_IDS)]
     table = random_word_vectors(tmp_path / "vectors.txt", lib, seed=2)
@@ -857,7 +872,7 @@ def test_ranked_lists_belong_to_their_caller(tmp_path):
             got.entries[-1] = ("edited", 1.0)
             got.entries.append(("appended", 2.0))
             got.entries.sort(reverse=True)
-            assert idx.zero_entries is zero_entries
+            assert idx.ranking[2] is zero_entries
             assert zero_entries.tolist() == [(aid, 0.0) for aid in sorted(ODD_IDS)]
             assert entry_bits(scorer(intent).entries) == want
 

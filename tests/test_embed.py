@@ -153,13 +153,12 @@ def test_one_text_embeds_to_its_row_of_a_batch():
 
 
 def reference_l2_normalize(v):
-    """l2_normalize with the norm taken by np.linalg.norm."""
+    """l2_normalize with the norm taken by np.linalg.norm; a norm of 0 gives
+    the zero vector."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        out = np.zeros_like(v)
-        out[0] = 1.0
-        return out
+        return np.zeros_like(v)
     return v / norm
 
 

@@ -128,6 +128,16 @@ def test_family_index_equals_per_node_oracle(family_index, family_library,
         assert (got.entries, got.node_evaluations) == (entries, evaluations)
 
 
+@pytest.mark.parametrize("intent", ["!!!", "", "漢字"])
+def test_a_tokenless_intent_scores_every_entry_positive_zero(family_index, hashed_embedder,
+                                                            intent):
+    # a text with no [a-z0-9] token embeds to the zero vector, which shares
+    # no feature with any node: every entry scores +0.0, as in BM25's list
+    got = tree_search(family_index, intent, SearchConfig(beam_width=10, final_k=5),
+                      hashed_embedder)
+    assert [score.hex() for _, score in got.entries] == [(0.0).hex()] * 10
+
+
 def test_deep_index_equals_per_node_oracle(hashed_embedder):
     index = make_balanced_index(branching=4, leaf_levels=3, dim=128)
     assert index.max_level() == 3
@@ -295,8 +305,9 @@ def test_node_evaluation_bound(hashed_embedder):
 # for 500 perturbed intents on the BUILD_GATE_SHA256 index (a seeded
 # 300-artifact catalog, built at seed 0), at beam widths 1, 5, 10, 20 and
 # one as wide as the widest level.  It pins the product, the rounding, the
-# partition cut, the tie-break and the beam expansion to the bit.
-SEARCH_GATE_SHA256 = "9f71288cd869906c7d81b7074487d39751a14ceb797d8379f139934a74d5c581"
+# partition cut, the tie-break and the beam expansion to the bit.  No
+# score is -0.0: every zero is reported as +0.0.
+SEARCH_GATE_SHA256 = "13743fc02ca1b7dd0dcf5065bf5d35b4fcdc6dad027b038e99b904e6474ae535"
 
 
 def test_search_results_are_pinned(hashed_embedder):
@@ -309,8 +320,9 @@ def test_search_results_are_pinned(hashed_embedder):
         cfg = SearchConfig(beam_width=width, final_k=1)
         for intent in intents:
             got = tree_search(index, intent, cfg, hashed_embedder)
-            digest.update(json.dumps([[[aid, score.hex()] for aid, score in got.entries],
-                                      got.node_evaluations]).encode())
+            entries = [[aid, score.hex()] for aid, score in got.entries]
+            assert (-0.0).hex() not in [h for _, h in entries], intent
+            digest.update(json.dumps([entries, got.node_evaluations]).encode())
     assert digest.hexdigest() == SEARCH_GATE_SHA256
 
 

@@ -394,8 +394,8 @@ def _set_field(header, node_id, field, value):
      "node L1-0: children .* are not a list of ids"),
     (lambda header: _set_field(header, "L0-0", "children", ""),
      "node L0-0: children '' are not a list of ids"),
-    (lambda header: header.update(roots={"L2-0": True}), "roots is not a JSON list"),
-    (lambda header: header.update(roots="L2-0"), "roots is not a JSON list"),
+    (lambda header: header.update(roots={"L2-0": True}), "^roots is not a list or tuple$"),
+    (lambda header: header.update(roots="L2-0"), "^roots is not a list or tuple$"),
     (lambda header: header["nodes"].update(id=dict.fromkeys(header["nodes"]["id"], 0)),
      "the ids column is not a list or tuple"),
     (lambda header: header.update(nodes=[dict(zip(header["nodes"], row))
@@ -649,6 +649,14 @@ def test_a_column_that_is_not_a_list_is_rejected(column, kind):
                     else {f"key{i}": value for i, value in enumerate(cols[column])})
     with pytest.raises(TreeError, match=f"^the {column} column is not a list or tuple$"):
         TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("roots", ["r", {"r": 0}], ids=["string", "dict"])
+def test_roots_that_are_not_a_list_are_rejected(roots):
+    # "r" would pass as its letters and {"r": 0} as its keys: both give ("r",)
+    cols = columns([{"id": "a"}, {"id": "r", "level": 1, "children": ("a",)}])
+    with pytest.raises(TreeError, match="^roots is not a list or tuple$"):
+        TreeIndex(**cols, roots=roots, embeddings=np.ones((2, 2)))
 
 
 def test_leaves_sharing_an_artifact_id_are_both_named():
