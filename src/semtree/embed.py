@@ -2,8 +2,13 @@
 
 Two providers exist: a deterministic offline one that signed-hashes
 token features into a fixed number of buckets, and a remote JSON/HTTPS
-embeddings endpoint.  All vectors are L2-normalized at creation so
-cosine similarity reduces to a dot product.
+embeddings endpoint.  Each ``embed`` call gives its texts' ``(values,
+norms)`` pair: one row of values and one L2 norm per text.  The offline
+provider's values are its integer bucket counts, with their norms; the
+remote one's are its L2-normalized rows, with norms of exactly 1.0.
+``unit_rows`` divides values by norms, which gives the bits that
+``l2_normalize`` gives for the text's vector, and the cosine of two
+texts is the dot product of their values over the product of their norms.
 
 The offline provider keeps each token's hashed buckets and signs in a
 process-wide LRU memo of ``TOKEN_MEMO_SIZE`` tokens, keyed by token,
@@ -12,7 +17,7 @@ more distinct tokens than that (a build's leaf level holds ~3,300), so
 every call, one query or a whole tree level, also keeps its tokens'
 terms in a plain dict for that call: each distinct token is looked up in
 the LRU, and hashed, at most once per call.  The memos only save
-hashing: vectors are the same with or without them.
+hashing: counts are the same with or without them.
 """
 
 from __future__ import annotations
@@ -60,6 +65,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def unit_rows(values, norms) -> np.ndarray:
+    """The float64 unit rows that an embedder's ``(values, norms)`` stand
+    for: each row of ``values`` over its norm, or the zero row for a norm
+    of 0 (a tokenless text), which has no direction."""
+    norms = np.asarray(norms, dtype=np.float64)[:, None]
+    return np.divide(values, norms, out=np.zeros(np.shape(values)), where=norms != 0)
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """``v`` (1-D) over its L2 norm; a norm of 0 (a zero vector, or one whose
     squares underflow) gives the zero vector, which has no direction.  The
@@ -93,22 +106,27 @@ def _token_terms(token: str, dim: int, seed: int) -> tuple[tuple[int, ...], tupl
 
 
 class HashedEmbedder:
-    """Offline, deterministic embedder: same (text, seed) → same vector.
+    """Offline, deterministic embedder: same (text, seed) → same counts.
 
     Signed hashing of tokens and their character trigrams into buckets.
     Each bucket's sum is a small integer, so it is exact in any order, and
-    the memos give the same vector as hashing every feature anew.
+    the memos give the same counts as hashing every feature anew.  A row's
+    norm is the one ``l2_normalize`` takes of its counts: the square root
+    of their sum of squares, an integer and so exact in float64.
     """
 
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The texts' ``(n, dim)`` int32 bucket counts, which hold any text of
+        fewer than 2^31 features, and their ``(n,)`` float64 norms."""
         if not texts:
             raise ValueError("no texts to embed")
         dim, seed = self.cfg.dim, self.cfg.seed
         terms = {}  # token → (buckets, signs), each read from the LRU once a call
-        rows = np.empty((len(texts), dim))  # filled in place: a stacked list holds a batch twice
+        # filled in place: a stacked list holds a batch twice
+        rows, norms = np.empty((len(texts), dim), dtype=np.int32), np.empty(len(texts))
         for i, text in enumerate(texts):
             buckets: list[int] = []
             signs: list[float] = []
@@ -118,8 +136,9 @@ class HashedEmbedder:
                 b, s = terms[tok]
                 buckets += b
                 signs += s
-            rows[i] = l2_normalize(np.bincount(buckets, weights=signs, minlength=dim))
-        return rows
+            counts = np.bincount(buckets, weights=signs, minlength=dim)
+            rows[i], norms[i] = counts, math.sqrt(counts.dot(counts))
+        return rows, norms
 
 
 class RemoteEmbedder:
@@ -148,7 +167,8 @@ class RemoteEmbedder:
             raise EmbeddingError(f"expected {len(batch)} vectors, got {got}")
         return vectors
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The texts' ``(n, dim)`` unit rows and ``(n,)`` norms of 1.0."""
         if not texts:
             raise ValueError("no texts to embed")
         rows: list[np.ndarray] = []
@@ -162,7 +182,7 @@ class RemoteEmbedder:
                 if not np.all(np.isfinite(arr)):
                     raise EmbeddingError("non-finite values in remote embedding")
                 rows.append(l2_normalize(arr))
-        return np.stack(rows)
+        return np.stack(rows), np.ones(len(rows))
 
 
 def make_embedder(cfg: EmbedderConfig):

@@ -54,11 +54,15 @@ def silhouette(tree: TreeIndex, level: int) -> float:
     """Mean silhouette over the features grouped under each parent at ``level``.
 
     A feature with several parents contributes once per membership;
-    singleton clusters score 0 by convention.  The cosine distance of unit
-    rows is half their squared distance, so a row's distance sum to a
-    cluster of ``n`` rows with mean ``mu`` is ``(n |x - mu|^2 + sum_j |x_j -
-    mu|^2) / 2`` (the parallel-axis theorem): one pass per cluster, not per
-    member, and no ``1 - cos`` to cancel for rows a hair apart.
+    singleton clusters score 0 by convention.  Rows are the index's unit
+    rows, ``embeddings``.  The cosine distance of unit rows is half their
+    squared distance, so a row's distance sum to a cluster of ``n`` rows
+    with mean ``mu`` is ``(n |x - mu|^2 + sum_j |x_j - mu|^2) / 2`` (the
+    parallel-axis theorem): one pass per cluster, not per member, and no
+    ``1 - cos`` to cancel for rows a hair apart.  A zero row (a tokenless
+    text) is the origin under the same formula: 1/2 from every unit row
+    and 0 from another zero row, so a lone zero row among unit rows scores
+    0, and every silhouette is finite.
     """
     ptr = tree.child_ptr
     parents = sorted((r for r, lvl in enumerate(tree.levels)
@@ -66,7 +70,6 @@ def silhouette(tree: TreeIndex, level: int) -> float:
     if len(parents) < 2:
         raise ValueError(f"level {level} has fewer than 2 parents; silhouette undefined")
     x = tree.embeddings[np.concatenate([tree.child_rows[ptr[r]:ptr[r + 1]] for r in parents])]
-    x = x / np.linalg.norm(x, axis=1, keepdims=True)
     sizes = np.diff(ptr)[parents]
     bounds = np.append(0, np.cumsum(sizes)).tolist()
     sums = np.empty((len(x), len(parents)))  # each membership's distance sum to each cluster

@@ -5,13 +5,16 @@ cosine similarity against the intent embedding, the top-w nodes are
 kept (ties by ascending id), and kept internal nodes are expanded into
 their children while kept leaves carry themselves forward.  When every
 kept node is a leaf the candidates are returned.  Every node is scored
-once per query, by one product over the rows of the index's dim-major
-matrix at the intent's nonzero dims (a hashed intent touches a few of
-them); each level then reads its frontier's scores from that vector, and
-the deduplicated child union makes the polyhierarchy cost nothing.
-Scores are rounded to ``SCORE_DECIMALS`` before ranking so that ties do
-not depend on summation order; rounding is elementwise, so each level
-rounds only the scores it reads.
+once per query, as ``(c_q · c_d) / (|c_q| |c_d|)`` from the embedder's
+values and norms: one product over the rows of the index's dim-major
+``values`` at the intent's nonzero dims (a hashed intent touches a few
+of them), over the product of norms.  Hashed counts take a float32
+product, which is exact whatever the summation order; each level then
+reads its frontier's scores from that vector, and the deduplicated
+child union makes the polyhierarchy cost nothing.  Scores are rounded
+to ``SCORE_DECIMALS`` before ranking so that ties do not depend on
+summation order; rounding is elementwise, so each level rounds only the
+scores it reads.
 """
 
 from __future__ import annotations
@@ -82,14 +85,36 @@ def round_scores(scores: np.ndarray) -> np.ndarray:
     return scores.round(SCORE_DECIMALS) + 0.0  # np.round without its dispatch
 
 
+def cosines(t: TreeIndex, query: np.ndarray, norm: float) -> np.ndarray:
+    """Every node's cosine with the intent whose values are ``query`` and
+    whose norm is ``norm``: ``(c_q · c_d) / (|c_q| |c_d|)``, and 0 for a
+    zero row or a zero query.
+
+    Integer counts times the index's float32 counts take a float32
+    product when ``|c_q|_1`` is below the index's ``exact_l1``: every
+    partial sum is then an integer below 2^24, which float32 holds, so the
+    product is exact in any order.  The test reads the norm, not the
+    counts: ``|c_q|_1 <= sqrt(nnz) |c_q|`` (Cauchy-Schwarz), so ``nnz
+    |c_q|^2 < exact_l1^2 / 2`` keeps ``|c_q|_1`` below ``exact_l1`` with a
+    factor of sqrt(2) to spare for rounding.  Anything else takes the
+    float64 product, which is exact for integers below 2^53.
+    """
+    nz = np.flatnonzero(query)  # zero dims add nothing to a dot product
+    q, rows = query[nz], t.values[nz]
+    if query.dtype.kind in "iu" and len(q) * norm * norm < t.exact_l1 ** 2 / 2:
+        q = q.astype(np.float32)
+    else:
+        rows = rows.astype(np.float64, copy=False)
+    return (q @ rows) / ((norm or 1.0) * t.divisors)
+
+
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:
     """Top-down beam traversal returning up to ``beam_width`` leaf candidates, untimed."""
-    query = embedder.embed([intent])[0]
-    if query.shape[0] != t.dim:
+    values, norms = embedder.embed([intent])
+    if values.shape[1] != t.dim:
         raise ValueError("intent embedding dimension does not match the index")
 
-    nz = np.flatnonzero(query)  # zero dims add nothing to a dot product
-    raw = query[nz] @ t.dim_major[nz]
+    raw = cosines(t, values[0], norms[0])
     width = cfg.beam_width
     frontier, evaluations = t.root_rows, 0
     if t.root_expansion is not None and len(frontier) <= width:

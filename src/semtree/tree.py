@@ -8,20 +8,24 @@ Soft assignment can give a node several parents, so the result is a
 polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
 coverage are validated whenever a ``TreeIndex`` is made.  The index is
 columns (ids, levels, kinds, names, summaries, artifact ids, CSR
-children and the embedding matrix, the only copy of the node vectors,
-held dim-major), and none of them can be edited once it is made.
-``build_tree`` appends each level to the columns and ``load_tree`` reads
-them from a file; both hand them to the one ``TreeIndex`` constructor.
+children, and the embedder's values and norms, the only copy of the
+node vectors, with the values held dim-major), and none of them can be
+edited once it is made.  ``build_tree`` appends each level to the
+columns and ``load_tree`` reads them from a file; both hand them to the
+one ``TreeIndex`` constructor.
 
-On disk (``INDEX_FORMAT_VERSION`` 4) the index is stored as memory
-holds it: a header line of UTF-8 JSON, a ``\n``, and the matrix as raw
-bytes.  The header holds the node fields as seven column lists in the
-index's own row order (``nodes``; a build's is level by level, each
-level in cluster order) and the matrix width (``embeddings.dim``).  The
-payload is ``dim_major`` in C order: a mask (``np.packbits`` over the
-entries whose bits are nonzero) and then those entries as
-little-endian float64, so floats round-trip bit for bit, ``-0.0``
-included, and a loaded index equals the saved one column for column.
+On disk (``INDEX_FORMAT_VERSION`` 5) the index is stored as memory
+holds it: a header line of UTF-8 JSON, a ``\n``, and the norms and
+values as raw bytes.  The header holds the node fields as seven column
+lists in the index's own row order (``nodes``; a build's is level by
+level, each level in cluster order), the matrix width
+(``embeddings.dim``) and the values' stored type (``embeddings.values``):
+the smallest of int8, int16 and int32 that holds integer counts, or
+float64.  The payload is the norms as little-endian float64, then
+``values`` in C order: a mask (``np.packbits`` over the entries whose
+bits are nonzero) and those entries in the stored type.  Both round-trip
+bit for bit, ``-0.0`` included, and a loaded index equals the saved one
+column for column.
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ from semtree.checks import check_integer, check_real
 # fit_gmm is unused here, but the traced benchmark wraps semtree.tree.fit_gmm
 from semtree.cluster import (SweepPool, fit_gmm, one_blas_thread, reduce, select_k_bic,
                              soft_assign)
+from semtree.embed import unit_rows
 from semtree.summarize import summarize_cluster
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 MAX_K = 32  # the most components a level is clustered into
 # the node columns of an index file's header besides "children"
 NODE_COLUMNS = ("id", "level", "kind", "name", "summary", "artifact_id")
+# an index file's value types, by the name its header gives them
+VALUE_TYPES = {"int8": "<i1", "int16": "<i2", "int32": "<i4", "float64": "<f8"}
+EXACT_FLOAT32 = 2**24  # float32 holds every integer of smaller magnitude
 
 
 class TreeError(ValueError):
@@ -83,32 +91,37 @@ class TreeIndex:
     """The index as columns: row ``i`` of each is node ``ids[i]``.
 
     ``levels``, ``kinds``, ``names``, ``summaries`` and ``artifact_ids``
-    are tuples; the matrix is held once, as the read-only C-contiguous
-    ``(dim, n)`` float64 array ``dim_major``, and node ``i``'s vector is
-    ``embeddings[i]``, where ``embeddings`` is its ``.T`` view.  Node
+    are tuples.  The node vectors are held once, as an embedder gives
+    them: the read-only C-contiguous ``(dim, n)`` matrix ``values``, whose
+    column ``i`` is node ``i``'s values, and the read-only float64
+    ``norms``.  Integer values (a hashed embedder's bucket counts) below
+    2^24 in magnitude are held as float32, which holds them exactly; any
+    other values are held as float64.  Node ``i``'s unit vector is
+    ``embeddings[i]``, rebuilt by ``unit_rows`` on each read.  Node
     ``i``'s children are ``child_rows[child_ptr[i]:child_ptr[i + 1]]``
     (CSR).  ``roots`` are node ids.  ``validate_tree`` runs once, when the
     index is made, and sets what search reads: ``is_leaf``, ``id_rank``
     (each id's rank among the sorted ids, the tie-break), ``root_rows``,
-    ``root_expansion``, ``top_level`` and ``leaf_rows`` (artifact id to
-    leaf row).  Nothing here changes after that, so the columns cannot
-    fall out of step.
+    ``root_expansion``, ``top_level``, ``leaf_rows`` (artifact id to leaf
+    row) and ``divisors``; the constructor sets ``exact_l1``, the bound on
+    a query's ``|c_q|_1`` for search's float32 product.  Nothing here
+    changes after that, so the columns cannot fall out of step.
 
     ``build_tree`` and ``load_tree`` both make an index with this one
     constructor.  It takes ``children`` as lists or tuples of child ids
-    per node.  An ``(n, dim)`` float64 ``embeddings`` array whose ``.T``
-    is C-contiguous (Fortran order) is kept rather than copied, making
-    the caller's array read-only; anything else is converted once.
-    ``nodes``, ``leaves()`` and ``max_level()`` are views kept only for
-    the benchmark in ``perfsuite/``; nothing in the package reads them.
+    per node.  A C-contiguous float64 ``values`` array and a float64
+    ``norms`` array are kept rather than copied, and made read-only;
+    anything else is converted once.  ``nodes``, ``leaves()`` and
+    ``max_level()`` are views kept only for the benchmark in
+    ``perfsuite/``; nothing in the package reads them.
     """
 
     def __init__(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
-                 embeddings, config: dict | None = None, provenance: dict | None = None):
+                 values, norms, config: dict | None = None, provenance: dict | None = None):
         try:
-            embeddings = np.asarray(embeddings, dtype=np.float64, order="F")
+            (values, exact_l1), norms = _held_values(values), np.asarray(norms, dtype=np.float64)
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
-            raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
+            raise TreeError(f"embedding values or norms are not numeric: {exc}") from exc
         for name, column in (("ids", ids), ("levels", levels), ("kinds", kinds),
                              ("names", names), ("summaries", summaries),
                              ("artifact_ids", artifact_ids), ("children", children)):
@@ -122,16 +135,22 @@ class TreeIndex:
         (self.ids, self.levels, self.kinds, self.names, self.summaries, self.artifact_ids,
          self.roots) = map(tuple, (ids, levels, kinds, names, summaries, artifact_ids, roots))
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
-        self.embeddings = embeddings
+        self.values, self.norms, self.exact_l1 = values, norms, exact_l1
         self.config = {} if config is None else config
         self.provenance = {} if provenance is None else provenance
         validate_tree(self)
-        embeddings.flags.writeable = False  # a failed check leaves the caller's array as it was
-        self.dim_major = embeddings.T  # C-contiguous, read-only as its base is
+        # a failed check leaves the caller's arrays as they were
+        values.flags.writeable = norms.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.embeddings.shape[1]
+        return self.values.shape[0]
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The ``(n, dim)`` float64 unit rows, made from ``values`` and
+        ``norms`` on each read."""
+        return unit_rows(self.values.T, self.norms)
 
     @cached_property
     def nodes(self) -> Mapping[str, TreeNode]:
@@ -154,6 +173,19 @@ class TreeIndex:
     def max_level(self) -> int:
         """``top_level``; only ``perfsuite/`` reads it."""
         return self.top_level
+
+
+def _held_values(values) -> tuple[np.ndarray, float]:
+    """``values`` as an index holds them, C-contiguous, and ``exact_l1``:
+    integers below ``EXACT_FLOAT32`` in magnitude as float32, with
+    ``EXACT_FLOAT32 / max|c_d|``, and all else as float64, with 0."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and values.size:
+        peak = max(-int(values.min()), int(values.max()))  # as Python ints: no overflow
+        if peak < EXACT_FLOAT32:
+            return (np.ascontiguousarray(values, dtype=np.float32),
+                    EXACT_FLOAT32 / peak if peak else math.inf)
+    return np.ascontiguousarray(values, dtype=np.float64), 0.0
 
 
 def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -218,15 +250,19 @@ def validate_tree(t: TreeIndex) -> None:
     ``internal``; leaves have no children and internal nodes have some;
     each artifact has one leaf; levels decrease along every CSR edge
     (hence acyclicity); roots are present and distinct; every leaf is
-    reached by a level-by-level sweep from the roots; and the embedding
-    matrix is finite with one row per node.  ``TreeIndex`` runs it when made.
+    reached by a level-by-level sweep from the roots; the value matrix is
+    finite with one column per node and at least one row; and each node's
+    norm is finite and not negative.  ``TreeIndex`` runs it when made.
     """
     n, ids = len(t.ids), t.ids
     if not n:
         raise TreeError("index has no nodes")
-    if t.embeddings.ndim != 2 or len(t.embeddings) != n:
-        raise TreeError(f"embedding matrix of shape {t.embeddings.shape} does not "
-                        f"have one row for each of the {n} nodes")
+    if t.values.ndim != 2 or t.values.shape[1] != n or not t.values.shape[0]:
+        raise TreeError(f"value matrix of shape {t.values.shape} is not (dim, {n}): "
+                        f"dim >= 1 rows and one column for each of the {n} nodes")
+    if t.norms.shape != (n,):
+        raise TreeError(f"norms of shape {t.norms.shape} do not hold one norm for each "
+                        f"of the {n} nodes")
     _check_types(t.levels, (int,),  # before any edge compares two levels
                  lambda i: f"node {ids[i]!r}: level {t.levels[i]!r} is not an integer")
     try:
@@ -273,13 +309,19 @@ def validate_tree(t: TreeIndex) -> None:
     orphans = [ids[r] for r in np.flatnonzero(is_leaf & ~reached).tolist()]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
-    _raise_at(~np.isfinite(t.embeddings).all(axis=1),
-              lambda i: f"node {ids[i]}: embedding has non-finite values")
+    if t.values.dtype != np.float32:  # integer counts are finite
+        _raise_at(~np.isfinite(t.values).all(axis=0),
+                  lambda i: f"node {ids[i]}: embedding has non-finite values")
+    _raise_at(~(np.isfinite(t.norms) & (t.norms >= 0)),
+              lambda i: f"node {ids[i]}: norm {float(t.norms[i])} is not a finite number >= 0")
     t.is_leaf = is_leaf
     t.id_rank = rank_by_id(ids)
     t.root_rows = root_rows
     t.top_level = int(levels.max())
     t.leaf_rows = leaf_rows
+    # search divides a product by the norms: a zero row's product is 0, and
+    # over 1 it scores 0
+    t.divisors = np.where(t.norms > 0, t.norms, 1.0)
     # A beam at least as wide as the roots keeps them all, so its next
     # frontier is the same for every query; a beam of leaf roots ends there.
     root_leaf = is_leaf[t.root_rows]
@@ -336,13 +378,14 @@ def build_tree(
     with SweepPool() as pool:
         n = len(lib)
         # The top level's "name: summary" texts, which their parents'
-        # summaries read, and those texts' rows: the leaves' are embedded in
-        # the descriptions' call, and above the leaves they are the level's
-        # FeatureSummary.format() texts, whose rows are its block.
+        # summaries read, and those texts' values and norms: the leaves' are
+        # embedded in the descriptions' call, and above the leaves they are
+        # the level's FeatureSummary.format() texts, whose rows are its block.
         texts = [f"{name}: {description}"
                  for name, description in zip(lib.names, lib.descriptions)]
-        leaf = embedder.embed([*lib.descriptions, *texts])
-        blocks, rows = [leaf[:n]], leaf[n:]  # a block per level, rows in node order
+        values, norms = embedder.embed([*lib.descriptions, *texts])
+        # a (values, norms) block per level, rows in node order
+        blocks, described = [(values[:n], norms[:n])], (values[n:], norms[n:])
         columns = {"ids": [f"L0-{i}" for i in range(n)], "levels": [0] * n,
                    "kinds": ["leaf"] * n, "names": list(lib.names),
                    "summaries": list(lib.descriptions), "artifact_ids": list(lib.artifact_ids),
@@ -350,17 +393,20 @@ def build_tree(
 
         level, first = 0, 0  # the top level is the rows from ``first`` on
         while len(texts) > stop.max_top_level_nodes and level + 1 < stop.max_depth:
-            reduced = reduce(blocks[-1], target_dim)
+            # unit rows are made where they are read, so a level's two sets
+            # are never held at once
+            reduced = reduce(unit_rows(*blocks[-1]), target_dim)
             upper = min(math.ceil(math.sqrt(len(texts))), MAX_K, len(texts) - 1)
             # a level of two nodes can only take k = 1: both merge into one parent
             model, _ = select_k_bic(reduced, range(min(2, upper), upper + 1), seed, pool)
             clusters = soft_assign(model, reduced, soft_threshold).clusters  # level positions
             level += 1
+            rows = unit_rows(*described)
             features = [summarize_cluster([texts[i] for i in c], rows[list(c)], client=summarizer)
                         for c in clusters]
             texts = [f.format() for f in features]
-            rows = embedder.embed(texts)
-            blocks.append(rows)
+            blocks.append(embedder.embed(texts))
+            described = blocks[-1]
             below, first, k = columns["ids"][first:], len(columns["ids"]), len(clusters)
             columns["ids"] += [f"L{level}-{ordinal}" for ordinal in range(k)]
             columns["levels"] += [level] * k
@@ -373,7 +419,8 @@ def build_tree(
     return TreeIndex(
         **columns,
         roots=columns["ids"][first:],
-        embeddings=np.concatenate([block.T for block in blocks], axis=1).T,
+        values=np.concatenate([block.T for block, _ in blocks], axis=1),
+        norms=np.concatenate([block_norms for _, block_norms in blocks]),
         config={
             "reducer": {"method": "pca", "target_dim": target_dim},
             "cluster": {
@@ -385,7 +432,7 @@ def build_tree(
                 "max_top_level_nodes": stop.max_top_level_nodes,
             },
             "seed": seed,
-            "embedding_dim": int(blocks[0].shape[1]),
+            "embedding_dim": int(values.shape[1]),
         },
         provenance={
             "embedder": type(embedder).__name__,
@@ -395,50 +442,77 @@ def build_tree(
 
 
 def save_tree(t: TreeIndex, path: str) -> None:
-    """Persist the index in format 4, columns and ``dim_major`` as they
-    are held; a lossless, deterministic dump."""
+    """Persist the index in format 5, columns, ``norms`` and ``values`` as
+    they are held; a lossless, deterministic dump."""
     ptr, kids = t.child_ptr.tolist(), t.child_rows.tolist()
     nodes = dict(zip(NODE_COLUMNS, (t.ids, t.levels, t.kinds, t.names, t.summaries,
                                     t.artifact_ids)))
     nodes["children"] = [[t.ids[r] for r in kids[a:b]] for a, b in zip(ptr, ptr[1:])]
+    kind, nonzero, entries = _stored_values(t.values)
     header = {"version": INDEX_FORMAT_VERSION, "config": t.config,
               "provenance": t.provenance, "roots": t.roots,
-              "embeddings": {"dim": t.dim}, "nodes": nodes}
+              "embeddings": {"dim": t.dim, "values": kind}, "nodes": nodes}
     # dumps runs the C encoder; dump streams through the pure-Python one.
     # Text that is not UTF-8 raises here, before the file is truncated.
     head = json.dumps(header, ensure_ascii=False, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    matrix = np.asarray(t.dim_major, dtype="<f8")
-    nonzero = matrix.view("<u8") != 0  # by bits, so -0.0 is kept
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(b"\n")
+        fh.write(t.norms.astype("<f8").tobytes())
         fh.write(np.packbits(nonzero))
-        fh.write(matrix[nonzero])
+        fh.write(entries)
 
 
-def _embedding_matrix(dim, payload: bytes, n: int) -> np.ndarray:
-    """The ``(n, dim)`` matrix that a payload of mask and values encodes:
-    the ``.T`` view of the C-contiguous ``(dim, n)`` array whose entries
-    the payload lists in order."""
+def _stored_values(values: np.ndarray) -> tuple[str, np.ndarray, np.ndarray]:
+    """The ``VALUE_TYPES`` name that stores ``values`` exactly, the mask of
+    their entries whose bits are nonzero, and those entries in that type:
+    float32 counts in the smallest integer type that holds them, anything
+    else as float64, whose mask keeps ``-0.0``."""
+    if values.dtype != np.float32:
+        nonzero = values.view("<u8") != 0
+        return "float64", nonzero, values[nonzero].astype("<f8", copy=False)
+    nonzero = values != 0  # a count converted to float32 is never -0.0
+    counts = values[nonzero]
+    low, high = (counts.min(), counts.max()) if counts.size else (0, 0)
+    kind = next(name for name in ("int8", "int16", "int32")
+                if np.iinfo(name).min <= low and high <= np.iinfo(name).max)
+    return kind, nonzero, counts.astype(VALUE_TYPES[kind])
+
+
+def _value_matrix(embeddings, payload: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C-contiguous ``(dim, n)`` values, of the stored type, and the
+    ``(n,)`` norms that a payload encodes: ``n`` float64 norms, then a
+    mask and the ``values`` entries it marks, in order, each of them
+    nonzero."""
+    dim, kind = embeddings["dim"], embeddings["values"]
     if type(dim) is not int or dim < 1:
         raise TreeError(f"embedding dim {dim!r} is not a positive integer")
+    if type(kind) is not str or kind not in VALUE_TYPES:
+        raise TreeError(f"embedding value type {kind!r} is not one of {', '.join(VALUE_TYPES)}")
+    stored = np.dtype(VALUE_TYPES[kind])
     size = n * dim
-    mask = -(-size // 8)
-    if len(payload) < mask:
-        raise TreeError(f"embedding payload has {len(payload)} bytes, fewer than the "
-                        f"{mask}-byte mask of {n} nodes of dim {dim}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask))
+    start = 8 * n  # the mask's first byte
+    end = start - (-size // 8)
+    if len(payload) < end:
+        raise TreeError(f"embedding payload has {len(payload)} bytes, fewer than the {end} "
+                        f"of the norms and mask of {n} nodes of dim {dim}")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=end - start,
+                                       offset=start))
     at = np.flatnonzero(bits.view(bool))  # ~3x faster than on the uint8 bits
     if at.size and at[-1] >= size:
         raise TreeError("embedding mask marks entries past the last node")
-    if len(payload) != mask + 8 * at.size:
-        raise TreeError(f"embedding payload has {len(payload)} bytes, not the {mask} of "
-                        f"the mask and 8 for each of the {at.size} entries it marks")
-    matrix = np.zeros(size)
+    if len(payload) != end + stored.itemsize * at.size:
+        raise TreeError(f"embedding payload has {len(payload)} bytes, not the {end} of the "
+                        f"norms and mask and {stored.itemsize} for each of the {at.size} "
+                        f"entries it marks")
+    entries = np.frombuffer(payload, dtype=stored, offset=end)
+    if not entries.view(f"<u{stored.itemsize}").all():  # else a save would drop it
+        raise TreeError("embedding mask marks an entry whose bits are zero")
+    values = np.zeros(size, dtype=stored)
     # integer indices: ~3x faster than scattering through the boolean mask
-    matrix[at] = np.frombuffer(payload, dtype="<f8", offset=mask)
-    return matrix.reshape(dim, n).T
+    values[at] = entries
+    return values.reshape(dim, n), np.frombuffer(payload[:start], dtype="<f8")
 
 
 def load_tree(path: str) -> TreeIndex:
@@ -472,7 +546,7 @@ def load_tree(path: str) -> TreeIndex:
             raise TreeError(f"index file {path}: nodes is not a JSON object")
         ids, levels, kinds, names, summaries, artifact_ids, children = (
             nodes[key] for key in (*NODE_COLUMNS, "children"))  # TreeIndex checks them
-        matrix = _embedding_matrix(doc["embeddings"]["dim"], payload, len(ids))
+        values, norms = _value_matrix(doc["embeddings"], payload, len(ids))
     except TreeError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -480,7 +554,7 @@ def load_tree(path: str) -> TreeIndex:
     del doc, payload  # the columns hold what validation needs
     return TreeIndex(
         ids=ids, levels=levels, kinds=kinds, names=names, summaries=summaries,
-        artifact_ids=artifact_ids, children=children, roots=roots, embeddings=matrix,
+        artifact_ids=artifact_ids, children=children, roots=roots, values=values, norms=norms,
         config=config, provenance=provenance,
     )
 

@@ -56,11 +56,12 @@ def perturbed_intents(lib: ArtifactLibrary, count: int, seed: int = 11):
 
 
 def make_depth1_index(lib: ArtifactLibrary, embedder):
-    """One root over all artifacts: tree search must equal a linear scan."""
-    from semtree.embed import l2_normalize
+    """One root over all artifacts, whose values are the sum of theirs:
+    tree search must equal a linear scan."""
     from semtree.tree import TreeIndex
 
-    embeddings = embedder.embed(list(lib.descriptions))
+    values, _ = embedder.embed(list(lib.descriptions))
+    values = np.vstack([values, values.sum(axis=0)])
     n = len(lib)
     leaf_ids = [f"L0-{i}" for i in range(n)]
     return TreeIndex(
@@ -68,8 +69,15 @@ def make_depth1_index(lib: ArtifactLibrary, embedder):
         names=[*lib.names, "root"], summaries=[*lib.descriptions, "everything"],
         artifact_ids=[*lib.artifact_ids, None],
         children=[()] * n + [leaf_ids], roots=("L1-0",),
-        embeddings=np.vstack([embeddings, l2_normalize(embeddings.mean(axis=0))]),
+        values=values.T, norms=np.linalg.norm(values, axis=1),
     )
+
+
+def unit_values(rows) -> dict:
+    """The ``TreeIndex`` keywords of a list of unit rows, one per node:
+    ``values`` dim-major and every norm 1."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return {"values": rows.T, "norms": np.ones(len(rows))}
 
 
 def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
@@ -100,7 +108,7 @@ def make_balanced_index(branching: int = 8, leaf_levels: int = 3, dim: int = 32,
                                ("artifact_ids", None),
                                ("children", tuple(ids[r] for r in group))):
                 cols[key].append(value)
-    return TreeIndex(**cols, roots=ids[first:], embeddings=vectors)
+    return TreeIndex(**cols, roots=ids[first:], **unit_values(vectors))
 
 
 def columns(nodes) -> dict:
@@ -135,13 +143,17 @@ def write_index(path, header, payload: bytes) -> None:
     Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
-def encode_payload(matrix) -> bytes:
-    """The payload of the ``(n, dim)`` ``matrix``, encoded here by hand:
-    ``np.packbits`` of the dim-major entries (``matrix.T`` in C order)
-    whose bits are nonzero, then those entries as little-endian float64."""
-    matrix = np.ascontiguousarray(np.asarray(matrix, dtype="<f8").T)
-    nonzero = matrix.view("<u8") != 0
-    return np.packbits(nonzero).tobytes() + matrix[nonzero].tobytes()
+def encode_payload(rows, norms=None, value_type: str = "<f8") -> bytes:
+    """The payload of the ``(n, dim)`` value ``rows`` and their ``norms``
+    (each 1 if not given), encoded here by hand: the norms as
+    little-endian float64, ``np.packbits`` of the dim-major entries
+    (``rows.T`` in C order) whose bits are nonzero, then those entries as
+    ``value_type``."""
+    matrix = np.ascontiguousarray(np.asarray(rows).T, dtype=value_type)
+    norms = np.ones(len(matrix.T)) if norms is None else norms
+    nonzero = matrix.view(f"<u{matrix.itemsize}") != 0
+    return (np.asarray(norms, dtype="<f8").tobytes() + np.packbits(nonzero).tobytes()
+            + matrix[nonzero].tobytes())
 
 
 ACCEPTANCE_RESULTS: list[str] = []

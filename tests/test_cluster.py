@@ -19,6 +19,7 @@ from semtree.cluster import (
     select_k_bic,
     soft_assign,
 )
+from semtree.embed import unit_rows
 from semtree.tree import build_tree, save_tree
 from conftest import make_family_library
 from test_kernels import loop_kernel, loop_weighted_log_prob
@@ -289,7 +290,7 @@ def set_cpus(monkeypatch, count):
 def sweep_case(case, hashed_embedder):
     if case == "level-0":  # the pinned build's first level: k = 2..18 over 300 rows
         lib = make_family_library(n_families=15, per_family=20, seed=12)
-        X = reduce(hashed_embedder.embed(list(lib.descriptions)), 10)
+        X = reduce(unit_rows(*hashed_embedder.embed(list(lib.descriptions))), 10)
         return X, range(2, 19)
     return ill_conditioned(case)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from semtree.embed import (
     _hash_feature,
     _token_terms,
     l2_normalize,
+    unit_rows,
 )
 from semtree import embed
 
 
-def reference_hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
-    """The embedder without its memo: every token and trigram hashed anew,
-    each added into its bucket in turn."""
+def reference_hashed_counts(text: str, dim: int, seed: int) -> np.ndarray:
+    """The embedder's counts without its memo: every token and trigram
+    hashed anew, each added into its bucket in turn."""
     vec = np.zeros(dim)
     tokens = _TOKEN_RE.findall(text.lower())
     features = list(tokens)
@@ -32,7 +34,17 @@ def reference_hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
         h = _hash_feature(feat, seed)
         sign = 1.0 if h & 1 else -1.0
         vec[(h >> 1) % dim] += sign
-    return l2_normalize(vec)
+    return vec
+
+
+def reference_hashed_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """The text's unit row: its reference counts through ``l2_normalize``."""
+    return l2_normalize(reference_hashed_counts(text, dim, seed))
+
+
+def unit_embed(embedder, texts) -> np.ndarray:
+    """The unit rows of ``embedder.embed(texts)``, through ``unit_rows``."""
+    return unit_rows(*embedder.embed(texts))
 
 
 TEXTS = st.text(alphabet=st.sampled_from("abcxyzAZ019 ,.!-ÄéßЖ漢"), max_size=60)
@@ -46,13 +58,18 @@ TEXTS = st.text(alphabet=st.sampled_from("abcxyzAZ019 ,.!-ÄéßЖ漢"), max_siz
 @example(["a" * 40 + " " + "0123456789" * 4 + " b"])
 @example(["json json yaml json", "yaml", "", "json"])
 def test_memoized_embed_matches_reference(texts):
-    # A batch and each of its texts alone give the reference's bits.
+    # A batch and each of its texts alone give the reference's counts, and
+    # their unit rows have the reference's bits.
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
     want = [reference_hashed_embed(text, 64, 5).tobytes() for text in texts]
+    counts = [reference_hashed_counts(text, 64, 5).tolist() for text in texts]
     for call, want_call in [(texts, want), *(([t], [w]) for t, w in zip(texts, want))]:
         _token_terms.cache_clear()
         for _ in range(2):  # the LRU cold, then warm
-            assert [row.tobytes() for row in embedder.embed(call)] == want_call
+            assert [row.tobytes() for row in unit_embed(embedder, call)] == want_call
+    values, norms = embedder.embed(texts)
+    assert values.dtype == np.int32 and values.tolist() == counts
+    assert norms.tolist() == [math.sqrt(np.dot(c, c)) for c in counts]
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3])
@@ -71,8 +88,8 @@ def test_embedders_of_other_settings_do_not_share_memo_entries():
     for text in texts:  # interleaved, so each token is memoized under every setting
         for (dim, seed), embedder in zip(configs, embedders):
             want = reference_hashed_embed(text, dim, seed).tobytes()
-            assert embedder.embed([text])[0].tobytes() == want
-            assert [row.tobytes() for row in embedder.embed([text, text])] == [want, want]
+            assert unit_embed(embedder, [text])[0].tobytes() == want
+            assert [row.tobytes() for row in unit_embed(embedder, [text, text])] == [want, want]
 
 
 def test_token_memo_stays_within_its_bound():
@@ -82,7 +99,7 @@ def test_token_memo_stays_within_its_bound():
     for start in range(0, len(tokens), 100):
         embedder.embed([" ".join(tokens[start:start + 100])])
     assert _token_terms.cache_info().currsize <= TOKEN_MEMO_SIZE
-    assert (embedder.embed([tokens[0]])[0].tobytes()
+    assert (unit_embed(embedder, [tokens[0]])[0].tobytes()
             == reference_hashed_embed(tokens[0], 16, 0).tobytes())
 
 
@@ -98,7 +115,7 @@ def test_a_batch_matches_the_reference():
     for batch in (BATCH_TEXTS, BATCH_TEXTS[::-1], WIDE_TEXTS, WIDE_TEXTS + WIDE_TEXTS):
         want = [reference_hashed_embed(t, 64, 5).tobytes() for t in batch]
         for _ in range(2):  # the second call reads what the LRU kept of the first
-            assert [row.tobytes() for row in embedder.embed(batch)] == want
+            assert [row.tobytes() for row in unit_embed(embedder, batch)] == want
 
 
 def features_of(tokens):
@@ -134,22 +151,25 @@ def test_a_batch_hashes_each_distinct_token_once(monkeypatch, batch):
 def test_writing_into_a_returned_row_changes_no_later_result(texts):
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
     want = [reference_hashed_embed(text, 64, 5).tobytes() for text in texts]
-    embedder.embed(texts)[:] = 7.0
-    assert [row.tobytes() for row in embedder.embed(texts)] == want
+    for values in embedder.embed(texts):  # the counts, then the norms
+        values[:] = 7
+    assert [row.tobytes() for row in unit_embed(embedder, texts)] == want
     for text, row in zip(texts, want):
-        embedder.embed([text])[0, :] = -7.0
-        assert embedder.embed([text])[0].tobytes() == row
+        values, norms = embedder.embed([text])
+        values[0, :], norms[0] = -7, 7.0
+        assert unit_embed(embedder, [text])[0].tobytes() == row
 
 
 def test_one_text_embeds_to_its_row_of_a_batch():
     texts = ["parse json files with retries", "!!!", "go go go go", "",
              "Straße NAÏVE école 漢字 X-Ray", "json json yaml json"]
     embedder = HashedEmbedder(EmbedderConfig(dim=64, seed=5))
-    batch = embedder.embed(texts)
+    values, norms = embedder.embed(texts)
     for i, text in enumerate(texts):
-        one = embedder.embed([text])
-        assert one.shape == (1, 64)
-        assert one[0].tobytes() == batch[i].tobytes()
+        one, one_norm = embedder.embed([text])
+        assert one.shape == (1, 64) and one_norm.shape == (1,)
+        assert one[0].tobytes() == values[i].tobytes()
+        assert one_norm[0].tobytes() == norms[i].tobytes()
 
 
 def reference_l2_normalize(v):
@@ -178,20 +198,33 @@ def test_l2_normalize_equals_numpy_norm_bits():
 
 def test_hashed_deterministic():
     emb = HashedEmbedder(EmbedderConfig(dim=64, seed=9))
-    a = emb.embed(["parse json files"])
-    b = emb.embed(["parse json files"])
-    assert np.array_equal(a, b)
+    (a, a_norms), (b, b_norms) = (emb.embed(["parse json files"]) for _ in range(2))
+    assert np.array_equal(a, b) and np.array_equal(a_norms, b_norms)
 
 
 def test_hashed_norm_one(hashed_embedder):
-    vecs = hashed_embedder.embed(["alpha beta", "gamma", "x"])
-    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-6)
+    texts = ["alpha beta", "gamma", "x"]
+    values, norms = hashed_embedder.embed(texts)
+    assert norms.tolist() == np.linalg.norm(values, axis=1).tolist()
+    assert np.allclose(np.linalg.norm(unit_embed(hashed_embedder, texts), axis=1), 1.0,
+                       atol=1e-6)
 
 
 def test_hashed_seed_changes_vectors():
-    a = HashedEmbedder(EmbedderConfig(dim=64, seed=1)).embed(["alpha beta"])
-    b = HashedEmbedder(EmbedderConfig(dim=64, seed=2)).embed(["alpha beta"])
+    a = HashedEmbedder(EmbedderConfig(dim=64, seed=1)).embed(["alpha beta"])[0]
+    b = HashedEmbedder(EmbedderConfig(dim=64, seed=2)).embed(["alpha beta"])[0]
     assert not np.array_equal(a, b)
+
+
+def test_unit_rows_of_a_zero_norm_are_zero():
+    # a tokenless text's counts are all zero and so is its norm: its unit
+    # row is the zero row, with no warning and no NaN
+    values, norms = HashedEmbedder(EmbedderConfig(dim=8)).embed(["!!! ???", "json"])
+    assert norms[0] == 0.0 and not values[0].any()
+    with np.errstate(all="raise"):
+        rows = unit_rows(values, norms)
+    assert rows[0].tolist() == [0.0] * 8 and not np.signbit(rows[0]).any()
+    assert rows[1].tobytes() == l2_normalize(values[1]).tobytes()
 
 
 class FakeResponse:
@@ -242,9 +275,10 @@ def test_remote_retries_then_succeeds(monkeypatch):
         FakeResponse({"embeddings": [[3.0, 4.0]]}),
     ])
     embedder = RemoteEmbedder(cfg, session=session)
-    vecs = embedder.embed(["text"])
+    vecs, norms = embedder.embed(["text"])
     assert session.calls == 2
     assert np.allclose(vecs[0], [0.6, 0.8])
+    assert norms.tolist() == [1.0]  # the rows are unit rows as they come
 
 
 def test_remote_exhausts_retry_budget(monkeypatch):
@@ -276,7 +310,7 @@ def test_config_rejects_a_non_integer_setting(field, value):
 @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
 def test_config_takes_a_seed_at_either_bound(seed):
     texts = ["parse json files", "json"]
-    got = HashedEmbedder(EmbedderConfig(dim=16, seed=seed)).embed(texts)
+    got = unit_embed(HashedEmbedder(EmbedderConfig(dim=16, seed=seed)), texts)
     assert [row.tobytes() for row in got] == [reference_hashed_embed(t, 16, seed).tobytes()
                                               for t in texts]
 
@@ -293,4 +327,5 @@ def test_config_takes_numpy_integers():
     assert type(cfg.dim) is int and type(cfg.seed) is int
     texts = ["parse json files", "send http requests"]
     got = HashedEmbedder(cfg).embed(texts)
-    assert got.tobytes() == HashedEmbedder(EmbedderConfig(dim=16, seed=3)).embed(texts).tobytes()
+    want = HashedEmbedder(EmbedderConfig(dim=16, seed=3)).embed(texts)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]

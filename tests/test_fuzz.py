@@ -21,7 +21,7 @@ from conftest import read_index, write_index
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
 
-GOLDEN = Path(__file__).parent / "data" / "index_v4.semtree"
+GOLDEN = Path(__file__).parent / "data" / "index_v5.semtree"
 INDEX = GOLDEN.read_bytes()
 CATALOG = (
     '{"id": "json", "name": "fastjson", "description": "parse and dump json"}\n'

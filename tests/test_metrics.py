@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import columns, make_family_library, perturbed_intents
 from semtree.baselines import build_term_index, score_tfidf
-from semtree.catalog import IntentSample
+from semtree.catalog import ArtifactLibrary, IntentSample
 from semtree.metrics import (
     EvalReport,
     QueryRecord,
@@ -78,6 +79,13 @@ def test_dcg_equals_formula_oracle():
 
 # --- silhouette -----------------------------------------------------------
 
+def vector_index(nodes, roots, vectors):
+    """A ``TreeIndex`` of node literals whose rows are ``vectors`` with their norms."""
+    vectors = np.asarray(vectors, dtype=float)
+    return TreeIndex(**columns(nodes), roots=tuple(roots), values=vectors.T,
+                     norms=np.linalg.norm(vectors, axis=1))
+
+
 def manual_tree(cluster_embeddings):
     """Two-level index: one parent per list of leaf embeddings."""
     nodes = []
@@ -94,7 +102,7 @@ def manual_tree(cluster_embeddings):
         nodes.append({"id": pid, "level": 1, "children": tuple(child_ids)})
         vectors.append(np.mean([np.asarray(e, float) for e in members], axis=0))
         roots.append(pid)
-    return TreeIndex(**columns(nodes), roots=tuple(roots), embeddings=vectors)
+    return vector_index(nodes, roots, vectors)
 
 
 def test_silhouette_duplicated_points_is_one():
@@ -152,6 +160,47 @@ def test_silhouette_matches_quadratic_oracle(hashed_embedder):
         silhouette_oracle(tree, level), abs=1e-9)
 
 
+def test_silhouette_of_a_tokenless_description_is_finite(hashed_embedder):
+    # "!!! ???" has no token, so its row is zero: the origin, 1/2 from
+    # every unit row, which scores 0 among unit rows and leaves the mean
+    # finite, with no 0 / 0 and so no warning
+    lib = make_family_library(n_families=4, per_family=8, seed=11)
+    lib = ArtifactLibrary(ecosystem="", artifact_ids=(*lib.artifact_ids, "mute"),
+                          names=(*lib.names, "mute"),
+                          descriptions=(*lib.descriptions, "!!! ???"))
+    tree = build_tree(lib, hashed_embedder, seed=0)
+    mute = tree.leaf_rows["mute"]
+    assert tree.norms[mute] == 0.0 and not tree.embeddings[mute].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = silhouette(tree, 1)
+    assert math.isfinite(score)
+    assert score == pytest.approx(silhouette_oracle_of_unit_rows(tree, 1), abs=1e-9)
+
+
+def silhouette_oracle_of_unit_rows(t, level):
+    """``silhouette_oracle`` with the cosine distance of two unit rows as
+    half their squared distance, which is defined for a zero row too."""
+    parents = sorted(
+        (n for n in t.nodes.values() if n.level == level and n.children),
+        key=lambda n: n.id,
+    )
+    vectors = dict(zip(t.ids, t.embeddings))
+    clusters = [[vectors[c] for c in p.children] for p in parents]
+    values = []
+    for ci, members in enumerate(clusters):
+        for mi, vec in enumerate(members):
+            if len(members) == 1:
+                values.append(0.0)
+                continue
+            a = np.mean([0.5 * np.sum((vec - o) ** 2)
+                         for j, o in enumerate(members) if j != mi])
+            b = min(np.mean([0.5 * np.sum((vec - o) ** 2) for o in other])
+                    for cj, other in enumerate(clusters) if cj != ci)
+            values.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
+    return float(np.mean(values))
+
+
 def test_silhouette_well_separated_families_positive(hashed_embedder):
     lib = make_family_library(n_families=4, per_family=10, seed=5)
     tree = build_tree(lib, hashed_embedder, seed=0)
@@ -165,8 +214,7 @@ def test_silhouette_counts_a_shared_child_once_per_parent():
     nodes = [{"id": f"L0-{i}"} for i in range(len(vectors))]
     nodes += [{"id": "L1-0", "level": 1, "children": ("L0-0", "L0-1", "L0-2")},
               {"id": "L1-1", "level": 1, "children": ("L0-2", "L0-3", "L0-4", "L0-5")}]
-    t = TreeIndex(**columns(nodes), roots=("L1-0", "L1-1"),
-                  embeddings=[*vectors, np.ones(3), np.ones(3)])
+    t = vector_index(nodes, ("L1-0", "L1-1"), [*vectors, np.ones(3), np.ones(3)])
     assert silhouette(t, 1) == pytest.approx(silhouette_oracle(t, 1), abs=1e-9)
 
 

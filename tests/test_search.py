@@ -12,13 +12,15 @@ from conftest import (
     make_depth1_index,
     make_family_library,
     perturbed_intents,
+    unit_values,
 )
-from semtree.embed import EmbedderConfig, HashedEmbedder, l2_normalize
+from semtree.embed import EmbedderConfig, HashedEmbedder, l2_normalize, unit_rows
 from semtree.llm import LlmError
 from semtree.search import (
     SORT_WHOLE,
     RankedList,
     SearchConfig,
+    cosines,
     parse_id_list,
     recommend,
     render_rerank_prompt,
@@ -26,17 +28,18 @@ from semtree.search import (
     round_scores,
     tree_search,
 )
-from semtree.tree import TreeIndex, build_tree
+from semtree.tree import StoppingCriteria, TreeIndex, build_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden_prompt_rerank.txt"
 
 
 def beam_oracle(index, embedder, intent, k):
     """Per-level linear scan with beam width ``k``: every visited node is
-    scored by its own ``np.dot``, rounded by the shared helper, and ranked
-    by (-score, node id); kept leaves carry themselves to the next level.
-    Returns the entries and the number of node scores taken."""
-    query = embedder.embed([intent])[0]
+    scored by its own ``np.dot`` of float64 unit rows, rounded by the
+    shared helper, and ranked by (-score, node id); kept leaves carry
+    themselves to the next level.  Returns the entries and the number of
+    node scores taken."""
+    query = unit_rows(*embedder.embed([intent]))[0]
     vectors = dict(zip(index.ids, index.embeddings))
     frontier = set(index.roots)
     evaluations = 0
@@ -136,6 +139,110 @@ def test_a_tokenless_intent_scores_every_entry_positive_zero(family_index, hashe
     got = tree_search(family_index, intent, SearchConfig(beam_width=10, final_k=5),
                       hashed_embedder)
     assert [score.hex() for _, score in got.entries] == [(0.0).hex()] * 10
+    values, norms = hashed_embedder.embed([intent])
+    assert norms[0] == 0.0
+    raw = cosines(family_index, values[0], norms[0])
+    assert raw.tolist() == [0.0] * len(family_index.ids)
+    assert not np.signbit(round_scores(raw)).any()
+
+
+class CountEmbedder:
+    """Embeds every text as the integer ``counts``, with their norm."""
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def embed(self, texts):
+        norm = np.sqrt(self.counts @ self.counts)
+        return np.stack([self.counts for _ in texts]), np.full(len(texts), norm)
+
+
+def exact_cosines(index, counts, norm):
+    """Each node's ``(c_q · c_d) / (|c_q| |c_d|)``, its dot product summed
+    in Python integers: exact before the one float64 division."""
+    columns = index.values.T.astype(np.int64).tolist()
+    return [float(sum(q * d for q, d in zip(counts, column))) / (norm * index.divisors[i])
+            for i, column in enumerate(columns)]
+
+
+def test_counts_past_the_float32_bound_take_the_float64_product():
+    # Counts near 2^22 are held as float32, which holds each exactly, but a
+    # query of |c_q|_1 = 16 can sum their products past 2^24, where float32
+    # rounds: that query takes the float64 product, and one of |c_q|_1 = 2
+    # takes the float32 one, exactly.  Each parent holds its first child's
+    # counts.
+    rng = np.random.default_rng(8)
+    n, dim = 40, 6
+    counts = (rng.integers(2**22 - 50, 2**22 + 50, size=(n, dim))
+              * rng.choice([-1, 1], size=(n, dim)))
+    counts[rng.random((n, dim)) < 0.3] = 0
+    counts[n - 1] = 0  # a zero row scores 0
+    parents = [{"id": f"L1-{j}", "level": 1,
+                "children": tuple(f"L0-{i}" for i in range(j, n, 4))} for j in range(4)]
+    nodes = [{"id": f"L0-{i}"} for i in range(n)] + parents
+    values = np.vstack([counts, counts[:4]])
+    index = TreeIndex(**columns(nodes), roots=[p["id"] for p in parents], values=values.T,
+                      norms=np.sqrt((values * values).sum(axis=1)))
+    assert index.values.dtype == np.float32
+    wide, narrow = [3, -5, 7, 0, 1, 0], [1, 0, 0, -1, 0, 0]
+    assert sum(map(abs, narrow)) < index.exact_l1 <= sum(map(abs, wide))
+    for query in (wide, narrow, [0] * dim):
+        embedder = CountEmbedder(query)
+        q_values, q_norms = embedder.embed(["x"])
+        raw = cosines(index, q_values[0], q_norms[0])
+        assert raw.tolist() == exact_cosines(index, query, q_norms[0] or 1.0)
+        for width in (1, 3, 10):
+            got = tree_search(index, "x", SearchConfig(beam_width=width, final_k=1), embedder)
+            assert (got.entries, got.node_evaluations) == beam_oracle(index, embedder, "x",
+                                                                      width)
+    # the float32 product would have rounded the wide query's sums
+    rows = index.values[np.flatnonzero(wide)]
+    assert (np.float32(wide)[np.flatnonzero(wide)] @ rows).tolist() != [
+        sum(q * d for q, d in zip(wide, column)) for column in values.tolist()]
+
+
+def test_a_remote_index_scores_as_its_unit_rows(tmp_path):
+    # a remote embedder's rows are unit rows with norms of exactly 1.0: the
+    # index holds them as float64 and scores a node by the product of two
+    # unit rows over 1.0, which is the product itself, bit for bit
+    from semtree.embed import RemoteEmbedder
+    from semtree.tree import load_tree, save_tree
+
+    rng = np.random.default_rng(2)
+    table = {}  # text → its (not normalized) remote vector
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, texts):
+            self.body = {"embeddings": [table.setdefault(text, rng.normal(size=24).tolist())
+                                        for text in texts]}
+
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return self.body
+
+    class Session:
+        def post(self, url, json, headers, timeout):
+            return Reply(json["input"])
+
+    embedder = RemoteEmbedder(EmbedderConfig(provider="remote", dim=24, endpoint="stub"),
+                              session=Session())
+    lib = make_family_library(n_families=3, per_family=10, seed=4)
+    built = build_tree(lib, embedder, stop=StoppingCriteria(max_top_level_nodes=2), seed=0)
+    save_tree(built, tmp_path / "index.semtree")
+    index = load_tree(tmp_path / "index.semtree")
+    assert index.top_level >= 1 and index.values.dtype == np.float64
+    assert index.norms.tolist() == [1.0] * len(index.ids)
+    unit = np.stack([l2_normalize(table[text]) for text in lib.descriptions])
+    assert index.values[:, :len(lib)].tobytes() == np.ascontiguousarray(unit.T).tobytes()
+    for intent in lib.descriptions[:10]:
+        query = l2_normalize(table[intent])
+        nz = np.flatnonzero(query)
+        raw = cosines(index, *(a[0] for a in embedder.embed([intent])))
+        assert raw.tobytes() == (query[nz] @ index.values[nz]).tobytes()
 
 
 def test_deep_index_equals_per_node_oracle(hashed_embedder):
@@ -152,11 +259,13 @@ def test_deep_index_equals_per_node_oracle(hashed_embedder):
 
 
 class FixedEmbedder:
+    """Embeds every text as ``vector``, with a norm of 1."""
+
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=np.float64)
 
     def embed(self, texts):
-        return np.stack([self.vector for _ in texts])
+        return np.stack([self.vector for _ in texts]), np.ones(len(texts))
 
 
 @pytest.mark.parametrize("row_order", [("L0-0", "L0-1"), ("L0-1", "L0-0")])
@@ -170,7 +279,7 @@ def test_exact_ties_rank_by_node_id(row_order, reversed_on):
     nodes.append({"id": "L1-0", "level": 1, "name": "root", "summary": "root",
                   "children": row_order})
     vectors = [forward[::-1] if nid == reversed_on else forward for nid in row_order]
-    index = TreeIndex(**columns(nodes), roots=("L1-0",), embeddings=[*vectors, np.ones(3)])
+    index = TreeIndex(**columns(nodes), roots=("L1-0",), **unit_values([*vectors, np.ones(3)]))
     assert index.ids[:2] == row_order
     got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
     assert got.ids() == ["a0", "a1"]
@@ -189,7 +298,7 @@ def test_sparse_query_ties_rank_by_node_id(row_order):
     nodes = [{"id": nid, "artifact_id": f"a{nid[-1]}"} for nid in row_order]
     nodes.append({"id": "L1-0", "level": 1, "children": row_order})
     index = TreeIndex(**columns(nodes), roots=("L1-0",),
-                      embeddings=[*(rows[nid] for nid in row_order), np.ones(6)])
+                      **unit_values([*(rows[nid] for nid in row_order), np.ones(6)]))
     got = tree_search(index, "x", SearchConfig(beam_width=2, final_k=2), FixedEmbedder(query))
     assert got.ids() == ["a0", "a1"]
     assert got.entries[0][1] == got.entries[1][1]
@@ -200,7 +309,7 @@ def full_product_beam(index, query, width):
     level's frontier fully sorted by (-score, id rank), kept leaves carried
     forward.  Returns the kept artifact ids and the number of node scores
     read."""
-    scores = round_scores(np.ascontiguousarray(index.embeddings) @ query)
+    scores = round_scores(index.embeddings @ query)
     frontier, evaluations = sorted(index.root_rows.tolist()), 0
     while True:
         evaluations += len(frontier)
@@ -233,7 +342,7 @@ def test_search_equals_a_full_product_reference_beam(branching, leaf_levels, see
             intent = " ".join(rng.choice(words, size=3))
             dense = rng.normal(size=64)
             for embedder in (hashed, FixedEmbedder(dense / np.linalg.norm(dense))):
-                query = embedder.embed([intent])[0]
+                query = unit_rows(*embedder.embed([intent]))[0]
                 got = tree_search(index, intent, cfg, embedder)
                 assert (got.ids(), got.node_evaluations) == full_product_beam(index, query,
                                                                               width)
@@ -252,7 +361,7 @@ def test_ties_at_the_partition_cut_rank_by_node_id(width):
     nodes = [{"id": f"L0-{i}"} for i in range(200)]
     nodes.append({"id": "L1-0", "level": 1, "children": tuple(n["id"] for n in nodes)})
     index = TreeIndex(**columns(nodes), roots=("L1-0",),
-                      embeddings=[*(basis[c] for c in choices.tolist()), np.ones(8)])
+                      **unit_values([*(basis[c] for c in choices.tolist()), np.ones(8)]))
     for _ in range(10):
         query = l2_normalize(rng.normal(size=8))
         got = tree_search(index, "x", SearchConfig(beam_width=width, final_k=1),
@@ -274,7 +383,8 @@ def test_shared_children_and_leaf_roots():
         node("L0-s", [0.9, 0.1, 0]), node("L0-solo", [0.8, 0.2, 0]),
         node("L1-0", [0.5, 0.5, 0.5], ("L0-0", "L0-1", "L0-s")),
         node("L1-1", [0.6, 0.4, 0], ("L0-2", "L0-s")))
-    index = TreeIndex(**columns(nodes), roots=("L1-0", "L1-1", "L0-solo"), embeddings=vectors)
+    index = TreeIndex(**columns(nodes), roots=("L1-0", "L1-1", "L0-solo"),
+                      **unit_values(vectors))
     got = tree_search(index, "x", SearchConfig(beam_width=3, final_k=3),
                       FixedEmbedder([1, 0, 0]))
     assert got.ids() == ["as", "asolo", "a2"]
@@ -310,10 +420,16 @@ def test_node_evaluation_bound(hashed_embedder):
 SEARCH_GATE_SHA256 = "13743fc02ca1b7dd0dcf5065bf5d35b4fcdc6dad027b038e99b904e6474ae535"
 
 
-def test_search_results_are_pinned(hashed_embedder):
+@pytest.fixture(scope="module")
+def gate(hashed_embedder):
+    """The BUILD_GATE_SHA256 index and the 500 perturbed intents of the search gate."""
     lib = make_family_library(n_families=15, per_family=20, seed=12)
     index = build_tree(lib, hashed_embedder, seed=0)
-    intents = [s.intent for seed in (11, 12) for s in perturbed_intents(lib, 250, seed=seed)]
+    return index, [s.intent for seed in (11, 12) for s in perturbed_intents(lib, 250, seed=seed)]
+
+
+def test_search_results_are_pinned(hashed_embedder, gate):
+    index, intents = gate
     widest = max(np.bincount(index.levels).tolist())
     digest = hashlib.sha256()
     for width in (1, 5, 10, 20, widest):
@@ -324,6 +440,27 @@ def test_search_results_are_pinned(hashed_embedder):
             assert (-0.0).hex() not in [h for _, h in entries], intent
             digest.update(json.dumps([entries, got.node_evaluations]).encode())
     assert digest.hexdigest() == SEARCH_GATE_SHA256
+
+
+def unit_row_product(index, query):
+    """Every node's score as the float64 product of two unit rows at the
+    query's nonzero dims: the product search took before it read counts."""
+    nz = np.flatnonzero(query)
+    return query[nz] @ np.ascontiguousarray(index.embeddings.T)[nz]
+
+
+def test_count_scores_round_as_the_unit_row_product(hashed_embedder, gate):
+    # the exact float32 count product over the product of norms differs
+    # from the unit-row product in the last bits only: rounded, every one of
+    # the 500 intents' scores of every node is the same
+    index, intents = gate
+    assert index.values.dtype == np.float32
+    for intent in intents:
+        values, norms = hashed_embedder.embed([intent])
+        raw = cosines(index, values[0], norms[0])
+        want = unit_row_product(index, unit_rows(values, norms)[0])
+        assert np.abs(raw - want).max() < 1e-15
+        assert round_scores(raw).tobytes() == round_scores(want).tobytes(), intent
 
 
 def test_rerank_prompt_matches_golden():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from semtree.embed import unit_rows
 from semtree.llm import LlmError
 from semtree.summarize import (
     FeatureSummary,
@@ -126,7 +127,7 @@ def test_offline_needs_one_row_per_child():
 
 def test_offline_deterministic(hashed_embedder):
     children = ["alpha beta gamma", "alpha delta epsilon", "zeta eta theta"]
-    rows = hashed_embedder.embed(children)
+    rows = unit_rows(*hashed_embedder.embed(children))
     assert offline_summarize(children, rows) == offline_summarize(children, rows.copy())
 
 

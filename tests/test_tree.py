@@ -17,6 +17,7 @@ from conftest import (
     library,
     make_family_library,
     read_index,
+    unit_values,
     write_index,
 )
 from test_embed import features_of
@@ -26,10 +27,11 @@ from semtree.llm import CallableClient, LlmError, prompt_hash
 from semtree.search import SearchConfig, tree_search
 from semtree.tree import (
     INDEX_FORMAT_VERSION,
+    VALUE_TYPES,
     StoppingCriteria,
     TreeError,
     TreeIndex,
-    _embedding_matrix,
+    _value_matrix,
     build_tree,
     load_tree,
     save_tree,
@@ -174,12 +176,15 @@ def test_load_round_trip_preserves_embeddings(family_index, tmp_path):
     for nid, vec in zip(family_index.ids, family_index.embeddings):
         assert vectors[nid].tobytes() == vec.tobytes()
     assert loaded.config == family_index.config
+    # the counts are held as float32 and stored as int8
+    assert loaded.values.dtype == family_index.values.dtype == np.float32
+    assert read_index(path)[0]["embeddings"]["values"] == "int8"
 
 
 def test_negative_zero_keeps_its_sign_bit(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_tree(TreeIndex(**columns([{"id": "a"}]), roots=("a",), embeddings=[[-0.0, 0.0, 1.0]]),
-              p1)
+    save_tree(TreeIndex(**columns([{"id": "a"}]), roots=("a",),
+                        **unit_values([[-0.0, 0.0, 1.0]])), p1)
     loaded = load_tree(p1).embeddings[0]
     assert list(np.signbit(loaded)) == [True, False, False]
     assert list(loaded) == [0.0, 0.0, 1.0]
@@ -204,7 +209,7 @@ def test_load_rejects_cycle(tmp_path):
         "nodes": {"id": ["a", "b"], "level": [2, 1], "kind": ["internal", "internal"],
                   "name": ["a", "b"], "summary": ["a", "b"], "children": [["b"], ["a"]],
                   "artifact_id": [None, None]},
-        "embeddings": {"dim": 2},
+        "embeddings": {"dim": 2, "values": "float64"},
     }
     path = tmp_path / "cycle.json"
     write_index(path, header, encode_payload([[1.0, 0.0], [1.0, 0.0]]))
@@ -287,29 +292,40 @@ def _bytes_edit(edit):
 
 
 def _payload_edit(part, edit):
-    """Damage that applies ``edit`` to the payload's ``"mask"`` or
-    ``"values"`` bytes; the mask is ceil(n * dim / 8) bytes."""
+    """Damage that applies ``edit`` to the payload's ``"norms"``,
+    ``"mask"`` or ``"values"`` bytes: the norms are 8 bytes a node and the
+    mask is ceil(n * dim / 8) bytes."""
     def edited(header, payload):
-        cut = -(-len(header["nodes"]["id"]) * header["embeddings"]["dim"] // 8)
-        mask, values = payload[:cut], payload[cut:]
-        if part == "mask":
-            return header, edit(mask) + values
-        return header, mask + edit(values)
+        n = len(header["nodes"]["id"])
+        cuts = [0, 8 * n, 8 * n - (-n * header["embeddings"]["dim"] // 8), len(payload)]
+        parts = [payload[a:b] for a, b in zip(cuts, cuts[1:])]
+        at = ("norms", "mask", "values").index(part)
+        parts[at] = edit(parts[at])
+        return header, b"".join(parts)
     return _rewritten(edited)
 
 
-def _set_value(i, value):
-    """Damage that writes ``value`` over the ``i``-th stored value."""
+def _set_norm(i, value):
+    """Damage that writes ``value`` over the ``i``-th stored norm."""
     def edit(raw):
-        values = np.frombuffer(raw, dtype="<f8").copy()
-        values[i] = value
-        return values.tobytes()
+        norms = np.frombuffer(raw, dtype="<f8").copy()
+        norms[i] = value
+        return norms.tobytes()
+    return _payload_edit("norms", edit)
+
+
+def _set_value(i, value):
+    """Damage that writes ``value`` over the ``i``-th stored (int8) value."""
+    def edit(raw):
+        return raw[:i] + np.int8(value).tobytes() + raw[i + 1:]
     return _payload_edit("values", edit)
 
 
 # Damage to a saved multi-level index, each of which load_tree must reject.
 # The ids of the base64 cases, from when the matrix was base64 text, now
-# name the nearest damage to the raw payload.
+# name the nearest damage to the raw payload, and those of the float
+# cases, from when the values were float64, the nearest damage to the
+# int8 values or the float64 norms.
 MALFORMED_FILES = [
     _bytes_edit(lambda data: data[: len(data) // 2]),
     _rewritten(lambda header, payload: ([header], payload)),
@@ -318,9 +334,13 @@ MALFORMED_FILES = [
     _edited("nodes", "id"),
     _edited("embeddings"),  # no width for the matrix
     _edited("embeddings", value=5),  # a scalar where the block belongs
-    _payload_edit("mask", lambda raw: raw[:-1]),  # the matrix is not n x dim
-    _set_value(3, float("nan")),
-    _set_value(0, float("-inf")),
+    # The matrix is not n x dim: the header's dim is one short, so the mask
+    # read is shorter and marks no more entries, yet the bytes left for
+    # them are more.  (A mask one byte short can parse, as its last byte is
+    # then the first int8 value's.)
+    _with_header(lambda header: header["embeddings"].update(dim=header["embeddings"]["dim"] - 1)),
+    _set_norm(3, float("nan")),
+    _set_norm(0, float("-inf")),
     _edited("nodes", "artifact_id", 1, value="fam0-art00"),  # node 0's artifact
     _with_header(lambda header: header["roots"].append(header["roots"][0])),
     _edited("nodes", "id", 1, value="L0-0"),
@@ -333,8 +353,8 @@ MALFORMED_FILES = [
     _edited("roots", 0, value=[1]),
     _payload_edit("mask", lambda raw: bytes([raw[0] ^ 0x80]) + raw[1:]),  # one bit flipped
     _payload_edit("values", lambda raw: "é".encode() + raw),  # two stray bytes
-    _payload_edit("values", lambda raw: raw[:-8]),
-    _payload_edit("values", lambda raw: raw + raw[:8]),
+    _payload_edit("values", lambda raw: raw[:-1]),
+    _payload_edit("values", lambda raw: raw + raw[:1]),
     _payload_edit("mask", lambda raw: raw + b"\x00"),
     _edited("embeddings", "dim", value=0),
     _edited("embeddings", "dim", value=2.5),
@@ -346,6 +366,13 @@ MALFORMED_FILES = [
     _rewritten(lambda header, payload: (header, payload + b"\x00")),
     _bytes_edit(lambda data: data.replace(b'"L0-0"', b'"L0-\xff"')),
     _with_header(lambda header: header["nodes"]["summary"].pop()),
+    _set_norm(2, -1.0),
+    _set_value(5, 0),
+    _edited("embeddings", "values"),
+    _edited("embeddings", "values", value="float32"),
+    _edited("embeddings", "values", value=["int8"]),
+    _edited("embeddings", "values", value="int16"),  # 2 bytes an entry; the file has 1
+    _payload_edit("norms", lambda raw: raw[:-8]),
 ]
 MALFORMED_FILE_IDS = [
     "truncated", "not_an_object", "no_nodes", "node_without_level",
@@ -357,7 +384,9 @@ MALFORMED_FILE_IDS = [
     "non_ascii_values", "values_one_float_short", "values_one_float_long",
     "mask_one_byte_long", "zero_dim", "fractional_dim",
     "string_dim", "no_mask", "infinite_level", "no_newline", "truncated_payload",
-    "trailing_payload_byte", "header_not_utf8", "column_one_entry_short"]
+    "trailing_payload_byte", "header_not_utf8", "column_one_entry_short",
+    "negative_norm", "marked_zero_value", "no_value_type", "unknown_value_type",
+    "list_value_type", "wider_value_type", "one_norm_short"]
 # A JSON object or string where a list belongs.
 NOT_A_LIST = [
     _with_header(lambda header: header["nodes"]["children"].__setitem__(
@@ -425,12 +454,16 @@ def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
         "roots": ["a"],
         "nodes": {"id": ["a"], "level": [0], "kind": ["leaf"], "name": ["a"],
                   "summary": ["a"], "children": [[]], "artifact_id": ["a"]},
-        "embeddings": {"dim": 3},
+        "embeddings": {"dim": 3, "values": "float64"},
     }
     path = tmp_path / "idx.json"
     write_index(path, header, encode_payload([[1.0, 0.0, 0.0]]))
     assert load_tree(path).embeddings.tolist() == [[1.0, 0.0, 0.0]]
-    write_index(path, header, bytes([0b10000001]) + np.ones(2).tobytes())
+    write_index(path, header, np.ones(1).tobytes() + bytes([0b10000001]) + np.ones(2).tobytes())
+    with pytest.raises(TreeError, match="past the last node"):
+        load_tree(path)
+    header["embeddings"]["values"] = "int8"
+    write_index(path, header, np.ones(1).tobytes() + bytes([0b10000001, 1, 1]))
     with pytest.raises(TreeError, match="past the last node"):
         load_tree(path)
 
@@ -456,7 +489,7 @@ CONSTRUCTION_IDS = ["empty", "orphan_leaf", "string_level_after_parent", "leaf_w
 @pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
 def test_construction_validates(nodes, roots, message):
     with pytest.raises(TreeError, match=message):
-        TreeIndex(**columns(nodes), roots=roots, embeddings=np.ones((len(nodes), 2)))
+        TreeIndex(**columns(nodes), roots=roots, **unit_values(np.ones((len(nodes), 2))))
 
 
 def test_validate_runs_once_per_build_and_load(hashed_embedder, tmp_path, monkeypatch):
@@ -570,7 +603,8 @@ def test_validate_rejects_orphan_leaf(family_index):
                   kinds=t.kinds + ("leaf",), names=t.names + ("orphan",),
                   summaries=t.summaries + ("orphan",),
                   artifact_ids=t.artifact_ids + ("orphan",), children=children + [[]],
-                  roots=t.roots, embeddings=np.vstack([t.embeddings, np.zeros(t.dim)]))
+                  roots=t.roots, values=np.hstack([t.values, np.zeros((t.dim, 1))]),
+                  norms=np.append(t.norms, 0.0))
 
 
 def test_index_nodes_are_read_only(family_index):
@@ -592,28 +626,38 @@ def test_index_nodes_are_frozen(family_index):
 
 
 def test_index_embeddings_are_read_only(family_index):
-    with pytest.raises(ValueError, match="read-only"):
-        family_index.embeddings[0, 0] = 1.0
+    # the index holds values and norms, both read-only; its unit rows are
+    # made from them on each read, so no write to a copy reaches the index
+    for array in (family_index.values, family_index.norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    rows = family_index.embeddings
+    rows[0, 0] = 7.0
+    assert family_index.embeddings[0, 0] != 7.0
+    with pytest.raises(AttributeError):
+        family_index.embeddings = rows
 
 
 def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
-    # the index holds its matrix dim-major: an (n, dim) float64 matrix in
-    # Fortran order, whose .T is C-contiguous, is kept, not copied, and
-    # made read-only once the index is checked, so no later write through
-    # the caller's array can reach a search; a failed check leaves the
-    # caller's array as it was, and any other matrix is converted once
+    # the index holds its values dim-major: a C-contiguous (dim, n) float64
+    # matrix and float64 norms are kept, not copied, and made read-only
+    # once the index is checked, so no later write through the caller's
+    # arrays can reach a search; a failed check leaves the caller's arrays
+    # as they were, and any other matrix is converted once: integer counts
+    # to float32, anything else to float64
     lib = make_family_library(n_families=3, per_family=4)
     nodes = [{"id": aid} for aid in lib.artifact_ids]
     nodes.append({"id": "root", "level": 1, "children": list(lib.artifact_ids)})
-    leaves = hashed_embedder.embed(list(lib.descriptions))
-    given = np.asfortranarray(np.vstack([leaves, leaves.mean(axis=0)]))
-    copied = TreeIndex(**columns(nodes), roots=("root",), embeddings=given.copy(order="F"))
+    counts, norms = hashed_embedder.embed([*lib.descriptions, " ".join(lib.descriptions)])
+    given, given_norms = np.ascontiguousarray(counts.T, dtype=np.float64), norms.copy()
+    copied = TreeIndex(**columns(nodes), roots=("root",), values=given.copy(),
+                       norms=norms.copy())
     with pytest.raises(TreeError, match="missing root"):
-        TreeIndex(**columns(nodes), roots=("nowhere",), embeddings=given)
-    assert given.flags.writeable
-    kept = TreeIndex(**columns(nodes), roots=("root",), embeddings=given)
-    assert kept.embeddings is given and not given.flags.writeable
-    assert kept.dim_major.base is given and kept.dim_major.flags.c_contiguous
+        TreeIndex(**columns(nodes), roots=("nowhere",), values=given, norms=given_norms)
+    assert given.flags.writeable and given_norms.flags.writeable
+    kept = TreeIndex(**columns(nodes), roots=("root",), values=given, norms=given_norms)
+    assert kept.values is given and kept.norms is given_norms
+    assert not given.flags.writeable and not given_norms.flags.writeable
     intent = lib.descriptions[5]
     cfg = SearchConfig(beam_width=3, final_k=3)
     before = tree_search(kept, intent, cfg, hashed_embedder).entries
@@ -621,21 +665,21 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     with pytest.raises(ValueError, match="read-only"):
         given[:] = given[::-1]
     assert tree_search(kept, intent, cfg, hashed_embedder).entries == before
-    for other in (given.astype(np.float32), np.ascontiguousarray(given)):
-        converted = TreeIndex(**columns(nodes), roots=("root",), embeddings=other)
-        assert not np.shares_memory(converted.embeddings, other) and other.flags.writeable
-        # converted once: the dim-major matrix is a view of the one copy
-        assert converted.embeddings.flags.owndata and not converted.embeddings.flags.writeable
-        assert converted.dim_major.base is converted.embeddings
-        assert converted.dim_major.flags.c_contiguous
-        assert np.array_equal(converted.embeddings, other)
+    for other, held in ((counts.T, np.float32), (np.asfortranarray(given), np.float64),
+                        (given.astype(np.float32), np.float64)):
+        converted = TreeIndex(**columns(nodes), roots=("root",), values=other, norms=norms)
+        assert not np.shares_memory(converted.values, other)
+        assert converted.values.dtype == held and converted.values.flags.c_contiguous
+        assert converted.values.flags.owndata and not converted.values.flags.writeable
+        assert np.array_equal(converted.values, other)
+        assert tree_search(converted, intent, cfg, hashed_embedder).entries == before
 
 
 def test_children_that_are_not_a_list_of_ids_are_rejected():
     # a string would make the node the parent of each of its letters
     cols = columns([{"id": "r", "level": 1, "children": "ab"}, {"id": "a"}, {"id": "b"}])
     with pytest.raises(TreeError, match="^node r: children 'ab' are not a list of ids$"):
-        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+        TreeIndex(**cols, roots=("r",), **unit_values(np.ones((3, 2))))
 
 
 @pytest.mark.parametrize("kind", ["string", "dict"])
@@ -648,7 +692,7 @@ def test_a_column_that_is_not_a_list_is_rejected(column, kind):
     cols[column] = ("abr" if kind == "string"
                     else {f"key{i}": value for i, value in enumerate(cols[column])})
     with pytest.raises(TreeError, match=f"^the {column} column is not a list or tuple$"):
-        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+        TreeIndex(**cols, roots=("r",), **unit_values(np.ones((3, 2))))
 
 
 @pytest.mark.parametrize("roots", ["r", {"r": 0}], ids=["string", "dict"])
@@ -656,14 +700,14 @@ def test_roots_that_are_not_a_list_are_rejected(roots):
     # "r" would pass as its letters and {"r": 0} as its keys: both give ("r",)
     cols = columns([{"id": "a"}, {"id": "r", "level": 1, "children": ("a",)}])
     with pytest.raises(TreeError, match="^roots is not a list or tuple$"):
-        TreeIndex(**cols, roots=roots, embeddings=np.ones((2, 2)))
+        TreeIndex(**cols, roots=roots, **unit_values(np.ones((2, 2))))
 
 
 def test_leaves_sharing_an_artifact_id_are_both_named():
     cols = columns([{"id": "a"}, {"id": "b", "artifact_id": "x"}, {"id": "c", "artifact_id": "x"},
                     {"id": "r", "level": 1, "children": ("a", "b", "c")}])
     with pytest.raises(TreeError, match="^leaves b and c share artifact_id x$"):
-        TreeIndex(**cols, roots=("r",), embeddings=np.ones((4, 2)))
+        TreeIndex(**cols, roots=("r",), **unit_values(np.ones((4, 2))))
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
@@ -675,32 +719,41 @@ def test_a_column_without_one_entry_per_id_is_rejected(column, change):
     count = 2 if change == "short" else 4
     with pytest.raises(TreeError, match=f"^the {column} column has {count} entries, not one "
                                         f"for each of the 3 node ids$"):
-        TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2)))
+        TreeIndex(**cols, roots=("r",), **unit_values(np.ones((3, 2))))
 
 
+# (values, norms) for the nodes a, b and r, with the message that rejects them
 MATRIX_CASES = [
-    (np.ones((2, 4)), "one row for each of the 3 nodes"),
-    (np.ones((4, 4)), "one row for each of the 3 nodes"),
-    (np.ones(4), "one row for each"),
-    (np.ones(3), "one row for each"),
-    (np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]), "node b: .*non-finite"),
-    ([[1.0], [1.0, 2.0]], "not a numeric matrix"),
-    ([["x"]], "not a numeric matrix"),
+    (np.ones((4, 2)), np.ones(3), r"shape \(4, 2\) is not \(dim, 3\)"),
+    (np.ones((4, 4)), np.ones(3), r"shape \(4, 4\) is not \(dim, 3\)"),
+    (np.ones(4), np.ones(3), "is not \\(dim, 3\\)"),
+    (np.ones(3), np.ones(3), "is not \\(dim, 3\\)"),
+    (np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 1.0]]), np.ones(3), "node b: .*non-finite"),
+    ([[1.0], [1.0, 2.0]], np.ones(3), "not numeric"),
+    ([["x"]], np.ones(3), "not numeric"),
+    (np.ones((0, 3)), np.ones(3), r"shape \(0, 3\) is not \(dim, 3\): dim >= 1"),
+    (np.ones((2, 3)), np.ones(2), "norms of shape \\(2,\\) do not hold one norm for each"),
+    (np.ones((2, 3)), np.ones((3, 1)), "norms of shape \\(3, 1\\)"),
+    (np.ones((2, 3)), [1.0, -1.0, 1.0], "node b: norm -1.0 is not a finite number >= 0"),
+    (np.ones((2, 3)), [1.0, 1.0, np.nan], "node r: norm nan is not a finite"),
+    (np.ones((2, 3)), [1.0, 1.0, np.inf], "node r: norm inf is not a finite"),
+    (np.ones((2, 3)), ["x", "y", "z"], "not numeric"),
 ]
 MATRIX_IDS = ["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
-              "nan", "ragged", "non_numeric"]
+              "nan", "ragged", "non_numeric", "no_dims", "short_norms", "two_dimensional_norms",
+              "negative_norm", "nan_norm", "infinite_norm", "non_numeric_norms"]
 
 
 def _two_leaves():
     return columns([{"id": "a"}, {"id": "b"}, {"id": "r", "level": 1, "children": ("a", "b")}])
 
 
-@pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
-def test_construction_checks_the_embedding_matrix(embeddings, message):
+@pytest.mark.parametrize("values, norms, message", MATRIX_CASES, ids=MATRIX_IDS)
+def test_construction_checks_the_embedding_matrix(values, norms, message):
     cols = _two_leaves()
-    assert TreeIndex(**cols, roots=("r",), embeddings=np.ones((3, 2))).dim == 2
+    assert TreeIndex(**cols, roots=("r",), values=np.ones((2, 3)), norms=np.ones(3)).dim == 2
     with pytest.raises(TreeError, match=message):
-        TreeIndex(**cols, roots=("r",), embeddings=embeddings)
+        TreeIndex(**cols, roots=("r",), values=values, norms=norms)
 
 
 def test_index_equality_is_identity(family_index, tmp_path):
@@ -744,7 +797,9 @@ def test_tree_stats_node_count_matches_walk(family_index):
     assert tree_stats(family_index)["nodes"] == len(visited)
 
 
-GOLDEN = Path(__file__).parent / "data" / "index_v4.semtree"
+GOLDEN = Path(__file__).parent / "data" / "index_v5.semtree"
+# the golden file of format 4, which is no longer read
+GOLDEN_V4 = Path(__file__).parent / "data" / "index_v4.semtree"
 
 
 def golden_index():
@@ -789,7 +844,7 @@ def content_sha256(path) -> str:
 # A numeric change to EM, BIC or soft assignment that flips a chosen k or a
 # membership changes these bytes.  The content digest does not depend on
 # the file format, so a format change moves only the byte digest.
-BUILD_GATE_SHA256 = "8b94639bb5d639960f12c2e9a757c0798257ee417d7bdd59a541103132db08c7"
+BUILD_GATE_SHA256 = "3b3ccb30192fb2c9de0cb2449bc99f087996365e43448a4e2736a5f3e3fbd905"
 BUILD_GATE_CONTENT_SHA256 = "2da2bd4c56d49f8d836c477e448c82caaad0f8769ca239a4579190ce2743e3d7"
 
 
@@ -807,7 +862,7 @@ def test_build_bytes_of_a_bic_sweep_are_pinned(hashed_embedder, tmp_path):
     lambda embedder: golden_index(),
 ], ids=["build_gate", "golden"])
 def test_a_loaded_index_equals_the_built_one(build, hashed_embedder, tmp_path):
-    # the file holds the columns and dim_major in the index's own order,
+    # the file holds the columns, norms and values in the index's own order,
     # so loading gives back the built index itself, not a reordered copy
     built = build(hashed_embedder)
     path = tmp_path / "index.json"
@@ -818,9 +873,10 @@ def test_a_loaded_index_equals_the_built_one(build, hashed_embedder, tmp_path):
         assert getattr(loaded, name) == getattr(built, name), name
     for name in ("child_ptr", "child_rows"):
         assert getattr(loaded, name).tolist() == getattr(built, name).tolist(), name
-    assert loaded.dim_major.shape == built.dim_major.shape
-    assert loaded.dim_major.flags.c_contiguous
-    assert loaded.dim_major.tobytes() == built.dim_major.tobytes()
+    for name in ("values", "norms"):
+        got, want = getattr(loaded, name), getattr(built, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), name
 
 
 def _mixed_reply(prompt):
@@ -836,7 +892,7 @@ def _mixed_reply(prompt):
 
 # The BUILD_GATE_SHA256 catalog summarized by _mixed_reply: the offline
 # fallback runs on the leaves' rows and on a built level's block.
-MIXED_LLM_BUILD_SHA256 = "f8288a51cc0b2830439ecad8a5e95f3a7441c82aa14217e987749b1ad141cea1"
+MIXED_LLM_BUILD_SHA256 = "8390de86a3ba413c5957f29736cf03cfb812a6652b5a4c9120280b676b0c6744"
 MIXED_LLM_BUILD_CONTENT_SHA256 = "eb14f854ffd3af386c18495fed3d0d89b1e0d4f2b684320e1e90f4f4a94f2378"
 
 
@@ -860,14 +916,14 @@ def test_build_bytes_of_an_llm_summarized_build_are_pinned(hashed_embedder, tmp_
 # two rows that alternate.
 DEGENERATE_CATALOGS = {
     "12_same": ([(f"a{i}", "tool", "parse json files") for i in range(12)],
-                "a50719d4b8e2ae814535beadf7125c83c7bafeae9c0611453a1836108493a03c"),
+                "282f17cbcda52d61ba415e80917b93dc3499d705e1fbb5075799a0af280e36ad"),
     "200_same": ([(f"a{i}", "tool", "parse json files") for i in range(200)],
-                 "20641def6a2fb1201f344258e078470ca12fc9e437510a40a6a5442100f7cdd9"),
+                 "cb737c6a7f45505471448d9f55a5cf06cf00454afa122c997e9dc519be087ece"),
     "40_names_same": ([(f"a{i}", f"tool{i}", "parse json files") for i in range(40)],
-                      "079b9668dc8e35808534d45e75da4cdaf79d0e68deb5126e06fc0203deb15d40"),
+                      "2d4160a3c957ea69faadbd68c1a82381b90b4ffadb1e208fe5f594f1417a9b78"),
     "30_alternating": ([(f"a{i}", "tool", ("parse json files", "send http requests")[i % 2])
                         for i in range(30)],
-                       "d48e98fb1db38f985b05fb100e8801da472b0ab17b450fee186a21501fc9195c"),
+                       "0ea2f42f96f7731115378ba07a25616f077d84ed98a43b5154ca9d2bf50dc8bb"),
 }
 
 
@@ -909,14 +965,15 @@ def test_build_bytes_do_not_depend_on_pca_signs(hashed_embedder, tmp_path, monke
     assert (tmp_path / "negated.semtree").read_bytes() == (tmp_path / "svd.semtree").read_bytes()
 
 
-def _row_major_scatter(dim, payload, n):
+def _row_major_scatter(dim, payload, n, value_type):
     """The ``(dim, n)`` matrix of a payload, scattered in row-major order
-    through the mask."""
+    through the mask that follows the ``n`` norms."""
     size = n * dim
     mask = -(-size // 8)
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask))[:size]
-    matrix = np.zeros(size)
-    matrix[bits.astype(bool)] = np.frombuffer(payload, dtype="<f8", offset=mask)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=mask,
+                                       offset=8 * n))[:size]
+    matrix = np.zeros(size, dtype=value_type)
+    matrix[bits.astype(bool)] = np.frombuffer(payload, dtype=value_type, offset=8 * n + mask)
     return matrix.reshape(dim, n)
 
 
@@ -925,15 +982,24 @@ def _row_major_scatter(dim, payload, n):
 def test_embedding_matrix_is_the_row_major_scatter_transposed(n, dim):
     # every shape but (2, 4) leaves padding bits in the mask's last byte
     rng = np.random.default_rng(n * 100 + dim)
-    matrix = rng.normal(size=(n, dim))
-    matrix[rng.random((n, dim)) < 0.4] = 0.0
-    matrix.flat[0] = -0.0  # nonzero bits, so the mask marks it
-    payload = encode_payload(matrix)
-    got = _embedding_matrix(dim, payload, n)
-    expected = _row_major_scatter(dim, payload, n)
-    assert got.shape == (n, dim) and got.T.flags.c_contiguous
-    assert got.T.tobytes() == expected.tobytes()
-    assert expected.T.tobytes() == matrix.tobytes()
+    for value_type, stored in VALUE_TYPES.items():
+        stored = np.dtype(stored)
+        if value_type == "float64":
+            matrix = rng.normal(size=(n, dim))
+            matrix.flat[0] = -0.0  # nonzero bits, so the mask marks it
+        else:
+            matrix = rng.integers(np.iinfo(stored).min, np.iinfo(stored).max, size=(n, dim),
+                                  endpoint=True)
+        matrix[rng.random((n, dim)) < 0.4] = 0
+        norms = rng.random(n)
+        payload = encode_payload(matrix, norms, stored)
+        values, got_norms = _value_matrix({"dim": dim, "values": value_type}, payload, n)
+        expected = _row_major_scatter(dim, payload, n, stored)
+        assert values.shape == (dim, n) and values.flags.c_contiguous
+        assert values.dtype == stored, value_type
+        assert values.tobytes() == expected.tobytes(), value_type
+        assert expected.T.tobytes() == matrix.astype(stored).tobytes(), value_type
+        assert got_norms.tobytes() == norms.tobytes(), value_type
 
 
 def test_golden_index_file_loads_and_decodes_by_hand():
@@ -941,32 +1007,100 @@ def test_golden_index_file_loads_and_decodes_by_hand():
     data = GOLDEN.read_bytes()
     head, payload = data[:data.index(b"\n")], data[data.index(b"\n") + 1:]
     header = json.loads(head.decode("utf-8"))
-    assert header["version"] == INDEX_FORMAT_VERSION == 4
+    assert header["version"] == INDEX_FORMAT_VERSION == 5
     assert head == json.dumps(header, ensure_ascii=False, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     columns = header["nodes"]
     assert sorted(columns) == ["artifact_id", "children", "id", "kind", "level", "name",
                                "summary"]
-    # the layout, decoded without semtree: the mask's first bit is its
-    # first byte's most significant one, values are little-endian float64
-    # in dim-major order (dim by dim, node by node within a dim), and
-    # node i of the columns is row i of the index
+    # the layout, decoded without semtree: n little-endian float64 norms,
+    # then the mask, whose first bit is its first byte's most significant
+    # one, then the values as int8 (the counts' type) in dim-major order
+    # (dim by dim, node by node within a dim); node i of the columns is
+    # column i of the values
     n, dim = len(columns["id"]), header["embeddings"]["dim"]
+    assert header["embeddings"]["values"] == "int8"
     assert all(len(column) == n for column in columns.values())
-    mask, values = payload[:-(-n * dim // 8)], payload[-(-n * dim // 8):]
+    norms = struct.unpack(f"<{n}d", payload[:8 * n])
+    cut = 8 * n - (-n * dim // 8)
+    mask, values = payload[8 * n:cut], payload[cut:]
     bits = [(mask[j // 8] >> (7 - j % 8)) & 1 for j in range(n * dim)]
-    assert len(values) == 8 * sum(bits)
-    values = iter(struct.unpack(f"<{len(values) // 8}d", values))
-    by_dim = [[next(values) if bits[j * n + i] else 0.0 for i in range(n)] for j in range(dim)]
+    assert len(values) == sum(bits)
+    values = iter(struct.unpack(f"<{len(values)}b", values))
+    by_dim = [[next(values) if bits[j * n + i] else 0 for i in range(n)] for j in range(dim)]
     assert next(values, None) is None
     for i in range(n):
-        row = [by_dim[j][i] for j in range(dim)]
-        assert index.embeddings[i].tobytes() == np.array(row).tobytes()
+        counts = [by_dim[j][i] for j in range(dim)]
+        # a hashed row's norm is the square root of its counts' squares
+        assert norms[i] == math.sqrt(sum(c * c for c in counts))
+        assert index.values[:, i].tolist() == counts
+        assert index.embeddings[i].tobytes() == embed.l2_normalize(counts).tobytes()
+    assert index.norms.tolist() == list(norms)
     assert index.ids == tuple(columns["id"])
     assert index.ids == tuple(f"L{level}-{ordinal}" for level, size in enumerate(
         np.bincount(columns["level"]).tolist()) for ordinal in range(size))
     assert [a is None for a in columns["artifact_id"]] == [k == "internal"
                                                            for k in columns["kind"]]
+
+
+def test_a_format_4_file_asks_to_be_rebuilt(tmp_path, capsys):
+    # the golden file as format 4 wrote it: a header and the values as
+    # float64 behind their mask, with no norms
+    header, _ = read_index(GOLDEN_V4)
+    assert header["version"] == 4 and header["embeddings"] == {"dim": 16}
+    with pytest.raises(TreeError, match="^unsupported index version 4 .*rebuild the index"):
+        load_tree(GOLDEN_V4)
+    for command in (["search", "--index", str(GOLDEN_V4), "--intent", "parse json"],
+                    ["stats", "--index", str(GOLDEN_V4)]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert "rebuild the index with `semtree build`" in err and "Traceback" not in err
+
+
+def _golden_payload_edited(tmp_path, edit):
+    """A copy of the golden file whose ``(header, payload)`` ``edit`` returns."""
+    path = tmp_path / "index.semtree"
+    write_index(path, *edit(*read_index(GOLDEN)))
+    return path
+
+
+def _golden_value_type(value_type):
+    def edit(header, payload):
+        header["embeddings"]["values"] = value_type
+        return header, payload
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_golden_value_type("uint8"),
+     "^embedding value type 'uint8' is not one of int8, int16, int32, float64$"),
+    (_golden_value_type(8), "^embedding value type 8 is not one of"),
+    (_golden_value_type("int32"),
+     "not the 60 of the norms and mask and 4 for each of the 74 entries"),
+    (lambda header, payload: (header, payload[:-1]),
+     "^embedding payload has 13[35] bytes, not the 60 of the norms and mask and 1 for each "
+     "of the 74 entries it marks$"),
+    (lambda header, payload: (header, payload + b"\x01"),
+     "^embedding payload has 13[35] bytes, not the 60 of the norms and mask and 1 for each "
+     "of the 74 entries it marks$"),
+    (lambda header, payload: (header, payload[:59]), "^embedding payload has 59 bytes, fewer "
+                                                     "than the 60 of the norms and mask of 6 "
+                                                     "nodes of dim 16$"),
+    (lambda header, payload: (header, payload[:-1] + b"\x00"),
+     "^embedding mask marks an entry whose bits are zero$"),
+    (lambda header, payload: (header, payload[:8] + struct.pack("<d", -2.0) + payload[16:]),
+     "^node L0-1: norm -2.0 is not a finite number >= 0$"),
+], ids=["unknown_value_type", "integer_value_type", "int32_value_type", "one_value_short",
+        "trailing_byte", "no_room_for_the_mask", "marked_zero", "negative_norm"])
+def test_load_names_the_fault_of_a_damaged_payload(tmp_path, capsys, edit, message):
+    # the golden file has 6 nodes of dim 16: 48 bytes of norms, 12 of mask
+    # and 74 int8 values
+    path = _golden_payload_edited(tmp_path, edit)
+    with pytest.raises(TreeError, match=message):
+        load_tree(path)
+    assert main(["stats", "--index", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def _golden_edited(tmp_path, edit):
@@ -1039,7 +1173,7 @@ def test_load_rejects_a_level_that_is_not_an_integer(tmp_path, capsys, level):
 
 def test_a_save_that_cannot_encode_leaves_the_file_as_it_was(tmp_path):
     index = TreeIndex(**columns([{"id": "a", "summary": "a\ud800b"}]), roots=("a",),
-                      embeddings=np.ones((1, 2)))
+                      **unit_values(np.ones((1, 2))))
     path = tmp_path / "index.json"
     path.write_bytes(b"an older index")
     with pytest.raises(UnicodeEncodeError):
@@ -1052,7 +1186,7 @@ def test_control_and_non_ascii_text_round_trips_in_one_header_line(tmp_path):
     nodes = [{"id": "a", "name": text, "summary": text[::-1]},
              {"id": "r", "level": 1, "name": text, "children": ("a",)}]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_tree(TreeIndex(**columns(nodes), roots=("r",), embeddings=np.eye(2)), p1)
+    save_tree(TreeIndex(**columns(nodes), roots=("r",), **unit_values(np.eye(2))), p1)
     data = p1.read_bytes()
     head = data[:data.index(b"\n")]
     assert b"\r" not in head and b"\x00" not in head

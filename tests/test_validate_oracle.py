@@ -5,7 +5,8 @@ they replaced.
 ``validate_tree`` and the node-building ``load_tree`` as they were
 before the index became columns, on a node record of their own;
 ``oracle_load`` reads the current file format, a JSON header line and
-the matrix payload.  On the construction and malformed-file cases of
+the payload of norms, mask and values, which ``oracle_payload`` decodes
+bit by bit with ``struct``.  On the construction and malformed-file cases of
 ``test_tree.py`` and on generated corruptions of small DAGs, an index
 must fail to load exactly when the oracle raises ``TreeError``.
 Levels are drawn within 64 bits: the columns keep levels as int64 and
@@ -13,6 +14,8 @@ reject a wider one, which the oracle accepted.
 """
 
 import json
+import math
+import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +33,6 @@ from semtree.tree import (
     TreeError,
     TreeIndex,
     TreeNode,
-    _embedding_matrix,
     build_tree,
     load_tree,
     save_tree,
@@ -68,16 +70,19 @@ class Node:
         return self.kind == "leaf"
 
 
-def make_index(cols, roots, embeddings) -> TreeIndex:
-    return TreeIndex(**cols, roots=roots, embeddings=embeddings)
+def make_index(cols, roots, values, norms) -> TreeIndex:
+    return TreeIndex(**cols, roots=roots, values=values, norms=norms)
 
 
-def oracle_validate(nodes, roots, embeddings) -> None:
+def oracle_validate(nodes, roots, rows, norms) -> None:
+    """Validate node records, their ``(n, dim)`` unit-row values and their norms."""
     if not nodes:
         raise TreeError("index has no nodes")
     ids = tuple(nodes)
-    if embeddings.ndim != 2 or len(embeddings) != len(ids):
-        raise TreeError("embedding matrix does not have one row per node")
+    if rows.ndim != 2 or len(rows) != len(ids) or rows.shape[1] < 1:
+        raise TreeError("value matrix does not have one row of dim >= 1 per node")
+    if norms.shape != (len(ids),):
+        raise TreeError("norms do not hold one norm per node")
     for node in nodes.values():
         if not isinstance(node.level, int) or isinstance(node.level, bool):
             raise TreeError(f"node {node.id!r}: level {node.level!r} is not an integer")
@@ -121,12 +126,15 @@ def oracle_validate(nodes, roots, embeddings) -> None:
         stack.extend(nodes[nid].children)
     if any(n.id not in reachable for n in leaf_by_artifact.values()):
         raise TreeError("leaves not reachable from any root")
-    if not np.isfinite(embeddings).all():
+    if not np.isfinite(rows).all():
         raise TreeError("embedding has non-finite values")
+    if not all(math.isfinite(norm) and norm >= 0 for norm in norms.tolist()):
+        raise TreeError("a norm is not a finite number >= 0")
 
 
-def oracle_index(cols, roots, embeddings) -> None:
-    """``oracle_validate`` on node records made from ``TreeIndex`` column keywords."""
+def oracle_index(cols, roots, values, norms) -> None:
+    """``oracle_validate`` on node records made from ``TreeIndex`` keywords:
+    the columns, the dim-major ``values`` and the ``norms``."""
     nodes = {}
     for i, nid in enumerate(cols["ids"]):
         if nid in nodes:
@@ -136,10 +144,47 @@ def oracle_index(cols, roots, embeddings) -> None:
                           cols["artifact_ids"][i])
     nodes = MappingProxyType(nodes)
     try:
-        embeddings = np.array(embeddings, dtype=np.float64, order="C")
+        rows = np.array(values, dtype=np.float64).T
+        norms = np.array(norms, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise TreeError(f"embeddings are not a numeric matrix: {exc}") from exc
-    oracle_validate(nodes, tuple(roots), embeddings)
+        raise TreeError(f"values or norms are not numeric: {exc}") from exc
+    oracle_validate(nodes, tuple(roots), rows, norms)
+
+
+# struct's code for each value type an index file names
+STRUCT_CODES = {"int8": "b", "int16": "h", "int32": "i", "float64": "d"}
+
+
+def oracle_payload(embeddings, payload: bytes, n: int):
+    """The ``(dim, n)`` values and ``n`` norms of a format-5 payload, read
+    entry by entry: ``n`` little-endian float64 norms, a mask of one bit
+    per entry in dim-major order (most significant bit first, padding
+    zero), then each marked entry, none of them all zero bits, in the
+    header's value type and nothing after them."""
+    dim, kind = embeddings["dim"], embeddings["values"]
+    if type(dim) is not int or dim < 1:
+        raise TreeError(f"dim {dim!r} is not a positive integer")
+    if not isinstance(kind, str) or kind not in STRUCT_CODES:
+        raise TreeError(f"unknown value type {kind!r}")
+    code = "<" + STRUCT_CODES[kind]
+    width, mask_bytes = struct.calcsize(code), -(-n * dim // 8)
+    if len(payload) < 8 * n + mask_bytes:
+        raise TreeError("payload too short for the norms and mask")
+    norms = [struct.unpack_from("<d", payload, 8 * i)[0] for i in range(n)]
+    bits = [(payload[8 * n + j // 8] >> (7 - j % 8)) & 1 for j in range(8 * mask_bytes)]
+    if any(bits[n * dim:]):
+        raise TreeError("a padding bit is set")
+    offset = 8 * n + mask_bytes
+    if len(payload) != offset + width * sum(bits):
+        raise TreeError("payload length does not match the mask")
+    values = [[0] * n for _ in range(dim)]
+    for j in range(n * dim):
+        if bits[j]:
+            if payload[offset:offset + width] == bytes(width):
+                raise TreeError("the mask marks an entry of zero bits")
+            values[j // n][j % n] = struct.unpack_from(code, payload, offset)[0]
+            offset += width
+    return values, norms
 
 
 def oracle_load(path) -> None:
@@ -158,7 +203,7 @@ def oracle_load(path) -> None:
         n = len(nodes["id"])
         if any(len(nodes[key]) != n for key in COLUMNS):
             raise TreeError("a node column does not have one entry per node")
-        matrix = _embedding_matrix(header["embeddings"]["dim"], payload, n)
+        values, norms = oracle_payload(header["embeddings"], payload, n)
         cols = {keyword: nodes[key] for key, keyword in COLUMNS.items()}
         cols["children"] = [tuple(children) for children in cols["children"]]
         roots = tuple(header["roots"])
@@ -166,7 +211,7 @@ def oracle_load(path) -> None:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TreeError(f"malformed index file: {exc}") from exc
-    oracle_index(cols, roots, matrix)
+    oracle_index(cols, roots, values, norms)
 
 
 def rejects(fn, *args) -> bool:
@@ -180,15 +225,15 @@ def rejects(fn, *args) -> bool:
 
 @pytest.mark.parametrize("nodes, roots, message", CONSTRUCTION_CASES, ids=CONSTRUCTION_IDS)
 def test_construction_cases_agree_with_the_oracle(nodes, roots, message):
-    embeddings = np.ones((len(nodes), 2))
-    assert rejects(oracle_index, columns(nodes), roots, embeddings)
-    assert rejects(make_index, columns(nodes), roots, embeddings)
+    values, norms = np.ones((2, len(nodes))), np.ones(len(nodes))
+    assert rejects(oracle_index, columns(nodes), roots, values, norms)
+    assert rejects(make_index, columns(nodes), roots, values, norms)
 
 
-@pytest.mark.parametrize("embeddings, message", MATRIX_CASES, ids=MATRIX_IDS)
-def test_matrix_cases_agree_with_the_oracle(embeddings, message):
-    assert rejects(oracle_index, _two_leaves(), ("r",), embeddings)
-    assert rejects(make_index, _two_leaves(), ("r",), embeddings)
+@pytest.mark.parametrize("values, norms, message", MATRIX_CASES, ids=MATRIX_IDS)
+def test_matrix_cases_agree_with_the_oracle(values, norms, message):
+    assert rejects(oracle_index, _two_leaves(), ("r",), values, norms)
+    assert rejects(make_index, _two_leaves(), ("r",), values, norms)
 
 
 @pytest.mark.parametrize("damage", MALFORMED_FILES, ids=MALFORMED_FILE_IDS)
@@ -225,8 +270,8 @@ def small_dags(draw):
             parents.append(pid)
             uncovered -= set(children)
         roots = parents + sorted(uncovered)  # every earlier root stays reachable
-    embeddings = np.ones((len(cols["ids"]), 3))
-    return cols, roots, embeddings
+    values = np.ones((3, len(cols["ids"])), dtype=draw(st.sampled_from([np.float64, np.int64])))
+    return cols, roots, values, np.full(len(cols["ids"]), math.sqrt(3))
 
 
 LEVELS = [-1, 0, 1, 2, 3, 7, "1", 1.5, True, None]
@@ -240,13 +285,14 @@ CHOICES = {"levels": LEVELS, "kinds": KINDS, "names": TEXTS, "summaries": TEXTS,
 
 @st.composite
 def corrupted(draw, dags):
-    """A DAG from ``dags`` with 0-3 random edits to its columns, roots or rows."""
-    cols, roots, embeddings = draw(dags)
+    """A DAG from ``dags`` with 0-3 random edits to its columns, roots,
+    values or norms."""
+    cols, roots, values, norms = draw(dags)
     ids = list(cols["ids"])
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(ids) - 1))
         what = draw(st.sampled_from(["levels", "kinds", "children", "artifact_ids", "names",
-                                     "summaries", "roots", "embeddings"]))
+                                     "summaries", "roots", "values", "norms"]))
         if what in CHOICES:
             cols[what][i] = draw(st.sampled_from(CHOICES[what]))
         elif what == "children":
@@ -263,42 +309,57 @@ def corrupted(draw, dags):
                 roots = roots + roots[:1]
             else:
                 roots = roots + [draw(st.sampled_from(ids + ["missing", 5]))]
+        elif what == "values":
+            edit = draw(st.sampled_from(["nan", "inf", "zero", "short", "long"]))
+            if edit == "short":
+                values = values[:, :-1]
+            elif edit == "long":
+                values = np.hstack([values, values[:, :1]])
+            elif values.shape[1]:
+                j = i % values.shape[1]  # a column of the values as they are now
+                values = values.copy() if edit == "zero" else values.astype(np.float64)
+                if edit == "zero":
+                    values[:, j] = 0
+                else:
+                    values[draw(st.integers(0, len(values) - 1)), j] = float(edit)
         else:
-            edit = draw(st.sampled_from(["nan", "inf", "short", "long"]))
-            embeddings = embeddings.copy()
-            if edit in ("nan", "inf"):
-                embeddings[draw(st.integers(0, len(embeddings) - 1)), 0] = float(edit)
-            else:
-                embeddings = embeddings[:-1] if edit == "short" else np.vstack(
-                    [embeddings, embeddings[:1]])
-    return cols, roots, embeddings
+            edit = draw(st.sampled_from(["zero", "negative", "nan", "short"]))
+            if edit == "short":
+                norms = norms[:-1]
+            elif len(norms):
+                norms = norms.copy()
+                norms[i % len(norms)] = {"zero": 0.0, "negative": -1.0, "nan": math.nan}[edit]
+    return cols, roots, values, norms
 
 
-def _written(cols, roots, embeddings, directory) -> Path:
-    """The index file of ``cols`` in their given order, encoded here by hand."""
+def _written(cols, roots, values, norms, directory) -> Path:
+    """The index file of ``cols`` in their given order, encoded here by
+    hand: integer values as int8, others as float64."""
     nodes = {key: list(cols[keyword]) for key, keyword in COLUMNS.items()}
     nodes["children"] = [list(children) for children in nodes["children"]]
+    kind = "int8" if values.dtype.kind == "i" else "float64"
     header = {"version": INDEX_FORMAT_VERSION, "roots": list(roots), "nodes": nodes,
-              "embeddings": {"dim": embeddings.shape[1]}}
+              "embeddings": {"dim": values.shape[0], "values": kind}}
     path = Path(directory) / "index.json"
-    write_index(path, header, encode_payload(embeddings))
+    write_index(path, header, encode_payload(values.T, norms, "<i1" if kind == "int8" else "<f8"))
     return path
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(corrupted(small_dags()))
 def test_generated_corruptions_agree_with_the_oracle(case):
-    cols, roots, embeddings = case
-    expected = rejects(oracle_index, cols, roots, embeddings)
-    assert rejects(make_index, cols, roots, embeddings) == expected
+    cols, roots, values, norms = case
+    expected = rejects(oracle_index, cols, roots, values, norms)
+    assert rejects(make_index, cols, roots, values, norms) == expected
     with tempfile.TemporaryDirectory() as tmp:
-        path = _written(cols, roots, embeddings, tmp)
+        path = _written(cols, roots, values, norms, tmp)
         on_file = rejects(oracle_load, path)
         assert rejects(load_tree, path) == on_file
-    # A file's node count comes from its columns, so a matrix a row short
+    # A file's node count comes from its columns, so a matrix a node short
     # can be a valid payload: two nodes of dim 3 share one mask byte with
     # one node, and the file reads back as another matrix of that shape.
-    if len(embeddings) == len(cols["ids"]):
+    # Norms a node short shift the mask and values the same way.
+    if values.shape[1] == len(norms) == len(cols["ids"]):
         assert on_file == expected
 
 
@@ -342,6 +403,6 @@ def test_the_serve_path_makes_no_tree_nodes(family_index, family_library, hashed
 def test_a_level_wider_than_64_bits_is_rejected():
     # the one input on which the columns differ from the oracle, by design
     cols = columns([{"id": "r", "level": 2**64, "children": ("a",)}, {"id": "a"}])
-    assert not rejects(oracle_index, cols, ("r",), np.ones((2, 2)))
+    assert not rejects(oracle_index, cols, ("r",), np.ones((2, 2)), np.ones(2))
     with pytest.raises(TreeError, match="does not fit in 64 bits"):
-        make_index(cols, ("r",), np.ones((2, 2)))
+        make_index(cols, ("r",), np.ones((2, 2)), np.ones(2))
