@@ -112,7 +112,8 @@ class HashedEmbedder:
     Each bucket's sum is a small integer, so it is exact in any order, and
     the memos give the same counts as hashing every feature anew.  A row's
     norm is the one ``l2_normalize`` takes of its counts: the square root
-    of their sum of squares, an integer and so exact in float64.
+    of their sum of squares, an integer, which float64 holds exactly below
+    2^53 (a text of fewer than ~10^8 features).
     """
 
     def __init__(self, cfg: EmbedderConfig):

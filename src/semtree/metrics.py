@@ -55,7 +55,7 @@ def silhouette(tree: TreeIndex, level: int) -> float:
 
     A feature with several parents contributes once per membership;
     singleton clusters score 0 by convention.  Rows are the index's unit
-    rows, ``embeddings``.  The cosine distance of unit rows is half their
+    rows, ``unit_rows()``.  The cosine distance of unit rows is half their
     squared distance, so a row's distance sum to a cluster of ``n`` rows
     with mean ``mu`` is ``(n |x - mu|^2 + sum_j |x_j - mu|^2) / 2`` (the
     parallel-axis theorem): one pass per cluster, not per member, and no
@@ -69,7 +69,7 @@ def silhouette(tree: TreeIndex, level: int) -> float:
                       if lvl == level and ptr[r + 1] > ptr[r]), key=tree.ids.__getitem__)
     if len(parents) < 2:
         raise ValueError(f"level {level} has fewer than 2 parents; silhouette undefined")
-    x = tree.embeddings[np.concatenate([tree.child_rows[ptr[r]:ptr[r + 1]] for r in parents])]
+    x = tree.unit_rows()[np.concatenate([tree.child_rows[ptr[r]:ptr[r + 1]] for r in parents])]
     sizes = np.diff(ptr)[parents]
     bounds = np.append(0, np.cumsum(sizes)).tolist()
     sums = np.empty((len(x), len(parents)))  # each membership's distance sum to each cluster

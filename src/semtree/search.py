@@ -8,10 +8,10 @@ kept node is a leaf the candidates are returned.  Every node is scored
 once per query, as ``(c_q · c_d) / (|c_q| |c_d|)`` from the embedder's
 values and norms: one product over the rows of the index's dim-major
 ``values`` at the intent's nonzero dims (a hashed intent touches a few
-of them), over the product of norms.  Hashed counts take a float32
-product, which is exact whatever the summation order; each level then
-reads its frontier's scores from that vector, and the deduplicated
-child union makes the polyhierarchy cost nothing.  Scores are rounded
+of them), over the product of norms.  A product of hashed counts is
+exact whatever the summation order; each level then reads its frontier's
+scores from that vector, and the deduplicated child union makes the
+polyhierarchy cost nothing.  Scores are rounded
 to ``SCORE_DECIMALS`` before ranking so that ties do not depend on
 summation order; rounding is elementwise, so each level rounds only the
 scores it reads.
@@ -90,22 +90,16 @@ def cosines(t: TreeIndex, query: np.ndarray, norm: float) -> np.ndarray:
     whose norm is ``norm``: ``(c_q · c_d) / (|c_q| |c_d|)``, and 0 for a
     zero row or a zero query.
 
-    Integer counts times the index's float32 counts take a float32
-    product when ``|c_q|_1`` is below the index's ``exact_l1``: every
-    partial sum is then an integer below 2^24, which float32 holds, so the
-    product is exact in any order.  The test reads the norm, not the
-    counts: ``|c_q|_1 <= sqrt(nnz) |c_q|`` (Cauchy-Schwarz), so ``nnz
-    |c_q|^2 < exact_l1^2 / 2`` keeps ``|c_q|_1`` below ``exact_l1`` with a
-    factor of sqrt(2) to spare for rounding.  Anything else takes the
-    float64 product, which is exact for integers below 2^53.
+    Integer counts times the index's counts take an exact float64
+    product, in any summation order: by Cauchy-Schwarz every partial sum
+    is an integer no larger than ``|c_q| |c_d|``, which is below 2^53
+    when each sum of squares is (the index checks its own; a query's
+    takes a text of ~10^8 features to reach it).  A remote embedder's
+    unit rows take the product of unit rows over 1.0, which is that
+    product bit for bit.
     """
     nz = np.flatnonzero(query)  # zero dims add nothing to a dot product
-    q, rows = query[nz], t.values[nz]
-    if query.dtype.kind in "iu" and len(q) * norm * norm < t.exact_l1 ** 2 / 2:
-        q = q.astype(np.float32)
-    else:
-        rows = rows.astype(np.float64, copy=False)
-    return (q @ rows) / ((norm or 1.0) * t.divisors)
+    return (query[nz] @ t.values[nz]) / ((norm or 1.0) * t.divisors)
 
 
 def tree_search(t: TreeIndex, intent: str, cfg: SearchConfig, embedder) -> RankedList:

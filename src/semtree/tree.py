@@ -9,10 +9,10 @@ polyhierarchy (a DAG), not a strict tree; acyclicity and full leaf
 coverage are validated whenever a ``TreeIndex`` is made.  The index is
 columns (ids, levels, kinds, names, summaries, artifact ids, CSR
 children, and the embedder's values and norms, the only copy of the
-node vectors, with the values held dim-major), and none of them can be
-edited once it is made.  ``build_tree`` appends each level to the
-columns and ``load_tree`` reads them from a file; both hand them to the
-one ``TreeIndex`` constructor.
+node vectors, with the values held dim-major as float64), and none of
+them can be edited once it is made.  ``build_tree`` appends each level
+to the columns and ``load_tree`` reads them from a file; both hand them
+to the one ``TreeIndex`` constructor.
 
 On disk (``INDEX_FORMAT_VERSION`` 5) the index is stored as memory
 holds it: a header line of UTF-8 JSON, a ``\n``, and the norms and
@@ -25,7 +25,9 @@ float64.  The payload is the norms as little-endian float64, then
 ``values`` in C order: a mask (``np.packbits`` over the entries whose
 bits are nonzero) and those entries in the stored type.  Both round-trip
 bit for bit, ``-0.0`` included, and a loaded index equals the saved one
-column for column.
+column for column.  A count's norm is a function of its counts, so the
+norms of an integer payload are also its checksum: a changed count or
+norm, or a payload read from the wrong offset, fails to load.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ MAX_K = 32  # the most components a level is clustered into
 NODE_COLUMNS = ("id", "level", "kind", "name", "summary", "artifact_id")
 # an index file's value types, by the name its header gives them
 VALUE_TYPES = {"int8": "<i1", "int16": "<i2", "int32": "<i4", "float64": "<f8"}
-EXACT_FLOAT32 = 2**24  # float32 holds every integer of smaller magnitude
+EXACT_FLOAT64 = 2**53  # float64 holds every integer of smaller magnitude
 
 
 class TreeError(ValueError):
@@ -92,20 +94,22 @@ class TreeIndex:
 
     ``levels``, ``kinds``, ``names``, ``summaries`` and ``artifact_ids``
     are tuples.  The node vectors are held once, as an embedder gives
-    them: the read-only C-contiguous ``(dim, n)`` matrix ``values``, whose
-    column ``i`` is node ``i``'s values, and the read-only float64
-    ``norms``.  Integer values (a hashed embedder's bucket counts) below
-    2^24 in magnitude are held as float32, which holds them exactly; any
-    other values are held as float64.  Node ``i``'s unit vector is
-    ``embeddings[i]``, rebuilt by ``unit_rows`` on each read.  Node
-    ``i``'s children are ``child_rows[child_ptr[i]:child_ptr[i + 1]]``
-    (CSR).  ``roots`` are node ids.  ``validate_tree`` runs once, when the
-    index is made, and sets what search reads: ``is_leaf``, ``id_rank``
-    (each id's rank among the sorted ids, the tie-break), ``root_rows``,
-    ``root_expansion``, ``top_level``, ``leaf_rows`` (artifact id to leaf
-    row) and ``divisors``; the constructor sets ``exact_l1``, the bound on
-    a query's ``|c_q|_1`` for search's float32 product.  Nothing here
-    changes after that, so the columns cannot fall out of step.
+    them: the read-only C-contiguous float64 ``(dim, n)`` matrix
+    ``values``, whose column ``i`` is node ``i``'s values, and the
+    read-only float64 ``norms``.  ``counts`` says whether ``values`` came
+    as an integer array (a hashed embedder's bucket counts); float64 holds
+    such counts exactly, and each of their norms must be the one the
+    embedder takes, ``sqrt`` of their sum of squares.  Other values (a
+    remote embedder's unit rows) are taken with the norms given, a zero
+    norm only for a zero row.  ``unit_rows()`` makes the float64 unit rows
+    anew on each call.  Node ``i``'s children are
+    ``child_rows[child_ptr[i]:child_ptr[i + 1]]`` (CSR).  ``roots`` are
+    node ids.  ``validate_tree`` runs once, when the index is made, and
+    sets what search reads: ``is_leaf``, ``id_rank`` (each id's rank among
+    the sorted ids, the tie-break), ``root_rows``, ``root_expansion``,
+    ``top_level``, ``leaf_rows`` (artifact id to leaf row) and
+    ``divisors``.  Nothing here changes after that, so the columns cannot
+    fall out of step.
 
     ``build_tree`` and ``load_tree`` both make an index with this one
     constructor.  It takes ``children`` as lists or tuples of child ids
@@ -119,7 +123,9 @@ class TreeIndex:
     def __init__(self, *, ids, levels, kinds, names, summaries, artifact_ids, children, roots,
                  values, norms, config: dict | None = None, provenance: dict | None = None):
         try:
-            (values, exact_l1), norms = _held_values(values), np.asarray(norms, dtype=np.float64)
+            given = np.asarray(values)
+            values = np.ascontiguousarray(given, dtype=np.float64)
+            norms = np.asarray(norms, dtype=np.float64)
         except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
             raise TreeError(f"embedding values or norms are not numeric: {exc}") from exc
         for name, column in (("ids", ids), ("levels", levels), ("kinds", kinds),
@@ -135,7 +141,7 @@ class TreeIndex:
         (self.ids, self.levels, self.kinds, self.names, self.summaries, self.artifact_ids,
          self.roots) = map(tuple, (ids, levels, kinds, names, summaries, artifact_ids, roots))
         self.row_of, self.child_ptr, self.child_rows = _csr(self.ids, children)
-        self.values, self.norms, self.exact_l1 = values, norms, exact_l1
+        self.values, self.norms, self.counts = values, norms, given.dtype.kind in "iu"
         self.config = {} if config is None else config
         self.provenance = {} if provenance is None else provenance
         validate_tree(self)
@@ -146,10 +152,9 @@ class TreeIndex:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def embeddings(self) -> np.ndarray:
-        """The ``(n, dim)`` float64 unit rows, made from ``values`` and
-        ``norms`` on each read."""
+    def unit_rows(self) -> np.ndarray:
+        """A new ``(n, dim)`` float64 matrix of the nodes' unit rows, made
+        from ``values`` and ``norms``."""
         return unit_rows(self.values.T, self.norms)
 
     @cached_property
@@ -173,19 +178,6 @@ class TreeIndex:
     def max_level(self) -> int:
         """``top_level``; only ``perfsuite/`` reads it."""
         return self.top_level
-
-
-def _held_values(values) -> tuple[np.ndarray, float]:
-    """``values`` as an index holds them, C-contiguous, and ``exact_l1``:
-    integers below ``EXACT_FLOAT32`` in magnitude as float32, with
-    ``EXACT_FLOAT32 / max|c_d|``, and all else as float64, with 0."""
-    values = np.asarray(values)
-    if values.dtype.kind in "iu" and values.size:
-        peak = max(-int(values.min()), int(values.max()))  # as Python ints: no overflow
-        if peak < EXACT_FLOAT32:
-            return (np.ascontiguousarray(values, dtype=np.float32),
-                    EXACT_FLOAT32 / peak if peak else math.inf)
-    return np.ascontiguousarray(values, dtype=np.float64), 0.0
 
 
 def _csr(ids: tuple, children) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -251,8 +243,11 @@ def validate_tree(t: TreeIndex) -> None:
     each artifact has one leaf; levels decrease along every CSR edge
     (hence acyclicity); roots are present and distinct; every leaf is
     reached by a level-by-level sweep from the roots; the value matrix is
-    finite with one column per node and at least one row; and each node's
-    norm is finite and not negative.  ``TreeIndex`` runs it when made.
+    finite with one column per node and at least one row; each node's
+    norm is finite and not negative; counts have a sum of squares below
+    2^53, so float64 holds it exactly, and a norm that is its ``sqrt``,
+    bit for bit; and other values have a zero norm only for a zero
+    column.  ``TreeIndex`` runs it when made.
     """
     n, ids = len(t.ids), t.ids
     if not n:
@@ -309,11 +304,23 @@ def validate_tree(t: TreeIndex) -> None:
     orphans = [ids[r] for r in np.flatnonzero(is_leaf & ~reached).tolist()]
     if orphans:
         raise TreeError(f"leaves not reachable from any root: {orphans}")
-    if t.values.dtype != np.float32:  # integer counts are finite
-        _raise_at(~np.isfinite(t.values).all(axis=0),
-                  lambda i: f"node {ids[i]}: embedding has non-finite values")
     _raise_at(~(np.isfinite(t.norms) & (t.norms >= 0)),
               lambda i: f"node {ids[i]}: norm {float(t.norms[i])} is not a finite number >= 0")
+    if t.counts:
+        # Each partial sum of the squares is an integer no larger than the
+        # whole, so a sum below 2^53 is exact in any order and one that
+        # reaches 2^53 is computed as at least 2^53.
+        squares = np.einsum("ij,ij->j", t.values, t.values)
+        _raise_at(squares >= EXACT_FLOAT64, lambda i: (
+            f"node {ids[i]}: the sum of squares of its counts reaches 2^53"))
+        _raise_at(np.sqrt(squares) != t.norms, lambda i: (
+            f"node {ids[i]}: norm {float(t.norms[i])} is not {math.sqrt(squares[i])}, "
+            f"the L2 norm of its counts"))
+    else:
+        _raise_at(~np.isfinite(t.values).all(axis=0),
+                  lambda i: f"node {ids[i]}: embedding has non-finite values")
+        _raise_at((t.norms == 0) & t.values.any(axis=0),
+                  lambda i: f"node {ids[i]}: norm 0 for a nonzero row")
     t.is_leaf = is_leaf
     t.id_rank = rank_by_id(ids)
     t.root_rows = root_rows
@@ -448,7 +455,7 @@ def save_tree(t: TreeIndex, path: str) -> None:
     nodes = dict(zip(NODE_COLUMNS, (t.ids, t.levels, t.kinds, t.names, t.summaries,
                                     t.artifact_ids)))
     nodes["children"] = [[t.ids[r] for r in kids[a:b]] for a, b in zip(ptr, ptr[1:])]
-    kind, nonzero, entries = _stored_values(t.values)
+    kind, nonzero, entries = _stored_values(t)
     header = {"version": INDEX_FORMAT_VERSION, "config": t.config,
               "provenance": t.provenance, "roots": t.roots,
               "embeddings": {"dim": t.dim, "values": kind}, "nodes": nodes}
@@ -464,16 +471,17 @@ def save_tree(t: TreeIndex, path: str) -> None:
         fh.write(entries)
 
 
-def _stored_values(values: np.ndarray) -> tuple[str, np.ndarray, np.ndarray]:
-    """The ``VALUE_TYPES`` name that stores ``values`` exactly, the mask of
-    their entries whose bits are nonzero, and those entries in that type:
-    float32 counts in the smallest integer type that holds them, anything
-    else as float64, whose mask keeps ``-0.0``."""
-    if values.dtype != np.float32:
-        nonzero = values.view("<u8") != 0
-        return "float64", nonzero, values[nonzero].astype("<f8", copy=False)
-    nonzero = values != 0  # a count converted to float32 is never -0.0
-    counts = values[nonzero]
+def _stored_values(t: TreeIndex) -> tuple[str, np.ndarray, np.ndarray]:
+    """The ``VALUE_TYPES`` name that stores ``t.values`` exactly, the mask
+    of their entries whose bits are nonzero, and those entries in that
+    type: counts in the smallest integer type that holds them (int32 holds
+    any count whose square is below 2^53), anything else as float64, whose
+    mask keeps ``-0.0``."""
+    if not t.counts:
+        nonzero = t.values.view("<u8") != 0
+        return "float64", nonzero, t.values[nonzero].astype("<f8", copy=False)
+    nonzero = t.values != 0  # a count converted to float64 is never -0.0
+    counts = t.values[nonzero]
     low, high = (counts.min(), counts.max()) if counts.size else (0, 0)
     kind = next(name for name in ("int8", "int16", "int32")
                 if np.iinfo(name).min <= low and high <= np.iinfo(name).max)

@@ -71,7 +71,7 @@ def test_damaged_index_loads_or_raises_tree_error(data):
         assert isinstance(index, TreeIndex)
         again = Path(tmp) / "again.json"
         save_tree(index, again)
-        assert load_tree(again).embeddings.tobytes() == index.embeddings.tobytes()
+        assert load_tree(again).unit_rows().tobytes() == index.unit_rows().tobytes()
 
 
 HEADER, PAYLOAD = read_index(GOLDEN)

@@ -130,7 +130,7 @@ def silhouette_oracle(t, level):
         (n for n in t.nodes.values() if n.level == level and n.children),
         key=lambda n: n.id,
     )
-    vectors = dict(zip(t.ids, t.embeddings))
+    vectors = dict(zip(t.ids, t.unit_rows()))
     clusters = [[vectors[c] for c in p.children] for p in parents]
 
     def dist(u, v):
@@ -170,7 +170,7 @@ def test_silhouette_of_a_tokenless_description_is_finite(hashed_embedder):
                           descriptions=(*lib.descriptions, "!!! ???"))
     tree = build_tree(lib, hashed_embedder, seed=0)
     mute = tree.leaf_rows["mute"]
-    assert tree.norms[mute] == 0.0 and not tree.embeddings[mute].any()
+    assert tree.norms[mute] == 0.0 and not tree.unit_rows()[mute].any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         score = silhouette(tree, 1)
@@ -185,7 +185,7 @@ def silhouette_oracle_of_unit_rows(t, level):
         (n for n in t.nodes.values() if n.level == level and n.children),
         key=lambda n: n.id,
     )
-    vectors = dict(zip(t.ids, t.embeddings))
+    vectors = dict(zip(t.ids, t.unit_rows()))
     clusters = [[vectors[c] for c in p.children] for p in parents]
     values = []
     for ci, members in enumerate(clusters):
@@ -224,8 +224,8 @@ def silhouette_fsum(t, level):
     ptr = t.child_ptr
     parents = sorted((r for r, lvl in enumerate(t.levels) if lvl == level and ptr[r + 1] > ptr[r]),
                      key=t.ids.__getitem__)
-    clusters = [[t.embeddings[c] / np.linalg.norm(t.embeddings[c])
-                 for c in t.child_rows[ptr[r]:ptr[r + 1]]] for r in parents]
+    rows = t.unit_rows()
+    clusters = [[rows[c] / np.linalg.norm(rows[c]) for c in t.child_rows[ptr[r]:ptr[r + 1]]] for r in parents]
 
     def mean_dist(vec, members, count):
         return math.fsum(0.5 * math.fsum((vec - o) ** 2) for o in members) / count

@@ -40,7 +40,7 @@ def beam_oracle(index, embedder, intent, k):
     themselves to the next level.  Returns the entries and the number of
     node scores taken."""
     query = unit_rows(*embedder.embed([intent]))[0]
-    vectors = dict(zip(index.ids, index.embeddings))
+    vectors = dict(zip(index.ids, index.unit_rows()))
     frontier = set(index.roots)
     evaluations = 0
     while True:
@@ -165,12 +165,11 @@ def exact_cosines(index, counts, norm):
             for i, column in enumerate(columns)]
 
 
-def test_counts_past_the_float32_bound_take_the_float64_product():
-    # Counts near 2^22 are held as float32, which holds each exactly, but a
-    # query of |c_q|_1 = 16 can sum their products past 2^24, where float32
-    # rounds: that query takes the float64 product, and one of |c_q|_1 = 2
-    # takes the float32 one, exactly.  Each parent holds its first child's
-    # counts.
+def test_large_counts_score_exactly():
+    # Counts near 2^22, whose products a query of |c_q|_1 = 16 sums past
+    # 2^24, where float32 would round: the float64 product is exact, and
+    # search equals the linear-scan oracle.  Each parent holds its first
+    # child's counts.
     rng = np.random.default_rng(8)
     n, dim = 40, 6
     counts = (rng.integers(2**22 - 50, 2**22 + 50, size=(n, dim))
@@ -183,9 +182,8 @@ def test_counts_past_the_float32_bound_take_the_float64_product():
     values = np.vstack([counts, counts[:4]])
     index = TreeIndex(**columns(nodes), roots=[p["id"] for p in parents], values=values.T,
                       norms=np.sqrt((values * values).sum(axis=1)))
-    assert index.values.dtype == np.float32
+    assert index.counts and index.values.dtype == np.float64
     wide, narrow = [3, -5, 7, 0, 1, 0], [1, 0, 0, -1, 0, 0]
-    assert sum(map(abs, narrow)) < index.exact_l1 <= sum(map(abs, wide))
     for query in (wide, narrow, [0] * dim):
         embedder = CountEmbedder(query)
         q_values, q_norms = embedder.embed(["x"])
@@ -195,8 +193,8 @@ def test_counts_past_the_float32_bound_take_the_float64_product():
             got = tree_search(index, "x", SearchConfig(beam_width=width, final_k=1), embedder)
             assert (got.entries, got.node_evaluations) == beam_oracle(index, embedder, "x",
                                                                       width)
-    # the float32 product would have rounded the wide query's sums
-    rows = index.values[np.flatnonzero(wide)]
+    # a float32 product would have rounded the wide query's sums
+    rows = index.values[np.flatnonzero(wide)].astype(np.float32)
     assert (np.float32(wide)[np.flatnonzero(wide)] @ rows).tolist() != [
         sum(q * d for q, d in zip(wide, column)) for column in values.tolist()]
 
@@ -309,7 +307,7 @@ def full_product_beam(index, query, width):
     level's frontier fully sorted by (-score, id rank), kept leaves carried
     forward.  Returns the kept artifact ids and the number of node scores
     read."""
-    scores = round_scores(index.embeddings @ query)
+    scores = round_scores(index.unit_rows() @ query)
     frontier, evaluations = sorted(index.root_rows.tolist()), 0
     while True:
         evaluations += len(frontier)
@@ -368,7 +366,7 @@ def test_ties_at_the_partition_cut_rank_by_node_id(width):
                           FixedEmbedder(query))
         assert (got.ids(), got.node_evaluations) == full_product_beam(index, query, width)
         last = got.entries[-1][1]
-        tied = round_scores(index.embeddings[:200] @ query) == last
+        tied = round_scores(index.unit_rows()[:200] @ query) == last
         assert tied.sum() > sum(score == last for _, score in got.entries)  # ties cross the cut
 
 
@@ -442,23 +440,25 @@ def test_search_results_are_pinned(hashed_embedder, gate):
     assert digest.hexdigest() == SEARCH_GATE_SHA256
 
 
-def unit_row_product(index, query):
+def unit_row_product(dim_major, query):
     """Every node's score as the float64 product of two unit rows at the
-    query's nonzero dims: the product search took before it read counts."""
+    query's nonzero dims, the nodes' as the ``(dim, n)`` ``dim_major``: the
+    product search took before it read counts."""
     nz = np.flatnonzero(query)
-    return query[nz] @ np.ascontiguousarray(index.embeddings.T)[nz]
+    return query[nz] @ dim_major[nz]
 
 
 def test_count_scores_round_as_the_unit_row_product(hashed_embedder, gate):
-    # the exact float32 count product over the product of norms differs
+    # the exact count product over the product of norms differs
     # from the unit-row product in the last bits only: rounded, every one of
     # the 500 intents' scores of every node is the same
     index, intents = gate
-    assert index.values.dtype == np.float32
+    assert index.counts
+    dim_major = np.ascontiguousarray(index.unit_rows().T)
     for intent in intents:
         values, norms = hashed_embedder.embed([intent])
         raw = cosines(index, values[0], norms[0])
-        want = unit_row_product(index, unit_rows(values, norms)[0])
+        want = unit_row_product(dim_major, unit_rows(values, norms)[0])
         assert np.abs(raw - want).max() < 1e-15
         assert round_scores(raw).tobytes() == round_scores(want).tobytes(), intent
 

@@ -172,12 +172,13 @@ def test_load_round_trip_preserves_embeddings(family_index, tmp_path):
     path = tmp_path / "idx.json"
     save_tree(family_index, path)
     loaded = load_tree(path)
-    vectors = dict(zip(loaded.ids, loaded.embeddings))
-    for nid, vec in zip(family_index.ids, family_index.embeddings):
+    vectors = dict(zip(loaded.ids, loaded.unit_rows()))
+    for nid, vec in zip(family_index.ids, family_index.unit_rows()):
         assert vectors[nid].tobytes() == vec.tobytes()
     assert loaded.config == family_index.config
-    # the counts are held as float32 and stored as int8
-    assert loaded.values.dtype == family_index.values.dtype == np.float32
+    # the counts are held as float64 and stored as int8
+    assert loaded.counts and family_index.counts
+    assert loaded.values.dtype == family_index.values.dtype == np.float64
     assert read_index(path)[0]["embeddings"]["values"] == "int8"
 
 
@@ -185,7 +186,7 @@ def test_negative_zero_keeps_its_sign_bit(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_tree(TreeIndex(**columns([{"id": "a"}]), roots=("a",),
                         **unit_values([[-0.0, 0.0, 1.0]])), p1)
-    loaded = load_tree(p1).embeddings[0]
+    loaded = load_tree(p1).unit_rows()[0]
     assert list(np.signbit(loaded)) == [True, False, False]
     assert list(loaded) == [0.0, 0.0, 1.0]
     save_tree(load_tree(p1), p2)
@@ -334,11 +335,10 @@ MALFORMED_FILES = [
     _edited("nodes", "id"),
     _edited("embeddings"),  # no width for the matrix
     _edited("embeddings", value=5),  # a scalar where the block belongs
-    # The matrix is not n x dim: the header's dim is one short, so the mask
-    # read is shorter and marks no more entries, yet the bytes left for
-    # them are more.  (A mask one byte short can parse, as its last byte is
-    # then the first int8 value's.)
-    _with_header(lambda header: header["embeddings"].update(dim=header["embeddings"]["dim"] - 1)),
+    # The matrix is not n x dim.  The mask read is then its own bytes and
+    # the first int8 value's, and it can parse: the norms, which are not
+    # those of the counts read, reject it.
+    _payload_edit("mask", lambda raw: raw[:-1]),
     _set_norm(3, float("nan")),
     _set_norm(0, float("-inf")),
     _edited("nodes", "artifact_id", 1, value="fam0-art00"),  # node 0's artifact
@@ -373,6 +373,12 @@ MALFORMED_FILES = [
     _edited("embeddings", "values", value=["int8"]),
     _edited("embeddings", "values", value="int16"),  # 2 bytes an entry; the file has 1
     _payload_edit("norms", lambda raw: raw[:-8]),
+    # the mask read is shorter and marks no more entries, yet the bytes left
+    # for them are more
+    _with_header(lambda header: header["embeddings"].update(dim=header["embeddings"]["dim"] - 1)),
+    _set_value(5, 7),  # |7| is more than any count of the index
+    _set_norm(1, 1.0),
+    _set_norm(4, 0.0),
 ]
 MALFORMED_FILE_IDS = [
     "truncated", "not_an_object", "no_nodes", "node_without_level",
@@ -386,7 +392,8 @@ MALFORMED_FILE_IDS = [
     "string_dim", "no_mask", "infinite_level", "no_newline", "truncated_payload",
     "trailing_payload_byte", "header_not_utf8", "column_one_entry_short",
     "negative_norm", "marked_zero_value", "no_value_type", "unknown_value_type",
-    "list_value_type", "wider_value_type", "one_norm_short"]
+    "list_value_type", "wider_value_type", "one_norm_short", "dim_one_short",
+    "changed_count", "wrong_norm", "zero_norm"]
 # A JSON object or string where a list belongs.
 NOT_A_LIST = [
     _with_header(lambda header: header["nodes"]["children"].__setitem__(
@@ -458,7 +465,7 @@ def test_load_rejects_a_mask_bit_past_the_last_entry(tmp_path):
     }
     path = tmp_path / "idx.json"
     write_index(path, header, encode_payload([[1.0, 0.0, 0.0]]))
-    assert load_tree(path).embeddings.tolist() == [[1.0, 0.0, 0.0]]
+    assert load_tree(path).unit_rows().tolist() == [[1.0, 0.0, 0.0]]
     write_index(path, header, np.ones(1).tobytes() + bytes([0b10000001]) + np.ones(2).tobytes())
     with pytest.raises(TreeError, match="past the last node"):
         load_tree(path)
@@ -626,16 +633,14 @@ def test_index_nodes_are_frozen(family_index):
 
 
 def test_index_embeddings_are_read_only(family_index):
-    # the index holds values and norms, both read-only; its unit rows are
-    # made from them on each read, so no write to a copy reaches the index
+    # the index holds values and norms, both read-only; unit_rows() makes
+    # a new matrix from them on each call, so no write to one reaches the index
     for array in (family_index.values, family_index.norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    rows = family_index.embeddings
+    rows = family_index.unit_rows()
     rows[0, 0] = 7.0
-    assert family_index.embeddings[0, 0] != 7.0
-    with pytest.raises(AttributeError):
-        family_index.embeddings = rows
+    assert family_index.unit_rows()[0, 0] != 7.0
 
 
 def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
@@ -643,8 +648,8 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     # matrix and float64 norms are kept, not copied, and made read-only
     # once the index is checked, so no later write through the caller's
     # arrays can reach a search; a failed check leaves the caller's arrays
-    # as they were, and any other matrix is converted once: integer counts
-    # to float32, anything else to float64
+    # as they were, and any other matrix is converted once to float64; only
+    # an integer one is taken as counts
     lib = make_family_library(n_families=3, per_family=4)
     nodes = [{"id": aid} for aid in lib.artifact_ids]
     nodes.append({"id": "root", "level": 1, "children": list(lib.artifact_ids)})
@@ -665,11 +670,13 @@ def test_index_keeps_the_float64_matrix_it_is_given(hashed_embedder):
     with pytest.raises(ValueError, match="read-only"):
         given[:] = given[::-1]
     assert tree_search(kept, intent, cfg, hashed_embedder).entries == before
-    for other, held in ((counts.T, np.float32), (np.asfortranarray(given), np.float64),
-                        (given.astype(np.float32), np.float64)):
+    assert not kept.counts
+    for other, counted in ((counts.T, True), (np.asfortranarray(given), False),
+                           (given.astype(np.float32), False)):
         converted = TreeIndex(**columns(nodes), roots=("root",), values=other, norms=norms)
         assert not np.shares_memory(converted.values, other)
-        assert converted.values.dtype == held and converted.values.flags.c_contiguous
+        assert converted.counts is counted
+        assert converted.values.dtype == np.float64 and converted.values.flags.c_contiguous
         assert converted.values.flags.owndata and not converted.values.flags.writeable
         assert np.array_equal(converted.values, other)
         assert tree_search(converted, intent, cfg, hashed_embedder).entries == before
@@ -738,10 +745,21 @@ MATRIX_CASES = [
     (np.ones((2, 3)), [1.0, 1.0, np.nan], "node r: norm nan is not a finite"),
     (np.ones((2, 3)), [1.0, 1.0, np.inf], "node r: norm inf is not a finite"),
     (np.ones((2, 3)), ["x", "y", "z"], "not numeric"),
+    # counts, whose norms must be those of the counts, bit for bit
+    (np.array([[1, 0, 2], [1, 3, 0]]), [2**0.5, 3.0, 2.5],
+     "^node r: norm 2.5 is not 2.0, the L2 norm of its counts$"),
+    (np.array([[1, 0, 2], [1, 3, 0]]), [2**0.5, 3.0, np.nextafter(2.0, 3.0)],
+     "node r: norm 2.0000000000000004 is not 2.0"),
+    (np.array([[2**27, 0, 1], [0, 1, 0]]), [2.0**27, 1.0, 1.0],
+     r"^node a: the sum of squares of its counts reaches 2\^53$"),
+    (np.array([[0.6, 0.0, 0.0], [0.8, 1.0, 0.5]]), [1.0, 1.0, 0.0],
+     "^node r: norm 0 for a nonzero row$"),
 ]
 MATRIX_IDS = ["too_few_rows", "too_many_rows", "one_dimensional", "one_dimensional_per_node",
               "nan", "ragged", "non_numeric", "no_dims", "short_norms", "two_dimensional_norms",
-              "negative_norm", "nan_norm", "infinite_norm", "non_numeric_norms"]
+              "negative_norm", "nan_norm", "infinite_norm", "non_numeric_norms",
+              "count_norm_mismatch", "count_norm_one_ulp_off", "counts_too_large",
+              "zero_norm_for_a_nonzero_row"]
 
 
 def _two_leaves():
@@ -835,7 +853,7 @@ def content_sha256(path) -> str:
     doc.update(children=[[t.ids[r] for r in kids[ptr[i]:ptr[i + 1]]] for i in rows],
                roots=list(t.roots), config=t.config, provenance=t.provenance)
     head = json.dumps(doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    matrix = np.ascontiguousarray(t.embeddings[rows], dtype="<f8")
+    matrix = np.ascontiguousarray(t.unit_rows()[rows], dtype="<f8")
     return hashlib.sha256(head + b"\n" + matrix.tobytes()).hexdigest()
 
 
@@ -1029,12 +1047,13 @@ def test_golden_index_file_loads_and_decodes_by_hand():
     values = iter(struct.unpack(f"<{len(values)}b", values))
     by_dim = [[next(values) if bits[j * n + i] else 0 for i in range(n)] for j in range(dim)]
     assert next(values, None) is None
+    rows = index.unit_rows()
     for i in range(n):
         counts = [by_dim[j][i] for j in range(dim)]
         # a hashed row's norm is the square root of its counts' squares
         assert norms[i] == math.sqrt(sum(c * c for c in counts))
         assert index.values[:, i].tolist() == counts
-        assert index.embeddings[i].tobytes() == embed.l2_normalize(counts).tobytes()
+        assert rows[i].tobytes() == embed.l2_normalize(counts).tobytes()
     assert index.norms.tolist() == list(norms)
     assert index.ids == tuple(columns["id"])
     assert index.ids == tuple(f"L{level}-{ordinal}" for level, size in enumerate(

@@ -6,7 +6,9 @@ they replaced.
 before the index became columns, on a node record of their own;
 ``oracle_load`` reads the current file format, a JSON header line and
 the payload of norms, mask and values, which ``oracle_payload`` decodes
-bit by bit with ``struct``.  On the construction and malformed-file cases of
+bit by bit with ``struct``.  Integer values are counts, and the oracle
+checks each of their norms against ``math.sqrt`` of the counts' sum of
+squares taken in Python integers.  On the construction and malformed-file cases of
 ``test_tree.py`` and on generated corruptions of small DAGs, an index
 must fail to load exactly when the oracle raises ``TreeError``.
 Levels are drawn within 64 bits: the columns keep levels as int64 and
@@ -74,8 +76,9 @@ def make_index(cols, roots, values, norms) -> TreeIndex:
     return TreeIndex(**cols, roots=roots, values=values, norms=norms)
 
 
-def oracle_validate(nodes, roots, rows, norms) -> None:
-    """Validate node records, their ``(n, dim)`` unit-row values and their norms."""
+def oracle_validate(nodes, roots, rows, norms, counts: bool) -> None:
+    """Validate node records, their ``(n, dim)`` values and their norms;
+    ``counts`` says the values are integer counts."""
     if not nodes:
         raise TreeError("index has no nodes")
     ids = tuple(nodes)
@@ -130,6 +133,15 @@ def oracle_validate(nodes, roots, rows, norms) -> None:
         raise TreeError("embedding has non-finite values")
     if not all(math.isfinite(norm) and norm >= 0 for norm in norms.tolist()):
         raise TreeError("a norm is not a finite number >= 0")
+    for row, norm in zip(rows.tolist(), norms.tolist()):
+        if counts:
+            squares = sum(int(c) ** 2 for c in row)  # in Python ints: exact
+            if squares >= 2**53:
+                raise TreeError("the counts' sum of squares reaches 2^53")
+            if norm != math.sqrt(squares):
+                raise TreeError("a norm is not the L2 norm of its counts")
+        elif norm == 0 and any(row):
+            raise TreeError("a zero norm for a nonzero row")
 
 
 def oracle_index(cols, roots, values, norms) -> None:
@@ -144,11 +156,12 @@ def oracle_index(cols, roots, values, norms) -> None:
                           cols["artifact_ids"][i])
     nodes = MappingProxyType(nodes)
     try:
+        counts = np.asarray(values).dtype.kind in "iu"
         rows = np.array(values, dtype=np.float64).T
         norms = np.array(norms, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise TreeError(f"values or norms are not numeric: {exc}") from exc
-    oracle_validate(nodes, tuple(roots), rows, norms)
+    oracle_validate(nodes, tuple(roots), rows, norms, counts)
 
 
 # struct's code for each value type an index file names
@@ -177,7 +190,8 @@ def oracle_payload(embeddings, payload: bytes, n: int):
     offset = 8 * n + mask_bytes
     if len(payload) != offset + width * sum(bits):
         raise TreeError("payload length does not match the mask")
-    values = [[0] * n for _ in range(dim)]
+    # integer entries are counts, float64 ones are not
+    values = [[0.0 if kind == "float64" else 0] * n for _ in range(dim)]
     for j in range(n * dim):
         if bits[j]:
             if payload[offset:offset + width] == bytes(width):
@@ -323,12 +337,13 @@ def corrupted(draw, dags):
                 else:
                     values[draw(st.integers(0, len(values) - 1)), j] = float(edit)
         else:
-            edit = draw(st.sampled_from(["zero", "negative", "nan", "short"]))
+            edit = draw(st.sampled_from(["zero", "negative", "nan", "other", "short"]))
             if edit == "short":
                 norms = norms[:-1]
             elif len(norms):
                 norms = norms.copy()
-                norms[i % len(norms)] = {"zero": 0.0, "negative": -1.0, "nan": math.nan}[edit]
+                norms[i % len(norms)] = {"zero": 0.0, "negative": -1.0, "nan": math.nan,
+                                         "other": 2.0}[edit]
     return cols, roots, values, norms
 
 
